@@ -48,7 +48,7 @@ def _require_path(session: Session, path: str) -> str:
 _INTERPOSITION_SQL = """
     SELECT name, version,
            COUNT(*) AS symbol_count,
-           GROUP_CONCAT(path, ':') AS libraries
+           GROUP_CONCAT(path, char(0)) AS libraries
     FROM elf_symbols
     WHERE exported = 1 AND section != '.bss'
     GROUP BY name, version
@@ -61,11 +61,13 @@ def interposition_audit(session: Session) -> AnalysisReport:
     """Names exported by two or more corpus members, grouped by version.
 
     The libraries column lists the offending paths sorted and ':'-joined,
-    so the report is invariant under registration order.
+    so the report is invariant under registration order.  The query joins
+    them with NUL, which no path contains, so a ':' inside a path survives
+    the sort.
     """
     result = session.execute(_INTERPOSITION_SQL)
     rows = tuple(
-        (name, version, count, ":".join(sorted(libraries.split(":"))))
+        (name, version, count, ":".join(sorted(libraries.split("\0"))))
         for name, version, count, libraries in result.rows
     )
     return AnalysisReport(columns=result.columns, rows=rows)

@@ -9,6 +9,8 @@ the same object always yields the same rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, repeat
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from . import reader
@@ -24,6 +26,7 @@ from .reader import (
     SHT_STRTAB,
     ElfObject,
     RawSymbol,
+    SymbolTable,
     SymbolTableKind,
     decode_bytes,
 )
@@ -205,34 +208,12 @@ def derive_export_import(sym: RawSymbol) -> tuple[bool, bool]:
 
 
 def symbol_rows(obj: ElfObject) -> tuple[SymbolRow, ...]:
-    """One row per .symtab/.dynsym entry, null symbol included.
-
-    Ordered by (table, index) with '.dynsym' first; versions only appear on
-    .dynsym rows.
-    """
-    rows = []
-    for sym in obj.symbols:
-        exported, imported = derive_export_import(sym)
-        rows.append(
-            SymbolRow(
-                path=obj.path,
-                table=sym.table.value,
-                index=sym.index,
-                name=sym.name,
-                demangle_name=demangle(sym.name),
-                section=section_name_for_symbol(obj, sym.shndx),
-                type=sym.type_name,
-                binding=sym.binding_name,
-                visibility=sym.visibility_name,
-                value=sym.value,
-                size=sym.size,
-                version=sym.version,
-                exported=exported,
-                imported=imported,
-            )
-        )
-    rows.sort(key=lambda r: (r.table, r.index))
-    return tuple(rows)
+    """The `symbol_tuples` rows as SymbolRows, with unsigned value/size and
+    bool flags."""
+    return tuple(
+        SymbolRow(*t[:9], _unsigned(t[9]), _unsigned(t[10]), t[11], bool(t[12]), bool(t[13]))
+        for t in symbol_tuples(obj)
+    )
 
 
 def iter_table_strings(content: bytes) -> Iterator[tuple[int, str]]:
@@ -390,6 +371,10 @@ def _db_int(value: int) -> int:
     return value - 2**64 if value >= _I64_MAX else value
 
 
+def _unsigned(value: int) -> int:
+    return value + 2**64 if value < 0 else value
+
+
 def header_tuples(obj: ElfObject) -> Iterator[tuple]:
     r = header_row(obj)
     yield (
@@ -414,13 +399,58 @@ def segment_tuples(obj: ElfObject) -> Iterator[tuple]:
         )
 
 
-def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
-    for r in symbol_rows(obj):
-        yield (
-            r.path, r.table, r.index, r.name, r.demangle_name, r.section,
-            r.type, r.binding, r.visibility, _db_int(r.value), _db_int(r.size),
-            r.version, int(r.exported), int(r.imported),
+def _symbol_columns(obj: ElfObject, table: SymbolTable) -> dict[tuple[int, int, int], tuple]:
+    """(section, type, binding, visibility, exported, imported) for each
+    distinct (st_info, st_other, st_shndx) of one table.
+
+    Those columns depend on nothing else, so each combination is derived
+    once, from one symbol that has it.
+    """
+    keys = zip(table.infos, table.others, table.shndxs)
+    columns = {}
+    for key, index in dict(zip(keys, count())).items():
+        sym = table.symbol(index)
+        exported, imported = derive_export_import(sym)
+        columns[key] = (
+            section_name_for_symbol(obj, sym.shndx),
+            sym.type_name,
+            sym.binding_name,
+            sym.visibility_name,
+            int(exported),
+            int(imported),
         )
+    return columns
+
+
+def _symbol_tuples_in_table_order(obj: ElfObject) -> Iterator[tuple]:
+    path = obj.path
+    for table in obj.symbol_tables:
+        kind = table.kind.value
+        columns = _symbol_columns(obj, table)
+        keys = zip(table.infos, table.others, table.shndxs)
+        versions = map(itemgetter(0), table.versions) if table.versions else repeat(None)
+        for index, name, key, value, size, version in zip(
+            count(), table.names, keys, table.values, table.sizes, versions
+        ):
+            section, type_, binding, visibility, exported, imported = columns[key]
+            yield (
+                path, kind, index, name, demangle(name), section, type_, binding,
+                visibility, _db_int(value), _db_int(size), version, exported, imported,
+            )
+
+
+def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
+    """One row per .symtab/.dynsym entry, null symbol included.
+
+    Ordered by (table, index) with '.dynsym' first; versions only appear on
+    .dynsym rows.  Rows come straight from the parsed tables, which are
+    already in that order unless one file holds two tables of one kind.
+    """
+    rows = _symbol_tuples_in_table_order(obj)
+    kinds = [t.kind for t in obj.symbol_tables]
+    if len(set(kinds)) < len(kinds):
+        rows = sorted(rows, key=itemgetter(1, 2))
+    yield from rows
 
 
 def string_tuples(obj: ElfObject) -> Iterator[tuple]:

@@ -9,9 +9,10 @@ The model is purely structural; relational concerns live in `model`.
 from __future__ import annotations
 
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 
 class ElfError(Exception):
@@ -376,6 +377,76 @@ class RawSymbol:
 
 
 @dataclass(frozen=True, slots=True)
+class SymbolTable:
+    """One .dynsym or .symtab section, unpacked once into parallel columns.
+
+    Entry i of each column belongs to the symbol with index i.  `versions`
+    holds a (version, default) pair per symbol of a versioned .dynsym and
+    is empty otherwise.
+    """
+
+    kind: SymbolTableKind
+    name_offsets: tuple[int, ...]
+    names: tuple[str, ...]
+    infos: tuple[int, ...]
+    others: tuple[int, ...]
+    shndxs: tuple[int, ...]
+    values: tuple[int, ...]
+    sizes: tuple[int, ...]
+    versions: tuple[tuple[Optional[str], bool], ...]
+
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def symbol(self, index: int) -> RawSymbol:
+        """The entry at `index`, built on demand."""
+        info = self.infos[index]
+        version, default = self.versions[index] if self.versions else (None, False)
+        return RawSymbol(
+            table=self.kind,
+            index=index,
+            name_offset=self.name_offsets[index],
+            name=self.names[index],
+            value=self.values[index],
+            size=self.sizes[index],
+            type_code=info & 0xF,
+            binding_code=info >> 4,
+            visibility_code=self.others[index] & 0x3,
+            shndx=self.shndxs[index],
+            version=version,
+            version_default=default,
+        )
+
+
+class SymbolView(Sequence):
+    """The symbols of some tables, in table order; a RawSymbol is built
+    only when its entry is read."""
+
+    __slots__ = ("_tables",)
+
+    def __init__(self, tables: tuple[SymbolTable, ...]):
+        self._tables = tables
+
+    def __len__(self) -> int:
+        return sum(len(t) for t in self._tables)
+
+    def __getitem__(self, index: int) -> RawSymbol:
+        if index < 0:
+            index += len(self)
+        if index >= 0:
+            for table in self._tables:
+                if index < len(table):
+                    return table.symbol(index)
+                index -= len(table)
+        raise IndexError("symbol index out of range")
+
+    def __iter__(self) -> Iterator[RawSymbol]:
+        for table in self._tables:
+            for index in range(len(table)):
+                yield table.symbol(index)
+
+
+@dataclass(frozen=True, slots=True)
 class DynamicEntry:
     ordinal: int
     tag_code: int
@@ -394,13 +465,18 @@ class ElfObject:
     header: ElfHeader
     sections: tuple[Section, ...]
     segments: tuple[Segment, ...]
-    symbols: tuple[RawSymbol, ...]
+    # .dynsym tables first, then .symtab tables, each in section order.
+    symbol_tables: tuple[SymbolTable, ...]
     dynamic: tuple[DynamicEntry, ...]
     # Version machinery for .dynsym: the raw versym words plus the maps
     # resolving a version index to its string (needed vs defined).
     versym: tuple[int, ...] = ()
     verneed: dict[int, str] = field(default_factory=dict)
     verdef: dict[int, str] = field(default_factory=dict)
+
+    @property
+    def symbols(self) -> SymbolView:
+        return SymbolView(self.symbol_tables)
 
     def sections_of_type(self, type_code: int) -> tuple[Section, ...]:
         return tuple(s for s in self.sections if s.type_code == type_code)
@@ -411,8 +487,8 @@ class ElfObject:
                 return s
         return None
 
-    def symbols_in(self, table: SymbolTableKind) -> tuple[RawSymbol, ...]:
-        return tuple(s for s in self.symbols if s.table == table)
+    def symbols_in(self, table: SymbolTableKind) -> SymbolView:
+        return SymbolView(tuple(t for t in self.symbol_tables if t.kind == table))
 
 
 def string_at(table: bytes, offset: int, what: str) -> str:
@@ -437,7 +513,9 @@ class _Layouts:
             self.sym = struct.Struct(bo + "IBBHQQ")
             self.dyn = struct.Struct(bo + "QQ")
             self.phdr_has_leading_flags = True
-            self.sym_is_64 = True
+            # Record positions of st_name, st_info, st_other, st_shndx,
+            # st_value and st_size.
+            self.sym_fields = (0, 1, 2, 3, 4, 5)
         else:
             self.ehdr = struct.Struct(bo + "HHIIIIIHHHHHH")
             self.shdr = struct.Struct(bo + "IIIIIIIIII")
@@ -445,7 +523,7 @@ class _Layouts:
             self.sym = struct.Struct(bo + "IIIBBH")
             self.dyn = struct.Struct(bo + "II")
             self.phdr_has_leading_flags = False
-            self.sym_is_64 = False
+            self.sym_fields = (0, 3, 4, 5, 1, 2)
         self.half = struct.Struct(bo + "H")
         self.verneed = struct.Struct(bo + "HHIII")
         self.vernaux = struct.Struct(bo + "IHHII")
@@ -635,30 +713,36 @@ def _parse_verdef(section: Section, strtab: bytes, count: int, lay: _Layouts) ->
     return out
 
 
+def _version_of_word(
+    word: int, verneed: dict[int, str], verdef: dict[int, str]
+) -> tuple[Optional[str], bool]:
+    """(version, default) for one versym word, per the GNU versioning rules.
+
+    Index 0/1 (LOCAL/GLOBAL) carry no version.  Defined versions honor the
+    hidden bit: clear means the default definition.  Needed versions are
+    never the default.
+    """
+    idx = word & 0x7FFF
+    if idx <= 1:
+        return None, False
+    if idx in verdef:
+        return verdef[idx], not word & 0x8000
+    if idx in verneed:
+        return verneed[idx], False
+    raise Malformed(f"version index {idx} not defined by verneed/verdef")
+
+
 def _resolve_version(
     versym: tuple[int, ...],
     verneed: dict[int, str],
     verdef: dict[int, str],
     sym_index: int,
 ) -> tuple[Optional[str], bool]:
-    """(version, default) for one .dynsym index, per the GNU versioning rules.
-
-    Index 0/1 (LOCAL/GLOBAL) and symbols beyond the versym array carry no
-    version.  Defined versions honor the hidden bit: clear means the default
-    definition.  Needed versions are never the default.
-    """
+    """(version, default) for one .dynsym index; symbols beyond the versym
+    array carry no version."""
     if sym_index >= len(versym):
         return None, False
-    word = versym[sym_index]
-    idx = word & 0x7FFF
-    hidden = bool(word & 0x8000)
-    if idx <= 1:
-        return None, False
-    if idx in verdef:
-        return verdef[idx], not hidden
-    if idx in verneed:
-        return verneed[idx], False
-    raise Malformed(f"version index {idx} not defined by verneed/verdef")
+    return _version_of_word(versym[sym_index], verneed, verdef)
 
 
 def _linked_strtab(sections: list[Section], link: int, what: str) -> bytes:
@@ -667,60 +751,47 @@ def _linked_strtab(sections: list[Section], link: int, what: str) -> bytes:
     return sections[link].content
 
 
-def _parse_symbols(
-    data_sections: list[Section],
+def _symbol_names(strtab: bytes, name_offsets: tuple[int, ...]) -> tuple[str, ...]:
+    try:
+        return tuple([decode_bytes(strtab[o : strtab.index(0, o)]) for o in name_offsets])
+    except ValueError:
+        # An offset past the end or an unterminated name: string_at says which.
+        return tuple(string_at(strtab, o, "symbol name") for o in name_offsets)
+
+
+def _parse_symbol_table(
+    sec: Section,
+    kind: SymbolTableKind,
+    sections: list[Section],
     lay: _Layouts,
+    shnum: int,
     versym: tuple[int, ...],
     verneed: dict[int, str],
     verdef: dict[int, str],
-    shnum: int,
-) -> list[RawSymbol]:
-    symbols: list[RawSymbol] = []
-    for kind, type_code in ((SymbolTableKind.DYNSYM, SHT_DYNSYM), (SymbolTableKind.SYMTAB, SHT_SYMTAB)):
-        for sec in data_sections:
-            if sec.type_code != type_code:
-                continue
-            entsize = lay.sym.size
-            if sec.entsize != 0 and sec.entsize != entsize:
-                raise Malformed(f"symbol table {sec.name!r} entsize {sec.entsize} != {entsize}")
-            if sec.size % entsize != 0:
-                raise Malformed(f"symbol table {sec.name!r} size not a multiple of {entsize}")
-            strtab = _linked_strtab(data_sections, sec.link, f"symbol table {sec.name!r}")
-            count = sec.size // entsize
-            versioned = kind == SymbolTableKind.DYNSYM and versym
-            for i in range(count):
-                rec = lay.sym.unpack_from(sec.content, i * entsize)
-                if lay.sym_is_64:
-                    st_name, st_info, st_other, st_shndx, st_value, st_size = rec
-                else:
-                    st_name, st_value, st_size, st_info, st_other, st_shndx = rec
-                name = string_at(strtab, st_name, "symbol name")
-                if not (st_shndx < shnum or st_shndx >= SHN_LORESERVE):
-                    raise Malformed(
-                        f"symbol {i} in {sec.name!r} references section {st_shndx} "
-                        f"of {shnum}"
-                    )
-                version: Optional[str] = None
-                default = False
-                if versioned:
-                    version, default = _resolve_version(versym, verneed, verdef, i)
-                symbols.append(
-                    RawSymbol(
-                        table=kind,
-                        index=i,
-                        name_offset=st_name,
-                        name=name,
-                        value=st_value,
-                        size=st_size,
-                        type_code=st_info & 0xF,
-                        binding_code=st_info >> 4,
-                        visibility_code=st_other & 0x3,
-                        shndx=st_shndx,
-                        version=version,
-                        version_default=default,
-                    )
-                )
-    return symbols
+) -> SymbolTable:
+    entsize = lay.sym.size
+    if sec.entsize != 0 and sec.entsize != entsize:
+        raise Malformed(f"symbol table {sec.name!r} entsize {sec.entsize} != {entsize}")
+    if sec.size % entsize != 0:
+        raise Malformed(f"symbol table {sec.name!r} size not a multiple of {entsize}")
+    strtab = _linked_strtab(sections, sec.link, f"symbol table {sec.name!r}")
+    columns = tuple(zip(*lay.sym.iter_unpack(sec.content))) or ((),) * 6
+    name_offsets, infos, others, shndxs, values, sizes = (columns[i] for i in lay.sym_fields)
+
+    names = _symbol_names(strtab, name_offsets)
+    dangling = {x for x in set(shndxs) if shnum <= x < SHN_LORESERVE}
+    if dangling:
+        i = next(i for i, x in enumerate(shndxs) if x in dangling)
+        raise Malformed(
+            f"symbol {i} in {sec.name!r} references section {shndxs[i]} of {shnum}"
+        )
+    versions: tuple[tuple[Optional[str], bool], ...] = ()
+    if kind == SymbolTableKind.DYNSYM and versym:
+        words = versym[: len(names)]
+        by_word = {w: _version_of_word(w, verneed, verdef) for w in set(words)}
+        versions = tuple(map(by_word.__getitem__, words))
+        versions += ((None, False),) * (len(names) - len(words))
+    return SymbolTable(kind, name_offsets, names, infos, others, shndxs, values, sizes, versions)
 
 
 def _parse_dynamic(sections: list[Section], lay: _Layouts) -> list[DynamicEntry]:
@@ -811,7 +882,12 @@ def open_elf(data: bytes, origin_path: str) -> ElfObject:
             strtab = _linked_strtab(sections, sec.link, "verdef")
             verdef = _parse_verdef(sec, strtab, sec.info, lay)
 
-    symbols = _parse_symbols(sections, lay, versym, verneed, verdef, shnum)
+    symbol_tables = tuple(
+        _parse_symbol_table(sec, kind, sections, lay, shnum, versym, verneed, verdef)
+        for kind, type_code in ((SymbolTableKind.DYNSYM, SHT_DYNSYM), (SymbolTableKind.SYMTAB, SHT_SYMTAB))
+        for sec in sections
+        if sec.type_code == type_code
+    )
     dynamic = _parse_dynamic(sections, lay)
 
     return ElfObject(
@@ -819,7 +895,7 @@ def open_elf(data: bytes, origin_path: str) -> ElfObject:
         header=hdr,
         sections=tuple(sections),
         segments=tuple(segments),
-        symbols=tuple(symbols),
+        symbol_tables=symbol_tables,
         dynamic=tuple(dynamic),
         versym=versym,
         verneed=verneed,
@@ -846,8 +922,7 @@ def resolve_symbol_version(
     """
     if table != SymbolTableKind.DYNSYM or not obj.versym:
         return None
-    syms = obj.symbols_in(table)
-    if not 0 <= sym_index < len(syms):
+    if not 0 <= sym_index < len(obj.symbols_in(table)):
         raise Malformed(f"symbol index {sym_index} out of range for {table.value}")
     version, default = _resolve_version(obj.versym, obj.verneed, obj.verdef, sym_index)
     if version is None:

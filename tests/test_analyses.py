@@ -63,6 +63,18 @@ class TestInterpositionAudit:
         with session_over(a, b) as session:
             assert interposition_audit(session).rows == ()
 
+    def test_paths_containing_colons(self, tmp_path):
+        lib_dir = tmp_path / "a:b"
+        lib_dir.mkdir()
+        a = str(lib_dir / "x.so")
+        b = str(lib_dir / "y.so")
+        write_elf(a, symbols=exported_funcs("foo"))
+        write_elf(b, symbols=exported_funcs("foo"))
+        with session_over(b, a) as session:
+            ((_name, _version, count, libraries),) = interposition_audit(session).rows
+        assert count == 2
+        assert libraries == ":".join(sorted([os.path.realpath(a), os.path.realpath(b)]))
+
     def test_report_invariant_under_registration_order(self, tmp_path):
         a = str(tmp_path / "a.so")
         b = str(tmp_path / "b.so")

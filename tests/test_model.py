@@ -1,19 +1,30 @@
+import struct
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from elfdb import model, reader
-from elfdb.bench import SymbolSpec
+from elfdb.bench import SymbolSpec, write_elf
 from elfdb.demangle import demangle
 from elfdb.model import (
     derive_export_import,
     instruction_rows,
     iter_table_strings,
+    section_name_for_symbol,
     string_rows,
     symbol_rows,
 )
-from elfdb.reader import RawSymbol, SymbolTableKind, load_elf
+from elfdb.reader import (
+    DataEncoding,
+    ElfClass,
+    RawSymbol,
+    SymbolTableKind,
+    load_elf,
+    render_code,
+)
 
-from conftest import RUBY_LIKE, cxxfilt, exported_funcs
+from conftest import RUBY_LIKE, cxxfilt, exported_funcs, system_elves
 
 
 def raw_symbol(**overrides) -> RawSymbol:
@@ -300,3 +311,150 @@ class TestHeaderAndSectionRows:
         load = next(r for r in rows if r.p_type == "LOAD")
         assert load.flags == "RX"
         assert load.filesz <= load.memsz
+
+
+def write_varied_elf(path: str, elf_class: ElfClass, encoding: DataEncoding) -> str:
+    """A file with both symbol tables and one symbol of each kind the writer
+    can plant, a full-width size included."""
+    widest = 2**64 - 1 if elf_class == ElfClass.ELF64 else 2**32 - 1
+    dynsym = [
+        SymbolSpec("plain"),
+        SymbolSpec("_ZN3app4mainEv"),
+        SymbolSpec("weak_data", binding="WEAK", sym_type="OBJECT", section=".data"),
+        SymbolSpec("hidden_fn", visibility="HIDDEN"),
+        SymbolSpec("protected_fn", visibility="PROTECTED"),
+        SymbolSpec("local_fn", binding="LOCAL"),
+        SymbolSpec("zeroed", sym_type="OBJECT", section=".bss", size=8),
+        SymbolSpec("tls_var", sym_type="TLS", section=".data"),
+        SymbolSpec("resolver", sym_type="GNU_IFUNC"),
+        SymbolSpec("imported_fn", section="SHN_UNDEF"),
+        SymbolSpec("weak_ref", binding="WEAK", sym_type="NOTYPE", section="SHN_UNDEF"),
+        SymbolSpec("wide", sym_type="OBJECT", section="SHN_ABS", size=widest),
+    ]
+    symtab = [
+        SymbolSpec("unit.c", binding="LOCAL", sym_type="FILE", section="SHN_ABS"),
+        SymbolSpec("helper", binding="LOCAL"),
+        SymbolSpec("_ZN3app6helperEi", binding="WEAK"),
+        SymbolSpec("undefined_here", section="SHN_UNDEF"),
+    ]
+    write_elf(
+        path,
+        symbols=dynsym,
+        symtab_symbols=symtab,
+        needed=["libc.so.6"],
+        runpath="/opt/lib",
+        elf_class=elf_class,
+        encoding=encoding,
+        machine=62 if elf_class == ElfClass.ELF64 else 20,
+    )
+    return path
+
+
+def reference_symbol_rows(obj) -> list[tuple]:
+    """The per-row derivation that `symbol_tuples` replaced, kept as the
+    reference it must equal: one RawSymbol at a time, sorted at the end."""
+    rows = []
+    for kind in (SymbolTableKind.DYNSYM, SymbolTableKind.SYMTAB):
+        for sym in obj.symbols_in(kind):
+            exported, imported = derive_export_import(sym)
+            rows.append(
+                (
+                    obj.path,
+                    sym.table.value,
+                    sym.index,
+                    sym.name,
+                    demangle(sym.name),
+                    section_name_for_symbol(obj, sym.shndx),
+                    render_code(sym.type_code, reader.SYMBOL_TYPE_NAMES),
+                    render_code(sym.binding_code, reader.SYMBOL_BINDING_NAMES),
+                    render_code(sym.visibility_code, reader.SYMBOL_VISIBILITY_NAMES),
+                    sym.value,
+                    sym.size,
+                    sym.version,
+                    exported,
+                    imported,
+                )
+            )
+    rows.sort(key=lambda r: (r[1], r[2]))
+    return rows
+
+
+def reference_symbol_tuples(obj) -> list[tuple]:
+    return [
+        (*r[:9], model._db_int(r[9]), model._db_int(r[10]), r[11], int(r[12]), int(r[13]))
+        for r in reference_symbol_rows(obj)
+    ]
+
+
+def symtab_patched_to_dynsym(tmp_path) -> str:
+    """A file whose .symtab header says SHT_DYNSYM: two tables of one kind."""
+    path = write_varied_elf(str(tmp_path / "two_dynsym.so"), ElfClass.ELF64, DataEncoding.LSB)
+    obj = load_elf(path)
+    symtab = obj.section_named(".symtab")
+    data = bytearray(open(path, "rb").read())
+    sh_type_at = obj.header.shoff + symtab.index * obj.header.shentsize + 4
+    struct.pack_into("<I", data, sh_type_at, reader.SHT_DYNSYM)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+class TestSymbolTuples:
+    def reference_inputs(self, tmp_path) -> list[str]:
+        return [
+            RUBY_LIKE,
+            write_varied_elf(str(tmp_path / "msb32.so"), ElfClass.ELF32, DataEncoding.MSB),
+            write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB),
+            symtab_patched_to_dynsym(tmp_path),
+            *system_elves(limit=6),
+        ]
+
+    def test_equal_to_the_per_row_reference(self, tmp_path):
+        for path in self.reference_inputs(tmp_path):
+            obj = load_elf(path)
+            assert list(model.symbol_tuples(obj)) == reference_symbol_tuples(obj), path
+            rows = symbol_rows(obj)
+            assert rows == tuple(model.SymbolRow(*r) for r in reference_symbol_rows(obj)), path
+            for row in rows:
+                assert type(row.exported) is bool and type(row.imported) is bool
+                assert row.value >= 0 and row.size >= 0
+            for table, producer in model.TABLE_PRODUCERS.items():
+                produced = producer(obj)
+                assert iter(produced) is produced, table
+
+    def test_two_tables_of_one_kind_interleave_by_index(self, tmp_path):
+        obj = load_elf(symtab_patched_to_dynsym(tmp_path))
+        dynsym_count, symtab_count = 13, 5
+        assert [len(t) for t in obj.symbol_tables] == [dynsym_count, symtab_count]
+        keys = [(t[1], t[2]) for t in model.symbol_tuples(obj)]
+        assert keys == sorted(keys)
+        assert keys[:4] == [(".dynsym", 0), (".dynsym", 0), (".dynsym", 1), (".dynsym", 1)]
+
+
+@pytest.fixture(scope="module")
+def mutation_seeds(tmp_path_factory) -> list[bytes]:
+    out = tmp_path_factory.mktemp("mutation_seeds")
+    seeds = []
+    for elf_class, encoding in ((ElfClass.ELF64, DataEncoding.LSB), (ElfClass.ELF32, DataEncoding.MSB)):
+        path = write_varied_elf(str(out / f"{elf_class.name}-{encoding.name}.so"), elf_class, encoding)
+        with open(path, "rb") as fh:
+            seeds.append(fh.read())
+    return seeds
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 1),
+    edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=8),
+)
+def test_byte_mutations_raise_only_elf_errors(mutation_seeds, seed, edits):
+    data = bytearray(mutation_seeds[seed])
+    for position, byte in edits:
+        data[position % len(data)] = byte
+    try:
+        obj = reader.open_elf(bytes(data), "/mutated.so")
+        for producer in model.TABLE_PRODUCERS.values():
+            for _row in producer(obj):
+                pass
+    except reader.ElfError:
+        pass
