@@ -8,8 +8,9 @@ stdlib engine offers no Python-level virtual tables, so deferred
 materialization stands in for lazy virtual evaluation; the observable
 contract - pay at first query, identical results - is the same.)
 
-`export_database` persists the whole schema to an ordinary SQLite 3 file
-via CREATE TABLE ... AS SELECT, readable by any stock SQLite tooling.
+`export_database` persists the whole schema, declared column types
+included, to an ordinary SQLite 3 file with SQLite's online-backup API;
+any stock SQLite tooling reads it.
 """
 
 from __future__ import annotations
@@ -241,9 +242,11 @@ class Session:
     def export_database(self, dest: Union[str, os.PathLike], overwrite: bool = False) -> ExportSummary:
         """Materialize every table into a standalone SQLite file at `dest`.
 
-        Uses CREATE TABLE AS SELECT per table into a temp file, then atomically
-        renames, so a failed export leaves nothing behind.  Raises
-        FileExistsError when `dest` exists and `overwrite` is false.
+        Copies the session database page by page into a temp file with
+        SQLite's online-backup API, so the file keeps the declared schema,
+        then atomically renames it, so a failed export leaves nothing
+        behind.  Raises FileExistsError when `dest` exists and `overwrite`
+        is false.
         """
         dest = os.fspath(dest)
         if os.path.exists(dest) and not overwrite:
@@ -253,30 +256,21 @@ class Session:
             raise FileNotFoundError(f"no such directory: {dest_dir}")
         self.materialize_all()
         tmp = os.path.join(dest_dir, f".{os.path.basename(dest)}.tmp{os.getpid()}")
-        per_table: dict[str, int] = {}
         try:
-            self._conn.execute("ATTACH DATABASE ? AS export", (tmp,))
+            target = sqlite3.connect(tmp)
             try:
-                self._conn.execute("BEGIN")
-                for name in TABLE_NAMES:
-                    self._conn.execute(
-                        f'CREATE TABLE export."{name}" AS SELECT * FROM main."{name}"'
-                    )
-                    count = self._conn.execute(
-                        f'SELECT COUNT(*) FROM export."{name}"'
-                    ).fetchone()[0]
-                    per_table[name] = count
-                self._conn.execute("COMMIT")
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
+                self._conn.backup(target)
             finally:
-                self._conn.execute("DETACH DATABASE export")
+                target.close()
             os.replace(tmp, dest)
         except (sqlite3.Error, OSError) as exc:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise ExportAborted(str(exc)) from exc
+        per_table = {
+            name: self._conn.execute(f'SELECT COUNT(*) FROM main."{name}"').fetchone()[0]
+            for name in TABLE_NAMES
+        }
         return ExportSummary(
             tables=len(TABLE_NAMES), rows=sum(per_table.values()), per_table=per_table
         )

@@ -1,16 +1,19 @@
 """Relational row schema over parsed ELF objects.
 
-Each function maps one ElfObject into the rows of one table.  Row order is
-deterministic, derived columns (exported/imported, demangled names, flag
-letters, reserved-index names) are computed here, and everything is pure:
-the same object always yields the same rows.
+Each `*_tuples` producer (`TABLE_PRODUCERS`) maps one ElfObject straight
+to the rows of one table: tuples in SCHEMA column order, integers in
+SQLite's signed 64-bit range.  The `*_row(s)` functions are dataclass views
+over them with unsigned integers.  Row order is deterministic, derived
+columns (exported/imported, demangled names, flag letters, reserved-index
+names) are computed here, and everything is pure: the same object always
+yields the same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import count, repeat
-from operator import itemgetter
+from itertools import accumulate, count, repeat
+from operator import add, itemgetter
 from typing import Iterator, Optional
 
 from . import reader
@@ -123,56 +126,22 @@ class InstructionRow:
     operands: str
 
 
+def _view(row_type, tuples: Iterator[tuple]) -> tuple:
+    """Producer tuples as `row_type` rows, integers unsigned again: only
+    `_db_int` ever makes a column negative."""
+    return tuple(row_type(*[_unsigned(v) if type(v) is int else v for v in t]) for t in tuples)
+
+
 def header_row(obj: ElfObject) -> HeaderRow:
-    ident = obj.header.ident
-    return HeaderRow(
-        path=obj.path,
-        file_type=obj.header.file_type,
-        machine=obj.header.machine,
-        version=obj.header.version,
-        entry_point=obj.header.entry_point,
-        elf_class=ident.elf_class.name,
-        data_encoding=ident.data_encoding.name,
-        os_abi=reader.render_code(ident.os_abi, reader.OSABI_NAMES),
-        phnum=len(obj.segments),
-        shnum=len(obj.sections),
-    )
+    return _view(HeaderRow, header_tuples(obj))[0]
 
 
 def section_rows(obj: ElfObject) -> tuple[SectionRow, ...]:
-    return tuple(
-        SectionRow(
-            path=obj.path,
-            index=s.index,
-            name=s.name,
-            sh_type=s.type_name,
-            flags=s.flag_letters,
-            address=s.address,
-            offset=s.offset,
-            size=s.size,
-            link=s.link,
-            info=s.info,
-            content=s.content,
-        )
-        for s in obj.sections
-    )
+    return _view(SectionRow, section_tuples(obj))
 
 
 def segment_rows(obj: ElfObject) -> tuple[SegmentRow, ...]:
-    return tuple(
-        SegmentRow(
-            path=obj.path,
-            index=s.index,
-            p_type=s.type_name,
-            flags=s.flag_letters,
-            offset=s.offset,
-            vaddr=s.vaddr,
-            filesz=s.filesz,
-            memsz=s.memsz,
-            align=s.align,
-        )
-        for s in obj.segments
-    )
+    return _view(SegmentRow, segment_tuples(obj))
 
 
 def section_name_for_symbol(obj: ElfObject, shndx: int) -> str:
@@ -216,69 +185,35 @@ def symbol_rows(obj: ElfObject) -> tuple[SymbolRow, ...]:
     )
 
 
+def _string_columns(content: bytes) -> tuple[Iterator[int], Iterator[str]]:
+    """The offsets and the values of the NUL-terminated entries of one
+    string table; an unterminated tail is not an entry."""
+    pieces = content.split(b"\x00")
+    pieces.pop()  # the bytes after the last NUL
+    # Entry i starts after the i entries and i NULs before it.
+    offsets = map(add, accumulate(map(len, pieces), initial=0), count())
+    return offsets, map(decode_bytes, pieces)
+
+
 def iter_table_strings(content: bytes) -> Iterator[tuple[int, str]]:
     """(offset, value) for each NUL-terminated entry of one string table."""
-    pos = 0
-    size = len(content)
-    while pos < size:
-        end = content.find(b"\x00", pos)
-        if end < 0:
-            break  # unterminated tail is not an entry
-        yield pos, decode_bytes(content[pos:end])
-        pos = end + 1
+    return zip(*_string_columns(content))
 
 
 def string_rows(obj: ElfObject) -> tuple[StringRow, ...]:
     """Rows for every entry of every SHT_STRTAB section, in (section, offset) order."""
-    rows = []
-    for sec in obj.sections:
-        if sec.type_code != SHT_STRTAB:
-            continue
-        for offset, value in iter_table_strings(sec.content):
-            rows.append(StringRow(path=obj.path, section=sec.name, offset=offset, value=value))
-    return tuple(rows)
+    return _view(StringRow, string_tuples(obj))
 
 
 def dynamic_entry_rows(obj: ElfObject) -> tuple[DynamicEntryRow, ...]:
-    return tuple(
-        DynamicEntryRow(path=obj.path, ordinal=e.ordinal, tag=e.tag_name, value=e.value)
-        for e in obj.dynamic
-    )
+    return _view(DynamicEntryRow, dynamic_entry_tuples(obj))
 
 
 def instruction_rows(
     obj: ElfObject, decoder: Optional[InstructionDecoder] = DEFAULT_DECODER
 ) -> tuple[InstructionRow, ...]:
-    """Linear-sweep decode of every EXECINSTR section.
-
-    Bytes the decoder rejects become one-byte "(bad)" rows, so addresses
-    always advance by exactly the emitted size.  No decoder (or a machine
-    the decoder does not support) yields no rows.
-    """
-    if decoder is None or not decoder.supports(obj.header.machine_code):
-        return ()
-    rows = []
-    for sec in obj.sections:
-        if not sec.flags & SHF_EXECINSTR or sec.type_code == SHT_NOBITS:
-            continue
-        buf = sec.content
-        offset = 0
-        while offset < len(buf):
-            address = sec.address + offset
-            decoded = decoder.decode(buf, offset, address)
-            if decoded is None:
-                rows.append(
-                    InstructionRow(obj.path, sec.name, address, 1, "(bad)", "")
-                )
-                offset += 1
-            else:
-                rows.append(
-                    InstructionRow(
-                        obj.path, sec.name, address, decoded.size, decoded.mnemonic, decoded.operands
-                    )
-                )
-                offset += decoded.size
-    return tuple(rows)
+    """The `instruction_tuples` rows as InstructionRows, unsigned addresses."""
+    return _view(InstructionRow, instruction_tuples(obj, decoder))
 
 
 # ---------------------------------------------------------------------------
@@ -376,26 +311,30 @@ def _unsigned(value: int) -> int:
 
 
 def header_tuples(obj: ElfObject) -> Iterator[tuple]:
-    r = header_row(obj)
+    header = obj.header
+    ident = header.ident
     yield (
-        r.path, r.file_type, r.machine, r.version, _db_int(r.entry_point),
-        r.elf_class, r.data_encoding, r.os_abi, r.phnum, r.shnum,
+        obj.path, header.file_type, header.machine, header.version, _db_int(header.entry_point),
+        ident.elf_class.name, ident.data_encoding.name,
+        reader.render_code(ident.os_abi, reader.OSABI_NAMES), len(obj.segments), len(obj.sections),
     )
 
 
 def section_tuples(obj: ElfObject) -> Iterator[tuple]:
-    for r in section_rows(obj):
+    path = obj.path
+    for s in obj.sections:
         yield (
-            r.path, r.index, r.name, r.sh_type, r.flags, _db_int(r.address),
-            r.offset, _db_int(r.size), r.link, r.info, r.content,
+            path, s.index, s.name, s.type_name, s.flag_letters, _db_int(s.address),
+            s.offset, _db_int(s.size), s.link, s.info, s.content,
         )
 
 
 def segment_tuples(obj: ElfObject) -> Iterator[tuple]:
-    for r in segment_rows(obj):
+    path = obj.path
+    for s in obj.segments:
         yield (
-            r.path, r.index, r.p_type, r.flags, r.offset, _db_int(r.vaddr),
-            r.filesz, _db_int(r.memsz), _db_int(r.align),
+            path, s.index, s.type_name, s.flag_letters, s.offset, _db_int(s.vaddr),
+            s.filesz, _db_int(s.memsz), _db_int(s.align),
         )
 
 
@@ -454,18 +393,49 @@ def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
 
 
 def string_tuples(obj: ElfObject) -> Iterator[tuple]:
-    for r in string_rows(obj):
-        yield (r.path, r.section, r.offset, r.value)
+    """One row per entry of every SHT_STRTAB section, in (section, offset) order."""
+    path = obj.path
+    for sec in obj.sections:
+        if sec.type_code == SHT_STRTAB:
+            yield from zip(repeat(path), repeat(sec.name), *_string_columns(sec.content))
 
 
 def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:
-    for r in dynamic_entry_rows(obj):
-        yield (r.path, r.ordinal, r.tag, _db_int(r.value))
+    path = obj.path
+    for e in obj.dynamic:
+        yield (path, e.ordinal, e.tag_name, _db_int(e.value))
 
 
-def instruction_tuples(obj: ElfObject) -> Iterator[tuple]:
-    for r in instruction_rows(obj):
-        yield (r.path, r.section, _db_int(r.address), r.size, r.mnemonic, r.operands)
+def instruction_tuples(
+    obj: ElfObject, decoder: Optional[InstructionDecoder] = DEFAULT_DECODER
+) -> Iterator[tuple]:
+    """Linear-sweep decode of every EXECINSTR section.
+
+    Bytes the decoder rejects become one-byte "(bad)" rows, so addresses
+    always advance by exactly the emitted size.  No decoder (or a machine
+    the decoder does not support) yields no rows.
+    """
+    if decoder is None or not decoder.supports(obj.header.machine_code):
+        return
+    path = obj.path
+    decode = decoder.decode
+    for sec in obj.sections:
+        if not sec.flags & SHF_EXECINSTR or sec.type_code == SHT_NOBITS:
+            continue
+        buf, name, base = sec.content, sec.name, sec.address
+        size = len(buf)
+        offset = 0
+        while offset < size:
+            address = base + offset
+            decoded = decode(buf, offset, address)
+            if address >= _I64_MAX:
+                address = _db_int(address)
+            if decoded is None:
+                yield (path, name, address, 1, "(bad)", "")
+                offset += 1
+            else:
+                yield (path, name, address, decoded.size, decoded.mnemonic, decoded.operands)
+                offset += decoded.size
 
 
 TABLE_PRODUCERS = {

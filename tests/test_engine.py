@@ -334,6 +334,45 @@ class TestExport:
         finally:
             conn.close()
 
+    def test_export_keeps_the_declared_schema(self, small_corpus, tmp_path):
+        dest = str(tmp_path / "out.sqlite")
+        with register(small_corpus) as session:
+            session.export_database(dest)
+            declared = session.schema_sql()
+        conn = sqlite3.connect(dest)
+        try:
+            exported = tuple(
+                r[0]
+                for r in conn.execute(
+                    "SELECT sql FROM sqlite_master WHERE type = 'table' ORDER BY name"
+                )
+            )
+        finally:
+            conn.close()
+        assert exported == declared
+        assert all("INTEGER" in sql for sql in declared)
+
+    def test_stale_temp_file_is_overwritten(self, small_corpus, tmp_path):
+        out = tmp_path / "export"
+        out.mkdir()
+        dest = out / "out.sqlite"
+        stale = sqlite3.connect(out / f".out.sqlite.tmp{os.getpid()}")
+        stale.execute('CREATE TABLE "elf_headers" (leftover)')
+        stale.execute("CREATE TABLE leftover (x)")
+        stale.commit()
+        stale.close()
+        with register(small_corpus) as session:
+            summary = session.export_database(str(dest))
+        conn = sqlite3.connect(dest)
+        try:
+            names = [r[0] for r in conn.execute("SELECT name FROM sqlite_master ORDER BY name")]
+            headers = conn.execute("SELECT COUNT(*) FROM elf_headers").fetchone()[0]
+        finally:
+            conn.close()
+        assert names == sorted(TABLE_NAMES)
+        assert headers == summary.per_table["elf_headers"] == 2
+        assert os.listdir(out) == ["out.sqlite"]
+
     def test_export_refuses_overwrite(self, small_corpus, tmp_path):
         dest = tmp_path / "out.sqlite"
         dest.write_bytes(b"precious")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from elfdb import model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.demangle import demangle
+from elfdb.disasm import DEFAULT_DECODER
 from elfdb.model import (
     derive_export_import,
     instruction_rows,
@@ -399,18 +400,19 @@ def symtab_patched_to_dynsym(tmp_path) -> str:
     return path
 
 
-class TestSymbolTuples:
-    def reference_inputs(self, tmp_path) -> list[str]:
-        return [
-            RUBY_LIKE,
-            write_varied_elf(str(tmp_path / "msb32.so"), ElfClass.ELF32, DataEncoding.MSB),
-            write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB),
-            symtab_patched_to_dynsym(tmp_path),
-            *system_elves(limit=6),
-        ]
+def reference_inputs(tmp_path) -> list[str]:
+    return [
+        RUBY_LIKE,
+        write_varied_elf(str(tmp_path / "msb32.so"), ElfClass.ELF32, DataEncoding.MSB),
+        write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB),
+        symtab_patched_to_dynsym(tmp_path),
+        *system_elves(limit=6),
+    ]
 
+
+class TestSymbolTuples:
     def test_equal_to_the_per_row_reference(self, tmp_path):
-        for path in self.reference_inputs(tmp_path):
+        for path in reference_inputs(tmp_path):
             obj = load_elf(path)
             assert list(model.symbol_tuples(obj)) == reference_symbol_tuples(obj), path
             rows = symbol_rows(obj)
@@ -429,6 +431,205 @@ class TestSymbolTuples:
         keys = [(t[1], t[2]) for t in model.symbol_tuples(obj)]
         assert keys == sorted(keys)
         assert keys[:4] == [(".dynsym", 0), (".dynsym", 0), (".dynsym", 1), (".dynsym", 1)]
+
+
+def reference_table_strings(content: bytes) -> list[tuple[int, str]]:
+    """The find loop that `iter_table_strings` replaced, kept as the
+    reference it must equal."""
+    rows = []
+    pos = 0
+    while pos < len(content):
+        end = content.find(b"\x00", pos)
+        if end < 0:
+            break  # unterminated tail is not an entry
+        rows.append((pos, reader.decode_bytes(content[pos:end])))
+        pos = end + 1
+    return rows
+
+
+# Pieces that make string tables hard: NULs, bytes invalid as UTF-8,
+# truncated and complete multi-byte sequences.
+_STRING_PIECES = st.sampled_from(
+    [b"\x00", b"\x00\x00", b"a", b"xyz", b"\xff", b"\x80", b"\xc3", b"\xe2\x82", "é€".encode()]
+)
+
+
+class TestStringTuples:
+    @settings(max_examples=300)
+    @given(st.one_of(st.binary(max_size=64), st.lists(_STRING_PIECES, max_size=16).map(b"".join)))
+    def test_equal_to_the_find_loop(self, content):
+        assert list(iter_table_strings(content)) == reference_table_strings(content)
+
+    def test_files_equal_the_find_loop(self, tmp_path):
+        for path in reference_inputs(tmp_path):
+            obj = load_elf(path)
+            want = [
+                (obj.path, sec.name, offset, value)
+                for sec in obj.sections
+                if sec.type_code == reader.SHT_STRTAB
+                for offset, value in reference_table_strings(sec.content)
+            ]
+            assert want, path
+            assert list(model.string_tuples(obj)) == want, path
+            assert string_rows(obj) == tuple(model.StringRow(*r) for r in want), path
+
+
+def reference_instruction_tuples(obj, decoder=DEFAULT_DECODER) -> list[tuple]:
+    """The per-row loop that `instruction_tuples` replaced, kept as the
+    reference it must equal."""
+    if decoder is None or not decoder.supports(obj.header.machine_code):
+        return []
+    rows = []
+    for sec in obj.sections:
+        if not sec.flags & reader.SHF_EXECINSTR or sec.type_code == reader.SHT_NOBITS:
+            continue
+        buf = sec.content
+        offset = 0
+        while offset < len(buf):
+            address = sec.address + offset
+            decoded = decoder.decode(buf, offset, address)
+            if decoded is None:
+                rows.append((obj.path, sec.name, model._db_int(address), 1, "(bad)", ""))
+                offset += 1
+            else:
+                rows.append(
+                    (
+                        obj.path,
+                        sec.name,
+                        model._db_int(address),
+                        decoded.size,
+                        decoded.mnemonic,
+                        decoded.operands,
+                    )
+                )
+                offset += decoded.size
+    return rows
+
+
+# endbr64; push rbp; a byte invalid in 64-bit mode; mov eax, 1; jmp -2;
+# xor eax, eax; a xor with a memory operand the decoder rejects; ret 8;
+# int 0x80; nop; then a call cut off by the end of the section.
+_CODE = bytes.fromhex("f30f1efa 55 06 b801000000 ebfe 31c0 3108 c20800 cd80 90 e80000")
+
+
+def write_code_elf(path: str, text_address=None, machine=reader.EM_X86_64) -> str:
+    """A file whose .text holds `_CODE`, optionally moved to `text_address`."""
+    write_elf(path, symbols=[SymbolSpec("f", size=len(_CODE))], machine=machine)
+    obj = load_elf(path)
+    text = obj.section_named(".text")
+    data = bytearray(open(path, "rb").read())
+    data[text.offset : text.offset + len(_CODE)] = _CODE
+    if text_address is not None:
+        sh_addr_at = obj.header.shoff + text.index * obj.header.shentsize + 16
+        struct.pack_into("<Q", data, sh_addr_at, text_address)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+class TestInstructionTuples:
+    def test_equal_to_the_per_row_loop(self, tmp_path):
+        high = 2**63 - 4  # the sweep crosses into addresses stored negative
+        inputs = [
+            RUBY_LIKE,
+            write_varied_elf(str(tmp_path / "msb32.so"), ElfClass.ELF32, DataEncoding.MSB),
+            write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB),
+            write_code_elf(str(tmp_path / "code.so")),
+            write_code_elf(str(tmp_path / "high.so"), text_address=high),
+            write_code_elf(str(tmp_path / "arm.so"), machine=40),
+        ]
+        for path in inputs:
+            obj = load_elf(path)
+            for decoder in (DEFAULT_DECODER, None):
+                want = reference_instruction_tuples(obj, decoder)
+                assert list(model.instruction_tuples(obj, decoder)) == want, path
+            assert list(model.instruction_tuples(obj)) == reference_instruction_tuples(obj)
+        obj = load_elf(str(tmp_path / "high.so"))
+        rows = instruction_rows(obj)
+        assert rows[0].address == high
+        assert all(b.address == a.address + a.size for a, b in zip(rows, rows[1:]))
+        assert [r.mnemonic for r in rows][-4:] == ["nop", "(bad)", "(bad)", "(bad)"]
+        assert sum(r.mnemonic == "(bad)" for r in rows) == 6  # 06, the two of 31 08, the cut call
+        assert rows[-1].address >= 2**63 and list(model.instruction_tuples(obj))[-1][2] < 0
+        assert list(model.instruction_tuples(load_elf(str(tmp_path / "arm.so")))) == []
+
+    def test_decode_set_on_the_default_decoder_runs_once_per_row(self, tmp_path):
+        obj = load_elf(write_code_elf(str(tmp_path / "code.so")))
+        calls = []
+        original = DEFAULT_DECODER.decode
+
+        def counting(buf, offset, address):
+            calls.append(offset)
+            return original(buf, offset, address)
+
+        DEFAULT_DECODER.decode = counting
+        try:
+            rows = list(model.TABLE_PRODUCERS["elf_instructions"](obj))
+        finally:
+            del DEFAULT_DECODER.decode
+        assert len(calls) == len(rows) > 0
+        assert calls == [r[2] - obj.section_named(".text").address for r in rows]
+
+
+class TestSmallTableTuples:
+    def test_columns_follow_the_schema(self, tmp_path):
+        for path in reference_inputs(tmp_path):
+            obj = load_elf(path)
+            h = obj.header
+
+            def named(table):
+                columns = [c for c, _ in model.SCHEMA[table]]
+                rows = list(model.TABLE_PRODUCERS[table](obj))
+                assert all(len(r) == len(columns) for r in rows), table
+                return [dict(zip(columns, r)) for r in rows]
+
+            assert named("elf_headers") == [
+                {
+                    "path": obj.path, "file_type": h.file_type, "machine": h.machine,
+                    "version": h.version, "entry_point": model._db_int(h.entry_point),
+                    "class": h.ident.elf_class.name, "data_encoding": h.ident.data_encoding.name,
+                    "os_abi": render_code(h.ident.os_abi, reader.OSABI_NAMES),
+                    "phnum": len(obj.segments), "shnum": len(obj.sections),
+                }
+            ], path
+            assert named("elf_sections") == [
+                {
+                    "path": obj.path, "index": s.index, "name": s.name, "sh_type": s.type_name,
+                    "flags": s.flag_letters, "address": model._db_int(s.address),
+                    "offset": s.offset, "size": model._db_int(s.size), "link": s.link,
+                    "info": s.info, "content": s.content,
+                }
+                for s in obj.sections
+            ], path
+            assert named("elf_segments") == [
+                {
+                    "path": obj.path, "index": s.index, "p_type": s.type_name,
+                    "flags": s.flag_letters, "offset": s.offset,
+                    "vaddr": model._db_int(s.vaddr), "filesz": s.filesz,
+                    "memsz": model._db_int(s.memsz), "align": model._db_int(s.align),
+                }
+                for s in obj.segments
+            ], path
+            assert named("elf_dynamic_entries") == [
+                {
+                    "path": obj.path, "ordinal": e.ordinal, "tag": e.tag_name,
+                    "value": model._db_int(e.value),
+                }
+                for e in obj.dynamic
+            ], path
+            row = model.header_row(obj)
+            assert (row.elf_class, row.entry_point) == (h.ident.elf_class.name, h.entry_point)
+            assert [(r.address, r.size) for r in model.section_rows(obj)] == [
+                (s.address, s.size) for s in obj.sections
+            ]
+            values = [r.value for r in model.dynamic_entry_rows(obj)]
+            assert values == [e.value for e in obj.dynamic]
+
+    def test_views_unsign_wide_values(self, tmp_path):
+        obj = load_elf(write_code_elf(str(tmp_path / "high.so"), text_address=2**64 - 16))
+        text = next(r for r in model.section_rows(obj) if r.name == ".text")
+        assert text.address == 2**64 - 16
+        assert next(t for t in model.section_tuples(obj) if t[2] == ".text")[5] == -16
 
 
 @pytest.fixture(scope="module")
