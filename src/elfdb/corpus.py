@@ -124,12 +124,11 @@ def add_paths(paths: Sequence[str], recurse_dirs: bool = False) -> CorpusCatalog
         if real in seen:
             return True
         try:
-            with open(real, "rb") as fh:
-                data = fh.read()
+            data = reader.read_file(real)
         except OSError as exc:
             errors.append((file_path, str(exc)))
             return False
-        if not data.startswith(reader.ELF_MAGIC):
+        if data[:4] != reader.ELF_MAGIC:
             if from_directory:
                 skipped.append(file_path)
                 return True

@@ -127,9 +127,17 @@ class InstructionRow:
 
 
 def _view(row_type, tuples: Iterator[tuple]) -> tuple:
-    """Producer tuples as `row_type` rows, integers unsigned again: only
-    `_db_int` ever makes a column negative."""
-    return tuple(row_type(*[_unsigned(v) if type(v) is int else v for v in t]) for t in tuples)
+    """Producer tuples as `row_type` rows, integers unsigned again (only
+    `_db_int` ever makes a column negative) and section views as bytes."""
+    return tuple(row_type(*map(_plain, t)) for t in tuples)
+
+
+def _plain(value):
+    if type(value) is int:
+        return _unsigned(value)
+    if type(value) is memoryview:
+        return bytes(value)
+    return value
 
 
 def header_row(obj: ElfObject) -> HeaderRow:
@@ -325,7 +333,7 @@ def section_tuples(obj: ElfObject) -> Iterator[tuple]:
     for s in obj.sections:
         yield (
             path, s.index, s.name, s.type_name, s.flag_letters, _db_int(s.address),
-            s.offset, _db_int(s.size), s.link, s.info, s.content,
+            _db_int(s.offset), _db_int(s.size), s.link, s.info, s.view,
         )
 
 
@@ -422,6 +430,7 @@ def instruction_tuples(
     for sec in obj.sections:
         if not sec.flags & SHF_EXECINSTR or sec.type_code == SHT_NOBITS:
             continue
+        # A bytes copy: the decoder indexes and slices bytes faster than a view.
         buf, name, base = sec.content, sec.name, sec.address
         size = len(buf)
         offset = 0

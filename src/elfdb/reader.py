@@ -8,6 +8,9 @@ The model is purely structural; relational concerns live in `model`.
 
 from __future__ import annotations
 
+import mmap
+import os
+import stat
 import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -316,7 +319,13 @@ class Section:
     info: int
     addralign: int
     entsize: int
-    content: bytes
+    # A zero-copy slice of the file's bytes; empty for NULL and NOBITS.
+    view: memoryview
+
+    @property
+    def content(self) -> bytes:
+        """A bytes copy of the section's file contents."""
+        return bytes(self.view)
 
     @property
     def type_name(self) -> str:
@@ -473,6 +482,8 @@ class ElfObject:
     versym: tuple[int, ...] = ()
     verneed: dict[int, str] = field(default_factory=dict)
     verdef: dict[int, str] = field(default_factory=dict)
+    # bytes copies of the string tables looked up so far, by section index.
+    string_tables: dict[int, bytes] = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def symbols(self) -> SymbolView:
@@ -541,7 +552,7 @@ def _layouts(elf_class: ElfClass, encoding: DataEncoding) -> _Layouts:
     return _LAYOUT_CACHE[key]
 
 
-def _parse_ident(data: bytes) -> ElfIdent:
+def _parse_ident(data: memoryview) -> ElfIdent:
     if len(data) < 4 or data[:4] != ELF_MAGIC:
         raise NotElf("missing ELF magic")
     if len(data) < 16:
@@ -562,7 +573,7 @@ def _parse_ident(data: bytes) -> ElfIdent:
     )
 
 
-def _parse_header(data: bytes, ident: ElfIdent, lay: _Layouts) -> ElfHeader:
+def _parse_header(data: memoryview, ident: ElfIdent, lay: _Layouts) -> ElfHeader:
     want = 16 + lay.ehdr.size
     if len(data) < want:
         raise Malformed("truncated header")
@@ -599,7 +610,7 @@ def _parse_header(data: bytes, ident: ElfIdent, lay: _Layouts) -> ElfHeader:
     )
 
 
-def _parse_sections(data: bytes, hdr: ElfHeader, lay: _Layouts) -> tuple[list, int, int]:
+def _parse_sections(data: memoryview, hdr: ElfHeader, lay: _Layouts) -> tuple[list, int, int]:
     """Raw section records plus the effective shnum/shstrndx.
 
     Handles extended numbering: e_shnum == 0 stores the real count in
@@ -621,15 +632,15 @@ def _parse_sections(data: bytes, hdr: ElfHeader, lay: _Layouts) -> tuple[list, i
     return raw, shnum, shstrndx
 
 
-def _section_content(data: bytes, type_code: int, offset: int, size: int, index: int) -> bytes:
+def _section_view(data: memoryview, type_code: int, offset: int, size: int, index: int) -> memoryview:
     if type_code in (SHT_NULL, SHT_NOBITS):
-        return b""
+        return data[:0]
     if offset + size > len(data):
         raise Malformed(f"section {index} content [{offset}, {offset + size}) out of bounds")
     return data[offset : offset + size]
 
 
-def _parse_segments(data: bytes, hdr: ElfHeader, lay: _Layouts) -> list[Segment]:
+def _parse_segments(data: memoryview, hdr: ElfHeader, lay: _Layouts) -> list[Segment]:
     if hdr.phoff == 0 or hdr.phnum == 0:
         return []
     if hdr.phentsize < lay.phdr.size:
@@ -664,14 +675,14 @@ def _parse_segments(data: bytes, hdr: ElfHeader, lay: _Layouts) -> list[Segment]
 
 
 def _parse_versym(section: Section, lay: _Layouts) -> tuple[int, ...]:
-    count = section.size // 2
-    return tuple(lay.half.unpack_from(section.content, i * 2)[0] for i in range(count))
+    words = section.view[: section.size // 2 * 2]
+    return tuple(word for (word,) in lay.half.iter_unpack(words))
 
 
 def _parse_verneed(section: Section, strtab: bytes, count: int, lay: _Layouts) -> dict[int, str]:
     """Map version index -> version name from a GNU verneed section."""
     out: dict[int, str] = {}
-    buf = section.content
+    buf = section.view
     offset = 0
     for _ in range(count):
         if offset + lay.verneed.size > len(buf):
@@ -695,7 +706,7 @@ def _parse_verneed(section: Section, strtab: bytes, count: int, lay: _Layouts) -
 def _parse_verdef(section: Section, strtab: bytes, count: int, lay: _Layouts) -> dict[int, str]:
     """Map version index -> version name from a GNU verdef section."""
     out: dict[int, str] = {}
-    buf = section.content
+    buf = section.view
     offset = 0
     for _ in range(count):
         if offset + lay.verdef.size > len(buf):
@@ -745,10 +756,16 @@ def _resolve_version(
     return _version_of_word(versym[sym_index], verneed, verdef)
 
 
-def _linked_strtab(sections: list[Section], link: int, what: str) -> bytes:
+def _linked_strtab(
+    sections: Sequence[Section], link: int, what: str, copies: dict[int, bytes]
+) -> bytes:
+    """A bytes copy of section `link`, made once per table and kept in
+    `copies`, since searching for NULs needs bytes."""
     if link >= len(sections):
         raise Malformed(f"{what} string table link {link} out of range")
-    return sections[link].content
+    if link not in copies:
+        copies[link] = sections[link].content
+    return copies[link]
 
 
 def _symbol_names(strtab: bytes, name_offsets: tuple[int, ...]) -> tuple[str, ...]:
@@ -768,14 +785,15 @@ def _parse_symbol_table(
     versym: tuple[int, ...],
     verneed: dict[int, str],
     verdef: dict[int, str],
+    strtabs: dict[int, bytes],
 ) -> SymbolTable:
     entsize = lay.sym.size
     if sec.entsize != 0 and sec.entsize != entsize:
         raise Malformed(f"symbol table {sec.name!r} entsize {sec.entsize} != {entsize}")
     if sec.size % entsize != 0:
         raise Malformed(f"symbol table {sec.name!r} size not a multiple of {entsize}")
-    strtab = _linked_strtab(sections, sec.link, f"symbol table {sec.name!r}")
-    columns = tuple(zip(*lay.sym.iter_unpack(sec.content))) or ((),) * 6
+    strtab = _linked_strtab(sections, sec.link, f"symbol table {sec.name!r}", strtabs)
+    columns = tuple(zip(*lay.sym.iter_unpack(sec.view))) or ((),) * 6
     name_offsets, infos, others, shndxs, values, sizes = (columns[i] for i in lay.sym_fields)
 
     names = _symbol_names(strtab, name_offsets)
@@ -800,9 +818,9 @@ def _parse_dynamic(sections: list[Section], lay: _Layouts) -> list[DynamicEntry]
         if sec.type_code != SHT_DYNAMIC:
             continue
         entsize = lay.dyn.size
-        count = len(sec.content) // entsize
+        count = len(sec.view) // entsize
         for i in range(count):
-            d_tag, d_val = lay.dyn.unpack_from(sec.content, i * entsize)
+            d_tag, d_val = lay.dyn.unpack_from(sec.view, i * entsize)
             entries.append(DynamicEntry(ordinal=i, tag_code=d_tag, value=d_val))
             if d_tag == DT_NULL:
                 return entries
@@ -810,12 +828,15 @@ def _parse_dynamic(sections: list[Section], lay: _Layouts) -> list[DynamicEntry]
     return entries
 
 
-def open_elf(data: bytes, origin_path: str) -> ElfObject:
+def open_elf(data, origin_path: str) -> ElfObject:
     """Parse `data` (a whole ELF file) into an ElfObject keyed by `origin_path`.
 
-    Raises NotElf when the magic is absent and Malformed for any structural
-    violation; a single bad record fails the whole file.
+    `data` is any read-only bytes-like object, such as bytes or a read-only
+    mmap; sections keep zero-copy views of it.  Raises NotElf when the magic
+    is absent and Malformed for any structural violation; a single bad
+    record fails the whole file.
     """
+    data = memoryview(data)
     ident = _parse_ident(data)
     lay = _layouts(ident.elf_class, ident.data_encoding)
     hdr = _parse_header(data, ident, lay)
@@ -824,51 +845,35 @@ def open_elf(data: bytes, origin_path: str) -> ElfObject:
     if shnum and not shstrndx < shnum:
         raise Malformed(f"shstrndx {shstrndx} out of range ({shnum} sections)")
 
-    # First pass: contents; second pass: names via the section header strtab.
-    unnamed = []
-    for i, rec in enumerate(raw_sections):
-        sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size, sh_link, sh_info, sh_align, sh_entsize = rec
-        content = _section_content(data, sh_type, sh_offset, sh_size, i)
-        unnamed.append(
-            Section(
-                index=i,
-                name="",
-                type_code=sh_type,
-                flags=sh_flags,
-                address=sh_addr,
-                offset=sh_offset,
-                size=sh_size,
-                link=sh_link,
-                info=sh_info,
-                addralign=sh_align,
-                entsize=sh_entsize,
-                content=content,
-            )
+    # Contents first, then names via the section header string table.
+    views = [
+        _section_view(data, rec[1], rec[4], rec[5], i) for i, rec in enumerate(raw_sections)
+    ]
+    shstrtab = bytes(views[shstrndx]) if views else b""
+    sections = [
+        Section(
+            index=i,
+            name=string_at(shstrtab, sh_name, f"section {i} name"),
+            type_code=sh_type,
+            flags=sh_flags,
+            address=sh_addr,
+            offset=sh_offset,
+            size=sh_size,
+            link=sh_link,
+            info=sh_info,
+            addralign=sh_align,
+            entsize=sh_entsize,
+            view=view,
         )
-    sections: list[Section] = []
-    if unnamed:
-        shstrtab = unnamed[shstrndx].content
-        for i, (rec, sec) in enumerate(zip(raw_sections, unnamed)):
-            name = string_at(shstrtab, rec[0], f"section {i} name")
-            sections.append(
-                Section(
-                    index=sec.index,
-                    name=name,
-                    type_code=sec.type_code,
-                    flags=sec.flags,
-                    address=sec.address,
-                    offset=sec.offset,
-                    size=sec.size,
-                    link=sec.link,
-                    info=sec.info,
-                    addralign=sec.addralign,
-                    entsize=sec.entsize,
-                    content=sec.content,
-                )
-            )
+        for i, (
+            (sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size, sh_link, sh_info, sh_align, sh_entsize),
+            view,
+        ) in enumerate(zip(raw_sections, views))
+    ]
 
     segments = _parse_segments(data, hdr, lay)
 
+    strtabs: dict[int, bytes] = {}
     versym: tuple[int, ...] = ()
     verneed: dict[int, str] = {}
     verdef: dict[int, str] = {}
@@ -876,14 +881,14 @@ def open_elf(data: bytes, origin_path: str) -> ElfObject:
         if sec.type_code == SHT_GNU_VERSYM:
             versym = _parse_versym(sec, lay)
         elif sec.type_code == SHT_GNU_VERNEED:
-            strtab = _linked_strtab(sections, sec.link, "verneed")
+            strtab = _linked_strtab(sections, sec.link, "verneed", strtabs)
             verneed = _parse_verneed(sec, strtab, sec.info, lay)
         elif sec.type_code == SHT_GNU_VERDEF:
-            strtab = _linked_strtab(sections, sec.link, "verdef")
+            strtab = _linked_strtab(sections, sec.link, "verdef", strtabs)
             verdef = _parse_verdef(sec, strtab, sec.info, lay)
 
     symbol_tables = tuple(
-        _parse_symbol_table(sec, kind, sections, lay, shnum, versym, verneed, verdef)
+        _parse_symbol_table(sec, kind, sections, lay, shnum, versym, verneed, verdef, strtabs)
         for kind, type_code in ((SymbolTableKind.DYNSYM, SHT_DYNSYM), (SymbolTableKind.SYMTAB, SHT_SYMTAB))
         for sec in sections
         if sec.type_code == type_code
@@ -900,16 +905,37 @@ def open_elf(data: bytes, origin_path: str) -> ElfObject:
         versym=versym,
         verneed=verneed,
         verdef=verdef,
+        string_tables=strtabs,
     )
+
+
+# Regular files at least this large are mapped rather than read.  Each live
+# map holds a duplicated file descriptor, so small files, which are most
+# files but little of the bytes, are read.
+MAP_THRESHOLD = 1 << 20
+
+
+def read_file(path: str):
+    """The contents of the file at `path` as a read-only bytes-like object.
+
+    A regular file of at least MAP_THRESHOLD bytes is mapped read-only, so
+    its pages load only when something reads them; any other file, and any
+    file mmap refuses, is read into bytes.
+    """
+    with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size >= MAP_THRESHOLD:
+            try:
+                return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except (ValueError, OSError):
+                pass
+        return fh.read()
 
 
 def load_elf(path: str) -> ElfObject:
     """Read and parse the file at `path` (symlinks resolved)."""
-    import os
-
     real = os.path.realpath(path)
-    with open(real, "rb") as fh:
-        return open_elf(fh.read(), real)
+    return open_elf(read_file(real), real)
 
 
 def resolve_symbol_version(
@@ -935,7 +961,7 @@ def needed_libraries(obj: ElfObject) -> list[str]:
     dynamic_sections = obj.sections_of_type(SHT_DYNAMIC)
     if not dynamic_sections:
         return []
-    strtab = _linked_strtab(list(obj.sections), dynamic_sections[0].link, ".dynamic")
+    strtab = _linked_strtab(obj.sections, dynamic_sections[0].link, ".dynamic", obj.string_tables)
     out = []
     for entry in obj.dynamic:
         if entry.tag_code == DT_NULL:
@@ -950,7 +976,7 @@ def dynamic_string(obj: ElfObject, tag_code: int) -> Optional[str]:
     dynamic_sections = obj.sections_of_type(SHT_DYNAMIC)
     if not dynamic_sections:
         return None
-    strtab = _linked_strtab(list(obj.sections), dynamic_sections[0].link, ".dynamic")
+    strtab = _linked_strtab(obj.sections, dynamic_sections[0].link, ".dynamic", obj.string_tables)
     for entry in obj.dynamic:
         if entry.tag_code == DT_NULL:
             break

@@ -16,7 +16,7 @@ from typing import Optional
 
 import pytest
 
-from elfdb import bench
+from elfdb import bench, reader
 from elfdb.bench import SymbolSpec
 
 READELF = shutil.which("readelf")
@@ -175,6 +175,16 @@ def system_elves(limit: int = 24) -> list[str]:
             if len(found) >= limit:
                 return found
     return found
+
+
+@pytest.fixture(scope="session")
+def mapped_elf(tmp_path_factory) -> str:
+    """A generated file of 30,000 symbols, just over the size at which
+    `reader.read_file` maps a file instead of reading it."""
+    path = str(tmp_path_factory.mktemp("mapped") / "mapped.so")
+    bench.generate_elf(bench.GeneratedElfSpec(symbol_count=30_000), path)
+    assert os.path.getsize(path) >= reader.MAP_THRESHOLD
+    return os.path.realpath(path)
 
 
 @pytest.fixture

@@ -1,7 +1,12 @@
 import os
+import shutil
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import elfdb
 from elfdb import corpus
 from elfdb.bench import write_elf
 from elfdb.corpus import (
@@ -12,7 +17,7 @@ from elfdb.corpus import (
     resolve_recursive,
 )
 
-from conftest import exported_funcs, readelf_dynamic
+from conftest import RUBY_LIKE, exported_funcs, readelf_dynamic
 
 
 def oracle_loader_trace(root: str, extra_dirs: tuple[str, ...] = ()) -> set[str]:
@@ -116,6 +121,42 @@ class TestAddPaths:
         bad.write_text("hello")
         with pytest.raises(CorpusError):
             add_paths([str(bad)])
+
+    def test_empty_explicit_file_is_not_elf(self, tmp_path):
+        good = tmp_path / "good.so"
+        write_elf(str(good), symbols=exported_funcs("f"))
+        empty = tmp_path / "empty.so"
+        empty.write_bytes(b"")
+        catalog = add_paths([str(empty), str(good)])
+        assert catalog.read_errors == ((str(empty), "not an ELF file"),)
+
+    def test_many_small_files_under_a_low_descriptor_limit(self, tmp_path):
+        # Files below the mapping threshold are read, so they hold no
+        # descriptor once parsed.
+        libs = tmp_path / "libs"
+        libs.mkdir()
+        for i in range(200):
+            shutil.copy(RUBY_LIKE, libs / f"lib{i:03}.so")
+        script = textwrap.dedent(
+            """
+            import resource, sys
+            from elfdb import corpus, engine
+            hard = resource.getrlimit(resource.RLIMIT_NOFILE)[1]
+            resource.setrlimit(resource.RLIMIT_NOFILE, (64, hard))
+            catalog = corpus.add_paths([sys.argv[1]])
+            with engine.register(catalog) as session:
+                summary = session.export_database(sys.argv[2])
+            print(len(catalog), len(catalog.read_errors), summary.per_table["elf_headers"])
+            """
+        )
+        src = os.path.dirname(os.path.dirname(elfdb.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(libs), str(tmp_path / "out.sqlite")],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["200", "0", "200"]
 
     def test_mixed_failures_are_collected(self, tmp_path):
         good = tmp_path / "good.so"

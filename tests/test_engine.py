@@ -1,11 +1,13 @@
 import hashlib
+import mmap
 import os
 import random
 import sqlite3
+import struct
 
 import pytest
 
-from elfdb import corpus, engine
+from elfdb import corpus, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.engine import (
     ExportAborted,
@@ -18,7 +20,7 @@ from elfdb.engine import (
 )
 from elfdb.model import SCHEMA, TABLE_NAMES
 
-from conftest import exported_funcs, readelf_symbol_tables
+from conftest import RUBY_LIKE, exported_funcs, readelf_symbol_tables
 
 
 @pytest.fixture
@@ -235,6 +237,23 @@ class TestExecution:
             )
         assert result.rows[0][0] & 0xFFFFFFFFFFFFFFFF == 0xFFFFFFFF_FFFFF000
 
+    def test_wide_offset_of_a_section_without_contents_survives(self, tmp_path):
+        # sh_offset is bounds-checked only for sections with file contents,
+        # so the SHT_NULL section 0 may claim an offset past SQLite's range.
+        path = tmp_path / "null_offset.so"
+        lib = str(path)
+        write_elf(lib, symbols=exported_funcs("f"))
+        data = bytearray(path.read_bytes())
+        # sh_offset sits 24 bytes into the 64-byte header of section 0
+        struct.pack_into("<Q", data, reader.load_elf(lib).header.shoff + 24, 2**63 + 1)
+        path.write_bytes(data)
+        catalog = corpus.add_paths([lib])
+        with register(catalog) as session:
+            assert session.execute("SELECT COUNT(*) FROM elf_sections").rows[0][0] > 1
+            stored = session.execute('SELECT "offset" FROM elf_sections WHERE "index" = 0').rows
+        assert stored[0][0] & 0xFFFFFFFFFFFFFFFF == 2**63 + 1
+        assert model.section_rows(catalog.entries[0].object)[0].offset == 2**63 + 1
+
     def test_source_files_untouched_by_queries(self, small_corpus):
         digests = {
             e.path: hashlib.sha256(open(e.path, "rb").read()).hexdigest()
@@ -262,6 +281,32 @@ class TestStrategyEquivalence:
             small_corpus, {t: StrategyMode.MEMOIZED for t in TABLE_NAMES}
         ) as memo:
             assert _query_everything(lazy) == _query_everything(memo)
+
+    def test_every_table_equal_lazy_memoized_and_exported(self, mapped_elf, tmp_path):
+        catalog = corpus.add_paths([mapped_elf, RUBY_LIKE])
+        mapped, read = (e.object.section_named(".dynsym").view.obj for e in catalog)
+        assert isinstance(mapped, mmap.mmap) and type(read) is bytes
+        dest = str(tmp_path / "all.sqlite")
+        with register(catalog) as lazy, register(
+            catalog, {t: StrategyMode.MEMOIZED for t in TABLE_NAMES}
+        ) as memo:
+            memo.export_database(dest)
+            stock = sqlite3.connect(f"file:{dest}?mode=ro", uri=True)
+            try:
+                for table in TABLE_NAMES:
+                    sql = f'SELECT * FROM "{table}" ORDER BY rowid'
+                    want = memo.execute(sql).rows
+                    assert want, table
+                    assert lazy.execute(sql).rows == want, table
+                    assert tuple(stock.execute(sql)) == want, table
+            finally:
+                stock.close()
+            blobs = lazy.execute(
+                "SELECT content FROM elf_sections WHERE name = '.dynstr' ORDER BY rowid"
+            ).rows
+        assert [b for (b,) in blobs] == [
+            e.object.section_named(".dynstr").content for e in catalog
+        ]
 
     def test_lazy_tables_fill_only_when_touched(self, small_corpus):
         session = register(small_corpus)

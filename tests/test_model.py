@@ -1,13 +1,15 @@
+import sqlite3
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from elfdb import model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.demangle import demangle
 from elfdb.disasm import DEFAULT_DECODER
+from elfdb.engine import _CREATE_SQL, _INSERT_SQL
 from elfdb.model import (
     derive_export_import,
     instruction_rows,
@@ -596,7 +598,7 @@ class TestSmallTableTuples:
                 {
                     "path": obj.path, "index": s.index, "name": s.name, "sh_type": s.type_name,
                     "flags": s.flag_letters, "address": model._db_int(s.address),
-                    "offset": s.offset, "size": model._db_int(s.size), "link": s.link,
+                    "offset": model._db_int(s.offset), "size": model._db_int(s.size), "link": s.link,
                     "info": s.info, "content": s.content,
                 }
                 for s in obj.sections
@@ -648,14 +650,20 @@ def mutation_seeds(tmp_path_factory) -> list[bytes]:
     seed=st.integers(0, 1),
     edits=st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=8),
 )
+# Section 0's sh_offset (bytes 1016-1023 of the ELF64-LSB seed) set to 2**63 + 1.
+@example(seed=0, edits=[(1016, 0x01), (1023, 0x80)])
 def test_byte_mutations_raise_only_elf_errors(mutation_seeds, seed, edits):
+    """Mutated bytes either fail with an ElfError or give rows SQLite stores."""
     data = bytearray(mutation_seeds[seed])
     for position, byte in edits:
         data[position % len(data)] = byte
+    db = sqlite3.connect(":memory:")
     try:
         obj = reader.open_elf(bytes(data), "/mutated.so")
-        for producer in model.TABLE_PRODUCERS.values():
-            for _row in producer(obj):
-                pass
+        for table, producer in model.TABLE_PRODUCERS.items():
+            db.execute(_CREATE_SQL[table])
+            db.executemany(_INSERT_SQL[table], producer(obj))
     except reader.ElfError:
         pass
+    finally:
+        db.close()

@@ -1,3 +1,6 @@
+import errno
+import mmap
+import os
 import struct
 
 import pytest
@@ -171,6 +174,40 @@ class TestInvariants:
         struct.pack_into("<I", data, dynsym.offset + 24, 0xFFFF)
         with pytest.raises(Malformed, match="past table end"):
             open_elf(bytes(data), "/x")
+
+
+class TestReadFile:
+    def test_large_file_is_mapped_and_parses_as_its_bytes(self, mapped_elf):
+        obj = load_elf(mapped_elf)
+        with open(mapped_elf, "rb") as fh:
+            assert obj == open_elf(fh.read(), mapped_elf)
+        assert all(isinstance(s.view.obj, mmap.mmap) for s in obj.sections)
+        dynstr = obj.section_named(".dynstr")
+        assert type(dynstr.content) is bytes and dynstr.content == dynstr.view
+
+    def test_small_file_is_read(self):
+        obj = load_elf(RUBY_LIKE)
+        assert all(type(s.view.obj) is bytes for s in obj.sections)
+
+    def test_refused_map_falls_back_to_read(self, mapped_elf, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+        with open(mapped_elf, "rb") as fh:
+            want = open_elf(fh.read(), mapped_elf)
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        obj = load_elf(mapped_elf)
+        assert obj == want
+        assert all(type(s.view.obj) is bytes for s in obj.sections)
+
+    def test_string_table_copied_once(self, make_elf):
+        written = make_elf(symbols=exported_funcs("f"), needed=["liba.so.1"], soname="libs.so")
+        obj = load_elf(written.path)
+        dynstr = obj.section_named(".dynstr")
+        first = obj.string_tables[dynstr.index]
+        assert needed_libraries(obj) == ["liba.so.1"]
+        assert reader.dynamic_string(obj, reader.DT_SONAME) == "libs.so"
+        assert obj.string_tables[dynstr.index] is first
 
 
 class TestSymbolVersions:
