@@ -72,9 +72,12 @@ class ExportSummary:
     per_table: dict[str, int]
 
 
+# The SQLite type each declared Python column type is stored as.
+_AFFINITY = {str: "TEXT", int: "INTEGER", bool: "INTEGER", bytes: "BLOB"}
+
 _CREATE_SQL = {
     name: 'CREATE TABLE "{}" ({})'.format(
-        name, ", ".join(f'"{col}" {affinity}' for col, affinity in columns)
+        name, ", ".join(f'"{col}" {_AFFINITY[kind]}' for col, kind in columns)
     )
     for name, columns in SCHEMA.items()
 }
@@ -142,10 +145,13 @@ def _normalize_strategies(strategies: Strategies) -> dict[str, StrategyMode]:
     else:
         items = [(s.table_name, s.mode) for s in strategies]
     for name, mode in items:
-        key = name.lower()
+        key = name.lower() if isinstance(name, str) else name
         if key not in modes:
             raise RegistrationFailure(f"unknown table in strategy: {name!r}")
-        modes[key] = StrategyMode(mode)
+        try:
+            modes[key] = StrategyMode(mode)
+        except ValueError:
+            raise RegistrationFailure(f"unknown strategy mode for {name!r}: {mode!r}") from None
     return modes
 
 

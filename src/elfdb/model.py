@@ -1,18 +1,26 @@
 """Relational row schema over parsed ELF objects.
 
+`SCHEMA` is the one description of each table: its columns in order, each
+with a Python type (`str`, `int`, `bool` or `bytes`).  The engine derives
+its DDL from it, and this module derives one frozen row dataclass per table
+(`HeaderRow` ... `InstructionRow`, a keyword column gaining a trailing `_`).
+
 Each `*_tuples` producer (`TABLE_PRODUCERS`) maps one ElfObject straight
 to the rows of one table: tuples in SCHEMA column order, integers in
-SQLite's signed 64-bit range.  The `*_row(s)` functions are dataclass views
-over them with unsigned integers.  Row order is deterministic, derived
-columns (exported/imported, demangled names, flag letters, reserved-index
-names) are computed here, and everything is pure: the same object always
-yields the same rows.
+SQLite's signed 64-bit range.  `rows` (and `header_row`, `symbol_rows` and
+friends) views them as row dataclasses, each value of its declared type:
+integers unsigned again, flags bool, section contents bytes.  Row order is
+deterministic, derived columns (exported/imported, demangled names, flag
+letters, reserved-index names) are computed here, and everything is pure:
+the same object always yields the same rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import make_dataclass
+from functools import partial
 from itertools import accumulate, count, repeat
+from keyword import iskeyword
 from operator import add, itemgetter
 from typing import Iterator, Optional
 
@@ -39,117 +47,60 @@ from .reader import (
 _EXPORTABLE_TYPES = frozenset(("FUNC", "OBJECT", "TLS", "GNU_IFUNC"))
 _BINDABLE = frozenset(("GLOBAL", "WEAK"))
 
+# The columns of each table in declaration order, each with the Python type
+# of its values: `str` (TEXT; only `elf_symbols.version` may be None), `int`
+# and `bool` (INTEGER) or `bytes` (BLOB).  Everything else about a table's
+# shape is derived from this.
+SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
+    "elf_headers": (
+        ("path", str), ("file_type", str), ("machine", str), ("version", int),
+        ("entry_point", int), ("class", str), ("data_encoding", str), ("os_abi", str),
+        ("phnum", int), ("shnum", int),
+    ),
+    "elf_sections": (
+        ("path", str), ("index", int), ("name", str), ("sh_type", str), ("flags", str),
+        ("address", int), ("offset", int), ("size", int), ("link", int), ("info", int),
+        ("content", bytes),
+    ),
+    "elf_segments": (
+        ("path", str), ("index", int), ("p_type", str), ("flags", str), ("offset", int),
+        ("vaddr", int), ("filesz", int), ("memsz", int), ("align", int),
+    ),
+    "elf_symbols": (
+        ("path", str), ("table", str), ("index", int), ("name", str), ("demangle_name", str),
+        ("section", str), ("type", str), ("binding", str), ("visibility", str),
+        ("value", int), ("size", int), ("version", str), ("exported", bool), ("imported", bool),
+    ),
+    "elf_strings": (("path", str), ("section", str), ("offset", int), ("value", str)),
+    "elf_dynamic_entries": (("path", str), ("ordinal", int), ("tag", str), ("value", int)),
+    "elf_instructions": (
+        ("path", str), ("section", str), ("address", int), ("size", int),
+        ("mnemonic", str), ("operands", str),
+    ),
+}
 
-@dataclass(frozen=True, slots=True)
-class HeaderRow:
-    path: str
-    file_type: str
-    machine: str
-    version: int
-    entry_point: int
-    elf_class: str
-    data_encoding: str
-    os_abi: str
-    phnum: int
-    shnum: int
-
-
-@dataclass(frozen=True, slots=True)
-class SectionRow:
-    path: str
-    index: int
-    name: str
-    sh_type: str
-    flags: str
-    address: int
-    offset: int
-    size: int
-    link: int
-    info: int
-    content: bytes
-
-
-@dataclass(frozen=True, slots=True)
-class SegmentRow:
-    path: str
-    index: int
-    p_type: str
-    flags: str
-    offset: int
-    vaddr: int
-    filesz: int
-    memsz: int
-    align: int
+TABLE_NAMES = tuple(SCHEMA)
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolRow:
-    path: str
-    table: str
-    index: int
-    name: str
-    demangle_name: str
-    section: str
-    type: str
-    binding: str
-    visibility: str
-    value: int
-    size: int
-    version: Optional[str]
-    exported: bool
-    imported: bool
+def _row_type(name: str, table: str) -> type:
+    """A frozen dataclass with one field per column of `table`."""
+    fields = [(c + "_" if iskeyword(c) else c, kind) for c, kind in SCHEMA[table]]
+    namespace = {"__module__": __name__}
+    return make_dataclass(name, fields, frozen=True, slots=True, namespace=namespace)
 
 
-@dataclass(frozen=True, slots=True)
-class StringRow:
-    path: str
-    section: str
-    offset: int
-    value: str
-
-
-@dataclass(frozen=True, slots=True)
-class DynamicEntryRow:
-    path: str
-    ordinal: int
-    tag: str
-    value: int
-
-
-@dataclass(frozen=True, slots=True)
-class InstructionRow:
-    path: str
-    section: str
-    address: int
-    size: int
-    mnemonic: str
-    operands: str
-
-
-def _view(row_type, tuples: Iterator[tuple]) -> tuple:
-    """Producer tuples as `row_type` rows, integers unsigned again (only
-    `_db_int` ever makes a column negative) and section views as bytes."""
-    return tuple(row_type(*map(_plain, t)) for t in tuples)
-
-
-def _plain(value):
-    if type(value) is int:
-        return _unsigned(value)
-    if type(value) is memoryview:
-        return bytes(value)
-    return value
-
-
-def header_row(obj: ElfObject) -> HeaderRow:
-    return _view(HeaderRow, header_tuples(obj))[0]
-
-
-def section_rows(obj: ElfObject) -> tuple[SectionRow, ...]:
-    return _view(SectionRow, section_tuples(obj))
-
-
-def segment_rows(obj: ElfObject) -> tuple[SegmentRow, ...]:
-    return _view(SegmentRow, segment_tuples(obj))
+HeaderRow = _row_type("HeaderRow", "elf_headers")
+SectionRow = _row_type("SectionRow", "elf_sections")
+SegmentRow = _row_type("SegmentRow", "elf_segments")
+SymbolRow = _row_type("SymbolRow", "elf_symbols")
+StringRow = _row_type("StringRow", "elf_strings")
+DynamicEntryRow = _row_type("DynamicEntryRow", "elf_dynamic_entries")
+InstructionRow = _row_type("InstructionRow", "elf_instructions")
+ROW_TYPES = {
+    "elf_headers": HeaderRow, "elf_sections": SectionRow, "elf_segments": SegmentRow,
+    "elf_symbols": SymbolRow, "elf_strings": StringRow, "elf_dynamic_entries": DynamicEntryRow,
+    "elf_instructions": InstructionRow,
+}
 
 
 def section_name_for_symbol(obj: ElfObject, shndx: int) -> str:
@@ -184,15 +135,6 @@ def derive_export_import(sym: RawSymbol) -> tuple[bool, bool]:
     return exported, imported
 
 
-def symbol_rows(obj: ElfObject) -> tuple[SymbolRow, ...]:
-    """The `symbol_tuples` rows as SymbolRows, with unsigned value/size and
-    bool flags."""
-    return tuple(
-        SymbolRow(*t[:9], _unsigned(t[9]), _unsigned(t[10]), t[11], bool(t[12]), bool(t[13]))
-        for t in symbol_tuples(obj)
-    )
-
-
 def _string_columns(content: bytes) -> tuple[Iterator[int], Iterator[str]]:
     """The offsets and the values of the NUL-terminated entries of one
     string table; an unterminated tail is not an entry."""
@@ -208,103 +150,6 @@ def iter_table_strings(content: bytes) -> Iterator[tuple[int, str]]:
     return zip(*_string_columns(content))
 
 
-def string_rows(obj: ElfObject) -> tuple[StringRow, ...]:
-    """Rows for every entry of every SHT_STRTAB section, in (section, offset) order."""
-    return _view(StringRow, string_tuples(obj))
-
-
-def dynamic_entry_rows(obj: ElfObject) -> tuple[DynamicEntryRow, ...]:
-    return _view(DynamicEntryRow, dynamic_entry_tuples(obj))
-
-
-def instruction_rows(
-    obj: ElfObject, decoder: Optional[InstructionDecoder] = DEFAULT_DECODER
-) -> tuple[InstructionRow, ...]:
-    """The `instruction_tuples` rows as InstructionRows, unsigned addresses."""
-    return _view(InstructionRow, instruction_tuples(obj, decoder))
-
-
-# ---------------------------------------------------------------------------
-# Table schema shared with the query engine.
-
-# column name -> SQLite affinity, in declaration order, per table.
-SCHEMA: dict[str, tuple[tuple[str, str], ...]] = {
-    "elf_headers": (
-        ("path", "TEXT"),
-        ("file_type", "TEXT"),
-        ("machine", "TEXT"),
-        ("version", "INTEGER"),
-        ("entry_point", "INTEGER"),
-        ("class", "TEXT"),
-        ("data_encoding", "TEXT"),
-        ("os_abi", "TEXT"),
-        ("phnum", "INTEGER"),
-        ("shnum", "INTEGER"),
-    ),
-    "elf_sections": (
-        ("path", "TEXT"),
-        ("index", "INTEGER"),
-        ("name", "TEXT"),
-        ("sh_type", "TEXT"),
-        ("flags", "TEXT"),
-        ("address", "INTEGER"),
-        ("offset", "INTEGER"),
-        ("size", "INTEGER"),
-        ("link", "INTEGER"),
-        ("info", "INTEGER"),
-        ("content", "BLOB"),
-    ),
-    "elf_segments": (
-        ("path", "TEXT"),
-        ("index", "INTEGER"),
-        ("p_type", "TEXT"),
-        ("flags", "TEXT"),
-        ("offset", "INTEGER"),
-        ("vaddr", "INTEGER"),
-        ("filesz", "INTEGER"),
-        ("memsz", "INTEGER"),
-        ("align", "INTEGER"),
-    ),
-    "elf_symbols": (
-        ("path", "TEXT"),
-        ("table", "TEXT"),
-        ("index", "INTEGER"),
-        ("name", "TEXT"),
-        ("demangle_name", "TEXT"),
-        ("section", "TEXT"),
-        ("type", "TEXT"),
-        ("binding", "TEXT"),
-        ("visibility", "TEXT"),
-        ("value", "INTEGER"),
-        ("size", "INTEGER"),
-        ("version", "TEXT"),
-        ("exported", "INTEGER"),
-        ("imported", "INTEGER"),
-    ),
-    "elf_strings": (
-        ("path", "TEXT"),
-        ("section", "TEXT"),
-        ("offset", "INTEGER"),
-        ("value", "TEXT"),
-    ),
-    "elf_dynamic_entries": (
-        ("path", "TEXT"),
-        ("ordinal", "INTEGER"),
-        ("tag", "TEXT"),
-        ("value", "INTEGER"),
-    ),
-    "elf_instructions": (
-        ("path", "TEXT"),
-        ("section", "TEXT"),
-        ("address", "INTEGER"),
-        ("size", "INTEGER"),
-        ("mnemonic", "TEXT"),
-        ("operands", "TEXT"),
-    ),
-}
-
-TABLE_NAMES = tuple(SCHEMA)
-
 _I64_MAX = 2**63
 
 
@@ -312,10 +157,6 @@ def _db_int(value: int) -> int:
     # SQLite integers are signed 64-bit; preserve the bit pattern of
     # full-range unsigned addresses rather than refusing to store them.
     return value - 2**64 if value >= _I64_MAX else value
-
-
-def _unsigned(value: int) -> int:
-    return value + 2**64 if value < 0 else value
 
 
 def header_tuples(obj: ElfObject) -> Iterator[tuple]:
@@ -405,7 +246,10 @@ def string_tuples(obj: ElfObject) -> Iterator[tuple]:
     path = obj.path
     for sec in obj.sections:
         if sec.type_code == SHT_STRTAB:
-            yield from zip(repeat(path), repeat(sec.name), *_string_columns(sec.content))
+            # The parse already holds bytes copies of the tables it looked
+            # up; any other table is copied only while it is split.
+            content = obj.string_tables.get(sec.index) or sec.content
+            yield from zip(repeat(path), repeat(sec.name), *_string_columns(content))
 
 
 def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:
@@ -456,3 +300,37 @@ TABLE_PRODUCERS = {
     "elf_dynamic_entries": dynamic_entry_tuples,
     "elf_instructions": instruction_tuples,
 }
+
+
+# How a view gives back a stored value as its column's declared type: only
+# `_db_int` ever makes an integer negative, flags are stored as 0/1, and a
+# section's content is stored as a view of the file.
+_AS_DECLARED = {
+    str: lambda value: value,
+    int: lambda value: value + 2**64 if value < 0 else value,
+    bool: bool,
+    bytes: bytes,
+}
+
+
+def rows(table: str, obj: ElfObject, *args) -> tuple:
+    """The rows `TABLE_PRODUCERS[table]` gives for `obj` (and `args`), as
+    instances of the table's row dataclass with values of declared types."""
+    row_type = ROW_TYPES[table]
+    converters = [_AS_DECLARED[kind] for _, kind in SCHEMA[table]]
+    return tuple(
+        row_type(*[convert(value) for convert, value in zip(converters, row)])
+        for row in TABLE_PRODUCERS[table](obj, *args)
+    )
+
+
+def header_row(obj: ElfObject) -> HeaderRow:
+    return rows("elf_headers", obj)[0]
+
+
+section_rows = partial(rows, "elf_sections")
+segment_rows = partial(rows, "elf_segments")
+symbol_rows = partial(rows, "elf_symbols")
+string_rows = partial(rows, "elf_strings")
+dynamic_entry_rows = partial(rows, "elf_dynamic_entries")
+instruction_rows = partial(rows, "elf_instructions")  # optional decoder argument

@@ -55,9 +55,20 @@ class TestRegistration:
             assert result.columns == ("1",)
             assert result.rows == ((1,),)
 
-    def test_unknown_strategy_table_rejected(self, small_corpus):
+    @pytest.mark.parametrize(
+        "strategies",
+        [
+            {"no_such_table": StrategyMode.MEMOIZED},
+            {"elf_symbols": "EAGER"},
+            {"elf_symbols": "memoized"},
+            {"elf_symbols": 3},
+            {3: StrategyMode.LAZY},
+        ],
+        ids=["unknown-table", "unknown-mode", "lowercase-mode", "int-mode", "int-table"],
+    )
+    def test_unknown_strategy_table_rejected(self, small_corpus, strategies):
         with pytest.raises(RegistrationFailure):
-            register(small_corpus, {"no_such_table": StrategyMode.MEMOIZED})
+            register(small_corpus, strategies)
 
     def test_strategy_objects_accepted(self, small_corpus):
         strategies = [TableStrategy("elf_symbols", StrategyMode.MEMOIZED)]
@@ -273,6 +284,35 @@ def _query_everything(session) -> dict:
         sql = f'SELECT {columns} FROM "{table}" ORDER BY {columns}'
         out[table] = session.execute(sql).rows
     return out
+
+
+class TestProducers:
+    def test_a_replaced_producer_feeds_sessions_and_views(self, small_corpus):
+        """Replacing a TABLE_PRODUCERS entry reroutes both the LAZY fill and
+        the row views; putting the original back undoes it."""
+
+        def one_row(obj):
+            yield (obj.path, 7, "DT_PLANTED", -1)
+
+        producers = model.TABLE_PRODUCERS
+        original = producers["elf_dynamic_entries"]
+        obj = small_corpus.entries[0].object
+        producers["elf_dynamic_entries"] = one_row
+        try:
+            with register(small_corpus) as session:
+                assert session.strategy("elf_dynamic_entries") == StrategyMode.LAZY
+                result = session.execute("SELECT tag, value FROM elf_dynamic_entries")
+            assert result.rows == (("DT_PLANTED", -1),) * len(small_corpus.entries)
+            assert model.rows("elf_dynamic_entries", obj) == (
+                model.DynamicEntryRow(obj.path, 7, "DT_PLANTED", 2**64 - 1),
+            )
+            assert model.dynamic_entry_rows(obj) == model.rows("elf_dynamic_entries", obj)
+        finally:
+            producers["elf_dynamic_entries"] = original
+        assert [r.tag for r in model.dynamic_entry_rows(obj)] == [e.tag_name for e in obj.dynamic]
+        with register(small_corpus) as session:
+            tags = session.execute("SELECT tag FROM elf_dynamic_entries").rows
+        assert "DT_PLANTED" not in {t for (t,) in tags}
 
 
 class TestStrategyEquivalence:

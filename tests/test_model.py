@@ -1,3 +1,6 @@
+import dataclasses
+import keyword
+import os
 import sqlite3
 import struct
 
@@ -293,7 +296,7 @@ class TestHeaderAndSectionRows:
         row = model.header_row(obj)
         assert row.file_type == "DYN"
         assert row.machine == "X86_64"
-        assert row.elf_class == "ELF64"
+        assert row.class_ == "ELF64"
         assert row.data_encoding == "LSB"
         assert row.shnum == len(obj.sections)
         assert row.phnum == len(obj.segments)
@@ -475,6 +478,19 @@ class TestStringTuples:
             assert list(model.string_tuples(obj)) == want, path
             assert string_rows(obj) == tuple(model.StringRow(*r) for r in want), path
 
+    def test_cached_string_tables_are_not_copied_again(self, tmp_path, monkeypatch):
+        path = write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB)
+        obj = load_elf(path)
+        copied = []
+
+        def counting_content(section):
+            copied.append(section.name)
+            return bytes(section.view)
+
+        monkeypatch.setattr(reader.Section, "content", property(counting_content))
+        assert list(model.string_tuples(obj))
+        assert copied == [".shstrtab"]
+
 
 def reference_instruction_tuples(obj, decoder=DEFAULT_DECODER) -> list[tuple]:
     """The per-row loop that `instruction_tuples` replaced, kept as the
@@ -620,7 +636,7 @@ class TestSmallTableTuples:
                 for e in obj.dynamic
             ], path
             row = model.header_row(obj)
-            assert (row.elf_class, row.entry_point) == (h.ident.elf_class.name, h.entry_point)
+            assert (row.class_, row.entry_point) == (h.ident.elf_class.name, h.entry_point)
             assert [(r.address, r.size) for r in model.section_rows(obj)] == [
                 (s.address, s.size) for s in obj.sections
             ]
@@ -632,6 +648,30 @@ class TestSmallTableTuples:
         text = next(r for r in model.section_rows(obj) if r.name == ".text")
         assert text.address == 2**64 - 16
         assert next(t for t in model.section_tuples(obj) if t[2] == ".text")[5] == -16
+
+
+def test_views_follow_the_schema(tmp_path):
+    """Each view row has one field per SCHEMA column, a keyword gaining `_`,
+    and each value has its column's declared type, integers unsigned."""
+    high = write_code_elf(str(tmp_path / "high.so"), text_address=2**64 - 16)
+    filled = set()
+    for path in [*reference_inputs(tmp_path), high]:
+        obj = load_elf(path)
+        for table, columns in model.SCHEMA.items():
+            if table == "elf_instructions" and os.path.getsize(path) >= reader.MAP_THRESHOLD:
+                continue  # libc.so.6 alone decodes to over a million rows
+            fields = [c + "_" if keyword.iskeyword(c) else c for c, _ in columns]
+            for row in model.rows(table, obj):
+                filled.add(table)
+                assert [f.name for f in dataclasses.fields(row)] == fields, table
+                for (column, kind), field in zip(columns, fields):
+                    value = getattr(row, field)
+                    if value is None:
+                        assert (table, column) == ("elf_symbols", "version"), path
+                    else:
+                        assert type(value) is kind, (path, table, column)
+                        assert kind is not int or value >= 0, (path, table, column)
+    assert filled == set(model.SCHEMA)
 
 
 @pytest.fixture(scope="module")
