@@ -94,26 +94,17 @@ def count_symbols(session: Session, path: str, imported_only: bool = False) -> i
 
 
 _RUNPATH_SQL = """
-    SELECT elf_strings.value
-    FROM elf_dynamic_entries
-    INNER JOIN elf_strings
-        ON elf_dynamic_entries.value = elf_strings.offset
-        AND elf_strings.path = elf_dynamic_entries.path
-        AND elf_strings.section = '.dynstr'
-    WHERE elf_dynamic_entries.tag = :tag
-      AND elf_dynamic_entries.path = :path
+    SELECT string FROM elf_dynamic_entries
+    WHERE path = :path AND tag IN ('RUNPATH', 'RPATH')
+    ORDER BY tag = 'RPATH', ordinal
+    LIMIT 1
 """
 
 
 def runpath(session: Session, path: str) -> list[str]:
     """The file's RUNPATH entries (RPATH as fallback), split on ':'."""
-    real = _require_path(session, path)
-    for tag in ("RUNPATH", "RPATH"):
-        result = session.execute(_RUNPATH_SQL, {"path": real, "tag": tag})
-        if result.rows:
-            value = result.rows[0][0]
-            return [part for part in value.split(":") if part]
-    return []
+    rows = session.execute(_RUNPATH_SQL, {"path": _require_path(session, path)}).rows
+    return [part for part in rows[0][0].split(":") if part] if rows else []
 
 
 _PYTHON_EXTENSION_SQL = """

@@ -48,9 +48,9 @@ _EXPORTABLE_TYPES = frozenset(("FUNC", "OBJECT", "TLS", "GNU_IFUNC"))
 _BINDABLE = frozenset(("GLOBAL", "WEAK"))
 
 # The columns of each table in declaration order, each with the Python type
-# of its values: `str` (TEXT; only `elf_symbols.version` may be None), `int`
-# and `bool` (INTEGER) or `bytes` (BLOB).  Everything else about a table's
-# shape is derived from this.
+# of its values: `str` (TEXT; only `elf_symbols.version` and
+# `elf_dynamic_entries.string` may be None), `int` and `bool` (INTEGER) or
+# `bytes` (BLOB).  Everything else about a table's shape is derived from this.
 SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
     "elf_headers": (
         ("path", str), ("file_type", str), ("machine", str), ("version", int),
@@ -72,7 +72,9 @@ SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
         ("value", int), ("size", int), ("version", str), ("exported", bool), ("imported", bool),
     ),
     "elf_strings": (("path", str), ("section", str), ("offset", int), ("value", str)),
-    "elf_dynamic_entries": (("path", str), ("ordinal", int), ("tag", str), ("value", int)),
+    "elf_dynamic_entries": (
+        ("path", str), ("ordinal", int), ("tag", str), ("value", int), ("string", str),
+    ),
     "elf_instructions": (
         ("path", str), ("section", str), ("address", int), ("size", int),
         ("mnemonic", str), ("operands", str),
@@ -255,7 +257,7 @@ def string_tuples(obj: ElfObject) -> Iterator[tuple]:
 def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:
     path = obj.path
     for e in obj.dynamic:
-        yield (path, e.ordinal, e.tag_name, _db_int(e.value))
+        yield (path, e.ordinal, e.tag_name, _db_int(e.value), e.string)
 
 
 def instruction_tuples(

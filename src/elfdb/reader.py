@@ -82,6 +82,8 @@ DT_NEEDED = 1
 DT_SONAME = 14
 DT_RPATH = 15
 DT_RUNPATH = 29
+# The tags whose value is an offset into .dynamic's linked string table.
+STRING_TAGS = frozenset((DT_NEEDED, DT_SONAME, DT_RPATH, DT_RUNPATH))
 
 FILE_TYPE_NAMES = {1: "REL", 2: "EXEC", 3: "DYN", 4: "CORE"}
 
@@ -460,6 +462,9 @@ class DynamicEntry:
     ordinal: int
     tag_code: int
     value: int
+    # The linked string table's entry at `value` for the tags in
+    # STRING_TAGS; None for every other tag.
+    string: Optional[str] = None
 
     @property
     def tag_name(self) -> str:
@@ -812,19 +817,25 @@ def _parse_symbol_table(
     return SymbolTable(kind, name_offsets, names, infos, others, shndxs, values, sizes, versions)
 
 
-def _parse_dynamic(sections: list[Section], lay: _Layouts) -> list[DynamicEntry]:
+def _parse_dynamic(
+    sections: list[Section], lay: _Layouts, strtabs: dict[int, bytes]
+) -> list[DynamicEntry]:
+    """The first SHT_DYNAMIC section's entries up to DT_NULL, each
+    string-valued one resolved in the section's linked string table."""
+    sec = next((s for s in sections if s.type_code == SHT_DYNAMIC), None)
+    if sec is None:
+        return []
+    entsize = lay.dyn.size
     entries: list[DynamicEntry] = []
-    for sec in sections:
-        if sec.type_code != SHT_DYNAMIC:
-            continue
-        entsize = lay.dyn.size
-        count = len(sec.view) // entsize
-        for i in range(count):
-            d_tag, d_val = lay.dyn.unpack_from(sec.view, i * entsize)
-            entries.append(DynamicEntry(ordinal=i, tag_code=d_tag, value=d_val))
-            if d_tag == DT_NULL:
-                return entries
-        return entries
+    for i in range(len(sec.view) // entsize):
+        d_tag, d_val = lay.dyn.unpack_from(sec.view, i * entsize)
+        string = None
+        if d_tag in STRING_TAGS:
+            strtab = _linked_strtab(sections, sec.link, ".dynamic", strtabs)
+            string = string_at(strtab, d_val, DYNAMIC_TAG_NAMES[d_tag])
+        entries.append(DynamicEntry(i, d_tag, d_val, string))
+        if d_tag == DT_NULL:
+            break
     return entries
 
 
@@ -893,7 +904,7 @@ def open_elf(data, origin_path: str) -> ElfObject:
         for sec in sections
         if sec.type_code == type_code
     )
-    dynamic = _parse_dynamic(sections, lay)
+    dynamic = _parse_dynamic(sections, lay, strtabs)
 
     return ElfObject(
         path=origin_path,
@@ -958,28 +969,10 @@ def resolve_symbol_version(
 
 def needed_libraries(obj: ElfObject) -> list[str]:
     """DT_NEEDED strings in .dynamic order; empty for static objects."""
-    dynamic_sections = obj.sections_of_type(SHT_DYNAMIC)
-    if not dynamic_sections:
-        return []
-    strtab = _linked_strtab(obj.sections, dynamic_sections[0].link, ".dynamic", obj.string_tables)
-    out = []
-    for entry in obj.dynamic:
-        if entry.tag_code == DT_NULL:
-            break
-        if entry.tag_code == DT_NEEDED:
-            out.append(string_at(strtab, entry.value, "NEEDED"))
-    return out
+    return [e.string for e in obj.dynamic if e.tag_code == DT_NEEDED]
 
 
 def dynamic_string(obj: ElfObject, tag_code: int) -> Optional[str]:
-    """The string value of the first dynamic entry with `tag_code`, if any."""
-    dynamic_sections = obj.sections_of_type(SHT_DYNAMIC)
-    if not dynamic_sections:
-        return None
-    strtab = _linked_strtab(obj.sections, dynamic_sections[0].link, ".dynamic", obj.string_tables)
-    for entry in obj.dynamic:
-        if entry.tag_code == DT_NULL:
-            break
-        if entry.tag_code == tag_code:
-            return string_at(strtab, entry.value, DYNAMIC_TAG_NAMES.get(tag_code, str(tag_code)))
-    return None
+    """The string of the first dynamic entry with `tag_code`, one of
+    STRING_TAGS, if any."""
+    return next((e.string for e in obj.dynamic if e.tag_code == tag_code), None)

@@ -1,8 +1,9 @@
 import os
+import struct
 
 import pytest
 
-from elfdb import analyses, corpus, engine
+from elfdb import analyses, corpus, engine, reader
 from elfdb.analyses import (
     UnknownPath,
     count_symbols,
@@ -14,7 +15,7 @@ from elfdb.analyses import (
 )
 from elfdb.bench import GeneratedElfSpec, SymbolSpec, generate_elf, write_elf
 
-from conftest import RUBY_LIKE, exported_funcs
+from conftest import RUBY_LIKE, exported_funcs, readelf_dynamic
 
 
 def session_over(*paths):
@@ -142,6 +143,29 @@ class TestRunpath:
         write_elf(lib, symbols=exported_funcs("f"), rpath="/legacy")
         with session_over(lib) as session:
             assert runpath(session, lib) == ["/legacy"]
+
+    def test_offset_inside_another_entry(self, tmp_path):
+        """A RUNPATH offset 5 bytes into a NEEDED string names that
+        string's tail, as readelf -d resolves it."""
+        lib = tmp_path / "r.so"
+        written = write_elf(
+            str(lib), symbols=exported_funcs("f"), needed=["libz:/opt/lib"], runpath="/elsewhere"
+        )
+        obj = reader.load_elf(str(lib))
+        entry = next(e for e in obj.dynamic if e.tag_code == reader.DT_RUNPATH)
+        d_val_at = obj.section_named(".dynamic").offset + entry.ordinal * 16 + 8
+        data = bytearray(lib.read_bytes())
+        struct.pack_into("<Q", data, d_val_at, written.dynstr_offsets["libz:/opt/lib"] + 5)
+        lib.write_bytes(data)
+        [oracle] = [value for tag, value in readelf_dynamic(str(lib)) if tag == "RUNPATH"]
+        assert oracle == "/opt/lib"
+        assert reader.dynamic_string(reader.load_elf(str(lib)), reader.DT_RUNPATH) == oracle
+        with session_over(str(lib)) as session:
+            assert runpath(session, str(lib)) == [oracle]
+            stored = session.execute(
+                "SELECT string FROM elf_dynamic_entries WHERE tag = 'RUNPATH'"
+            ).rows
+        assert stored == ((oracle,),)
 
 
 class TestPythonExtensionCheck:

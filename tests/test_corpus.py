@@ -1,5 +1,6 @@
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import textwrap
@@ -7,7 +8,7 @@ import textwrap
 import pytest
 
 import elfdb
-from elfdb import corpus
+from elfdb import corpus, reader
 from elfdb.bench import write_elf
 from elfdb.corpus import (
     CorpusError,
@@ -268,6 +269,37 @@ class TestResolveRecursive:
         resolved = resolve_recursive(add_paths([str(app)]), SearchConfig(default_dirs=()))
         assert len(resolved.unresolved) == 1
         assert "truncated" in resolved.unresolved[0].reason
+
+    def test_dependency_with_a_needed_offset_past_dynstr_reported(self, tmp_path):
+        """Such a dependency fails like any malformed one: it is reported,
+        the rest of the closure resolves, and given explicitly it is a read
+        error."""
+        bad = tmp_path / "libbad.so"
+        write_elf(str(bad), symbols=exported_funcs("b"), soname="libbad.so")
+        dynamic = reader.load_elf(str(bad)).section_named(".dynamic")
+        data = bytearray(bad.read_bytes())
+        struct.pack_into("<qQ", data, dynamic.offset, reader.DT_NEEDED, 10**6)
+        bad.write_bytes(data)
+        good = tmp_path / "libgood.so"
+        write_elf(str(good), symbols=exported_funcs("g"), soname="libgood.so")
+        app = tmp_path / "app"
+        write_elf(
+            str(app),
+            symbols=exported_funcs("m"),
+            needed=["libbad.so", "libgood.so"],
+            runpath=str(tmp_path),
+        )
+        resolved = resolve_recursive(add_paths([str(app)]), SearchConfig(default_dirs=()))
+        assert [os.path.basename(e.path) for e in resolved.entries] == ["app", "libgood.so"]
+        [missing] = resolved.unresolved
+        assert (missing.soname, missing.dependent) == ("libbad.so", os.path.realpath(str(app)))
+        with pytest.raises(reader.Malformed) as raised:
+            reader.load_elf(str(bad))
+        assert missing.reason == str(raised.value)
+        assert "NEEDED string offset 1000000 past table end" in missing.reason
+        explicit = add_paths([str(bad), str(good)])
+        assert explicit.read_errors == ((str(bad), missing.reason),)
+        assert explicit.paths == (os.path.realpath(str(good)),)
 
     def test_idempotent(self, dep_tree):
         catalog = add_paths([str(dep_tree / "app")])

@@ -292,7 +292,7 @@ class TestProducers:
         the row views; putting the original back undoes it."""
 
         def one_row(obj):
-            yield (obj.path, 7, "DT_PLANTED", -1)
+            yield (obj.path, 7, "DT_PLANTED", -1, "planted")
 
         producers = model.TABLE_PRODUCERS
         original = producers["elf_dynamic_entries"]
@@ -301,10 +301,10 @@ class TestProducers:
         try:
             with register(small_corpus) as session:
                 assert session.strategy("elf_dynamic_entries") == StrategyMode.LAZY
-                result = session.execute("SELECT tag, value FROM elf_dynamic_entries")
-            assert result.rows == (("DT_PLANTED", -1),) * len(small_corpus.entries)
+                result = session.execute("SELECT tag, value, string FROM elf_dynamic_entries")
+            assert result.rows == (("DT_PLANTED", -1, "planted"),) * len(small_corpus.entries)
             assert model.rows("elf_dynamic_entries", obj) == (
-                model.DynamicEntryRow(obj.path, 7, "DT_PLANTED", 2**64 - 1),
+                model.DynamicEntryRow(obj.path, 7, "DT_PLANTED", 2**64 - 1, "planted"),
             )
             assert model.dynamic_entry_rows(obj) == model.rows("elf_dynamic_entries", obj)
         finally:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from elfdb import model, reader
+from elfdb import corpus, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.demangle import demangle
 from elfdb.disasm import DEFAULT_DECODER
@@ -30,7 +30,7 @@ from elfdb.reader import (
     render_code,
 )
 
-from conftest import RUBY_LIKE, cxxfilt, exported_funcs, system_elves
+from conftest import RUBY_LIKE, cxxfilt, exported_funcs, readelf_dynamic, system_elves
 
 
 def raw_symbol(**overrides) -> RawSymbol:
@@ -631,7 +631,7 @@ class TestSmallTableTuples:
             assert named("elf_dynamic_entries") == [
                 {
                     "path": obj.path, "ordinal": e.ordinal, "tag": e.tag_name,
-                    "value": model._db_int(e.value),
+                    "value": model._db_int(e.value), "string": e.string,
                 }
                 for e in obj.dynamic
             ], path
@@ -648,6 +648,10 @@ class TestSmallTableTuples:
         text = next(r for r in model.section_rows(obj) if r.name == ".text")
         assert text.address == 2**64 - 16
         assert next(t for t in model.section_tuples(obj) if t[2] == ".text")[5] == -16
+
+
+_NULLABLE = {("elf_symbols", "version"), ("elf_dynamic_entries", "string")}
+_STRING_TAGS = {"NEEDED", "SONAME", "RPATH", "RUNPATH"}
 
 
 def test_views_follow_the_schema(tmp_path):
@@ -667,11 +671,48 @@ def test_views_follow_the_schema(tmp_path):
                 for (column, kind), field in zip(columns, fields):
                     value = getattr(row, field)
                     if value is None:
-                        assert (table, column) == ("elf_symbols", "version"), path
+                        assert (table, column) in _NULLABLE, (path, table, column)
                     else:
                         assert type(value) is kind, (path, table, column)
                         assert kind is not int or value >= 0, (path, table, column)
+                if table == "elf_dynamic_entries":
+                    assert (row.string is None) == (row.tag not in _STRING_TAGS), (path, row)
     assert filled == set(model.SCHEMA)
+
+
+def test_dynamic_strings_match_readelf(tmp_path):
+    """The stored `string` is readelf -d's bracketed value for every NEEDED,
+    SONAME, RPATH and RUNPATH entry, and NULL for every other tag."""
+    named = write_elf(
+        str(tmp_path / "named.so"),
+        symbols=exported_funcs("f"),
+        needed=["liba.so.1", "libb.so.2"],
+        soname="libnamed.so.1",
+        rpath="$ORIGIN/../lib",
+    ).path
+    paths = [
+        RUBY_LIKE,
+        write_varied_elf(str(tmp_path / "msb32.so"), ElfClass.ELF32, DataEncoding.MSB),
+        write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB),
+        named,
+        *system_elves(limit=24),
+    ]
+    with engine.register(corpus.add_paths(paths)) as session:
+        stored = session.execute(
+            "SELECT path, tag, string FROM elf_dynamic_entries ORDER BY path, ordinal"
+        ).rows
+    checked = set()
+    for path in paths:
+        ours = [(tag, string) for p, tag, string in stored if p == os.path.realpath(path)]
+        oracle = readelf_dynamic(path)
+        assert len(ours) == len(oracle), path
+        for (tag, string), (oracle_tag, text) in zip(ours, oracle):
+            if oracle_tag in _STRING_TAGS:
+                assert (tag, string) == (oracle_tag, text), path
+                checked.add(tag)
+            else:
+                assert tag not in _STRING_TAGS and string is None, (path, tag)
+    assert checked == _STRING_TAGS
 
 
 @pytest.fixture(scope="module")
