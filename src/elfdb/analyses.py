@@ -13,27 +13,18 @@ import os
 from dataclasses import dataclass
 from typing import Optional
 
-from .engine import Session
+from .engine import QueryResult, Session
 
 
 class UnknownPath(Exception):
     """The path is not registered in the session's corpus."""
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
+AnalysisReport = QueryResult
 
 
 @dataclass(frozen=True)
-class HistogramReport(AnalysisReport):
+class HistogramReport(QueryResult):
     # (bucket label, file count), ascending by lower bound
     buckets: tuple[tuple[str, int], ...] = ()
 

@@ -91,40 +91,10 @@ _TABLE_REFERENCE = re.compile(
     r"\b(" + "|".join(TABLE_NAMES) + r")\b", re.IGNORECASE
 )
 
-# Authorizer action codes that mutate state; everything else passes.
-_DENIED_ACTIONS = frozenset(
-    getattr(sqlite3, name)
-    for name in (
-        "SQLITE_INSERT",
-        "SQLITE_UPDATE",
-        "SQLITE_DELETE",
-        "SQLITE_ALTER_TABLE",
-        "SQLITE_REINDEX",
-        "SQLITE_ANALYZE",
-        "SQLITE_ATTACH",
-        "SQLITE_DETACH",
-        "SQLITE_TRANSACTION",
-        "SQLITE_SAVEPOINT",
-        "SQLITE_CREATE_INDEX",
-        "SQLITE_CREATE_TABLE",
-        "SQLITE_CREATE_TEMP_INDEX",
-        "SQLITE_CREATE_TEMP_TABLE",
-        "SQLITE_CREATE_TEMP_TRIGGER",
-        "SQLITE_CREATE_TEMP_VIEW",
-        "SQLITE_CREATE_TRIGGER",
-        "SQLITE_CREATE_VIEW",
-        "SQLITE_CREATE_VTABLE",
-        "SQLITE_DROP_INDEX",
-        "SQLITE_DROP_TABLE",
-        "SQLITE_DROP_TEMP_INDEX",
-        "SQLITE_DROP_TEMP_TABLE",
-        "SQLITE_DROP_TEMP_TRIGGER",
-        "SQLITE_DROP_TEMP_VIEW",
-        "SQLITE_DROP_TRIGGER",
-        "SQLITE_DROP_VIEW",
-        "SQLITE_DROP_VTABLE",
-    )
-    if hasattr(sqlite3, name)
+# Authorizer actions a read needs.  Everything else is denied, pragmas apart:
+# reading a pragma's value and `table_info` are allowed (see _authorize).
+_READ_ACTIONS = frozenset(
+    (sqlite3.SQLITE_READ, sqlite3.SQLITE_SELECT, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
 )
 
 Strategies = Union[None, Iterable[TableStrategy], Mapping[str, StrategyMode]]
@@ -212,11 +182,14 @@ class Session:
         for name in TABLE_NAMES:
             self._materialize(name)
 
-    def _authorize(self, action, _arg1, _arg2, _dbname, _source):
-        if action in _DENIED_ACTIONS:
-            self._write_denied = True
-            return sqlite3.SQLITE_DENY
-        return sqlite3.SQLITE_OK
+    def _authorize(self, action, arg1, arg2, _dbname, _source):
+        # A pragma's name arrives as typed: `table_info` or `TABLE_INFO`.
+        if action in _READ_ACTIONS or (
+            action == sqlite3.SQLITE_PRAGMA and (arg2 is None or arg1.lower() == "table_info")
+        ):
+            return sqlite3.SQLITE_OK
+        self._write_denied = True
+        return sqlite3.SQLITE_DENY
 
     def execute(self, sql: str, params: Optional[Mapping[str, object]] = None) -> QueryResult:
         """Run one read-only statement and fetch its full result set.
@@ -226,6 +199,8 @@ class Session:
         """
         self._materialize_referenced(sql)
         self._write_denied = False
+        # Set per statement: setting an authorizer expires cached statements,
+        # so an INSERT a fill prepared is never reused unchecked.
         self._conn.set_authorizer(self._authorize)
         try:
             cursor = self._conn.execute(sql, dict(params) if params else {})

@@ -482,11 +482,6 @@ class ElfObject:
     # .dynsym tables first, then .symtab tables, each in section order.
     symbol_tables: tuple[SymbolTable, ...]
     dynamic: tuple[DynamicEntry, ...]
-    # Version machinery for .dynsym: the raw versym words plus the maps
-    # resolving a version index to its string (needed vs defined).
-    versym: tuple[int, ...] = ()
-    verneed: dict[int, str] = field(default_factory=dict)
-    verdef: dict[int, str] = field(default_factory=dict)
     # bytes copies of the string tables looked up so far, by section index.
     string_tables: dict[int, bytes] = field(default_factory=dict, compare=False, repr=False)
 
@@ -748,19 +743,6 @@ def _version_of_word(
     raise Malformed(f"version index {idx} not defined by verneed/verdef")
 
 
-def _resolve_version(
-    versym: tuple[int, ...],
-    verneed: dict[int, str],
-    verdef: dict[int, str],
-    sym_index: int,
-) -> tuple[Optional[str], bool]:
-    """(version, default) for one .dynsym index; symbols beyond the versym
-    array carry no version."""
-    if sym_index >= len(versym):
-        return None, False
-    return _version_of_word(versym[sym_index], verneed, verdef)
-
-
 def _linked_strtab(
     sections: Sequence[Section], link: int, what: str, copies: dict[int, bytes]
 ) -> bytes:
@@ -913,9 +895,6 @@ def open_elf(data, origin_path: str) -> ElfObject:
         segments=tuple(segments),
         symbol_tables=symbol_tables,
         dynamic=tuple(dynamic),
-        versym=versym,
-        verneed=verneed,
-        verdef=verdef,
         string_tables=strtabs,
     )
 
@@ -955,16 +934,17 @@ def resolve_symbol_version(
     """Version string and default-bit for one symbol, or None when unversioned.
 
     Only .dynsym symbols carry versions, and only when the file has a
-    .gnu.version section.
+    .gnu.version section.  The answer is the one the parse stored.
     """
-    if table != SymbolTableKind.DYNSYM or not obj.versym:
+    if table != SymbolTableKind.DYNSYM:
         return None
-    if not 0 <= sym_index < len(obj.symbols_in(table)):
+    symbols = obj.symbols_in(table)
+    if not 0 <= sym_index < len(symbols):
         raise Malformed(f"symbol index {sym_index} out of range for {table.value}")
-    version, default = _resolve_version(obj.versym, obj.verneed, obj.verdef, sym_index)
-    if version is None:
+    sym = symbols[sym_index]
+    if sym.version is None:
         return None
-    return version, default
+    return sym.version, sym.version_default
 
 
 def needed_libraries(obj: ElfObject) -> list[str]:

@@ -3,8 +3,10 @@ import sqlite3
 
 import pytest
 
+from elfdb import corpus
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.cli import main
+from elfdb.engine import register
 
 from conftest import exported_funcs
 
@@ -166,13 +168,18 @@ class TestRepl:
     def test_error_recovery(self, capsys, lib, monkeypatch):
         import io
 
-        monkeypatch.setattr(
-            "sys.stdin", io.StringIO("SELECT broken FROM nowhere;\nSELECT 7;\n")
-        )
-        code, out, err = run_cli(capsys, "repl", lib)
-        assert code == 0
-        assert "error" in err
-        assert "7" in out
+        with register(corpus.add_paths([lib])) as session:
+            (strings,), = session.execute("SELECT COUNT(*) FROM elf_strings").rows
+        for script, expected in (
+            ("SELECT broken FROM nowhere;\nSELECT 7;\n", "7"),
+            # a refused pragma setter leaves LAZY tables fillable
+            ("PRAGMA query_only = 1;\nSELECT COUNT(*) FROM elf_strings;\n", str(strings)),
+        ):
+            monkeypatch.setattr("sys.stdin", io.StringIO(script))
+            code, out, err = run_cli(capsys, "repl", lib)
+            assert code == 0
+            assert "error" in err
+            assert expected in out
 
     def test_multiline_statement(self, capsys, lib, monkeypatch):
         import io

@@ -153,14 +153,20 @@ class TestExecution:
             "CREATE TABLE t (x)",
             "ALTER TABLE elf_symbols ADD COLUMN extra",
             "ATTACH DATABASE ':memory:' AS other",
+            "PRAGMA user_version = 7",
+            "PRAGMA main.user_version(3)",
+            "PRAGMA query_only = 1",
+            "PRAGMA case_sensitive_like = 1",
         ],
     )
     def test_writes_rejected(self, small_corpus, sql):
         with register(small_corpus) as session:
             with pytest.raises(WriteRejected):
                 session.execute(sql)
-            # the session stays usable afterwards
+            # the session stays usable afterwards, LAZY tables still fill
             assert session.execute("SELECT 1").rows == ((1,),)
+            assert session.execute("SELECT COUNT(*) FROM elf_strings").rows[0][0] > 0
+            assert session.execute("PRAGMA user_version").rows == ((0,),)
 
     def test_with_statement_allowed(self, small_corpus):
         with register(small_corpus) as session:
@@ -169,11 +175,23 @@ class TestExecution:
                 "SELECT SUM(n) FROM counts"
             )
             assert result.rows[0][0] > 0
+            recursive = session.execute(
+                "WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c WHERE x < 4) "
+                "SELECT SUM(x) FROM c"
+            )
+            assert recursive.rows == ((10,),)
+            window = session.execute(
+                "SELECT ROW_NUMBER() OVER (ORDER BY name) FROM elf_symbols ORDER BY 1"
+            )
+            assert [row[0] for row in window.rows] == list(range(1, len(window.rows) + 1))
 
     def test_pragma_allowed(self, small_corpus):
         with register(small_corpus) as session:
-            result = session.execute("PRAGMA table_info(elf_headers)")
-            assert [row[1] for row in result.rows][:2] == ["path", "file_type"]
+            # SQLite passes the pragma name as typed
+            for sql in ("PRAGMA table_info(elf_headers)", "PRAGMA TABLE_INFO(elf_headers)"):
+                result = session.execute(sql)
+                assert [row[1] for row in result.rows][:2] == ["path", "file_type"]
+            assert session.execute("PRAGMA user_version").rows == ((0,),)
 
     def test_raw_section_bytes_queryable(self, tmp_path):
         # extracting the runpath by slicing .dynstr content directly must

@@ -229,7 +229,7 @@ class TestSymbolVersions:
         # a shared library defining versions exercises the verdef path
         for path in system_elves(limit=24):
             obj = load_elf(path)
-            if obj.verdef:
+            if obj.sections_of_type(reader.SHT_GNU_VERDEF):
                 break
         else:
             pytest.skip("no version-defining library found")
@@ -262,13 +262,11 @@ class TestSymbolVersions:
 
     def test_dangling_version_index_is_malformed(self):
         with pytest.raises(Malformed, match="version index"):
-            reader._resolve_version(versym=(0, 7), verneed={}, verdef={}, sym_index=1)
+            reader._version_of_word(7, {}, {})
 
     def test_out_of_range_symbol_index(self, make_elf):
         written = make_elf(symbols=exported_funcs("a"))
         obj = load_elf(written.path)
-        # force the versioned path so the index check is reached
-        object.__setattr__(obj, "versym", (0, 2))
         with pytest.raises(Malformed, match="out of range"):
             resolve_symbol_version(obj, 99, SymbolTableKind.DYNSYM)
 
