@@ -482,10 +482,6 @@ class BenchResult:
     min_s: Optional[float]
     error: Optional[str] = None
 
-    @property
-    def wall_time(self) -> Optional[float]:
-        return self.median_s
-
 
 CSV_HEADER = ("symbols", "pipeline", "median_s", "min_s", "reps")
 
@@ -516,13 +512,13 @@ def _time_memoized(db_path: str) -> float:
 
 
 def _time_external(fixture: str) -> float:
+    # `readelf --dyn-syms FIXTURE | wc -l`, piped without a shell: the path needs no quoting.
     start = time.perf_counter()
-    subprocess.run(
-        ["sh", "-c", f"readelf --dyn-syms '{fixture}' | wc -l"],
-        check=True,
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.DEVNULL,
-    )
+    argv = ["readelf", "--dyn-syms", fixture]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as readelf:
+        subprocess.run(["wc", "-l"], stdin=readelf.stdout, check=True, stdout=subprocess.DEVNULL)
+    if readelf.returncode:
+        raise subprocess.CalledProcessError(readelf.returncode, argv)
     return time.perf_counter() - start
 
 

@@ -2,11 +2,13 @@
 
 A Session owns an in-memory SQLite database holding the seven schema
 tables.  Each table follows a strategy: MEMOIZED tables are filled when the
-session is registered, LAZY tables are filled the first time a statement
-references them, so queries only pay for the tables they touch.  (The
-stdlib engine offers no Python-level virtual tables, so deferred
-materialization stands in for lazy virtual evaluation; the observable
-contract - pay at first query, identical results - is the same.)
+session is registered, LAZY tables are filled before the first statement
+whose compiled program reads them (its `EXPLAIN` listing opens their
+b-trees), so queries only pay for the tables they read.  Pragmas, schema
+lookups, `EXPLAIN` and refused statements fill nothing.  (The stdlib engine
+offers no Python-level virtual tables, so deferred materialization stands
+in for lazy virtual evaluation; the observable contract - pay at first
+query, identical results - is the same.)
 
 `export_database` persists the whole schema, declared column types
 included, to an ordinary SQLite 3 file with SQLite's online-backup API;
@@ -16,7 +18,6 @@ any stock SQLite tooling reads it.
 from __future__ import annotations
 
 import os
-import re
 import sqlite3
 from dataclasses import dataclass
 from enum import Enum
@@ -87,10 +88,6 @@ _INSERT_SQL = {
     for name, columns in SCHEMA.items()
 }
 
-_TABLE_REFERENCE = re.compile(
-    r"\b(" + "|".join(TABLE_NAMES) + r")\b", re.IGNORECASE
-)
-
 # Authorizer actions a read needs.  Everything else is denied, pragmas apart:
 # reading a pragma's value and `table_info` are allowed (see _authorize).
 _READ_ACTIONS = frozenset(
@@ -139,6 +136,9 @@ class Session:
                 self._conn.execute(_CREATE_SQL[name])
         except sqlite3.Error as exc:
             raise RegistrationFailure(str(exc)) from exc
+        # Each b-tree's root page to its table.  `tbl_name`, so that an index
+        # (which a covering scan opens alone) maps to the table it indexes.
+        self._root_tables = dict(self._conn.execute("SELECT rootpage, tbl_name FROM sqlite_master"))
         for name in TABLE_NAMES:
             if self._modes[name] == StrategyMode.MEMOIZED:
                 self._materialize(name)
@@ -159,8 +159,6 @@ class Session:
         return self._modes[table_name]
 
     def _materialize(self, table: str) -> None:
-        if table not in self._pending:
-            return
         producer = TABLE_PRODUCERS[table]
         rows = (tup for entry in self._catalog.entries for tup in producer(entry.object))
         self._conn.execute("BEGIN")
@@ -172,15 +170,28 @@ class Session:
             raise
         self._pending.discard(table)
 
-    def _materialize_referenced(self, sql: str) -> None:
-        if not self._pending:
+    def _fill_tables_read(self, sql: str, params: dict) -> None:
+        # `EXPLAIN <sql>` compiles the statement under the authorizer without
+        # running it; an OpenRead row with p3 = 0 opens the main database's
+        # b-tree whose root page is p2.
+        try:
+            program = self._conn.execute("EXPLAIN " + sql, params).fetchall()
+        except (sqlite3.Error, sqlite3.Warning):
+            if self._write_denied:
+                raise
+            # The statement reports its own error.  Only an empty statement and
+            # the user's own EXPLAIN compile alone but not here; neither reads rows.
             return
-        for match in _TABLE_REFERENCE.finditer(sql):
-            self._materialize(match.group(1).lower())
+        read = {self._root_tables.get(op[3]) for op in program if op[1] == "OpenRead" and op[4] == 0}
+        self._conn.set_authorizer(_allow_all)
+        for table in sorted(read & self._pending):
+            self._materialize(table)
+        self._conn.set_authorizer(self._authorize)
 
     def materialize_all(self) -> None:
         for name in TABLE_NAMES:
-            self._materialize(name)
+            if name in self._pending:
+                self._materialize(name)
 
     def _authorize(self, action, arg1, arg2, _dbname, _source):
         # A pragma's name arrives as typed: `table_info` or `TABLE_INFO`.
@@ -197,13 +208,15 @@ class Session:
         Raises WriteRejected for any statement that would mutate state and
         SqlError for everything else the engine refuses.
         """
-        self._materialize_referenced(sql)
+        params = dict(params) if params else {}
         self._write_denied = False
         # Set per statement: setting an authorizer expires cached statements,
         # so an INSERT a fill prepared is never reused unchecked.
         self._conn.set_authorizer(self._authorize)
         try:
-            cursor = self._conn.execute(sql, dict(params) if params else {})
+            if self._pending:
+                self._fill_tables_read(sql, params)
+            cursor = self._conn.execute(sql, params)
             rows = cursor.fetchall()
             columns = tuple(d[0] for d in cursor.description) if cursor.description else ()
         except (sqlite3.Error, sqlite3.Warning) as exc:

@@ -15,7 +15,7 @@ from elfdb.bench import (
 )
 from elfdb.reader import SymbolTableKind, load_elf
 
-from conftest import FIXTURE_DIR, RUBY_LIKE, readelf_table_counts
+from conftest import FIXTURE_DIR, RUBY_LIKE, readelf_table_counts, require_readelf
 
 
 class TestGenerateElf:
@@ -104,6 +104,19 @@ class TestRunBenchmark:
             workdir=str(tmp_path),
         )
         assert db.stat().st_mtime_ns == stamp  # export not repeated, so not re-timed
+
+    def test_external_pipeline_with_a_quote_in_the_path(self, tmp_path):
+        require_readelf()
+        workdir = tmp_path / "it's"
+        workdir.mkdir()
+        results = run_benchmark(
+            counts=[10],
+            pipelines=(Pipeline.EXTERNAL_READELF_WC,),
+            repetitions=3,
+            workdir=str(workdir),
+        )
+        assert [r.error for r in results] == [None]
+        assert results[0].median_s > 0
 
     def test_csv_schema(self, tmp_path):
         csv_path = str(tmp_path / "bench.csv")

@@ -163,6 +163,8 @@ class TestExecution:
         with register(small_corpus) as session:
             with pytest.raises(WriteRejected):
                 session.execute(sql)
+            # a refused statement fills nothing
+            assert session._pending == set(TABLE_NAMES)
             # the session stays usable afterwards, LAZY tables still fill
             assert session.execute("SELECT 1").rows == ((1,),)
             assert session.execute("SELECT COUNT(*) FROM elf_strings").rows[0][0] > 0
@@ -375,6 +377,64 @@ class TestStrategyEquivalence:
             assert "elf_symbols" in session._pending
         finally:
             session.close()
+
+    @pytest.mark.parametrize(
+        "sql, filled",
+        [
+            ("SELECT 'elf_symbols'", set()),
+            ("SELECT 1 -- FROM elf_symbols", set()),
+            ("PRAGMA table_info(elf_symbols)", set()),
+            ("SELECT sql FROM sqlite_master WHERE name = 'elf_symbols'", set()),
+            ("EXPLAIN SELECT * FROM elf_symbols", set()),
+            ("EXPLAIN QUERY PLAN SELECT * FROM elf_symbols", set()),
+            ("", set()),
+            ("-- c", set()),
+            (
+                "SELECT h.path FROM elf_headers h JOIN elf_symbols s USING (path)",
+                {"elf_headers", "elf_symbols"},
+            ),
+            (
+                "SELECT COUNT(*) FROM elf_headers NATURAL JOIN elf_dynamic_entries",
+                {"elf_headers", "elf_dynamic_entries"},
+            ),
+            (
+                "SELECT h.path FROM elf_headers h LEFT JOIN elf_segments s USING (path)",
+                {"elf_headers", "elf_segments"},
+            ),
+            ("WITH v AS (SELECT value FROM elf_strings) SELECT COUNT(*) FROM v", {"elf_strings"}),
+            ("VALUES ((SELECT COUNT(*) FROM elf_segments))", {"elf_segments"}),
+            ("SELECT COUNT(*) FROM main.elf_sections", {"elf_sections"}),
+            ('SELECT COUNT(*) FROM "ELF_SYMBOLS"', {"elf_symbols"}),
+        ],
+        ids=[
+            "literal", "comment", "pragma", "sqlite_master", "explain", "explain-query-plan",
+            "empty", "comment-only", "using", "natural", "left-using", "cte", "values",
+            "main-qualified", "quoted-upper",
+        ],
+    )
+    def test_fills_exactly_the_tables_read(self, small_corpus, sql, filled):
+        with register(small_corpus) as session:
+            session.execute(sql)
+            assert set(TABLE_NAMES) - session._pending == filled
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            'SELECT * FROM elf_headers JOIN elf_symbols s USING (path) ORDER BY path, s."table", s."index"',
+            "SELECT *, ordinal FROM elf_headers NATURAL JOIN elf_dynamic_entries ORDER BY path, ordinal",
+            "SELECT h.path, d.ordinal FROM elf_headers h "
+            "LEFT JOIN elf_dynamic_entries d USING (path) ORDER BY 1, 2",
+        ],
+        ids=["using", "natural", "left-using"],
+    )
+    def test_a_join_as_first_statement_equals_memoized(self, small_corpus, sql):
+        with register(small_corpus) as lazy, register(
+            small_corpus, {t: StrategyMode.MEMOIZED for t in TABLE_NAMES}
+        ) as memo:
+            want = memo.execute(sql).rows
+            # the last column is the right-hand table's, never NULL in a match
+            assert want and None not in {row[-1] for row in want}
+            assert lazy.execute(sql).rows == want
 
     def test_memoized_fill_at_registration(self, small_corpus):
         session = register(small_corpus, {"elf_symbols": StrategyMode.MEMOIZED})
