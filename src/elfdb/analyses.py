@@ -64,13 +64,12 @@ def interposition_audit(session: Session) -> AnalysisReport:
     return AnalysisReport(columns=result.columns, rows=rows)
 
 
+# One scan: the .dynsym rows if any, else every row (all .symtab); no rows give 0.
 _COUNT_TABLE_SQL = """
-    SELECT COUNT(*) FROM elf_symbols
-    WHERE path = :path AND "table" = (
-        SELECT CASE WHEN EXISTS (
-            SELECT 1 FROM elf_symbols WHERE path = :path AND "table" = '.dynsym'
-        ) THEN '.dynsym' ELSE '.symtab' END
-    )
+    SELECT CASE WHEN SUM("table" = '.dynsym') THEN SUM("table" = '.dynsym')
+                ELSE COUNT(*) END
+    FROM elf_symbols
+    WHERE path = :path
 """
 
 _COUNT_IMPORTED_SQL = "SELECT COUNT(*) FROM elf_symbols WHERE path = :path AND imported = 1"
@@ -176,12 +175,13 @@ def diff_symbols(session: Session, path_a: str, path_b: str) -> AnalysisReport:
     return AnalysisReport(columns=DIFF_COLUMNS, rows=tuple(rows))
 
 
+# Counted before the join: joining elf_symbols itself builds an automatic index per call.
 _HISTOGRAM_SQL = """
-    SELECT elf_headers.path, COUNT(elf_symbols.path) AS symbol_count
+    SELECT path, COALESCE(symbol_count, 0) AS symbol_count
     FROM elf_headers
-    LEFT JOIN elf_symbols ON elf_symbols.path = elf_headers.path
-    GROUP BY elf_headers.path
-    ORDER BY symbol_count DESC, elf_headers.path
+    LEFT JOIN (SELECT path, COUNT(*) AS symbol_count FROM elf_symbols GROUP BY path)
+        USING (path)
+    ORDER BY symbol_count DESC, path
 """
 
 

@@ -1,9 +1,10 @@
 import os
+import sqlite3
 import struct
 
 import pytest
 
-from elfdb import analyses, corpus, engine, reader
+from elfdb import analyses, corpus, engine, model, reader
 from elfdb.analyses import (
     UnknownPath,
     count_symbols,
@@ -14,8 +15,9 @@ from elfdb.analyses import (
     symbol_histogram,
 )
 from elfdb.bench import GeneratedElfSpec, SymbolSpec, generate_elf, write_elf
+from elfdb.reader import DataEncoding, ElfClass
 
-from conftest import RUBY_LIKE, exported_funcs, readelf_dynamic
+from conftest import RUBY_LIKE, exported_funcs, readelf_dynamic, system_elves, write_varied_elf
 
 
 def session_over(*paths):
@@ -306,3 +308,118 @@ class TestSymbolHistogram:
         with session_over(*(str(p) for p in sorted(tmp_path.iterdir()))) as session:
             report = symbol_histogram(session, bucket_width=10)
         assert report.buckets == (("0-9", 2), ("10-19", 1))
+
+
+# The statements `count_symbols` and `symbol_histogram` ran before each
+# became one scan of elf_symbols, kept verbatim as the reference.
+_OLD_COUNT_TABLE_SQL = """
+    SELECT COUNT(*) FROM elf_symbols
+    WHERE path = :path AND "table" = (
+        SELECT CASE WHEN EXISTS (
+            SELECT 1 FROM elf_symbols WHERE path = :path AND "table" = '.dynsym'
+        ) THEN '.dynsym' ELSE '.symtab' END
+    )
+"""
+
+_OLD_HISTOGRAM_SQL = """
+    SELECT elf_headers.path, COUNT(elf_symbols.path) AS symbol_count
+    FROM elf_headers
+    LEFT JOIN elf_symbols ON elf_symbols.path = elf_headers.path
+    GROUP BY elf_headers.path
+    ORDER BY symbol_count DESC, elf_headers.path
+"""
+
+
+def hide_sections(path: str, *names: str) -> str:
+    """Retype the named sections of an ELF64-LSB file as SHT_PROGBITS, so
+    the reader finds no symbol table in them."""
+    obj = reader.load_elf(path)
+    data = bytearray(open(path, "rb").read())
+    for sec in obj.sections:
+        if sec.name in names:
+            struct.pack_into("<I", data, obj.header.shoff + sec.index * obj.header.shentsize + 4, 1)
+    with open(path, "wb") as fh:
+        fh.write(data)
+    return path
+
+
+def symtab_only(tmp_path) -> list[str]:
+    lib = str(tmp_path / "symtab_only.so")
+    write_elf(lib, symbols=exported_funcs("dyn"), symtab_symbols=exported_funcs("one", "two"))
+    return [hide_sections(lib, ".dynsym")]
+
+
+def no_symbol_rows(tmp_path) -> list[str]:
+    lib = str(tmp_path / "no_symbols.so")
+    write_elf(lib, symbols=exported_funcs("dyn"), symtab_symbols=exported_funcs("one"))
+    return [hide_sections(lib, ".dynsym", ".symtab"), RUBY_LIKE]
+
+
+REFERENCE_INPUTS = {
+    "ruby_like": lambda tmp_path: [RUBY_LIKE],
+    "generated": lambda tmp_path: [
+        write_varied_elf(str(tmp_path / "msb32.so"), ElfClass.ELF32, DataEncoding.MSB),
+        write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB),
+    ],
+    "symtab-only": symtab_only,
+    "no-symbol-rows": no_symbol_rows,
+    "system": lambda tmp_path: system_elves(limit=6),
+}
+
+
+class TestOneScanStatements:
+    @pytest.mark.parametrize("inputs", list(REFERENCE_INPUTS))
+    def test_equal_to_the_old_statements_everywhere(self, inputs, tmp_path, monkeypatch):
+        catalog = corpus.add_paths(REFERENCE_INPUTS[inputs](tmp_path))
+        # Neither statement reads elf_instructions, whose toy decoder would
+        # make the export of the system files take seconds.
+        monkeypatch.setitem(model.TABLE_PRODUCERS, "elf_instructions", lambda obj: ())
+        dest = str(tmp_path / "export.sqlite")
+        memoized = {t: engine.StrategyMode.MEMOIZED for t in model.TABLE_NAMES}
+        with engine.register(catalog) as lazy, engine.register(catalog, memoized) as memo:
+            memo.export_database(dest)
+            stock = sqlite3.connect(f"file:{dest}?mode=ro", uri=True)
+            try:
+                # The new statements run first, so the LAZY session fills
+                # through them.
+                runs = {
+                    "lazy": lambda sql, params: lazy.execute(sql, params).rows,
+                    "memoized": lambda sql, params: memo.execute(sql, params).rows,
+                    "stock": lambda sql, params: tuple(stock.execute(sql, params)),
+                }
+                for where, run in runs.items():
+                    histogram = run(analyses._HISTOGRAM_SQL, {})
+                    assert histogram == run(_OLD_HISTOGRAM_SQL, {}), where
+                    assert len(histogram) == len(catalog.paths), where
+                    for path in catalog.paths:
+                        params = {"path": path}
+                        count = run(analyses._COUNT_TABLE_SQL, params)
+                        assert count == run(_OLD_COUNT_TABLE_SQL, params), (where, path)
+                for session in (lazy, memo):
+                    report = symbol_histogram(session)
+                    assert report.columns == ("path", "symbol_count")
+                    assert report.columns == session.execute(_OLD_HISTOGRAM_SQL).columns
+                    assert report.rows == histogram
+                    for path in catalog.paths:
+                        assert (count_symbols(session, path),) == session.execute(
+                            _OLD_COUNT_TABLE_SQL, {"path": path}
+                        ).rows[0]
+            finally:
+                stock.close()
+
+    def test_symtab_only_file_counts_its_symtab(self, tmp_path):
+        [lib] = symtab_only(tmp_path)
+        with session_over(lib) as session:
+            assert count_symbols(session, lib) == 3  # null row, one, two
+            tables = session.execute('SELECT DISTINCT "table" FROM elf_symbols').rows
+        assert tables == ((".symtab",),)
+
+    def test_file_without_symbol_rows_counts_zero(self, tmp_path):
+        lib, other = (os.path.realpath(p) for p in no_symbol_rows(tmp_path))
+        with session_over(lib, other) as session:
+            rows = session.execute("SELECT COUNT(*) FROM elf_symbols WHERE path = :p", {"p": lib})
+            assert rows.rows == ((0,),)
+            assert count_symbols(session, lib) == 0
+            report = symbol_histogram(session)
+        assert report.rows == ((other, 22), (lib, 0))
+        assert report.buckets == (("0", 1), ("10-99", 1))

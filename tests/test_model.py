@@ -30,7 +30,14 @@ from elfdb.reader import (
     render_code,
 )
 
-from conftest import RUBY_LIKE, cxxfilt, exported_funcs, readelf_dynamic, system_elves
+from conftest import (
+    RUBY_LIKE,
+    cxxfilt,
+    exported_funcs,
+    readelf_dynamic,
+    system_elves,
+    write_varied_elf,
+)
 
 
 def raw_symbol(**overrides) -> RawSymbol:
@@ -317,43 +324,6 @@ class TestHeaderAndSectionRows:
         load = next(r for r in rows if r.p_type == "LOAD")
         assert load.flags == "RX"
         assert load.filesz <= load.memsz
-
-
-def write_varied_elf(path: str, elf_class: ElfClass, encoding: DataEncoding) -> str:
-    """A file with both symbol tables and one symbol of each kind the writer
-    can plant, a full-width size included."""
-    widest = 2**64 - 1 if elf_class == ElfClass.ELF64 else 2**32 - 1
-    dynsym = [
-        SymbolSpec("plain"),
-        SymbolSpec("_ZN3app4mainEv"),
-        SymbolSpec("weak_data", binding="WEAK", sym_type="OBJECT", section=".data"),
-        SymbolSpec("hidden_fn", visibility="HIDDEN"),
-        SymbolSpec("protected_fn", visibility="PROTECTED"),
-        SymbolSpec("local_fn", binding="LOCAL"),
-        SymbolSpec("zeroed", sym_type="OBJECT", section=".bss", size=8),
-        SymbolSpec("tls_var", sym_type="TLS", section=".data"),
-        SymbolSpec("resolver", sym_type="GNU_IFUNC"),
-        SymbolSpec("imported_fn", section="SHN_UNDEF"),
-        SymbolSpec("weak_ref", binding="WEAK", sym_type="NOTYPE", section="SHN_UNDEF"),
-        SymbolSpec("wide", sym_type="OBJECT", section="SHN_ABS", size=widest),
-    ]
-    symtab = [
-        SymbolSpec("unit.c", binding="LOCAL", sym_type="FILE", section="SHN_ABS"),
-        SymbolSpec("helper", binding="LOCAL"),
-        SymbolSpec("_ZN3app6helperEi", binding="WEAK"),
-        SymbolSpec("undefined_here", section="SHN_UNDEF"),
-    ]
-    write_elf(
-        path,
-        symbols=dynsym,
-        symtab_symbols=symtab,
-        needed=["libc.so.6"],
-        runpath="/opt/lib",
-        elf_class=elf_class,
-        encoding=encoding,
-        machine=62 if elf_class == ElfClass.ELF64 else 20,
-    )
-    return path
 
 
 def reference_symbol_rows(obj) -> list[tuple]:
