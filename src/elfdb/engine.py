@@ -94,9 +94,6 @@ _READ_ACTIONS = frozenset(
     (sqlite3.SQLITE_READ, sqlite3.SQLITE_SELECT, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
 )
 
-# Statement texts whose probed read sets a session keeps before starting over.
-_PROBE_CACHE_SIZE = 256
-
 Strategies = Union[None, Iterable[TableStrategy], Mapping[str, StrategyMode]]
 
 
@@ -133,7 +130,6 @@ class Session:
         self._modes = _normalize_strategies(strategies)
         self._conn = sqlite3.connect(":memory:", isolation_level=None)
         self._pending = set(TABLE_NAMES)
-        self._tables_read: dict[str, frozenset] = {}  # statement text -> tables its probe opened
         self._write_denied = False
         try:
             for name in TABLE_NAMES:
@@ -177,31 +173,20 @@ class Session:
     def _fill_tables_read(self, sql: str, params: dict) -> None:
         # `EXPLAIN <sql>` compiles the statement under the authorizer without
         # running it; an OpenRead row with p3 = 0 opens the main database's
-        # b-tree whose root page is p2.  The tables a text reads depend on the
-        # text and the schema, which a session never changes, so each text is
-        # probed once; a statement the probe refuses is never remembered.
-        read = self._tables_read.get(sql)
-        if read is None:
-            try:
-                program = self._conn.execute("EXPLAIN " + sql, params).fetchall()
-            except (sqlite3.Error, sqlite3.Warning):
-                if self._write_denied:
-                    raise
-                # The statement reports its own error.  Only an empty statement and
-                # the user's own EXPLAIN compile alone but not here; neither reads rows.
-                return
-            read = frozenset(
-                self._root_tables.get(op[3]) for op in program if op[1] == "OpenRead" and op[4] == 0
-            )
-            if len(self._tables_read) >= _PROBE_CACHE_SIZE:
-                self._tables_read.clear()
-            self._tables_read[sql] = read
-        fills = sorted(read & self._pending)
-        if fills:
-            self._conn.set_authorizer(_allow_all)
-            for table in fills:
-                self._materialize(table)
-            self._conn.set_authorizer(self._authorize)
+        # b-tree whose root page is p2.
+        try:
+            program = self._conn.execute("EXPLAIN " + sql, params).fetchall()
+        except (sqlite3.Error, sqlite3.Warning):
+            if self._write_denied:
+                raise
+            # The statement reports its own error.  Only an empty statement and
+            # the user's own EXPLAIN compile alone but not here; neither reads rows.
+            return
+        read = {self._root_tables.get(op[3]) for op in program if op[1] == "OpenRead" and op[4] == 0}
+        self._conn.set_authorizer(_allow_all)
+        for table in sorted(read & self._pending):
+            self._materialize(table)
+        self._conn.set_authorizer(self._authorize)
 
     def materialize_all(self) -> None:
         for name in TABLE_NAMES:

@@ -335,21 +335,6 @@ class TestProducers:
         assert "DT_PLANTED" not in {t for (t,) in tags}
 
 
-class _RecordingConnection:
-    """A connection that records the text of each `execute`."""
-
-    def __init__(self, conn):
-        self._conn = conn
-        self.statements = []
-
-    def execute(self, sql, *args):
-        self.statements.append(sql)
-        return self._conn.execute(sql, *args)
-
-    def __getattr__(self, name):
-        return getattr(self._conn, name)
-
-
 class TestStrategyEquivalence:
     def test_lazy_equals_memoized(self, small_corpus):
         with register(small_corpus) as lazy, register(
@@ -431,32 +416,6 @@ class TestStrategyEquivalence:
         with register(small_corpus) as session:
             session.execute(sql)
             assert set(TABLE_NAMES) - session._pending == filled
-
-    def test_each_statement_text_is_probed_once(self, small_corpus):
-        # SQLite's trace hook never sees an EXPLAIN (it fires from the
-        # program's first opcode, which an EXPLAIN lists instead of running),
-        # so the statements are recorded where the session hands them over.
-        sql = "SELECT COUNT(*) FROM elf_symbols WHERE path = :path"
-        with register(small_corpus) as session:
-            session._conn = recorder = _RecordingConnection(session._conn)
-            counts = [session.execute(sql, {"path": p}).rows for p in small_corpus.paths]
-            assert "elf_instructions" in session._pending  # so the session still probes
-        assert counts == [((4,),), ((5,),)]
-        assert [s for s in recorder.statements if s.startswith("EXPLAIN ")] == ["EXPLAIN " + sql]
-
-    def test_a_refused_statement_is_never_remembered(self, small_corpus):
-        with register(small_corpus) as session:
-            for _ in range(2):
-                with pytest.raises(WriteRejected):
-                    session.execute("DELETE FROM elf_symbols")
-                assert session._pending == set(TABLE_NAMES)
-                assert session._tables_read == {}
-
-    def test_probed_statement_texts_are_bounded(self, small_corpus):
-        with register(small_corpus) as session:
-            for i in range(engine._PROBE_CACHE_SIZE + 10):
-                assert session.execute(f"SELECT {i}").rows == ((i,),)
-            assert 0 < len(session._tables_read) <= engine._PROBE_CACHE_SIZE
 
     @pytest.mark.parametrize(
         "sql",
