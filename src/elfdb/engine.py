@@ -8,7 +8,9 @@ b-trees), so queries only pay for the tables they read.  Pragmas, schema
 lookups, `EXPLAIN` and refused statements fill nothing.  (The stdlib engine
 offers no Python-level virtual tables, so deferred materialization stands
 in for lazy virtual evaluation; the observable contract - pay at first
-query, identical results - is the same.)
+query, identical results - is the same.)  A fill inserts its producer's
+rows in order through multi-row `INSERT` statements of `_BATCH_ROWS` rows
+each, the last few one row at a time, so rowids follow producer order.
 
 `export_database` persists the whole schema, declared column types
 included, to an ordinary SQLite 3 file with SQLite's online-backup API;
@@ -21,6 +23,7 @@ import os
 import sqlite3
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, islice
 from typing import Iterable, Mapping, Optional, Union
 
 from .corpus import CorpusCatalog
@@ -83,10 +86,19 @@ _CREATE_SQL = {
     for name, columns in SCHEMA.items()
 }
 
-_INSERT_SQL = {
-    name: 'INSERT INTO "{}" VALUES ({})'.format(name, ", ".join("?" * len(columns)))
-    for name, columns in SCHEMA.items()
-}
+# Rows per multi-row INSERT.  Each `executemany` step costs about as much as
+# binding a whole row, so a fill steps once per batch; the widest table binds
+# `_BATCH_ROWS * 14` parameters, under the 999 of SQLite builds before 3.32.
+_BATCH_ROWS = 32
+
+
+def _insert_sql(name: str, rows: int) -> str:
+    row = "({})".format(", ".join("?" * len(SCHEMA[name])))
+    return 'INSERT INTO "{}" VALUES {}'.format(name, ", ".join([row] * rows))
+
+
+_INSERT_SQL = {name: _insert_sql(name, 1) for name in SCHEMA}
+_BATCH_INSERT_SQL = {name: _insert_sql(name, _BATCH_ROWS) for name in SCHEMA}
 
 # Authorizer actions a read needs.  Everything else is denied, pragmas apart:
 # reading a pragma's value and `table_info` are allowed (see _authorize).
@@ -160,10 +172,21 @@ class Session:
 
     def _materialize(self, table: str) -> None:
         producer = TABLE_PRODUCERS[table]
-        rows = (tup for entry in self._catalog.entries for tup in producer(entry.object))
+        rows = chain.from_iterable(producer(entry.object) for entry in self._catalog.entries)
+        tail: list[tuple] = []
+
+        def batches():
+            while True:
+                batch = tuple(islice(rows, _BATCH_ROWS))
+                if len(batch) < _BATCH_ROWS:
+                    tail.extend(batch)
+                    return
+                yield tuple(chain.from_iterable(batch))
+
         self._conn.execute("BEGIN")
         try:
-            self._conn.executemany(_INSERT_SQL[table], rows)
+            self._conn.executemany(_BATCH_INSERT_SQL[table], batches())
+            self._conn.executemany(_INSERT_SQL[table], tail)
             self._conn.execute("COMMIT")
         except BaseException:
             self._conn.execute("ROLLBACK")

@@ -154,6 +154,8 @@ def system_elves(limit: int = 24) -> list[str]:
             if real not in seen:
                 seen.add(real)
                 found.append(real)
+                if len(found) >= limit:
+                    return found
     for root in SYSTEM_DIRS:
         if not os.path.isdir(root):
             continue

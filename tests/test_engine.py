@@ -4,10 +4,11 @@ import os
 import random
 import sqlite3
 import struct
+from itertools import islice
 
 import pytest
 
-from elfdb import corpus, engine, model, reader
+from elfdb import bench, corpus, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.engine import (
     ExportAborted,
@@ -19,8 +20,9 @@ from elfdb.engine import (
     register,
 )
 from elfdb.model import SCHEMA, TABLE_NAMES
+from elfdb.reader import DataEncoding, ElfClass
 
-from conftest import RUBY_LIKE, exported_funcs, readelf_symbol_tables
+from conftest import RUBY_LIKE, exported_funcs, readelf_symbol_tables, write_varied_elf
 
 
 @pytest.fixture
@@ -333,6 +335,115 @@ class TestProducers:
         with register(small_corpus) as session:
             tags = session.execute("SELECT tag FROM elf_dynamic_entries").rows
         assert "DT_PLANTED" not in {t for (t,) in tags}
+
+
+B = engine._BATCH_ROWS
+
+# A generated file of n symbols gives n + 1 elf_symbols rows (the null symbol
+# included) and, for n >= 1, n + 7 elf_strings rows; these n put both counts on
+# B - 1, B, B + 1 and 2B + 1, and elf_symbols on 1.
+BOUNDARY_SYMBOL_COUNTS = (0, B - 8, B - 7, B - 6, B - 2, B - 1, B, 2 * B - 6, 2 * B)
+
+
+def _rows_with_types(conn_or_session, table: str) -> tuple:
+    """Every row with its rowid and the storage class of each column."""
+    columns = [f'"{c}"' for c, _ in SCHEMA[table]]
+    types = ", ".join(f"typeof({c})" for c in columns)
+    sql = f'SELECT rowid, {", ".join(columns)}, {types} FROM "{table}" ORDER BY rowid'
+    if isinstance(conn_or_session, sqlite3.Connection):
+        return tuple(conn_or_session.execute(sql))
+    return conn_or_session.execute(sql).rows
+
+
+def _assert_fill_equals_one_row_inserts(catalog) -> dict[str, tuple]:
+    """Each table of a LAZY session equals a database filled one row per
+    statement, rowids and storage classes included."""
+    reference = sqlite3.connect(":memory:")
+    try:
+        with register(catalog) as session:
+            dumps = {}
+            for table, producer in model.TABLE_PRODUCERS.items():
+                reference.execute(engine._CREATE_SQL[table])
+                reference.executemany(
+                    engine._INSERT_SQL[table], (r for e in catalog for r in producer(e.object))
+                )
+                dumps[table] = _rows_with_types(reference, table)
+                assert _rows_with_types(session, table) == dumps[table], table
+    finally:
+        reference.close()
+    return dumps
+
+
+def _generated(tmp_path, symbol_count: int) -> str:
+    path = str(tmp_path / f"gen{symbol_count}.so")
+    bench.generate_elf(bench.GeneratedElfSpec(symbol_count=symbol_count), path)
+    return path
+
+
+class TestBatchedFill:
+    def test_boundary_counts_are_reached(self, tmp_path):
+        counts = {"elf_symbols": set(), "elf_strings": set()}
+        for n in BOUNDARY_SYMBOL_COUNTS:
+            obj = reader.load_elf(_generated(tmp_path, n))
+            for table, seen in counts.items():
+                seen.add(sum(1 for _ in model.TABLE_PRODUCERS[table](obj)))
+        assert {1, B - 1, B, B + 1, 2 * B + 1} <= counts["elf_symbols"]
+        assert {B - 1, B, B + 1, 2 * B + 1} <= counts["elf_strings"]
+
+    def test_empty_catalog_equals_one_row_inserts(self):
+        dumps = _assert_fill_equals_one_row_inserts(corpus.CorpusCatalog())
+        assert not any(dumps.values())
+
+    @pytest.mark.parametrize("symbol_count", BOUNDARY_SYMBOL_COUNTS)
+    def test_one_file_equals_one_row_inserts(self, tmp_path, symbol_count):
+        catalog = corpus.add_paths([_generated(tmp_path, symbol_count)])
+        dumps = _assert_fill_equals_one_row_inserts(catalog)
+        assert len(dumps["elf_symbols"]) == symbol_count + 1
+
+    def test_a_batch_spanning_two_files_equals_one_row_inserts(self, tmp_path):
+        first = write_varied_elf(str(tmp_path / "varied.so"), ElfClass.ELF64, DataEncoding.LSB)
+        catalog = corpus.add_paths([first, _generated(tmp_path, 2 * B)])
+        for table in ("elf_symbols", "elf_strings"):
+            rows = [sum(1 for _ in model.TABLE_PRODUCERS[table](e.object)) for e in catalog]
+            # The first file ends inside a batch that the second file completes.
+            assert rows[0] % B and sum(rows) >= (rows[0] // B + 1) * B, table
+        obj = catalog.entries[0].object
+        assert isinstance(next(model.TABLE_PRODUCERS["elf_sections"](obj))[-1], memoryview)
+        dumps = _assert_fill_equals_one_row_inserts(catalog)
+        width = len(SCHEMA["elf_symbols"])
+        assert any(v < 0 for row in dumps["elf_symbols"] for v in row[1 : width + 1] if type(v) is int)
+        assert {row[-1] for row in dumps["elf_sections"]} == {"blob"}
+
+    def test_a_failing_producer_leaves_the_table_empty_and_pending(self, tmp_path, monkeypatch):
+        catalog = corpus.add_paths([_generated(tmp_path, 2 * B)])
+        original = model.TABLE_PRODUCERS["elf_symbols"]
+
+        def failing(obj):
+            yield from islice(original(obj), B + 3)
+            raise RuntimeError("producer failed")
+
+        with register(catalog) as session:
+            monkeypatch.setitem(model.TABLE_PRODUCERS, "elf_symbols", failing)
+            with pytest.raises(RuntimeError, match="producer failed"):
+                session.execute("SELECT COUNT(*) FROM elf_symbols")
+            assert session._conn.execute("SELECT COUNT(*) FROM elf_symbols").fetchone() == (0,)
+            assert "elf_symbols" in session._pending
+            assert session.execute("SELECT COUNT(*) FROM elf_headers").rows == ((1,),)
+            monkeypatch.undo()
+            assert session.execute("SELECT COUNT(*) FROM elf_symbols").rows == ((2 * B + 1,),)
+
+    def test_batches_stay_under_the_oldest_variable_limit(self):
+        # 999 is SQLITE_MAX_VARIABLE_NUMBER's default before SQLite 3.32.
+        assert B * max(len(columns) for columns in SCHEMA.values()) <= 999
+        conn = sqlite3.connect(":memory:")
+        try:
+            if hasattr(conn, "setlimit"):  # Python 3.11+
+                conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
+            for table in TABLE_NAMES:
+                conn.execute(engine._CREATE_SQL[table])
+                conn.executemany(engine._BATCH_INSERT_SQL[table], [])
+        finally:
+            conn.close()
 
 
 class TestStrategyEquivalence:
