@@ -87,8 +87,8 @@ _CREATE_SQL = {
 }
 
 # Rows per multi-row INSERT.  Each `executemany` step costs about as much as
-# binding a whole row, so a fill steps once per batch; the widest table binds
-# `_BATCH_ROWS * 14` parameters, under the 999 of SQLite builds before 3.32.
+# binding a whole row, so a fill steps once per batch.  A batch of the widest
+# table must bind at most 999 parameters, the limit of SQLite before 3.32.
 _BATCH_ROWS = 32
 
 
