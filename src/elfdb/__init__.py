@@ -16,7 +16,6 @@ from .analyses import (
     runpath,
     symbol_histogram,
 )
-from .bench import BenchResult, GeneratedElfSpec, Manifest, Pipeline, generate_elf, run_benchmark
 from .corpus import (
     CatalogEntry,
     CorpusCatalog,
@@ -59,6 +58,22 @@ from .reader import (
 )
 
 __version__ = "0.1.0"
+
+# The benchmark harness is not needed to parse or query, so `elfdb.bench`
+# loads on the first lookup of one of its names (PEP 562).
+_BENCH_NAMES = frozenset(
+    ("BenchResult", "GeneratedElfSpec", "Manifest", "Pipeline", "generate_elf", "run_benchmark")
+)
+
+
+def __getattr__(name: str):
+    if name in _BENCH_NAMES:
+        from . import bench
+
+        value = globals()[name] = getattr(bench, name)
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AnalysisReport",

@@ -1,14 +1,20 @@
 """Itanium-ABI symbol demangling as a total function.
 
 The default decoder is `__cxa_demangle` from the host C++ runtime, loaded
-via ctypes; when no runtime is present, or a name does not decode, the
-input is returned unchanged.  Only "_Z"-prefixed names are ever touched.
+via ctypes on the first "_Z" name (so a run that demangles nothing never
+imports ctypes); when no runtime is present, or a name does not decode, the
+input is returned unchanged.  Only "_Z"-prefixed names are ever touched,
+and a name with an embedded NUL is never decoded, since C would read only
+the part before it.
+
+The call is kept lean because it runs once per mangled symbol: no
+`argtypes` conversion, a NULL status pointer (the ABI allows it; a NULL
+result then means failure) and one `c_char_p` read of the result before
+it is freed.
 """
 
 from __future__ import annotations
 
-import ctypes
-import ctypes.util
 from typing import Callable, Optional
 
 Decoder = Callable[[str], Optional[str]]
@@ -18,6 +24,9 @@ _probed = False
 
 
 def _load_cxa_decoder() -> Optional[Decoder]:
+    import ctypes
+    import ctypes.util
+
     for lib_name in ("stdc++", "c++"):
         path = ctypes.util.find_library(lib_name)
         if path is None:
@@ -28,22 +37,19 @@ def _load_cxa_decoder() -> Optional[Decoder]:
         except (OSError, AttributeError):
             continue
         fn.restype = ctypes.c_void_p
-        fn.argtypes = [
-            ctypes.c_char_p,
-            ctypes.c_void_p,
-            ctypes.c_void_p,
-            ctypes.POINTER(ctypes.c_int),
-        ]
         free = ctypes.CDLL(None).free
+        # Without argtypes a pointer argument is passed as a C int.
         free.argtypes = [ctypes.c_void_p]
+        c_char_p = ctypes.c_char_p
 
         def decode(name: str) -> Optional[str]:
-            status = ctypes.c_int()
-            buf = fn(name.encode("utf-8", "surrogateescape"), None, None, ctypes.byref(status))
-            if not buf or status.value != 0:
+            if "\0" in name:
+                return None
+            buf = fn(name.encode("utf-8", "surrogateescape"), None, None, None)
+            if not buf:
                 return None
             try:
-                return ctypes.string_at(buf).decode("utf-8", "backslashreplace")
+                return c_char_p(buf).value.decode("utf-8", "backslashreplace")
             finally:
                 free(buf)
 
@@ -69,7 +75,7 @@ def demangle(name: str, decoder: Optional[Decoder] = None) -> str:
     if not name.startswith("_Z"):
         return name
     if decoder is None:
-        decoder = default_decoder()
+        decoder = _cached_decoder if _probed else default_decoder()
         if decoder is None:
             return name
     try:

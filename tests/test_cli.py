@@ -1,8 +1,13 @@
 import json
+import os
 import sqlite3
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
+import elfdb
 from elfdb import corpus
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.cli import main
@@ -304,3 +309,43 @@ class TestUsage:
         code, _, err = run_cli(capsys, "query", "/no/such/input", "--sql", "SELECT 1")
         assert code == 1
         assert err
+
+
+class TestStartup:
+    def test_cli_import_loads_neither_ctypes_nor_bench(self):
+        script = textwrap.dedent(
+            """
+            import json, sys
+            import elfdb.cli
+            loaded = [m for m in ("ctypes", "elfdb.bench") if m in sys.modules]
+            import elfdb
+            generate_elf = elfdb.generate_elf
+            star = {}
+            exec("from elfdb import *", star)
+            from elfdb import Pipeline
+            try:
+                elfdb.no_such_name
+                missing = "resolved"
+            except AttributeError:
+                missing = "AttributeError"
+            print(json.dumps({
+                "loaded": loaded,
+                "generate_elf": generate_elf.__module__,
+                "star_missing": sorted(set(elfdb.__all__) - set(star)),
+                "pipeline": Pipeline.__module__,
+                "missing": missing,
+            }))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(elfdb.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        ).stdout
+        assert json.loads(out) == {
+            "loaded": [],
+            "generate_elf": "elfdb.bench",
+            "star_missing": [],
+            "pipeline": "elfdb.bench",
+            "missing": "AttributeError",
+        }

@@ -1,8 +1,12 @@
+import ctypes
+import ctypes.util
 import dataclasses
 import keyword
 import os
 import sqlite3
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +14,7 @@ from hypothesis import strategies as st
 
 from elfdb import corpus, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
-from elfdb.demangle import demangle
+from elfdb.demangle import default_decoder, demangle
 from elfdb.disasm import DEFAULT_DECODER
 from elfdb.engine import _CREATE_SQL, _INSERT_SQL
 from elfdb.model import (
@@ -32,6 +36,7 @@ from elfdb.reader import (
 
 from conftest import (
     RUBY_LIKE,
+    SYSTEM_DIRS,
     cxxfilt,
     exported_funcs,
     readelf_dynamic,
@@ -192,6 +197,74 @@ class TestDemangle:
     @given(st.text(min_size=0, max_size=24).filter(lambda s: not s.startswith("_Z")))
     def test_non_mangled_is_identity(self, name):
         assert demangle(name) == name
+
+    def test_embedded_nul_returns_input(self):
+        assert demangle("_Z3foov\x00junk") == "_Z3foov\x00junk"
+
+    @settings(max_examples=100)
+    @given(st.text(max_size=24))
+    @example("3foov\x00junk")
+    @example("\x00")
+    def test_mangled_prefix_is_total(self, tail):
+        name = "_Z" + tail
+        out = demangle(name)
+        assert isinstance(out, str)
+        if "\0" in name:
+            assert out == name
+
+
+def _string_at_decoder(soname: str):
+    """`__cxa_demangle` called with argtypes, a c_int status and string_at."""
+    fn = ctypes.CDLL(soname).__cxa_demangle
+    fn.restype = ctypes.c_void_p
+    fn.argtypes = [ctypes.c_char_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.POINTER(ctypes.c_int)]
+    free = ctypes.CDLL(None).free
+    free.argtypes = [ctypes.c_void_p]
+
+    def decode(name):
+        status = ctypes.c_int()
+        buf = fn(name.encode("utf-8", "surrogateescape"), None, None, ctypes.byref(status))
+        if not buf or status.value != 0:
+            return None
+        try:
+            return ctypes.string_at(buf).decode("utf-8", "backslashreplace")
+        finally:
+            free(buf)
+
+    return decode
+
+
+@pytest.fixture(scope="module")
+def libstdcxx_mangled_names():
+    soname = ctypes.util.find_library("stdc++")
+    paths = [os.path.join(root, soname) for root in SYSTEM_DIRS] if soname else []
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None or default_decoder() is None:
+        pytest.skip("no C++ runtime found")
+    names = sorted({s.name for s in load_elf(path).symbols if s.name.startswith("_Z")})
+    assert len(names) > 1000
+    return soname, names
+
+
+class TestDecoderEquivalence:
+    def test_equal_to_string_at_decoder(self, libstdcxx_mangled_names):
+        soname, names = libstdcxx_mangled_names
+        oracle = _string_at_decoder(soname)
+        lean = default_decoder()
+        assert [lean(n) for n in names] == [oracle(n) for n in names]
+
+    def test_two_threads_equal_one(self, libstdcxx_mangled_names):
+        _, names = libstdcxx_mangled_names
+        lean = default_decoder()
+        single = [lean(n) for n in names]
+        barrier = threading.Barrier(2)
+
+        def run(_):
+            barrier.wait()
+            return [lean(n) for n in names]
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            assert list(pool.map(run, range(2))) == [single, single]
 
 
 class TestStringRows:
