@@ -3,9 +3,9 @@
 The default decoder is `__cxa_demangle` from the host C++ runtime, loaded
 via ctypes on the first "_Z" name (so a run that demangles nothing never
 imports ctypes); when no runtime is present, or a name does not decode, the
-input is returned unchanged.  Only "_Z"-prefixed names are ever touched,
-and a name with an embedded NUL is never decoded, since C would read only
-the part before it.
+input is returned unchanged.  Only "_Z"-prefixed names are ever touched.
+The default decoder leaves a name with an embedded NUL as it is, since C
+would read only the part before the NUL.
 
 The call is kept lean because it runs once per mangled symbol: no
 `argtypes` conversion, a NULL status pointer (the ABI allows it; a NULL
