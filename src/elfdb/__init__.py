@@ -59,25 +59,8 @@ from .reader import (
 
 __version__ = "0.1.0"
 
-# The benchmark harness is not needed to parse or query, so `elfdb.bench`
-# loads on the first lookup of one of its names (PEP 562).
-_BENCH_NAMES = frozenset(
-    ("BenchResult", "GeneratedElfSpec", "Manifest", "Pipeline", "generate_elf", "run_benchmark")
-)
-
-
-def __getattr__(name: str):
-    if name in _BENCH_NAMES:
-        from . import bench
-
-        value = globals()[name] = getattr(bench, name)
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "AnalysisReport",
-    "BenchResult",
     "CatalogEntry",
     "CorpusCatalog",
     "CorpusError",
@@ -87,12 +70,9 @@ __all__ = [
     "ElfObject",
     "ExportAborted",
     "ExportSummary",
-    "GeneratedElfSpec",
     "HistogramReport",
     "Malformed",
-    "Manifest",
     "NotElf",
-    "Pipeline",
     "Provenance",
     "QueryResult",
     "RawSymbol",
@@ -113,7 +93,6 @@ __all__ = [
     "demangle",
     "derive_export_import",
     "diff_symbols",
-    "generate_elf",
     "interposition_audit",
     "load_elf",
     "needed_libraries",
@@ -122,7 +101,6 @@ __all__ = [
     "register",
     "resolve_recursive",
     "resolve_symbol_version",
-    "run_benchmark",
     "runpath",
     "string_rows",
     "symbol_rows",

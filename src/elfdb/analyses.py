@@ -199,8 +199,10 @@ def symbol_histogram(session: Session, bucket_width: Optional[int] = None) -> Hi
     """Per-file symbol counts (descending) plus bucketed file counts.
 
     Buckets default to powers of ten; pass `bucket_width` for fixed-width
-    buckets instead.
+    buckets instead; it must be at least 1.
     """
+    if bucket_width is not None and bucket_width < 1:
+        raise ValueError(f"bucket_width must be >= 1, got {bucket_width}")
     result = session.execute(_HISTOGRAM_SQL)
     tally: dict[tuple[int, str], int] = {}
     for _path, count in result.rows:

@@ -1,4 +1,4 @@
-"""Synthesize minimal ELF files and time the symbol-counting pipelines.
+"""Synthesize minimal ELF files for tests and the benchmark's workloads.
 
 The writer emits well-formed ET_DYN objects by direct byte emission, no
 toolchain involved, so fixtures are hermetic and bit-for-bit deterministic
@@ -9,17 +9,9 @@ entries, not enough to actually load and run.
 
 from __future__ import annotations
 
-import csv
 import os
-import shutil
-import statistics
-import subprocess
-import sys
-import tempfile
-import time
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import reader
 from .reader import DataEncoding, ElfClass
@@ -57,8 +49,6 @@ class WrittenElf:
     dynsym_names: tuple[str, ...]
     symtab_names: tuple[str, ...]
     dynstr_offsets: dict[str, int]
-    text_vaddr: int
-    section_names: tuple[str, ...]
 
 
 def _default_size(spec: SymbolSpec) -> int:
@@ -416,8 +406,6 @@ def write_elf(
         dynsym_names=tuple(s.name for s in dyn_specs),
         symtab_names=tuple(s.name for s in (sym_specs or ())),
         dynstr_offsets=dynstr.offsets,
-        text_vaddr=vaddrs[".text"],
-        section_names=tuple(names),
     )
 
 
@@ -465,151 +453,3 @@ def generate_elf(spec: GeneratedElfSpec, dest: str) -> Manifest:
         machine=spec.machine,
     )
     return Manifest(path=written.path, names=tuple(names))
-
-
-class Pipeline(Enum):
-    FRESH_PARSE_QUERY = "FRESH_PARSE_QUERY"
-    MEMOIZED_DB_QUERY = "MEMOIZED_DB_QUERY"
-    EXTERNAL_READELF_WC = "EXTERNAL_READELF_WC"
-
-
-@dataclass(frozen=True)
-class BenchResult:
-    pipeline: Pipeline
-    symbol_count: int
-    repetitions: int
-    median_s: Optional[float]
-    min_s: Optional[float]
-    error: Optional[str] = None
-
-
-CSV_HEADER = ("symbols", "pipeline", "median_s", "min_s", "reps")
-
-
-def _time_fresh(fixture: str) -> float:
-    from . import analyses, corpus, engine
-
-    start = time.perf_counter()
-    catalog = corpus.add_paths([fixture])
-    session = engine.register(catalog)
-    try:
-        analyses.count_symbols(session, catalog.entries[0].path)
-    finally:
-        session.close()
-    return time.perf_counter() - start
-
-
-def _time_memoized(db_path: str) -> float:
-    import sqlite3
-
-    start = time.perf_counter()
-    conn = sqlite3.connect(db_path)
-    try:
-        conn.execute("SELECT COUNT(*) FROM elf_symbols WHERE \"table\" = '.dynsym'").fetchone()
-    finally:
-        conn.close()
-    return time.perf_counter() - start
-
-
-def _time_external(fixture: str) -> float:
-    # `readelf --dyn-syms FIXTURE | wc -l`, piped without a shell: the path needs no quoting.
-    start = time.perf_counter()
-    argv = ["readelf", "--dyn-syms", fixture]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL) as readelf:
-        subprocess.run(["wc", "-l"], stdin=readelf.stdout, check=True, stdout=subprocess.DEVNULL)
-    if readelf.returncode:
-        raise subprocess.CalledProcessError(readelf.returncode, argv)
-    return time.perf_counter() - start
-
-
-def run_benchmark(
-    counts: Iterable[int],
-    pipelines: Sequence[Pipeline] = (Pipeline.FRESH_PARSE_QUERY, Pipeline.MEMOIZED_DB_QUERY),
-    repetitions: int = 5,
-    workdir: Optional[str] = None,
-    csv_path: Optional[str] = None,
-    plot_path: Optional[str] = None,
-) -> list[BenchResult]:
-    """Time each pipeline for each symbol count; median of `repetitions` runs.
-
-    Fixtures are generated once per count and reused.  The memoized pipeline
-    is timed against a pre-exported database file, so export cost is not
-    included.  Pipelines run serially.
-    """
-    if repetitions < 3:
-        raise ValueError("repetitions must be >= 3")
-    own_dir = None
-    if workdir is None:
-        own_dir = tempfile.TemporaryDirectory(prefix="elfdb-bench-")
-        workdir = own_dir.name
-    results: list[BenchResult] = []
-    try:
-        for count in counts:
-            fixture = os.path.join(workdir, f"bench_{count}.so")
-            if not os.path.exists(fixture):
-                generate_elf(GeneratedElfSpec(symbol_count=count), fixture)
-            fixture = os.path.realpath(fixture)
-            db_path = os.path.join(workdir, f"bench_{count}.sqlite")
-            for pipeline in pipelines:
-                if pipeline == Pipeline.EXTERNAL_READELF_WC and shutil.which("readelf") is None:
-                    print("readelf not on PATH; skipping external pipeline", file=sys.stderr)
-                    results.append(BenchResult(pipeline, count, repetitions, None, None, "readelf not found"))
-                    continue
-                if pipeline == Pipeline.MEMOIZED_DB_QUERY and not os.path.exists(db_path):
-                    _export_fixture(fixture, db_path)
-                timer = {
-                    Pipeline.FRESH_PARSE_QUERY: lambda: _time_fresh(fixture),
-                    Pipeline.MEMOIZED_DB_QUERY: lambda: _time_memoized(db_path),
-                    Pipeline.EXTERNAL_READELF_WC: lambda: _time_external(fixture),
-                }[pipeline]
-                try:
-                    times = [timer() for _ in range(repetitions)]
-                except Exception as exc:
-                    results.append(BenchResult(pipeline, count, repetitions, None, None, str(exc)))
-                    continue
-                results.append(
-                    BenchResult(pipeline, count, repetitions, statistics.median(times), min(times))
-                )
-    finally:
-        if own_dir is not None:
-            own_dir.cleanup()
-    if csv_path:
-        _write_csv(csv_path, results)
-    if plot_path:
-        _write_plot_data(plot_path, results)
-    return results
-
-
-def _export_fixture(fixture: str, db_path: str) -> None:
-    from . import corpus, engine
-
-    catalog = corpus.add_paths([fixture])
-    session = engine.register(catalog)
-    try:
-        session.export_database(db_path, overwrite=True)
-    finally:
-        session.close()
-
-
-def _write_csv(path: str, results: Sequence[BenchResult]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for r in results:
-            if r.error is None:
-                writer.writerow([r.symbol_count, r.pipeline.value, f"{r.median_s:.6f}", f"{r.min_s:.6f}", r.repetitions])
-
-
-def _write_plot_data(path: str, results: Sequence[BenchResult]) -> None:
-    # Wide layout, one row per count: ready for gnuplot/matplotlib.
-    pipelines = sorted({r.pipeline.value for r in results if r.error is None})
-    counts = sorted({r.symbol_count for r in results if r.error is None})
-    by_key = {(r.symbol_count, r.pipeline.value): r.median_s for r in results if r.error is None}
-    with open(path, "w") as fh:
-        fh.write("symbols\t" + "\t".join(pipelines) + "\n")
-        for count in counts:
-            cells = [str(count)]
-            for p in pipelines:
-                median = by_key.get((count, p))
-                cells.append("" if median is None else f"{median:.6f}")
-            fh.write("\t".join(cells) + "\n")

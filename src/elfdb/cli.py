@@ -125,8 +125,12 @@ def cmd_query(args) -> int:
     if args.sql is not None:
         sql = args.sql
     else:
-        with open(args.sql_file) as fh:
-            sql = fh.read()
+        try:
+            with open(args.sql_file, encoding="utf-8") as fh:
+                sql = fh.read()
+        except UnicodeDecodeError as exc:
+            print(f"error: {args.sql_file}: not UTF-8: {exc}", file=sys.stderr)
+            return 1
     with build_session(args) as session:
         result = session.execute(sql)
         print(render(args.format, result.columns, result.rows))
@@ -199,6 +203,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    if args.bucket_width is not None and args.bucket_width < 1:
+        raise UsageError(f"--bucket-width must be >= 1, got {args.bucket_width}")
     with build_session(args) as session:
         report = analyses.symbol_histogram(session, bucket_width=args.bucket_width)
     print(render(args.format, report.columns, report.rows))

@@ -8,6 +8,7 @@ timing threshold.
 import os
 import random
 import sqlite3
+import statistics
 import time
 
 import pytest
@@ -21,14 +22,7 @@ from elfdb.analyses import (
     runpath,
     symbol_histogram,
 )
-from elfdb.bench import (
-    GeneratedElfSpec,
-    Pipeline,
-    SymbolSpec,
-    generate_elf,
-    run_benchmark,
-    write_elf,
-)
+from elfdb.bench import GeneratedElfSpec, SymbolSpec, generate_elf, write_elf
 from elfdb.corpus import SearchConfig, add_paths, resolve_recursive
 from elfdb.engine import StrategyMode, register
 from elfdb.model import SCHEMA, TABLE_NAMES
@@ -315,38 +309,52 @@ def test_criterion_08_python_extension_predicate(tmp_path):
     report(8, "module-init predicate returns 3 / 2 / absent as specified")
 
 
-@pytest.fixture(scope="module")
-def bench_dir(tmp_path_factory):
-    return str(tmp_path_factory.mktemp("bench"))
+def _median_of_3(run):
+    """Median wall time of three calls of `run`, and the answer it gave."""
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        answer = run()
+        times.append(time.perf_counter() - start)
+    return statistics.median(times), answer
 
 
-def test_criterion_09_performance_thresholds(bench_dir):
-    fresh_1e4 = run_benchmark(
-        counts=[10_000],
-        pipelines=(Pipeline.FRESH_PARSE_QUERY,),
-        repetitions=3,
-        workdir=bench_dir,
-    )[0]
-    assert fresh_1e4.error is None
-    assert fresh_1e4.median_s < 1.0, f"median {fresh_1e4.median_s:.3f}s"
+def _fresh_count(fixture):
+    # Parse, register and query from scratch, as a one-off `elfdb query` does.
+    catalog = add_paths([fixture])
+    with register(catalog) as session:
+        return count_symbols(session, catalog.entries[0].path)
 
-    results_1e5 = run_benchmark(
-        counts=[100_000],
-        pipelines=(Pipeline.FRESH_PARSE_QUERY, Pipeline.MEMOIZED_DB_QUERY),
-        repetitions=3,
-        workdir=bench_dir,
-    )
-    by_pipeline = {r.pipeline: r for r in results_1e5}
-    fresh = by_pipeline[Pipeline.FRESH_PARSE_QUERY]
-    memo = by_pipeline[Pipeline.MEMOIZED_DB_QUERY]
-    assert fresh.error is None and memo.error is None
-    assert memo.median_s * 5 <= fresh.median_s, (
-        f"memoized {memo.median_s:.4f}s vs fresh {fresh.median_s:.4f}s"
-    )
+
+def _memoized_count(db_path):
+    # Stock sqlite3 on an exported database: no parsing left to do.
+    conn = sqlite3.connect(db_path)
+    try:
+        return conn.execute("SELECT COUNT(*) FROM elf_symbols WHERE \"table\" = '.dynsym'").fetchone()[0]
+    finally:
+        conn.close()
+
+
+def test_criterion_09_performance_thresholds(tmp_path):
+    fixture_1e4 = str(tmp_path / "gen_1e4.so")
+    generate_elf(GeneratedElfSpec(symbol_count=10_000), fixture_1e4)
+    fresh_1e4, count_1e4 = _median_of_3(lambda: _fresh_count(fixture_1e4))
+    assert count_1e4 == 10_001
+    assert fresh_1e4 < 1.0, f"median {fresh_1e4:.3f}s"
+
+    fixture = str(tmp_path / "gen_1e5.so")
+    generate_elf(GeneratedElfSpec(symbol_count=100_000), fixture)
+    db_path = str(tmp_path / "gen_1e5.sqlite")
+    with register(add_paths([fixture])) as session:
+        session.export_database(db_path)
+    fresh, fresh_count = _median_of_3(lambda: _fresh_count(fixture))
+    memo, memo_count = _median_of_3(lambda: _memoized_count(db_path))
+    assert fresh_count == memo_count == 100_001
+    assert memo * 5 <= fresh, f"memoized {memo:.4f}s vs fresh {fresh:.4f}s"
     report(
         9,
-        f"fresh@1e4 median {fresh_1e4.median_s * 1000:.0f}ms < 1s; "
-        f"memoized@1e5 {fresh.median_s / memo.median_s:.0f}x faster than fresh@1e5",
+        f"fresh@1e4 median {fresh_1e4 * 1000:.0f}ms < 1s; "
+        f"memoized@1e5 {fresh / memo:.0f}x faster than fresh@1e5",
     )
 
 

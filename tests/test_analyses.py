@@ -309,6 +309,12 @@ class TestSymbolHistogram:
             report = symbol_histogram(session, bucket_width=10)
         assert report.buckets == (("0-9", 2), ("10-19", 1))
 
+    @pytest.mark.parametrize("width", [0, -5])
+    def test_non_positive_bucket_width_rejected(self, width):
+        with engine.register(corpus.CorpusCatalog()) as session:
+            with pytest.raises(ValueError, match="bucket_width"):
+                symbol_histogram(session, bucket_width=width)
+
 
 # The statements `count_symbols` and `symbol_histogram` ran before each
 # became one scan of elf_symbols, kept verbatim as the reference.
