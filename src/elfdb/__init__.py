@@ -35,7 +35,6 @@ from .engine import (
     Session,
     SqlError,
     StrategyMode,
-    TableStrategy,
     WriteRejected,
     register,
 )
@@ -84,7 +83,6 @@ __all__ = [
     "SqlError",
     "StrategyMode",
     "SymbolTableKind",
-    "TableStrategy",
     "UnknownPath",
     "UnresolvedDependency",
     "WriteRejected",

@@ -423,7 +423,6 @@ class GeneratedElfSpec:
     """Recipe for a benchmark fixture: N defined GLOBAL FUNC exports."""
 
     symbol_count: int
-    machine: int = reader.EM_X86_64
     name_pattern: str = "sym_{index:08}"
 
     def __post_init__(self) -> None:
@@ -447,9 +446,5 @@ def generate_elf(spec: GeneratedElfSpec, dest: str) -> Manifest:
     planted names (the null symbol is implicit).
     """
     names = spec.names()
-    written = write_elf(
-        dest,
-        symbols=[SymbolSpec(name=n) for n in names],
-        machine=spec.machine,
-    )
+    written = write_elf(dest, symbols=[SymbolSpec(name=n) for n in names])
     return Manifest(path=written.path, names=tuple(names))

@@ -15,7 +15,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import analyses, corpus, engine, reader
-from .engine import Session, SqlError, StrategyMode
+from .engine import Session, SqlError
 
 FORMATS = ("table", "csv", "json")
 
@@ -86,20 +86,6 @@ def _add_corpus_args(parser: argparse.ArgumentParser, with_format: bool = True) 
         parser.add_argument("--format", choices=FORMATS, default="table")
 
 
-def _parse_strategies(spec: Optional[str]) -> Optional[dict[str, StrategyMode]]:
-    if not spec or spec == "none":
-        return None
-    if spec == "all":
-        return {name: StrategyMode.MEMOIZED for name in engine.TABLE_NAMES}
-    modes = {}
-    for name in spec.split(","):
-        name = name.strip().lower()
-        if name not in engine.TABLE_NAMES:
-            raise UsageError(f"unknown table for --memoize: {name!r}")
-        modes[name] = StrategyMode.MEMOIZED
-    return modes
-
-
 class UsageError(Exception):
     pass
 
@@ -117,8 +103,7 @@ def build_session(args) -> Session:
                 f"warning: unresolved dependency {miss.soname} (needed by {miss.dependent}): {miss.reason}",
                 file=sys.stderr,
             )
-    strategies = _parse_strategies(getattr(args, "memoize", None))
-    return engine.register(catalog, strategies)
+    return engine.register(catalog)
 
 
 def cmd_query(args) -> int:
@@ -227,16 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     source = p_query.add_mutually_exclusive_group(required=True)
     source.add_argument("--sql", help="SQL text to run")
     source.add_argument("--sql-file", help="file containing the SQL to run")
-    p_query.add_argument(
-        "--memoize",
-        default="none",
-        help="'none', 'all', or comma-separated table names to materialize up front",
-    )
     p_query.set_defaults(func=cmd_query)
 
     p_repl = sub.add_parser("repl", help="interactive SQL shell")
     _add_corpus_args(p_repl, with_format=False)
-    p_repl.add_argument("--memoize", default="none")
     p_repl.set_defaults(func=cmd_repl)
 
     p_export = sub.add_parser("export", help="materialize the schema into a SQLite file")

@@ -64,13 +64,6 @@ class CorpusCatalog:
     def paths(self) -> tuple[str, ...]:
         return tuple(e.path for e in self.entries)
 
-    def get(self, path: str) -> Optional[CatalogEntry]:
-        real = os.path.realpath(path)
-        for entry in self.entries:
-            if entry.path == real:
-                return entry
-        return None
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -82,7 +75,6 @@ class CorpusCatalog:
 class SearchConfig:
     ld_library_path: tuple[str, ...] = ()
     default_dirs: tuple[str, ...] = DEFAULT_SEARCH_DIRS
-    origin_substitution: bool = True
 
     @classmethod
     def from_environment(cls, **overrides) -> "SearchConfig":
@@ -166,19 +158,13 @@ def add_paths(paths: Sequence[str], recurse_dirs: bool = False) -> CorpusCatalog
     )
 
 
-def _search_path_entries(obj: ElfObject, tag: int, origin_ok: bool) -> list[str]:
+def _search_path_entries(obj: ElfObject, tag: int) -> list[str]:
+    """RPATH/RUNPATH directories, `$ORIGIN` expanded to the directory of `obj`."""
     raw = reader.dynamic_string(obj, tag)
     if not raw:
         return []
     origin = os.path.dirname(obj.path)
-    dirs = []
-    for part in raw.split(":"):
-        if not part:
-            continue
-        if origin_ok:
-            part = part.replace("${ORIGIN}", origin).replace("$ORIGIN", origin)
-        dirs.append(part)
-    return dirs
+    return [p.replace("${ORIGIN}", origin).replace("$ORIGIN", origin) for p in raw.split(":") if p]
 
 
 def _search_order(dependent_chain: Sequence[ElfObject], cfg: SearchConfig) -> list[str]:
@@ -188,9 +174,9 @@ def _search_order(dependent_chain: Sequence[ElfObject], cfg: SearchConfig) -> li
     has_runpath = reader.dynamic_string(dependent, DT_RUNPATH) is not None
     if not has_runpath:
         for holder in dependent_chain:
-            dirs += _search_path_entries(holder, DT_RPATH, cfg.origin_substitution)
+            dirs += _search_path_entries(holder, DT_RPATH)
     dirs += list(cfg.ld_library_path)
-    dirs += _search_path_entries(dependent, DT_RUNPATH, cfg.origin_substitution)
+    dirs += _search_path_entries(dependent, DT_RUNPATH)
     dirs += list(cfg.default_dirs)
     return dirs
 

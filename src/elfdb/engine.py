@@ -24,7 +24,7 @@ import sqlite3
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
-from typing import Iterable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .corpus import CorpusCatalog
 from .model import SCHEMA, TABLE_NAMES, TABLE_PRODUCERS
@@ -49,12 +49,6 @@ class ExportAborted(Exception):
 class StrategyMode(Enum):
     LAZY = "LAZY"
     MEMOIZED = "MEMOIZED"
-
-
-@dataclass(frozen=True)
-class TableStrategy:
-    table_name: str
-    mode: StrategyMode
 
 
 @dataclass(frozen=True)
@@ -106,7 +100,8 @@ _READ_ACTIONS = frozenset(
     (sqlite3.SQLITE_READ, sqlite3.SQLITE_SELECT, sqlite3.SQLITE_FUNCTION, sqlite3.SQLITE_RECURSIVE)
 )
 
-Strategies = Union[None, Iterable[TableStrategy], Mapping[str, StrategyMode]]
+# Each table not named is LAZY.
+Strategies = Optional[Mapping[str, StrategyMode]]
 
 
 def _allow_all(_action, _arg1, _arg2, _dbname, _source):
@@ -116,14 +111,14 @@ def _allow_all(_action, _arg1, _arg2, _dbname, _source):
 
 
 def _normalize_strategies(strategies: Strategies) -> dict[str, StrategyMode]:
-    modes = {name: StrategyMode.LAZY for name in TABLE_NAMES}
+    modes = dict.fromkeys(TABLE_NAMES, StrategyMode.LAZY)
     if strategies is None:
         return modes
-    if isinstance(strategies, Mapping):
-        items = strategies.items()
-    else:
-        items = [(s.table_name, s.mode) for s in strategies]
-    for name, mode in items:
+    if not isinstance(strategies, Mapping):
+        raise RegistrationFailure(
+            f"strategies must map table names to StrategyMode, not {type(strategies).__name__}"
+        )
+    for name, mode in strategies.items():
         key = name.lower() if isinstance(name, str) else name
         if key not in modes:
             raise RegistrationFailure(f"unknown table in strategy: {name!r}")
@@ -139,7 +134,7 @@ class Session:
 
     def __init__(self, catalog: CorpusCatalog, strategies: Strategies = None):
         self._catalog = catalog
-        self._modes = _normalize_strategies(strategies)
+        modes = _normalize_strategies(strategies)
         self._conn = sqlite3.connect(":memory:", isolation_level=None)
         self._pending = set(TABLE_NAMES)
         self._write_denied = False
@@ -152,12 +147,8 @@ class Session:
         # (which a covering scan opens alone) maps to the table it indexes.
         self._root_tables = dict(self._conn.execute("SELECT rootpage, tbl_name FROM sqlite_master"))
         for name in TABLE_NAMES:
-            if self._modes[name] == StrategyMode.MEMOIZED:
+            if modes[name] == StrategyMode.MEMOIZED:
                 self._materialize(name)
-
-    @property
-    def catalog(self) -> CorpusCatalog:
-        return self._catalog
 
     @property
     def paths(self) -> tuple[str, ...]:
@@ -166,9 +157,6 @@ class Session:
     @property
     def table_names(self) -> tuple[str, ...]:
         return TABLE_NAMES
-
-    def strategy(self, table_name: str) -> StrategyMode:
-        return self._modes[table_name]
 
     def _materialize(self, table: str) -> None:
         producer = TABLE_PRODUCERS[table]

@@ -2,8 +2,8 @@
 
 `SCHEMA` is the one description of each table: its columns in order, each
 with a Python type (`str`, `int`, `bool` or `bytes`).  The engine derives
-its DDL from it, and this module derives one frozen row dataclass per table
-(`HeaderRow` ... `InstructionRow`, a keyword column gaining a trailing `_`).
+its DDL from it, and `row_type` derives one frozen row dataclass per table
+on first use.
 
 Each `*_tuples` producer (`TABLE_PRODUCERS`) maps one ElfObject straight
 to the rows of one table: tuples in SCHEMA column order, integers in
@@ -18,7 +18,7 @@ the same object always yields the same rows.
 from __future__ import annotations
 
 from dataclasses import make_dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, count, repeat
 from keyword import iskeyword
 from operator import add, itemgetter
@@ -84,25 +84,15 @@ SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
 TABLE_NAMES = tuple(SCHEMA)
 
 
-def _row_type(name: str, table: str) -> type:
-    """A frozen dataclass with one field per column of `table`."""
+@cache
+def row_type(table: str) -> type:
+    """A frozen dataclass named after `table` (`elf_symbols` gives
+    `ElfSymbols`) with one field per column, a keyword column gaining a
+    trailing `_`.  Built on first use."""
     fields = [(c + "_" if iskeyword(c) else c, kind) for c, kind in SCHEMA[table]]
     namespace = {"__module__": __name__}
+    name = table.title().replace("_", "")
     return make_dataclass(name, fields, frozen=True, slots=True, namespace=namespace)
-
-
-HeaderRow = _row_type("HeaderRow", "elf_headers")
-SectionRow = _row_type("SectionRow", "elf_sections")
-SegmentRow = _row_type("SegmentRow", "elf_segments")
-SymbolRow = _row_type("SymbolRow", "elf_symbols")
-StringRow = _row_type("StringRow", "elf_strings")
-DynamicEntryRow = _row_type("DynamicEntryRow", "elf_dynamic_entries")
-InstructionRow = _row_type("InstructionRow", "elf_instructions")
-ROW_TYPES = {
-    "elf_headers": HeaderRow, "elf_sections": SectionRow, "elf_segments": SegmentRow,
-    "elf_symbols": SymbolRow, "elf_strings": StringRow, "elf_dynamic_entries": DynamicEntryRow,
-    "elf_instructions": InstructionRow,
-}
 
 
 def section_name_for_symbol(obj: ElfObject, shndx: int) -> str:
@@ -318,15 +308,15 @@ _AS_DECLARED = {
 def rows(table: str, obj: ElfObject, *args) -> tuple:
     """The rows `TABLE_PRODUCERS[table]` gives for `obj` (and `args`), as
     instances of the table's row dataclass with values of declared types."""
-    row_type = ROW_TYPES[table]
+    make_row = row_type(table)
     converters = [_AS_DECLARED[kind] for _, kind in SCHEMA[table]]
     return tuple(
-        row_type(*[convert(value) for convert, value in zip(converters, row)])
+        make_row(*[convert(value) for convert, value in zip(converters, row)])
         for row in TABLE_PRODUCERS[table](obj, *args)
     )
 
 
-def header_row(obj: ElfObject) -> HeaderRow:
+def header_row(obj: ElfObject):
     return rows("elf_headers", obj)[0]
 
 

@@ -8,6 +8,8 @@ The model is purely structural; relational concerns live in `model`.
 
 from __future__ import annotations
 
+import errno
+import functools
 import mmap
 import os
 import stat
@@ -73,8 +75,9 @@ SECTION_FLAG_LETTERS = (
 SHF_ALLOC = 0x2
 SHF_EXECINSTR = 0x4
 
-# Program header flag bits
+# Program header flag bits, rendered as letters in R, W, X order.
 PF_X, PF_W, PF_R = 0x1, 0x2, 0x4
+SEGMENT_FLAG_LETTERS = ((PF_R, "R"), (PF_W, "W"), (PF_X, "X"))
 
 # Dynamic tags
 DT_NULL = 0
@@ -235,19 +238,9 @@ def render_code(code: int, names: dict[int, str]) -> str:
     return names.get(code, str(code))
 
 
-def section_flag_letters(flags: int) -> str:
-    return "".join(letter for bit, letter in SECTION_FLAG_LETTERS if flags & bit)
-
-
-def segment_flag_letters(flags: int) -> str:
-    out = ""
-    if flags & PF_R:
-        out += "R"
-    if flags & PF_W:
-        out += "W"
-    if flags & PF_X:
-        out += "X"
-    return out
+def render_flags(flags: int, letters: tuple[tuple[int, str], ...]) -> str:
+    """The letter of each bit of `letters` set in `flags`, in table order."""
+    return "".join(letter for bit, letter in letters if flags & bit)
 
 
 def decode_bytes(raw: bytes) -> str:
@@ -335,7 +328,7 @@ class Section:
 
     @property
     def flag_letters(self) -> str:
-        return section_flag_letters(self.flags)
+        return render_flags(self.flags, SECTION_FLAG_LETTERS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -356,7 +349,7 @@ class Segment:
 
     @property
     def flag_letters(self) -> str:
-        return segment_flag_letters(self.flags)
+        return render_flags(self.flags, SEGMENT_FLAG_LETTERS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -542,14 +535,7 @@ class _Layouts:
         self.verdaux = struct.Struct(bo + "II")
 
 
-_LAYOUT_CACHE: dict[tuple[ElfClass, DataEncoding], _Layouts] = {}
-
-
-def _layouts(elf_class: ElfClass, encoding: DataEncoding) -> _Layouts:
-    key = (elf_class, encoding)
-    if key not in _LAYOUT_CACHE:
-        _LAYOUT_CACHE[key] = _Layouts(*key)
-    return _LAYOUT_CACHE[key]
+_layouts = functools.cache(_Layouts)
 
 
 def _parse_ident(data: memoryview) -> ElfIdent:
@@ -906,15 +892,19 @@ MAP_THRESHOLD = 1 << 20
 
 
 def read_file(path: str):
-    """The contents of the file at `path` as a read-only bytes-like object.
+    """The contents of the regular file at `path` as a read-only bytes-like
+    object; anything else raises OSError(EINVAL).
 
-    A regular file of at least MAP_THRESHOLD bytes is mapped read-only, so
-    its pages load only when something reads them; any other file, and any
-    file mmap refuses, is read into bytes.
+    The file is opened non-blocking, so a FIFO is refused rather than
+    waited on.  A file of at least MAP_THRESHOLD bytes is mapped read-only,
+    so its pages load only when something reads them; a smaller file, and
+    any file mmap refuses, is read into bytes.
     """
-    with open(path, "rb") as fh:
+    with open(os.open(path, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
         st = os.fstat(fh.fileno())
-        if stat.S_ISREG(st.st_mode) and st.st_size >= MAP_THRESHOLD:
+        if not stat.S_ISREG(st.st_mode):
+            raise OSError(errno.EINVAL, "not a regular file", path)
+        if st.st_size >= MAP_THRESHOLD:
             try:
                 return mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
             except (ValueError, OSError):

@@ -110,6 +110,19 @@ def readelf_table_counts(path: str) -> dict[str, int]:
     return {m.group(1): int(m.group(2)) for m in _TABLE_HEADER.finditer(out)}
 
 
+# One program header of `readelf -lW`: its flags are the three characters
+# before the alignment, R, W and E or a space each.
+_SEGMENT_LINE = re.compile(r"^\s+\S+(?:\s+0x[0-9a-f]+){5} (.{3}) 0x[0-9a-f]+$")
+
+
+def readelf_segment_flags(path: str) -> list[str]:
+    """The flags of each program header in order, written as elfdb writes
+    them: `R E` becomes `RX`."""
+    out = run_readelf("-lW", path)
+    flags = [m.group(1) for m in map(_SEGMENT_LINE.match, out.splitlines()) if m]
+    return [f.replace(" ", "").replace("E", "X") for f in flags]
+
+
 _DYNAMIC_LINE = re.compile(r"^ 0x[0-9a-fA-F]+ \((\w+)\)\s+(.*)$")
 _BRACKETED = re.compile(r"\[(.*)\]$")
 

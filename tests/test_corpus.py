@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import struct
@@ -158,6 +159,31 @@ class TestAddPaths:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["200", "0", "200"]
+
+    def test_fifo_in_a_directory_is_a_read_error(self, tmp_path):
+        # In a child with a timeout: a blocking open of the FIFO would hang.
+        write_elf(str(tmp_path / "real.so"), symbols=exported_funcs("f"))
+        os.mkfifo(tmp_path / "pipe")
+        script = textwrap.dedent(
+            """
+            import json, os, sys
+            from elfdb import cli, corpus
+            catalog = corpus.add_paths([sys.argv[1]])
+            print(json.dumps([[os.path.basename(p) for p in catalog.paths], catalog.read_errors]))
+            sys.exit(cli.main(["query", sys.argv[1], "--sql", "SELECT COUNT(*) FROM elf_headers"]))
+            """
+        )
+        src = os.path.dirname(os.path.dirname(elfdb.__file__))
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        first, *table = done.stdout.splitlines()
+        fifo = str(tmp_path / "pipe")
+        why = f"[Errno 22] not a regular file: {fifo!r}"
+        assert json.loads(first) == [["real.so"], [[fifo, why]]]
+        assert table[-1].strip() == "1"
 
     def test_mixed_failures_are_collected(self, tmp_path):
         good = tmp_path / "good.so"
@@ -419,14 +445,6 @@ class TestSearchOrder:
         write_elf(str(app), needed=["liborigin.so"], runpath="$ORIGIN")
         resolved = resolve_recursive(add_paths([str(app)]), SearchConfig(default_dirs=()))
         assert len(resolved.entries) == 2
-
-    def test_origin_substitution_disabled(self, tmp_path):
-        write_elf(str(tmp_path / "liborigin.so"), symbols=exported_funcs("o"), soname="liborigin.so")
-        app = tmp_path / "app"
-        write_elf(str(app), needed=["liborigin.so"], runpath="$ORIGIN")
-        cfg = SearchConfig(default_dirs=(), origin_substitution=False)
-        resolved = resolve_recursive(add_paths([str(app)]), cfg)
-        assert len(resolved.unresolved) == 1
 
     def test_from_environment_copies_library_path(self, monkeypatch):
         monkeypatch.setenv("LD_LIBRARY_PATH", "/one:/two::/three")

@@ -15,7 +15,6 @@ from elfdb.engine import (
     RegistrationFailure,
     SqlError,
     StrategyMode,
-    TableStrategy,
     WriteRejected,
     register,
 )
@@ -65,18 +64,18 @@ class TestRegistration:
             {"elf_symbols": "memoized"},
             {"elf_symbols": 3},
             {3: StrategyMode.LAZY},
+            "elf_symbols",
+            ["elf_symbols"],
+            [("elf_symbols", "MEMOIZED")],
         ],
-        ids=["unknown-table", "unknown-mode", "lowercase-mode", "int-mode", "int-table"],
+        ids=[
+            "unknown-table", "unknown-mode", "lowercase-mode", "int-mode", "int-table",
+            "str", "list-of-names", "list-of-pairs",
+        ],
     )
     def test_unknown_strategy_table_rejected(self, small_corpus, strategies):
         with pytest.raises(RegistrationFailure):
             register(small_corpus, strategies)
-
-    def test_strategy_objects_accepted(self, small_corpus):
-        strategies = [TableStrategy("elf_symbols", StrategyMode.MEMOIZED)]
-        with register(small_corpus, strategies) as session:
-            assert session.strategy("elf_symbols") == StrategyMode.MEMOIZED
-            assert session.strategy("elf_headers") == StrategyMode.LAZY
 
     def test_case_insensitive_table_names(self, small_corpus):
         with register(small_corpus) as session:
@@ -322,11 +321,11 @@ class TestProducers:
         producers["elf_dynamic_entries"] = one_row
         try:
             with register(small_corpus) as session:
-                assert session.strategy("elf_dynamic_entries") == StrategyMode.LAZY
                 result = session.execute("SELECT tag, value, string FROM elf_dynamic_entries")
             assert result.rows == (("DT_PLANTED", -1, "planted"),) * len(small_corpus.entries)
+            row = model.row_type("elf_dynamic_entries")
             assert model.rows("elf_dynamic_entries", obj) == (
-                model.DynamicEntryRow(obj.path, 7, "DT_PLANTED", 2**64 - 1, "planted"),
+                row(obj.path, 7, "DT_PLANTED", 2**64 - 1, "planted"),
             )
             assert model.dynamic_entry_rows(obj) == model.rows("elf_dynamic_entries", obj)
         finally:

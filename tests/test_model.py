@@ -40,6 +40,7 @@ from conftest import (
     cxxfilt,
     exported_funcs,
     readelf_dynamic,
+    readelf_segment_flags,
     system_elves,
     write_varied_elf,
 )
@@ -324,7 +325,7 @@ class TestInstructionRows:
         text = obj.section_named(".text")
         rows = instruction_rows(obj)
         assert rows == (
-            model.InstructionRow(obj.path, ".text", text.address, 1, "ret", ""),
+            model.row_type("elf_instructions")(obj.path, ".text", text.address, 1, "ret", ""),
         )
 
     def test_empty_text_no_rows(self, make_elf):
@@ -398,6 +399,13 @@ class TestHeaderAndSectionRows:
         assert load.flags == "RX"
         assert load.filesz <= load.memsz
 
+    def test_segment_flags_match_readelf(self):
+        paths = system_elves()
+        assert paths, "no system ELF files found"
+        for path in paths:
+            rows = model.segment_rows(load_elf(path))
+            assert [r.flags for r in rows] == readelf_segment_flags(path), path
+
 
 def reference_symbol_rows(obj) -> list[tuple]:
     """The per-row derivation that `symbol_tuples` replaced, kept as the
@@ -464,7 +472,8 @@ class TestSymbolTuples:
             obj = load_elf(path)
             assert list(model.symbol_tuples(obj)) == reference_symbol_tuples(obj), path
             rows = symbol_rows(obj)
-            assert rows == tuple(model.SymbolRow(*r) for r in reference_symbol_rows(obj)), path
+            symbol_row = model.row_type("elf_symbols")
+            assert rows == tuple(symbol_row(*r) for r in reference_symbol_rows(obj)), path
             for row in rows:
                 assert type(row.exported) is bool and type(row.imported) is bool
                 assert row.value >= 0 and row.size >= 0
@@ -519,7 +528,7 @@ class TestStringTuples:
             ]
             assert want, path
             assert list(model.string_tuples(obj)) == want, path
-            assert string_rows(obj) == tuple(model.StringRow(*r) for r in want), path
+            assert string_rows(obj) == tuple(model.row_type("elf_strings")(*r) for r in want), path
 
     def test_cached_string_tables_are_not_copied_again(self, tmp_path, monkeypatch):
         path = write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB)

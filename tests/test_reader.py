@@ -200,6 +200,13 @@ class TestReadFile:
         assert obj == want
         assert all(type(s.view.obj) is bytes for s in obj.sections)
 
+    def test_device_is_refused(self):
+        if not os.path.exists("/dev/null"):
+            pytest.skip("no /dev/null")
+        with pytest.raises(OSError) as info:
+            reader.read_file("/dev/null")
+        assert info.value.errno == errno.EINVAL
+
     def test_string_table_copied_once(self, make_elf):
         written = make_elf(symbols=exported_funcs("f"), needed=["liba.so.1"], soname="libs.so")
         obj = load_elf(written.path)
