@@ -38,7 +38,7 @@ from .engine import (
     WriteRejected,
     register,
 )
-from .model import derive_export_import, string_rows, symbol_rows
+from .model import derive_export_import
 from .reader import (
     DynamicEntry,
     ElfHeader,
@@ -46,14 +46,12 @@ from .reader import (
     ElfObject,
     Malformed,
     NotElf,
-    RawSymbol,
     Section,
     Segment,
     SymbolTableKind,
     load_elf,
     needed_libraries,
     open_elf,
-    resolve_symbol_version,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +72,6 @@ __all__ = [
     "NotElf",
     "Provenance",
     "QueryResult",
-    "RawSymbol",
     "RegistrationFailure",
     "SearchConfig",
     "Section",
@@ -98,9 +95,6 @@ __all__ = [
     "python_extension_check",
     "register",
     "resolve_recursive",
-    "resolve_symbol_version",
     "runpath",
-    "string_rows",
-    "symbol_rows",
     "symbol_histogram",
 ]

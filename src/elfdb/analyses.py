@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .engine import QueryResult, Session
+from .model import path_text
 
 
 class UnknownPath(Exception):
@@ -30,10 +31,11 @@ class HistogramReport(QueryResult):
 
 
 def _require_path(session: Session, path: str) -> str:
+    """The `path` column value of a registered file."""
     real = os.path.realpath(path)
     if real not in session.paths:
         raise UnknownPath(path)
-    return real
+    return path_text(real)
 
 
 _INTERPOSITION_SQL = """

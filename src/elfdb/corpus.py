@@ -77,11 +77,11 @@ class SearchConfig:
     default_dirs: tuple[str, ...] = DEFAULT_SEARCH_DIRS
 
     @classmethod
-    def from_environment(cls, **overrides) -> "SearchConfig":
+    def from_environment(cls) -> "SearchConfig":
         """Copy LD_LIBRARY_PATH from the process environment."""
         raw = os.environ.get("LD_LIBRARY_PATH", "")
         dirs = tuple(d for d in raw.split(":") if d)
-        return cls(ld_library_path=dirs, **overrides)
+        return cls(ld_library_path=dirs)
 
 
 def _iter_directory(path: str, recurse: bool) -> Iterable[str]:

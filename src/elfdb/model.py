@@ -2,25 +2,21 @@
 
 `SCHEMA` is the one description of each table: its columns in order, each
 with a Python type (`str`, `int`, `bool` or `bytes`).  The engine derives
-its DDL from it, and `row_type` derives one frozen row dataclass per table
-on first use.
+its DDL from it.
 
 Each `*_tuples` producer (`TABLE_PRODUCERS`) maps one ElfObject straight
-to the rows of one table: tuples in SCHEMA column order, integers in
-SQLite's signed 64-bit range.  `rows` (and `header_row`, `symbol_rows` and
-friends) views them as row dataclasses, each value of its declared type:
-integers unsigned again, flags bool, section contents bytes.  Row order is
-deterministic, derived columns (exported/imported, demangled names, flag
-letters, reserved-index names) are computed here, and everything is pure:
-the same object always yields the same rows.
+to the rows of one table: tuples in SCHEMA column order, exactly as SQLite
+stores them.  Integers are in SQLite's signed 64-bit range, flags are 0/1
+and section contents are views of the file.  Row order is deterministic,
+derived columns (exported/imported, demangled names, flag letters,
+reserved-index names) are computed here, and everything is pure: the same
+object always yields the same rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import make_dataclass
-from functools import cache, partial
+import os
 from itertools import accumulate, count, repeat
-from keyword import iskeyword
 from operator import add, itemgetter
 from typing import Iterator, Optional
 
@@ -35,17 +31,20 @@ from .reader import (
     SHN_UNDEF,
     SHT_NOBITS,
     SHT_STRTAB,
+    SYMBOL_BINDING_NAMES,
+    SYMBOL_TYPE_NAMES,
+    SYMBOL_VISIBILITY_NAMES,
     ElfObject,
-    RawSymbol,
     SymbolTable,
     SymbolTableKind,
     decode_bytes,
+    render_code,
 )
 
 # Symbol type/binding sets for the exported/imported predicate: bindable
 # definitions only, per conventional dynamic-linker rules.
 _EXPORTABLE_TYPES = frozenset(("FUNC", "OBJECT", "TLS", "GNU_IFUNC"))
-_BINDABLE = frozenset(("GLOBAL", "WEAK"))
+_BINDABLE = frozenset(("GLOBAL", "WEAK", "GNU_UNIQUE"))
 
 # The columns of each table in declaration order, each with the Python type
 # of its values: `str` (TEXT; only `elf_symbols.version` and
@@ -84,15 +83,10 @@ SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
 TABLE_NAMES = tuple(SCHEMA)
 
 
-@cache
-def row_type(table: str) -> type:
-    """A frozen dataclass named after `table` (`elf_symbols` gives
-    `ElfSymbols`) with one field per column, a keyword column gaining a
-    trailing `_`.  Built on first use."""
-    fields = [(c + "_" if iskeyword(c) else c, kind) for c, kind in SCHEMA[table]]
-    namespace = {"__module__": __name__}
-    name = table.title().replace("_", "")
-    return make_dataclass(name, fields, frozen=True, slots=True, namespace=namespace)
+def path_text(path: str) -> str:
+    """The `path` column for an OS path: its bytes as UTF-8, a stray byte
+    escaped as in symbol names, so that every path binds as valid text."""
+    return decode_bytes(os.fsencode(path))
 
 
 def section_name_for_symbol(obj: ElfObject, shndx: int) -> str:
@@ -108,22 +102,24 @@ def section_name_for_symbol(obj: ElfObject, shndx: int) -> str:
     return obj.sections[shndx].name
 
 
-def derive_export_import(sym: RawSymbol) -> tuple[bool, bool]:
-    """(exported, imported) for one symbol; never both true.
+def derive_export_import(
+    info: int, other: int, shndx: int, kind: SymbolTableKind
+) -> tuple[bool, bool]:
+    """(exported, imported) for a symbol with this st_info, st_other and
+    st_shndx in a table of `kind`; never both true.
 
-    Exported: defined somewhere, GLOBAL/WEAK, of a bindable type, with
-    DEFAULT visibility.  Imported: undefined GLOBAL/WEAK in .dynsym.
+    Bindable means GLOBAL, WEAK or GNU_UNIQUE.  Exported: defined
+    somewhere, bindable, of a bindable type, with DEFAULT visibility.
+    Imported: undefined and bindable in .dynsym.
     """
-    bindable = sym.binding_name in _BINDABLE
+    bindable = render_code(info >> 4, SYMBOL_BINDING_NAMES) in _BINDABLE
     exported = (
-        sym.shndx != SHN_UNDEF
+        shndx != SHN_UNDEF
         and bindable
-        and sym.type_name in _EXPORTABLE_TYPES
-        and sym.visibility_name == "DEFAULT"
+        and render_code(info & 0xF, SYMBOL_TYPE_NAMES) in _EXPORTABLE_TYPES
+        and render_code(other & 0x3, SYMBOL_VISIBILITY_NAMES) == "DEFAULT"
     )
-    imported = (
-        sym.shndx == SHN_UNDEF and bindable and sym.table == SymbolTableKind.DYNSYM
-    )
+    imported = shndx == SHN_UNDEF and bindable and kind == SymbolTableKind.DYNSYM
     return exported, imported
 
 
@@ -135,11 +131,6 @@ def _string_columns(content: bytes) -> tuple[Iterator[int], Iterator[str]]:
     # Entry i starts after the i entries and i NULs before it.
     offsets = map(add, accumulate(map(len, pieces), initial=0), count())
     return offsets, map(decode_bytes, pieces)
-
-
-def iter_table_strings(content: bytes) -> Iterator[tuple[int, str]]:
-    """(offset, value) for each NUL-terminated entry of one string table."""
-    return zip(*_string_columns(content))
 
 
 _I64_MAX = 2**63
@@ -155,14 +146,14 @@ def header_tuples(obj: ElfObject) -> Iterator[tuple]:
     header = obj.header
     ident = header.ident
     yield (
-        obj.path, header.file_type, header.machine, header.version, _db_int(header.entry_point),
-        ident.elf_class.name, ident.data_encoding.name,
-        reader.render_code(ident.os_abi, reader.OSABI_NAMES), len(obj.segments), len(obj.sections),
+        path_text(obj.path), header.file_type, header.machine, header.version,
+        _db_int(header.entry_point), ident.elf_class.name, ident.data_encoding.name,
+        render_code(ident.os_abi, reader.OSABI_NAMES), len(obj.segments), len(obj.sections),
     )
 
 
 def section_tuples(obj: ElfObject) -> Iterator[tuple]:
-    path = obj.path
+    path = path_text(obj.path)
     for s in obj.sections:
         yield (
             path, s.index, s.name, s.type_name, s.flag_letters, _db_int(s.address),
@@ -171,7 +162,7 @@ def section_tuples(obj: ElfObject) -> Iterator[tuple]:
 
 
 def segment_tuples(obj: ElfObject) -> Iterator[tuple]:
-    path = obj.path
+    path = path_text(obj.path)
     for s in obj.segments:
         yield (
             path, s.index, s.type_name, s.flag_letters, s.offset, _db_int(s.vaddr),
@@ -184,18 +175,17 @@ def _symbol_columns(obj: ElfObject, table: SymbolTable) -> dict[tuple[int, int, 
     distinct (st_info, st_other, st_shndx) of one table.
 
     Those columns depend on nothing else, so each combination is derived
-    once, from one symbol that has it.
+    once.
     """
-    keys = zip(table.infos, table.others, table.shndxs)
     columns = {}
-    for key, index in dict(zip(keys, count())).items():
-        sym = table.symbol(index)
-        exported, imported = derive_export_import(sym)
+    for key in dict.fromkeys(zip(table.infos, table.others, table.shndxs)):
+        info, other, shndx = key
+        exported, imported = derive_export_import(info, other, shndx, table.kind)
         columns[key] = (
-            section_name_for_symbol(obj, sym.shndx),
-            sym.type_name,
-            sym.binding_name,
-            sym.visibility_name,
+            section_name_for_symbol(obj, shndx),
+            render_code(info & 0xF, SYMBOL_TYPE_NAMES),
+            render_code(info >> 4, SYMBOL_BINDING_NAMES),
+            render_code(other & 0x3, SYMBOL_VISIBILITY_NAMES),
             int(exported),
             int(imported),
         )
@@ -203,7 +193,7 @@ def _symbol_columns(obj: ElfObject, table: SymbolTable) -> dict[tuple[int, int, 
 
 
 def _symbol_tuples_in_table_order(obj: ElfObject) -> Iterator[tuple]:
-    path = obj.path
+    path = path_text(obj.path)
     for table in obj.symbol_tables:
         kind = table.kind.value
         columns = _symbol_columns(obj, table)
@@ -235,7 +225,7 @@ def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
 
 def string_tuples(obj: ElfObject) -> Iterator[tuple]:
     """One row per entry of every SHT_STRTAB section, in (section, offset) order."""
-    path = obj.path
+    path = path_text(obj.path)
     for sec in obj.sections:
         if sec.type_code == SHT_STRTAB:
             # The parse already holds bytes copies of the tables it looked
@@ -245,7 +235,7 @@ def string_tuples(obj: ElfObject) -> Iterator[tuple]:
 
 
 def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:
-    path = obj.path
+    path = path_text(obj.path)
     for e in obj.dynamic:
         yield (path, e.ordinal, e.tag_name, _db_int(e.value), e.string)
 
@@ -261,7 +251,7 @@ def instruction_tuples(
     """
     if decoder is None or not decoder.supports(obj.header.machine_code):
         return
-    path = obj.path
+    path = path_text(obj.path)
     decode = decoder.decode
     for sec in obj.sections:
         if not sec.flags & SHF_EXECINSTR or sec.type_code == SHT_NOBITS:
@@ -292,37 +282,3 @@ TABLE_PRODUCERS = {
     "elf_dynamic_entries": dynamic_entry_tuples,
     "elf_instructions": instruction_tuples,
 }
-
-
-# How a view gives back a stored value as its column's declared type: only
-# `_db_int` ever makes an integer negative, flags are stored as 0/1, and a
-# section's content is stored as a view of the file.
-_AS_DECLARED = {
-    str: lambda value: value,
-    int: lambda value: value + 2**64 if value < 0 else value,
-    bool: bool,
-    bytes: bytes,
-}
-
-
-def rows(table: str, obj: ElfObject, *args) -> tuple:
-    """The rows `TABLE_PRODUCERS[table]` gives for `obj` (and `args`), as
-    instances of the table's row dataclass with values of declared types."""
-    make_row = row_type(table)
-    converters = [_AS_DECLARED[kind] for _, kind in SCHEMA[table]]
-    return tuple(
-        make_row(*[convert(value) for convert, value in zip(converters, row)])
-        for row in TABLE_PRODUCERS[table](obj, *args)
-    )
-
-
-def header_row(obj: ElfObject):
-    return rows("elf_headers", obj)[0]
-
-
-section_rows = partial(rows, "elf_sections")
-segment_rows = partial(rows, "elf_segments")
-symbol_rows = partial(rows, "elf_symbols")
-string_rows = partial(rows, "elf_strings")
-dynamic_entry_rows = partial(rows, "elf_dynamic_entries")
-instruction_rows = partial(rows, "elf_instructions")  # optional decoder argument

@@ -17,7 +17,8 @@ import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from itertools import chain
+from typing import Optional
 
 
 class ElfError(Exception):
@@ -176,7 +177,7 @@ SYMBOL_TYPE_NAMES = {
     10: "GNU_IFUNC",
 }
 
-SYMBOL_BINDING_NAMES = {0: "LOCAL", 1: "GLOBAL", 2: "WEAK"}
+SYMBOL_BINDING_NAMES = {0: "LOCAL", 1: "GLOBAL", 2: "WEAK", 10: "GNU_UNIQUE"}
 
 SYMBOL_VISIBILITY_NAMES = {0: "DEFAULT", 1: "INTERNAL", 2: "HIDDEN", 3: "PROTECTED"}
 
@@ -222,6 +223,8 @@ DYNAMIC_TAG_NAMES = {
     0x6FFFFDF6: "GNU_CONFLICTSZ",
     0x6FFFFDF7: "GNU_LIBLISTSZ",
     0x6FFFFEF5: "GNU_HASH",
+    0x6FFFFEF6: "TLSDESC_PLT",
+    0x6FFFFEF7: "TLSDESC_GOT",
     0x6FFFFFF0: "VERSYM",
     0x6FFFFFF9: "RELACOUNT",
     0x6FFFFFFA: "RELCOUNT",
@@ -353,34 +356,6 @@ class Segment:
 
 
 @dataclass(frozen=True, slots=True)
-class RawSymbol:
-    table: SymbolTableKind
-    index: int
-    name_offset: int
-    name: str
-    value: int
-    size: int
-    type_code: int
-    binding_code: int
-    visibility_code: int
-    shndx: int
-    version: Optional[str]
-    version_default: bool
-
-    @property
-    def type_name(self) -> str:
-        return render_code(self.type_code, SYMBOL_TYPE_NAMES)
-
-    @property
-    def binding_name(self) -> str:
-        return render_code(self.binding_code, SYMBOL_BINDING_NAMES)
-
-    @property
-    def visibility_name(self) -> str:
-        return render_code(self.visibility_code, SYMBOL_VISIBILITY_NAMES)
-
-
-@dataclass(frozen=True, slots=True)
 class SymbolTable:
     """One .dynsym or .symtab section, unpacked once into parallel columns.
 
@@ -401,53 +376,6 @@ class SymbolTable:
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def symbol(self, index: int) -> RawSymbol:
-        """The entry at `index`, built on demand."""
-        info = self.infos[index]
-        version, default = self.versions[index] if self.versions else (None, False)
-        return RawSymbol(
-            table=self.kind,
-            index=index,
-            name_offset=self.name_offsets[index],
-            name=self.names[index],
-            value=self.values[index],
-            size=self.sizes[index],
-            type_code=info & 0xF,
-            binding_code=info >> 4,
-            visibility_code=self.others[index] & 0x3,
-            shndx=self.shndxs[index],
-            version=version,
-            version_default=default,
-        )
-
-
-class SymbolView(Sequence):
-    """The symbols of some tables, in table order; a RawSymbol is built
-    only when its entry is read."""
-
-    __slots__ = ("_tables",)
-
-    def __init__(self, tables: tuple[SymbolTable, ...]):
-        self._tables = tables
-
-    def __len__(self) -> int:
-        return sum(len(t) for t in self._tables)
-
-    def __getitem__(self, index: int) -> RawSymbol:
-        if index < 0:
-            index += len(self)
-        if index >= 0:
-            for table in self._tables:
-                if index < len(table):
-                    return table.symbol(index)
-                index -= len(table)
-        raise IndexError("symbol index out of range")
-
-    def __iter__(self) -> Iterator[RawSymbol]:
-        for table in self._tables:
-            for index in range(len(table)):
-                yield table.symbol(index)
 
 
 @dataclass(frozen=True, slots=True)
@@ -479,20 +407,15 @@ class ElfObject:
     string_tables: dict[int, bytes] = field(default_factory=dict, compare=False, repr=False)
 
     @property
-    def symbols(self) -> SymbolView:
-        return SymbolView(self.symbol_tables)
-
-    def sections_of_type(self, type_code: int) -> tuple[Section, ...]:
-        return tuple(s for s in self.sections if s.type_code == type_code)
+    def symbols(self) -> tuple[str, ...]:
+        """Every symbol name, table by table in `symbol_tables` order."""
+        return tuple(chain.from_iterable(t.names for t in self.symbol_tables))
 
     def section_named(self, name: str) -> Optional[Section]:
         for s in self.sections:
             if s.name == name:
                 return s
         return None
-
-    def symbols_in(self, table: SymbolTableKind) -> SymbolView:
-        return SymbolView(tuple(t for t in self.symbol_tables if t.kind == table))
 
 
 def string_at(table: bytes, offset: int, what: str) -> str:
@@ -916,25 +839,6 @@ def load_elf(path: str) -> ElfObject:
     """Read and parse the file at `path` (symlinks resolved)."""
     real = os.path.realpath(path)
     return open_elf(read_file(real), real)
-
-
-def resolve_symbol_version(
-    obj: ElfObject, sym_index: int, table: SymbolTableKind
-) -> Optional[tuple[str, bool]]:
-    """Version string and default-bit for one symbol, or None when unversioned.
-
-    Only .dynsym symbols carry versions, and only when the file has a
-    .gnu.version section.  The answer is the one the parse stored.
-    """
-    if table != SymbolTableKind.DYNSYM:
-        return None
-    symbols = obj.symbols_in(table)
-    if not 0 <= sym_index < len(symbols):
-        raise Malformed(f"symbol index {sym_index} out of range for {table.value}")
-    sym = symbols[sym_index]
-    if sym.version is None:
-        return None
-    return sym.version, sym.version_default
 
 
 def needed_libraries(obj: ElfObject) -> list[str]:

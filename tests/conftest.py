@@ -16,9 +16,9 @@ from typing import Optional
 
 import pytest
 
-from elfdb import bench, reader
+from elfdb import bench, model, reader
 from elfdb.bench import SymbolSpec, write_elf
-from elfdb.reader import DataEncoding, ElfClass
+from elfdb.reader import DataEncoding, ElfClass, SymbolTableKind
 
 READELF = shutil.which("readelf")
 CXXFILT = shutil.which("c++filt")
@@ -211,6 +211,31 @@ def make_elf(tmp_path):
         return bench.write_elf(str(tmp_path / name), **kwargs)
 
     return build
+
+
+@pytest.fixture
+def non_utf8_lib(tmp_path) -> str:
+    """A generated file, alone in its directory, whose name holds byte 0xff,
+    which is not valid UTF-8; skipped where the filesystem refuses it."""
+    path = os.path.join(str(tmp_path), os.fsdecode(b"lib\xffz.so"))
+    try:
+        write_elf(path, symbols=exported_funcs("f", "g"))
+    except (OSError, UnicodeEncodeError) as exc:
+        pytest.skip(f"the filesystem refuses a non-UTF-8 name: {exc}")
+    return path
+
+
+def named_rows(table: str, obj: reader.ElfObject, *args) -> list[dict]:
+    """The rows `model.TABLE_PRODUCERS[table]` gives for `obj` (and `args`),
+    each a dict from column name to the value SQLite stores."""
+    columns = [c for c, _ in model.SCHEMA[table]]
+    return [dict(zip(columns, row)) for row in model.TABLE_PRODUCERS[table](obj, *args)]
+
+
+def symbol_table(obj: reader.ElfObject, kind: SymbolTableKind) -> reader.SymbolTable:
+    """The one symbol table of `kind` in `obj`."""
+    (table,) = [t for t in obj.symbol_tables if t.kind == kind]
+    return table
 
 
 def exported_funcs(*names: str) -> list[SymbolSpec]:

@@ -78,6 +78,18 @@ class TestInterpositionAudit:
         assert count == 2
         assert libraries == ":".join(sorted([os.path.realpath(a), os.path.realpath(b)]))
 
+    def test_unique_duplicates_reported(self, tmp_path):
+        unique = SymbolSpec(
+            "_ZZN3app8instanceEvE1x", binding="GNU_UNIQUE", sym_type="OBJECT", section=".data"
+        )
+        a = str(tmp_path / "a.so")
+        b = str(tmp_path / "b.so")
+        write_elf(a, symbols=[unique])
+        write_elf(b, symbols=[unique])
+        with session_over(a, b) as session:
+            rows = interposition_audit(session).rows
+        assert [(name, count) for name, _version, count, _libraries in rows] == [(unique.name, 2)]
+
     def test_report_invariant_under_registration_order(self, tmp_path):
         a = str(tmp_path / "a.so")
         b = str(tmp_path / "b.so")
@@ -119,6 +131,13 @@ class TestCountSymbols:
         with session_over(lib) as session:
             with pytest.raises(UnknownPath):
                 count_symbols(session, "/no/such/file")
+
+    def test_path_not_valid_utf8(self, non_utf8_lib):
+        with session_over(non_utf8_lib) as session:
+            assert count_symbols(session, non_utf8_lib) == 3
+            assert count_symbols(session, non_utf8_lib, imported_only=True) == 0
+            (path,) = session.execute("SELECT path FROM elf_headers").rows[0]
+        assert path.endswith("/lib\\xffz.so")
 
 
 class TestRunpath:

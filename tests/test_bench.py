@@ -3,11 +3,10 @@ import os
 
 import pytest
 
-from elfdb import model
 from elfdb.bench import GeneratedElfSpec, generate_elf
 from elfdb.reader import SymbolTableKind, load_elf
 
-from conftest import FIXTURE_DIR, RUBY_LIKE, readelf_table_counts
+from conftest import FIXTURE_DIR, RUBY_LIKE, named_rows, readelf_table_counts, symbol_table
 
 
 class TestGenerateElf:
@@ -16,13 +15,13 @@ class TestGenerateElf:
         manifest = generate_elf(GeneratedElfSpec(symbol_count=0), dest)
         assert manifest.names == ()
         obj = load_elf(dest)
-        assert len(obj.symbols_in(SymbolTableKind.DYNSYM)) == 1
+        assert len(symbol_table(obj, SymbolTableKind.DYNSYM)) == 1
 
     def test_manifest_names_all_exported(self, tmp_path):
         dest = str(tmp_path / "gen.so")
         manifest = generate_elf(GeneratedElfSpec(symbol_count=64), dest)
-        rows = model.symbol_rows(load_elf(dest))
-        exported = {r.name for r in rows if r.exported}
+        rows = named_rows("elf_symbols", load_elf(dest))
+        exported = {r["name"] for r in rows if r["exported"] == 1}
         assert exported == set(manifest.names)
         assert len(manifest.names) == 64
 

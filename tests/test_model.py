@@ -1,7 +1,5 @@
 import ctypes
 import ctypes.util
-import dataclasses
-import keyword
 import os
 import sqlite3
 import struct
@@ -17,72 +15,54 @@ from elfdb.bench import SymbolSpec, write_elf
 from elfdb.demangle import default_decoder, demangle
 from elfdb.disasm import DEFAULT_DECODER
 from elfdb.engine import _CREATE_SQL, _INSERT_SQL
-from elfdb.model import (
-    derive_export_import,
-    instruction_rows,
-    iter_table_strings,
-    section_name_for_symbol,
-    string_rows,
-    symbol_rows,
-)
-from elfdb.reader import (
-    DataEncoding,
-    ElfClass,
-    RawSymbol,
-    SymbolTableKind,
-    load_elf,
-    render_code,
-)
+from elfdb.model import derive_export_import, section_name_for_symbol
+from elfdb.reader import DataEncoding, ElfClass, SymbolTableKind, load_elf, render_code
 
 from conftest import (
     RUBY_LIKE,
     SYSTEM_DIRS,
     cxxfilt,
     exported_funcs,
+    named_rows,
     readelf_dynamic,
     readelf_segment_flags,
+    symbol_table,
     system_elves,
     write_varied_elf,
 )
 
 
-def raw_symbol(**overrides) -> RawSymbol:
-    base = dict(
-        table=SymbolTableKind.DYNSYM,
-        index=1,
-        name_offset=1,
-        name="sym",
-        value=0x1000,
-        size=4,
-        type_code=2,  # FUNC
-        binding_code=1,  # GLOBAL
-        visibility_code=0,  # DEFAULT
-        shndx=1,
-        version=None,
-        version_default=False,
-    )
-    base.update(overrides)
-    return RawSymbol(**base)
+def export_import(
+    type_code=2,  # FUNC
+    binding_code=1,  # GLOBAL
+    visibility_code=0,  # DEFAULT
+    shndx=1,
+    kind=SymbolTableKind.DYNSYM,
+) -> tuple[bool, bool]:
+    return derive_export_import(binding_code << 4 | type_code, visibility_code, shndx, kind)
 
 
 class TestExportImportPredicate:
     def test_defined_global_func_exports(self):
-        assert derive_export_import(raw_symbol()) == (True, False)
+        assert export_import() == (True, False)
 
     def test_undefined_weak_notype_imports(self):
         # the classic __gmon_start__ shape from dynamic executables
-        sym = raw_symbol(name="__gmon_start__", type_code=0, binding_code=2, shndx=0, value=0)
-        assert derive_export_import(sym) == (False, True)
+        assert export_import(type_code=0, binding_code=2, shndx=0) == (False, True)
 
     def test_local_func_neither(self):
-        assert derive_export_import(raw_symbol(binding_code=0)) == (False, False)
+        assert export_import(binding_code=0) == (False, False)
 
     def test_hidden_visibility_not_exported(self):
-        assert derive_export_import(raw_symbol(visibility_code=2)) == (False, False)
+        assert export_import(visibility_code=2) == (False, False)
 
     def test_undefined_in_symtab_not_imported(self):
-        sym = raw_symbol(table=SymbolTableKind.SYMTAB, shndx=0)
-        assert derive_export_import(sym) == (False, False)
+        assert export_import(kind=SymbolTableKind.SYMTAB, shndx=0) == (False, False)
+
+    def test_unique_binds_like_global(self):
+        # STB_GNU_UNIQUE: glibc's dynamic linker binds it like a global
+        assert export_import(type_code=1, binding_code=10) == (True, False)
+        assert export_import(type_code=1, binding_code=10, shndx=0) == (False, True)
 
     @settings(max_examples=300)
     @given(
@@ -90,18 +70,10 @@ class TestExportImportPredicate:
         binding_code=st.integers(0, 15),
         visibility_code=st.integers(0, 3),
         shndx=st.sampled_from([0, 1, 2, reader.SHN_ABS, reader.SHN_COMMON]),
-        table=st.sampled_from(list(SymbolTableKind)),
+        kind=st.sampled_from(list(SymbolTableKind)),
     )
-    def test_never_both(self, type_code, binding_code, visibility_code, shndx, table):
-        exported, imported = derive_export_import(
-            raw_symbol(
-                type_code=type_code,
-                binding_code=binding_code,
-                visibility_code=visibility_code,
-                shndx=shndx,
-                table=table,
-            )
-        )
+    def test_never_both(self, type_code, binding_code, visibility_code, shndx, kind):
+        exported, imported = export_import(type_code, binding_code, visibility_code, shndx, kind)
         assert not (exported and imported)
         if exported:
             assert shndx != reader.SHN_UNDEF
@@ -112,36 +84,45 @@ class TestExportImportPredicate:
 class TestSymbolRows:
     def test_interpreter_fixture_rows(self):
         obj = load_elf(RUBY_LIKE)
-        rows = [r for r in symbol_rows(obj) if r.table == ".dynsym"]
+        rows = [r for r in named_rows("elf_symbols", obj) if r["table"] == ".dynsym"]
         assert len(rows) == 22
-        run_node = next(r for r in rows if r.name == "ruby_run_node")
-        assert run_node.type == "FUNC"
-        assert run_node.binding == "GLOBAL"
-        assert run_node.section == "SHN_UNDEF"
-        assert run_node.imported is True
-        assert run_node.exported is False
+        run_node = next(r for r in rows if r["name"] == "ruby_run_node")
+        assert run_node["type"] == "FUNC"
+        assert run_node["binding"] == "GLOBAL"
+        assert run_node["section"] == "SHN_UNDEF"
+        assert (run_node["exported"], run_node["imported"]) == (0, 1)
 
     def test_null_only_object(self, make_elf):
         written = make_elf(symbols=[])
-        rows = symbol_rows(load_elf(written.path))
+        rows = named_rows("elf_symbols", load_elf(written.path))
         assert len(rows) == 1
-        assert rows[0].name == ""
-        assert rows[0].exported is False and rows[0].imported is False
+        assert rows[0]["name"] == ""
+        assert (rows[0]["exported"], rows[0]["imported"]) == (0, 0)
 
     def test_three_defined_globals(self, make_elf):
         written = make_elf(symbols=exported_funcs("f1", "f2", "f3"))
-        rows = symbol_rows(load_elf(written.path))
-        exported = [r for r in rows if r.exported]
-        assert sorted(r.name for r in exported) == ["f1", "f2", "f3"]
-        assert all(r.section == ".text" for r in exported)
+        rows = named_rows("elf_symbols", load_elf(written.path))
+        exported = [r for r in rows if r["exported"] == 1]
+        assert sorted(r["name"] for r in exported) == ["f1", "f2", "f3"]
+        assert all(r["section"] == ".text" for r in exported)
         assert len(rows) == 4
+
+    def test_unique_object_is_exported(self, make_elf):
+        unique = SymbolSpec(
+            "_ZZN3app8instanceEvE1x", binding="GNU_UNIQUE", sym_type="OBJECT", section=".data"
+        )
+        rows = named_rows("elf_symbols", load_elf(make_elf(symbols=[unique]).path))
+        row = next(r for r in rows if r["name"] == unique.name)
+        assert (row["binding"], row["section"], row["exported"], row["imported"]) == (
+            "GNU_UNIQUE", ".data", 1, 0
+        )
 
     def test_order_is_table_then_index(self, make_elf):
         written = make_elf(
             symbols=exported_funcs("d1"), symtab_symbols=exported_funcs("s1")
         )
-        rows = symbol_rows(load_elf(written.path))
-        assert [(r.table, r.index) for r in rows] == [
+        rows = model.symbol_tuples(load_elf(written.path))
+        assert [(r[1], r[2]) for r in rows] == [
             (".dynsym", 0),
             (".dynsym", 1),
             (".symtab", 0),
@@ -154,18 +135,17 @@ class TestSymbolRows:
             symtab_symbols=exported_funcs("c"),
         )
         obj = load_elf(written.path)
-        rows = symbol_rows(obj)
+        rows = named_rows("elf_symbols", obj)
         for kind in SymbolTableKind:
-            assert len([r for r in rows if r.table == kind.value]) == len(
-                obj.symbols_in(kind)
+            assert len([r for r in rows if r["table"] == kind.value]) == len(
+                symbol_table(obj, kind)
             )
 
     def test_version_only_on_dynsym(self):
         obj = load_elf("/lib/x86_64-linux-gnu/libc.so.6")
-        rows = symbol_rows(obj)
-        versioned = [r for r in rows if r.version is not None]
+        versioned = [r for r in named_rows("elf_symbols", obj) if r["version"] is not None]
         assert versioned
-        assert all(r.table == ".dynsym" for r in versioned)
+        assert all(r["table"] == ".dynsym" for r in versioned)
 
 
 class TestDemangle:
@@ -242,7 +222,7 @@ def libstdcxx_mangled_names():
     path = next((p for p in paths if os.path.isfile(p)), None)
     if path is None or default_decoder() is None:
         pytest.skip("no C++ runtime found")
-    names = sorted({s.name for s in load_elf(path).symbols if s.name.startswith("_Z")})
+    names = sorted({n for n in load_elf(path).symbols if n.startswith("_Z")})
     assert len(names) > 1000
     return soname, names
 
@@ -268,34 +248,39 @@ class TestDecoderEquivalence:
             assert list(pool.map(run, range(2))) == [single, single]
 
 
+def table_strings(content: bytes) -> list[tuple[int, str]]:
+    """(offset, value) for each entry of one string table."""
+    return list(zip(*model._string_columns(content)))
+
+
 class TestStringRows:
     def test_documented_example(self):
         table = b"\x00foo\x00bar\x00"
-        assert list(iter_table_strings(table)) == [(0, ""), (1, "foo"), (5, "bar")]
+        assert table_strings(table) == [(0, ""), (1, "foo"), (5, "bar")]
 
     def test_empty_table(self):
-        assert list(iter_table_strings(b"")) == []
+        assert table_strings(b"") == []
 
     def test_unterminated_tail_dropped(self):
-        assert list(iter_table_strings(b"\x00ok\x00trailing")) == [(0, ""), (1, "ok")]
+        assert table_strings(b"\x00ok\x00trailing") == [(0, ""), (1, "ok")]
 
     def test_rows_only_from_strtab_sections(self, make_elf):
         written = make_elf(symbols=exported_funcs("visible"))
         obj = load_elf(written.path)
-        rows = string_rows(obj)
+        rows = named_rows("elf_strings", obj)
         strtab_names = {s.name for s in obj.sections if s.type_code == reader.SHT_STRTAB}
-        assert {r.section for r in rows} <= strtab_names
-        assert any(r.value == "visible" and r.section == ".dynstr" for r in rows)
+        assert {r["section"] for r in rows} <= strtab_names
+        assert any(r["value"] == "visible" and r["section"] == ".dynstr" for r in rows)
 
     def test_offsets_index_original_bytes(self, make_elf):
         written = make_elf(symbols=exported_funcs("one", "two"), runpath="/opt/lib")
         obj = load_elf(written.path)
         by_name = {s.name: s for s in obj.sections}
-        for row in string_rows(obj):
-            content = by_name[row.section].content
-            end = content.find(b"\x00", row.offset)
-            assert content[row.offset : end].decode() == row.value
-            assert "\x00" not in row.value
+        for _path, section, offset, value in model.string_tuples(obj):
+            content = by_name[section].content
+            end = content.find(b"\x00", offset)
+            assert content[offset:end].decode() == value
+            assert "\x00" not in value
 
     @settings(max_examples=100)
     @given(
@@ -309,7 +294,7 @@ class TestStringRows:
     )
     def test_reconstruction_property(self, entries):
         table = b"\x00" + b"".join(e.encode() + b"\x00" for e in entries)
-        got = list(iter_table_strings(table))
+        got = table_strings(table)
         offsets = {0} | {
             i for i in range(1, len(table)) if table[i - 1] == 0 and i < len(table)
         }
@@ -323,24 +308,22 @@ class TestInstructionRows:
         written = make_elf(symbols=exported_funcs("f"))
         obj = load_elf(written.path)
         text = obj.section_named(".text")
-        rows = instruction_rows(obj)
-        assert rows == (
-            model.row_type("elf_instructions")(obj.path, ".text", text.address, 1, "ret", ""),
-        )
+        want = [(obj.path, ".text", text.address, 1, "ret", "")]
+        assert list(model.instruction_tuples(obj)) == want
 
     def test_empty_text_no_rows(self, make_elf):
         written = make_elf(symbols=[])
-        assert instruction_rows(load_elf(written.path)) == ()
+        assert list(model.instruction_tuples(load_elf(written.path))) == []
 
     def test_k_stub_fixture(self, make_elf):
         k = 9
         written = make_elf(symbols=exported_funcs(*[f"s{i}" for i in range(k)]))
-        rows = instruction_rows(load_elf(written.path))
+        rows = named_rows("elf_instructions", load_elf(written.path))
         assert len(rows) == k
-        assert {r.mnemonic for r in rows} == {"ret"}
+        assert {r["mnemonic"] for r in rows} == {"ret"}
         # linear sweep: addresses advance by emitted size
         for first, second in zip(rows, rows[1:]):
-            assert second.address == first.address + first.size
+            assert second["address"] == first["address"] + first["size"]
 
     def test_bad_byte_emits_one_byte_row(self, make_elf):
         written = make_elf(symbols=exported_funcs("f"))
@@ -349,13 +332,13 @@ class TestInstructionRows:
         data = bytearray(open(written.path, "rb").read())
         data[text.offset] = 0x06  # invalid in 64-bit mode
         obj2 = reader.open_elf(bytes(data), written.path)
-        rows = instruction_rows(obj2)
-        assert rows[0].mnemonic == "(bad)"
-        assert rows[0].size == 1
+        rows = named_rows("elf_instructions", obj2)
+        assert rows[0]["mnemonic"] == "(bad)"
+        assert rows[0]["size"] == 1
 
     def test_unsupported_machine_yields_nothing(self, make_elf):
         written = make_elf(symbols=exported_funcs("f"), machine=40)  # ARM
-        assert instruction_rows(load_elf(written.path)) == ()
+        assert list(model.instruction_tuples(load_elf(written.path))) == []
 
     def test_decoder_subset(self, make_elf):
         code = bytes.fromhex("f30f1efa554889e5c3")  # endbr64; push rbp; rex mov; ret
@@ -364,83 +347,80 @@ class TestInstructionRows:
         text = obj.section_named(".text")
         data = bytearray(open(written.path, "rb").read())
         data[text.offset : text.offset + len(code)] = code
-        rows = instruction_rows(reader.open_elf(bytes(data), written.path))
-        assert [r.mnemonic for r in rows[:2]] == ["endbr64", "push"]
-        assert rows[-1].mnemonic == "ret"
-        assert sum(r.size for r in rows) == len(code)
+        rows = named_rows("elf_instructions", reader.open_elf(bytes(data), written.path))
+        assert [r["mnemonic"] for r in rows[:2]] == ["endbr64", "push"]
+        assert rows[-1]["mnemonic"] == "ret"
+        assert sum(r["size"] for r in rows) == len(code)
 
 
 class TestHeaderAndSectionRows:
     def test_header_row_fields(self, make_elf):
         written = make_elf(symbols=exported_funcs("f"))
         obj = load_elf(written.path)
-        row = model.header_row(obj)
-        assert row.file_type == "DYN"
-        assert row.machine == "X86_64"
-        assert row.class_ == "ELF64"
-        assert row.data_encoding == "LSB"
-        assert row.shnum == len(obj.sections)
-        assert row.phnum == len(obj.segments)
+        (row,) = named_rows("elf_headers", obj)
+        assert row["file_type"] == "DYN"
+        assert row["machine"] == "X86_64"
+        assert row["class"] == "ELF64"
+        assert row["data_encoding"] == "LSB"
+        assert row["shnum"] == len(obj.sections)
+        assert row["phnum"] == len(obj.segments)
 
     def test_section_rows_unique_index(self, make_elf):
         written = make_elf(symbols=exported_funcs("f"))
-        rows = model.section_rows(load_elf(written.path))
-        keys = [(r.path, r.index) for r in rows]
+        rows = named_rows("elf_sections", load_elf(written.path))
+        keys = [(r["path"], r["index"]) for r in rows]
         assert len(keys) == len(set(keys))
-        text = next(r for r in rows if r.name == ".text")
-        assert "X" in text.flags and "A" in text.flags
+        text = next(r for r in rows if r["name"] == ".text")
+        assert "X" in text["flags"] and "A" in text["flags"]
 
     def test_segment_rows(self, make_elf):
         written = make_elf(symbols=exported_funcs("f"), needed=["libx.so"])
-        rows = model.segment_rows(load_elf(written.path))
-        types = [r.p_type for r in rows]
+        rows = named_rows("elf_segments", load_elf(written.path))
+        types = [r["p_type"] for r in rows]
         assert "LOAD" in types and "DYNAMIC" in types
-        load = next(r for r in rows if r.p_type == "LOAD")
-        assert load.flags == "RX"
-        assert load.filesz <= load.memsz
+        load = next(r for r in rows if r["p_type"] == "LOAD")
+        assert load["flags"] == "RX"
+        assert load["filesz"] <= load["memsz"]
 
     def test_segment_flags_match_readelf(self):
         paths = system_elves()
         assert paths, "no system ELF files found"
         for path in paths:
-            rows = model.segment_rows(load_elf(path))
-            assert [r.flags for r in rows] == readelf_segment_flags(path), path
+            rows = named_rows("elf_segments", load_elf(path))
+            assert [r["flags"] for r in rows] == readelf_segment_flags(path), path
 
 
 def reference_symbol_rows(obj) -> list[tuple]:
     """The per-row derivation that `symbol_tuples` replaced, kept as the
-    reference it must equal: one RawSymbol at a time, sorted at the end."""
+    reference it must equal: one index of the table columns at a time,
+    sorted at the end."""
     rows = []
-    for kind in (SymbolTableKind.DYNSYM, SymbolTableKind.SYMTAB):
-        for sym in obj.symbols_in(kind):
-            exported, imported = derive_export_import(sym)
+    for table in obj.symbol_tables:
+        for index in range(len(table)):
+            name, info, other, shndx = (
+                table.names[index], table.infos[index], table.others[index], table.shndxs[index]
+            )
+            exported, imported = derive_export_import(info, other, shndx, table.kind)
             rows.append(
                 (
                     obj.path,
-                    sym.table.value,
-                    sym.index,
-                    sym.name,
-                    demangle(sym.name),
-                    section_name_for_symbol(obj, sym.shndx),
-                    render_code(sym.type_code, reader.SYMBOL_TYPE_NAMES),
-                    render_code(sym.binding_code, reader.SYMBOL_BINDING_NAMES),
-                    render_code(sym.visibility_code, reader.SYMBOL_VISIBILITY_NAMES),
-                    sym.value,
-                    sym.size,
-                    sym.version,
-                    exported,
-                    imported,
+                    table.kind.value,
+                    index,
+                    name,
+                    demangle(name),
+                    section_name_for_symbol(obj, shndx),
+                    render_code(info & 0xF, reader.SYMBOL_TYPE_NAMES),
+                    render_code(info >> 4, reader.SYMBOL_BINDING_NAMES),
+                    render_code(other & 0x3, reader.SYMBOL_VISIBILITY_NAMES),
+                    model._db_int(table.values[index]),
+                    model._db_int(table.sizes[index]),
+                    table.versions[index][0] if table.versions else None,
+                    int(exported),
+                    int(imported),
                 )
             )
     rows.sort(key=lambda r: (r[1], r[2]))
     return rows
-
-
-def reference_symbol_tuples(obj) -> list[tuple]:
-    return [
-        (*r[:9], model._db_int(r[9]), model._db_int(r[10]), r[11], int(r[12]), int(r[13]))
-        for r in reference_symbol_rows(obj)
-    ]
 
 
 def symtab_patched_to_dynsym(tmp_path) -> str:
@@ -470,13 +450,7 @@ class TestSymbolTuples:
     def test_equal_to_the_per_row_reference(self, tmp_path):
         for path in reference_inputs(tmp_path):
             obj = load_elf(path)
-            assert list(model.symbol_tuples(obj)) == reference_symbol_tuples(obj), path
-            rows = symbol_rows(obj)
-            symbol_row = model.row_type("elf_symbols")
-            assert rows == tuple(symbol_row(*r) for r in reference_symbol_rows(obj)), path
-            for row in rows:
-                assert type(row.exported) is bool and type(row.imported) is bool
-                assert row.value >= 0 and row.size >= 0
+            assert list(model.symbol_tuples(obj)) == reference_symbol_rows(obj), path
             for table, producer in model.TABLE_PRODUCERS.items():
                 produced = producer(obj)
                 assert iter(produced) is produced, table
@@ -491,7 +465,7 @@ class TestSymbolTuples:
 
 
 def reference_table_strings(content: bytes) -> list[tuple[int, str]]:
-    """The find loop that `iter_table_strings` replaced, kept as the
+    """The find loop that `_string_columns` replaced, kept as the
     reference it must equal."""
     rows = []
     pos = 0
@@ -515,7 +489,7 @@ class TestStringTuples:
     @settings(max_examples=300)
     @given(st.one_of(st.binary(max_size=64), st.lists(_STRING_PIECES, max_size=16).map(b"".join)))
     def test_equal_to_the_find_loop(self, content):
-        assert list(iter_table_strings(content)) == reference_table_strings(content)
+        assert table_strings(content) == reference_table_strings(content)
 
     def test_files_equal_the_find_loop(self, tmp_path):
         for path in reference_inputs(tmp_path):
@@ -528,7 +502,6 @@ class TestStringTuples:
             ]
             assert want, path
             assert list(model.string_tuples(obj)) == want, path
-            assert string_rows(obj) == tuple(model.row_type("elf_strings")(*r) for r in want), path
 
     def test_cached_string_tables_are_not_copied_again(self, tmp_path, monkeypatch):
         path = write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB)
@@ -615,12 +588,14 @@ class TestInstructionTuples:
                 assert list(model.instruction_tuples(obj, decoder)) == want, path
             assert list(model.instruction_tuples(obj)) == reference_instruction_tuples(obj)
         obj = load_elf(str(tmp_path / "high.so"))
-        rows = instruction_rows(obj)
-        assert rows[0].address == high
-        assert all(b.address == a.address + a.size for a, b in zip(rows, rows[1:]))
-        assert [r.mnemonic for r in rows][-4:] == ["nop", "(bad)", "(bad)", "(bad)"]
-        assert sum(r.mnemonic == "(bad)" for r in rows) == 6  # 06, the two of 31 08, the cut call
-        assert rows[-1].address >= 2**63 and list(model.instruction_tuples(obj))[-1][2] < 0
+        rows = named_rows("elf_instructions", obj)
+        assert rows[0]["address"] == high
+        assert all(
+            b["address"] == model._db_int(a["address"] + a["size"]) for a, b in zip(rows, rows[1:])
+        )
+        assert [r["mnemonic"] for r in rows][-4:] == ["nop", "(bad)", "(bad)", "(bad)"]
+        assert sum(r["mnemonic"] == "(bad)" for r in rows) == 6  # 06, the two of 31 08, the cut call
+        assert rows[-1]["address"] < 0
         assert list(model.instruction_tuples(load_elf(str(tmp_path / "arm.so")))) == []
 
     def test_decode_set_on_the_default_decoder_runs_once_per_row(self, tmp_path):
@@ -646,14 +621,7 @@ class TestSmallTableTuples:
         for path in reference_inputs(tmp_path):
             obj = load_elf(path)
             h = obj.header
-
-            def named(table):
-                columns = [c for c, _ in model.SCHEMA[table]]
-                rows = list(model.TABLE_PRODUCERS[table](obj))
-                assert all(len(r) == len(columns) for r in rows), table
-                return [dict(zip(columns, r)) for r in rows]
-
-            assert named("elf_headers") == [
+            assert named_rows("elf_headers", obj) == [
                 {
                     "path": obj.path, "file_type": h.file_type, "machine": h.machine,
                     "version": h.version, "entry_point": model._db_int(h.entry_point),
@@ -662,7 +630,7 @@ class TestSmallTableTuples:
                     "phnum": len(obj.segments), "shnum": len(obj.sections),
                 }
             ], path
-            assert named("elf_sections") == [
+            assert named_rows("elf_sections", obj) == [
                 {
                     "path": obj.path, "index": s.index, "name": s.name, "sh_type": s.type_name,
                     "flags": s.flag_letters, "address": model._db_int(s.address),
@@ -671,7 +639,7 @@ class TestSmallTableTuples:
                 }
                 for s in obj.sections
             ], path
-            assert named("elf_segments") == [
+            assert named_rows("elf_segments", obj) == [
                 {
                     "path": obj.path, "index": s.index, "p_type": s.type_name,
                     "flags": s.flag_letters, "offset": s.offset,
@@ -680,35 +648,27 @@ class TestSmallTableTuples:
                 }
                 for s in obj.segments
             ], path
-            assert named("elf_dynamic_entries") == [
+            assert named_rows("elf_dynamic_entries", obj) == [
                 {
                     "path": obj.path, "ordinal": e.ordinal, "tag": e.tag_name,
                     "value": model._db_int(e.value), "string": e.string,
                 }
                 for e in obj.dynamic
             ], path
-            row = model.header_row(obj)
-            assert (row.class_, row.entry_point) == (h.ident.elf_class.name, h.entry_point)
-            assert [(r.address, r.size) for r in model.section_rows(obj)] == [
-                (s.address, s.size) for s in obj.sections
-            ]
-            values = [r.value for r in model.dynamic_entry_rows(obj)]
-            assert values == [e.value for e in obj.dynamic]
-
-    def test_views_unsign_wide_values(self, tmp_path):
-        obj = load_elf(write_code_elf(str(tmp_path / "high.so"), text_address=2**64 - 16))
-        text = next(r for r in model.section_rows(obj) if r.name == ".text")
-        assert text.address == 2**64 - 16
-        assert next(t for t in model.section_tuples(obj) if t[2] == ".text")[5] == -16
 
 
 _NULLABLE = {("elf_symbols", "version"), ("elf_dynamic_entries", "string")}
 _STRING_TAGS = {"NEEDED", "SONAME", "RPATH", "RUNPATH"}
 
 
-def test_views_follow_the_schema(tmp_path):
-    """Each view row has one field per SCHEMA column, a keyword gaining `_`,
-    and each value has its column's declared type, integers unsigned."""
+# The Python types a producer binds for each declared column type; a
+# section's content is a view of the file, which SQLite stores as a BLOB.
+_STORED = {str: (str,), int: (int,), bool: (int,), bytes: (memoryview,)}
+
+
+def test_tuples_follow_the_schema(tmp_path):
+    """Each producer tuple has one value per SCHEMA column, each of the type
+    SQLite stores for its column: integers signed 64-bit, flags 0 or 1."""
     high = write_code_elf(str(tmp_path / "high.so"), text_address=2**64 - 16)
     filled = set()
     for path in [*reference_inputs(tmp_path), high]:
@@ -716,20 +676,23 @@ def test_views_follow_the_schema(tmp_path):
         for table, columns in model.SCHEMA.items():
             if table == "elf_instructions" and os.path.getsize(path) >= reader.MAP_THRESHOLD:
                 continue  # libc.so.6 alone decodes to over a million rows
-            fields = [c + "_" if keyword.iskeyword(c) else c for c, _ in columns]
-            for row in model.rows(table, obj):
+            for row in model.TABLE_PRODUCERS[table](obj):
                 filled.add(table)
-                assert [f.name for f in dataclasses.fields(row)] == fields, table
-                for (column, kind), field in zip(columns, fields):
-                    value = getattr(row, field)
+                assert len(row) == len(columns), (path, table)
+                for (column, kind), value in zip(columns, row):
                     if value is None:
                         assert (table, column) in _NULLABLE, (path, table, column)
-                    else:
-                        assert type(value) is kind, (path, table, column)
-                        assert kind is not int or value >= 0, (path, table, column)
+                        continue
+                    assert type(value) in _STORED[kind], (path, table, column)
+                    if kind is int:
+                        assert -(2**63) <= value < 2**63, (path, table, column)
+                    elif kind is bool:
+                        assert value in (0, 1), (path, table, column)
                 if table == "elf_dynamic_entries":
-                    assert (row.string is None) == (row.tag not in _STRING_TAGS), (path, row)
+                    assert (row[4] is None) == (row[2] not in _STRING_TAGS), (path, row)
     assert filled == set(model.SCHEMA)
+    text = next(t for t in model.section_tuples(load_elf(high)) if t[2] == ".text")
+    assert text[5] == -16  # the address 2**64 - 16, bit pattern kept
 
 
 def test_dynamic_strings_match_readelf(tmp_path):
@@ -765,6 +728,23 @@ def test_dynamic_strings_match_readelf(tmp_path):
             else:
                 assert tag not in _STRING_TAGS and string is None, (path, tag)
     assert checked == _STRING_TAGS
+
+
+def test_tlsdesc_tags_match_readelf(tmp_path):
+    """DT_TLSDESC_PLT and DT_TLSDESC_GOT get the names readelf -d gives them."""
+    path = write_elf(str(tmp_path / "tlsdesc.so"), symbols=exported_funcs("f")).path
+    obj = load_elf(path)
+    dynamic = obj.section_named(".dynamic")
+    data = bytearray(open(path, "rb").read())
+    patched = {10: 0x6FFFFEF6, 11: 0x6FFFFEF7}  # DT_STRSZ and DT_SYMENT entries
+    for e in obj.dynamic:
+        if e.tag_code in patched:
+            struct.pack_into("<Q", data, dynamic.offset + e.ordinal * 16, patched[e.tag_code])
+    with open(path, "wb") as fh:
+        fh.write(data)
+    tags = [r["tag"] for r in named_rows("elf_dynamic_entries", load_elf(path))]
+    assert tags == [tag for tag, _ in readelf_dynamic(path)]
+    assert {"TLSDESC_PLT", "TLSDESC_GOT"} <= set(tags)
 
 
 @pytest.fixture(scope="module")

@@ -18,7 +18,6 @@ from elfdb.reader import (
     load_elf,
     needed_libraries,
     open_elf,
-    resolve_symbol_version,
 )
 
 from conftest import (
@@ -27,6 +26,7 @@ from conftest import (
     readelf_dynamic,
     readelf_symbol_tables,
     readelf_table_counts,
+    symbol_table,
     system_elves,
 )
 
@@ -54,7 +54,7 @@ class TestIdentAndHeader:
     def test_interpreter_style_fixture(self):
         obj = load_elf(RUBY_LIKE)
         assert obj.header.file_type in ("DYN", "EXEC")
-        assert len(obj.symbols_in(SymbolTableKind.DYNSYM)) == 22
+        assert len(symbol_table(obj, SymbolTableKind.DYNSYM)) == 22
 
     def test_out_of_range_shstrndx(self, make_elf):
         written = make_elf(symbols=exported_funcs("f"))
@@ -76,7 +76,7 @@ class TestRoundTrip:
         names = [f"fn_{i}" for i in range(17)]
         written = make_elf(symbols=exported_funcs(*names))
         obj = load_elf(written.path)
-        parsed = [s.name for s in obj.symbols_in(SymbolTableKind.DYNSYM)]
+        parsed = symbol_table(obj, SymbolTableKind.DYNSYM).names
         assert parsed.count("") == 1  # null symbol only
         for name in names:
             assert parsed.count(name) == 1
@@ -88,8 +88,8 @@ class TestRoundTrip:
         )
         counts = readelf_table_counts(written.path)
         obj = load_elf(written.path)
-        assert counts[".dynsym"] == len(obj.symbols_in(SymbolTableKind.DYNSYM)) == 4
-        assert counts[".symtab"] == len(obj.symbols_in(SymbolTableKind.SYMTAB)) == 2
+        assert counts[".dynsym"] == len(symbol_table(obj, SymbolTableKind.DYNSYM)) == 4
+        assert counts[".symtab"] == len(symbol_table(obj, SymbolTableKind.SYMTAB)) == 2
 
     @pytest.mark.parametrize(
         "elf_class,encoding,machine",
@@ -110,8 +110,7 @@ class TestRoundTrip:
         obj = load_elf(written.path)
         assert obj.header.ident.elf_class == elf_class
         assert obj.header.ident.data_encoding == encoding
-        names = [s.name for s in obj.symbols_in(SymbolTableKind.DYNSYM)]
-        assert names == ["", "alpha", "beta"]
+        assert symbol_table(obj, SymbolTableKind.DYNSYM).names == ("", "alpha", "beta")
         assert needed_libraries(obj) == ["libz.so.1"]
         assert readelf_table_counts(written.path)[".dynsym"] == 3
 
@@ -129,9 +128,9 @@ class TestInvariants:
                 (SymbolTableKind.DYNSYM, reader.SHT_DYNSYM),
                 (SymbolTableKind.SYMTAB, reader.SHT_SYMTAB),
             ):
-                for sec in obj.sections_of_type(type_code):
-                    expected = sec.size // sec.entsize
-                    assert len(obj.symbols_in(kind)) == expected
+                for sec in obj.sections:
+                    if sec.type_code == type_code:
+                        assert len(symbol_table(obj, kind)) == sec.size // sec.entsize
 
     def test_name_offsets_round_trip(self):
         obj = load_elf(system_elves(limit=1)[0])
@@ -145,16 +144,16 @@ class TestInvariants:
                 if sec.type_code == reader.SHT_SYMTAB
                 else SymbolTableKind.DYNSYM
             )
-            for sym in obj.symbols_in(kind):
-                assert reader.string_at(strtab, sym.name_offset, "check") == sym.name
+            table = symbol_table(obj, kind)
+            for offset, name in zip(table.name_offsets, table.names):
+                assert reader.string_at(strtab, offset, "check") == name
 
     def test_null_symbol_shape(self):
         obj = load_elf(RUBY_LIKE)
-        null = obj.symbols_in(SymbolTableKind.DYNSYM)[0]
-        assert (null.name, null.value, null.size) == ("", 0, 0)
-        assert null.type_name == "NOTYPE"
-        assert null.binding_name == "LOCAL"
-        assert null.shndx == reader.SHN_UNDEF
+        table = symbol_table(obj, SymbolTableKind.DYNSYM)
+        assert (table.names[0], table.values[0], table.sizes[0]) == ("", 0, 0)
+        assert table.infos[0] == 0  # NOTYPE, LOCAL
+        assert table.shndxs[0] == reader.SHN_UNDEF
 
     def test_nobits_has_empty_content(self, make_elf):
         written = make_elf(
@@ -217,16 +216,20 @@ class TestReadFile:
         assert obj.string_tables[dynstr.index] is first
 
 
+def dynsym_versions(obj) -> tuple:
+    return symbol_table(obj, SymbolTableKind.DYNSYM).versions
+
+
 class TestSymbolVersions:
     def test_real_binary_versions_match_readelf(self):
         path = system_elves(limit=1)[0]
-        obj = load_elf(path)
+        versions = dynsym_versions(load_elf(path))
         oracle = readelf_symbol_tables(path).get(".dynsym", [])
         versioned = 0
         for entry in oracle:
-            got = resolve_symbol_version(obj, entry.index, SymbolTableKind.DYNSYM)
+            got = versions[entry.index]
             if entry.version is None:
-                assert got is None
+                assert got == (None, False)
             else:
                 versioned += 1
                 assert got == (entry.version, entry.version_default)
@@ -236,46 +239,35 @@ class TestSymbolVersions:
         # a shared library defining versions exercises the verdef path
         for path in system_elves(limit=24):
             obj = load_elf(path)
-            if obj.sections_of_type(reader.SHT_GNU_VERDEF):
+            if any(s.type_code == reader.SHT_GNU_VERDEF for s in obj.sections):
                 break
         else:
             pytest.skip("no version-defining library found")
         oracle = readelf_symbol_tables(path)[".dynsym"]
         defaults = [e for e in oracle if e.version_default]
         assert defaults, "expected default-versioned definitions"
+        versions = dynsym_versions(obj)
         for entry in defaults[:50]:
-            assert resolve_symbol_version(obj, entry.index, SymbolTableKind.DYNSYM) == (
-                entry.version,
-                True,
-            )
+            assert versions[entry.index] == (entry.version, True)
 
     def test_absent_version_sections(self, make_elf):
         written = make_elf(symbols=exported_funcs("a", "b"))
-        obj = load_elf(written.path)
-        for sym in obj.symbols_in(SymbolTableKind.DYNSYM):
-            assert resolve_symbol_version(obj, sym.index, SymbolTableKind.DYNSYM) is None
+        assert dynsym_versions(load_elf(written.path)) == ()
 
     def test_null_symbol_has_no_version(self):
         path = system_elves(limit=1)[0]
-        obj = load_elf(path)
-        assert resolve_symbol_version(obj, 0, SymbolTableKind.DYNSYM) is None
+        assert dynsym_versions(load_elf(path))[0] == (None, False)
 
     def test_symtab_has_no_version(self, make_elf):
         written = make_elf(
             symbols=exported_funcs("a"), symtab_symbols=exported_funcs("b")
         )
         obj = load_elf(written.path)
-        assert resolve_symbol_version(obj, 1, SymbolTableKind.SYMTAB) is None
+        assert symbol_table(obj, SymbolTableKind.SYMTAB).versions == ()
 
     def test_dangling_version_index_is_malformed(self):
         with pytest.raises(Malformed, match="version index"):
             reader._version_of_word(7, {}, {})
-
-    def test_out_of_range_symbol_index(self, make_elf):
-        written = make_elf(symbols=exported_funcs("a"))
-        obj = load_elf(written.path)
-        with pytest.raises(Malformed, match="out of range"):
-            resolve_symbol_version(obj, 99, SymbolTableKind.DYNSYM)
 
 
 class TestNeededLibraries:
@@ -313,11 +305,7 @@ class TestSystemParity:
         assert paths, "no system ELF files found"
         for path in paths:
             obj = load_elf(path)
-            ours = {
-                kind.value: len(obj.symbols_in(kind))
-                for kind in SymbolTableKind
-                if obj.symbols_in(kind)
-            }
+            ours = {table.kind.value: len(table) for table in obj.symbol_tables}
             assert ours == readelf_table_counts(path), path
 
 
@@ -338,5 +326,5 @@ def test_arbitrary_names_round_trip(tmp_path_factory, names):
     path = str(tmp_path_factory.mktemp("hyp") / "f.so")
     write_elf(path, symbols=[SymbolSpec(n) for n in names])
     obj = load_elf(path)
-    parsed = sorted(s.name for s in obj.symbols_in(SymbolTableKind.DYNSYM) if s.name)
+    parsed = sorted(n for n in symbol_table(obj, SymbolTableKind.DYNSYM).names if n)
     assert parsed == sorted(names)
