@@ -10,7 +10,6 @@ queries double as documentation of the data model.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from typing import Optional
 
 from .engine import QueryResult, Session
@@ -24,10 +23,18 @@ class UnknownPath(Exception):
 AnalysisReport = QueryResult
 
 
-@dataclass(frozen=True)
 class HistogramReport(QueryResult):
-    # (bucket label, file count), ascending by lower bound
-    buckets: tuple[tuple[str, int], ...] = ()
+    _fields = QueryResult._fields + ("buckets",)
+    __slots__ = ("buckets",)
+
+    def __init__(
+        self,
+        columns: tuple[str, ...],
+        rows: tuple[tuple, ...],
+        # (bucket label, file count), ascending by lower bound
+        buckets: tuple[tuple[str, int], ...] = (),
+    ):
+        self._assign(columns, rows, buckets)
 
 
 def _require_path(session: Session, path: str) -> str:

@@ -11,12 +11,11 @@ from __future__ import annotations
 import logging
 import os
 from collections import deque
-from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import reader
-from .reader import DT_RPATH, DT_RUNPATH, DT_SONAME, ElfObject
+from .reader import DT_RPATH, DT_RUNPATH, DT_SONAME, ElfObject, Frozen
 
 log = logging.getLogger(__name__)
 
@@ -37,28 +36,31 @@ class Provenance(Enum):
     RECURSIVE = "RECURSIVE"
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     path: str  # canonical absolute path
     provenance: Provenance
     object: ElfObject
 
 
-@dataclass(frozen=True)
-class UnresolvedDependency:
+class UnresolvedDependency(NamedTuple):
     soname: str
     dependent: str
     reason: str = "not found"
 
 
-@dataclass(frozen=True)
-class CorpusCatalog:
+class CorpusCatalog(Frozen):
     """Parsed files in insertion order: explicit first, then BFS discovery."""
 
-    entries: tuple[CatalogEntry, ...] = ()
-    skipped: tuple[str, ...] = ()  # non-ELF files seen while walking
-    read_errors: tuple[tuple[str, str], ...] = ()  # (path, why)
-    unresolved: tuple[UnresolvedDependency, ...] = ()
+    _fields = __slots__ = ("entries", "skipped", "read_errors", "unresolved")
+
+    def __init__(
+        self,
+        entries: tuple[CatalogEntry, ...] = (),
+        skipped: tuple[str, ...] = (),  # non-ELF files seen while walking
+        read_errors: tuple[tuple[str, str], ...] = (),  # (path, why)
+        unresolved: tuple[UnresolvedDependency, ...] = (),
+    ):
+        self._assign(entries, skipped, read_errors, unresolved)
 
     @property
     def paths(self) -> tuple[str, ...]:
@@ -71,8 +73,7 @@ class CorpusCatalog:
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     ld_library_path: tuple[str, ...] = ()
     default_dirs: tuple[str, ...] = DEFAULT_SEARCH_DIRS
 
@@ -239,8 +240,4 @@ def resolve_recursive(catalog: CorpusCatalog, cfg: Optional[SearchConfig] = None
             entries.append(CatalogEntry(path=found, provenance=Provenance.RECURSIVE, object=obj))
             queue.append((obj, *chain))
 
-    return replace(
-        catalog,
-        entries=tuple(entries),
-        unresolved=tuple(unresolved),
-    )
+    return CorpusCatalog(tuple(entries), catalog.skipped, catalog.read_errors, tuple(unresolved))

@@ -8,14 +8,12 @@ x86-64 subset; unknown machines simply produce no rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Protocol
+from typing import NamedTuple, Optional, Protocol
 
 from .reader import EM_X86_64
 
 
-@dataclass(frozen=True, slots=True)
-class Decoded:
+class Decoded(NamedTuple):
     size: int
     mnemonic: str
     operands: str

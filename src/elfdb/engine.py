@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import os
 import sqlite3
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain, islice
-from typing import Mapping, Optional, Union
+from typing import Mapping, NamedTuple, Optional, Union
 
 from .corpus import CorpusCatalog
 from .model import SCHEMA, TABLE_NAMES, TABLE_PRODUCERS
+from .reader import Frozen
 
 
 class RegistrationFailure(Exception):
@@ -51,10 +51,14 @@ class StrategyMode(Enum):
     MEMOIZED = "MEMOIZED"
 
 
-@dataclass(frozen=True)
-class QueryResult:
-    columns: tuple[str, ...]
-    rows: tuple[tuple, ...]
+class QueryResult(Frozen):
+    """A statement's column names and rows; `len` and iteration are over
+    the rows."""
+
+    _fields = __slots__ = ("columns", "rows")
+
+    def __init__(self, columns: tuple[str, ...], rows: tuple[tuple, ...]):
+        self._assign(columns, rows)
 
     def __iter__(self):
         return iter(self.rows)
@@ -63,8 +67,7 @@ class QueryResult:
         return len(self.rows)
 
 
-@dataclass(frozen=True)
-class ExportSummary:
+class ExportSummary(NamedTuple):
     tables: int
     rows: int
     per_table: dict[str, int]

@@ -14,11 +14,11 @@ import mmap
 import os
 import stat
 import struct
-from collections.abc import Sequence
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from enum import Enum
 from itertools import chain
-from typing import Optional
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 
 class ElfError(Exception):
@@ -269,8 +269,46 @@ class SymbolTableKind(Enum):
     DYNSYM = ".dynsym"
 
 
-@dataclass(frozen=True, slots=True)
-class ElfIdent:
+class Frozen:
+    """Base of the read-only records that are not tuples: those whose `len`
+    or iteration means something else, or that carry a cache.  The other
+    records are NamedTuples.
+
+    A subclass names its value fields in `_fields` and stores them once, in
+    `__init__`, with `_assign`; assigning or deleting an attribute later
+    raises AttributeError.  Records of one type are equal, and hash alike,
+    when their `_fields` are equal.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, *_value):
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+
+class ElfIdent(NamedTuple):
     elf_class: ElfClass
     data_encoding: DataEncoding
     ei_version: int
@@ -278,8 +316,7 @@ class ElfIdent:
     abi_version: int
 
 
-@dataclass(frozen=True, slots=True)
-class ElfHeader:
+class ElfHeader(NamedTuple):
     ident: ElfIdent
     file_type_code: int
     machine_code: int
@@ -304,8 +341,7 @@ class ElfHeader:
         return render_code(self.machine_code, MACHINE_NAMES)
 
 
-@dataclass(frozen=True, slots=True)
-class Section:
+class Section(NamedTuple):
     index: int
     name: str
     type_code: int
@@ -334,8 +370,7 @@ class Section:
         return render_flags(self.flags, SECTION_FLAG_LETTERS)
 
 
-@dataclass(frozen=True, slots=True)
-class Segment:
+class Segment(NamedTuple):
     index: int
     type_code: int
     flags: int
@@ -355,31 +390,34 @@ class Segment:
         return render_flags(self.flags, SEGMENT_FLAG_LETTERS)
 
 
-@dataclass(frozen=True, slots=True)
-class SymbolTable:
+class SymbolTable(Frozen):
     """One .dynsym or .symtab section, unpacked once into parallel columns.
 
-    Entry i of each column belongs to the symbol with index i.  `versions`
-    holds a (version, default) pair per symbol of a versioned .dynsym and
-    is empty otherwise.
+    Entry i of each column belongs to the symbol with index i, and `len` is
+    the symbol count.  `versions` holds a (version, default) pair per symbol
+    of a versioned .dynsym and is empty otherwise.
     """
 
-    kind: SymbolTableKind
-    name_offsets: tuple[int, ...]
-    names: tuple[str, ...]
-    infos: tuple[int, ...]
-    others: tuple[int, ...]
-    shndxs: tuple[int, ...]
-    values: tuple[int, ...]
-    sizes: tuple[int, ...]
-    versions: tuple[tuple[Optional[str], bool], ...]
+    _fields = __slots__ = ("kind", "names", "infos", "others", "shndxs", "values", "sizes", "versions")
+
+    def __init__(
+        self,
+        kind: SymbolTableKind,
+        names: tuple[str, ...],
+        infos: tuple[int, ...],
+        others: tuple[int, ...],
+        shndxs: tuple[int, ...],
+        values: tuple[int, ...],
+        sizes: tuple[int, ...],
+        versions: tuple[tuple[Optional[str], bool], ...],
+    ):
+        self._assign(kind, names, infos, others, shndxs, values, sizes, versions)
 
     def __len__(self) -> int:
         return len(self.names)
 
 
-@dataclass(frozen=True, slots=True)
-class DynamicEntry:
+class DynamicEntry(NamedTuple):
     ordinal: int
     tag_code: int
     value: int
@@ -392,19 +430,27 @@ class DynamicEntry:
         return render_code(self.tag_code, DYNAMIC_TAG_NAMES)
 
 
-@dataclass(frozen=True, slots=True)
-class ElfObject:
+class ElfObject(Frozen):
     """One fully parsed ELF file.  Immutable; safe to share across threads."""
 
-    path: str
-    header: ElfHeader
-    sections: tuple[Section, ...]
-    segments: tuple[Segment, ...]
-    # .dynsym tables first, then .symtab tables, each in section order.
-    symbol_tables: tuple[SymbolTable, ...]
-    dynamic: tuple[DynamicEntry, ...]
-    # bytes copies of the string tables looked up so far, by section index.
-    string_tables: dict[int, bytes] = field(default_factory=dict, compare=False, repr=False)
+    _fields = ("path", "header", "sections", "segments", "symbol_tables", "dynamic")
+    __slots__ = _fields + ("string_tables",)
+
+    def __init__(
+        self,
+        path: str,
+        header: ElfHeader,
+        sections: tuple[Section, ...],
+        segments: tuple[Segment, ...],
+        # .dynsym tables first, then .symtab tables, each in section order.
+        symbol_tables: tuple[SymbolTable, ...],
+        dynamic: tuple[DynamicEntry, ...],
+        string_tables: Optional[Mapping[int, bytes]] = None,
+    ):
+        self._assign(path, header, sections, segments, symbol_tables, dynamic)
+        # Read-only bytes copies of the string tables the parse looked up, by
+        # section index; neither compared nor shown.
+        object.__setattr__(self, "string_tables", MappingProxyType(string_tables or {}))
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -705,7 +751,7 @@ def _parse_symbol_table(
         by_word = {w: _version_of_word(w, verneed, verdef) for w in set(words)}
         versions = tuple(map(by_word.__getitem__, words))
         versions += ((None, False),) * (len(names) - len(words))
-    return SymbolTable(kind, name_offsets, names, infos, others, shndxs, values, sizes, versions)
+    return SymbolTable(kind, names, infos, others, shndxs, values, sizes, versions)
 
 
 def _parse_dynamic(

@@ -329,9 +329,12 @@ class TestStartup:
     def test_cli_import_loads_neither_ctypes_nor_bench(self):
         script = textwrap.dedent(
             """
-            import json, sys
+            import sys
+            bare = set(sys.modules)  # with whatever a site .pth file loads
             import elfdb.cli
-            loaded = [m for m in ("ctypes", "elfdb.bench") if m in sys.modules]
+            added = set(sys.modules) - bare
+            loaded = [m for m in ("ctypes", "dataclasses", "elfdb.bench") if m in added]
+            import json
             import elfdb
             star = {}
             exec("from elfdb import *", star)

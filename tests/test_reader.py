@@ -145,7 +145,15 @@ class TestInvariants:
                 else SymbolTableKind.DYNSYM
             )
             table = symbol_table(obj, kind)
-            for offset, name in zip(table.name_offsets, table.names):
+            # st_name is the first 32-bit word of an entry in both classes.
+            ident = obj.header.ident
+            name_word = "<I" if ident.data_encoding == DataEncoding.LSB else ">I"
+            entsize = 24 if ident.elf_class == ElfClass.ELF64 else 16
+            offsets = [
+                struct.unpack_from(name_word, sec.view, i)[0] for i in range(0, sec.size, entsize)
+            ]
+            assert len(offsets) == len(table.names)
+            for offset, name in zip(offsets, table.names):
                 assert reader.string_at(strtab, offset, "check") == name
 
     def test_null_symbol_shape(self):
