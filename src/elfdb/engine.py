@@ -11,10 +11,16 @@ in for lazy virtual evaluation; the observable contract - pay at first
 query, identical results - is the same.)  A fill inserts its producer's
 rows in order through multi-row `INSERT` statements of `_BATCH_ROWS` rows
 each, the last few one row at a time, so rowids follow producer order.
+When the corpus holds two or more files, the `elf_symbols` fill also builds
+the index `elf_symbols_path` on `(path, "table")`, so per-file statements
+search it instead of scanning every file's symbols.  Rows and rowids do not
+change, but a statement without a total `ORDER BY` may list its rows in
+index order, e.g. `SELECT path FROM elf_symbols` by path.
 
-`export_database` persists the whole schema, declared column types
-included, to an ordinary SQLite 3 file with SQLite's online-backup API;
-any stock SQLite tooling reads it.
+`export_database` persists the whole schema, declared column types and
+`elf_symbols_path` included, to an ordinary SQLite 3 file with SQLite's
+online-backup API; any stock SQLite tooling reads it and plans with the same
+index.
 """
 
 from __future__ import annotations
@@ -97,6 +103,12 @@ def _insert_sql(name: str, rows: int) -> str:
 _INSERT_SQL = {name: _insert_sql(name, 1) for name in SCHEMA}
 _BATCH_INSERT_SQL = {name: _insert_sql(name, _BATCH_ROWS) for name in SCHEMA}
 
+# Built with the fill, in the same transaction, when the catalog holds two or
+# more files; with one file every row has the same path, so the index could
+# never narrow a search.  Per-file counts then search it, and the histogram
+# groups along it without a sort.
+_SYMBOL_INDEX_SQL = 'CREATE INDEX elf_symbols_path ON elf_symbols (path, "table")'
+
 # Authorizer actions a read needs.  Everything else is denied, pragmas apart:
 # reading a pragma's value and `table_info` are allowed (see _authorize).
 _READ_ACTIONS = frozenset(
@@ -146,9 +158,7 @@ class Session:
                 self._conn.execute(_CREATE_SQL[name])
         except sqlite3.Error as exc:
             raise RegistrationFailure(str(exc)) from exc
-        # Each b-tree's root page to its table.  `tbl_name`, so that an index
-        # (which a covering scan opens alone) maps to the table it indexes.
-        self._root_tables = dict(self._conn.execute("SELECT rootpage, tbl_name FROM sqlite_master"))
+        self._map_root_pages()
         for name in TABLE_NAMES:
             if modes[name] == StrategyMode.MEMOIZED:
                 self._materialize(name)
@@ -160,6 +170,11 @@ class Session:
     @property
     def table_names(self) -> tuple[str, ...]:
         return TABLE_NAMES
+
+    def _map_root_pages(self) -> None:
+        # Each b-tree's root page to its table.  `tbl_name`, so that an index
+        # (which a covering scan opens alone) maps to the table it indexes.
+        self._root_tables = dict(self._conn.execute("SELECT rootpage, tbl_name FROM sqlite_master"))
 
     def _materialize(self, table: str) -> None:
         producer = TABLE_PRODUCERS[table]
@@ -178,11 +193,16 @@ class Session:
         try:
             self._conn.executemany(_BATCH_INSERT_SQL[table], batches())
             self._conn.executemany(_INSERT_SQL[table], tail)
+            indexed = table == "elf_symbols" and len(self._catalog.entries) >= 2
+            if indexed:
+                self._conn.execute(_SYMBOL_INDEX_SQL)
             self._conn.execute("COMMIT")
         except BaseException:
             self._conn.execute("ROLLBACK")
             raise
         self._pending.discard(table)
+        if indexed:
+            self._map_root_pages()
 
     def _fill_tables_read(self, sql: str, params: dict) -> None:
         # `EXPLAIN <sql>` compiles the statement under the authorizer without

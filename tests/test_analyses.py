@@ -448,3 +448,60 @@ class TestOneScanStatements:
             report = symbol_histogram(session)
         assert report.rows == ((other, 22), (lib, 0))
         assert report.buckets == (("0", 1), ("10-99", 1))
+
+
+def every_analysis(session, paths) -> dict:
+    """Each canned analysis over `session`, keyed by analysis and arguments."""
+    out: dict = {}
+    for path in paths:
+        out["count", path] = count_symbols(session, path)
+        out["imported", path] = count_symbols(session, path, imported_only=True)
+    out["audit"] = interposition_audit(session)
+    out["histogram"] = symbol_histogram(session)
+    out["histogram", 10] = symbol_histogram(session, bucket_width=10)
+    for path in paths:
+        out["runpath", path] = runpath(session, path)
+        out["python", path] = python_extension_check(session, path, "spam")
+        for other in paths:
+            if other != path:
+                out["diff", path, other] = diff_symbols(session, path, other)
+    return out
+
+
+class TestSymbolIndex:
+    @pytest.mark.parametrize("mode", list(engine.StrategyMode))
+    def test_every_analysis_agrees_without_it(self, mode, tmp_path):
+        ext = str(tmp_path / "ext.so")
+        write_elf(
+            ext,
+            symbols=exported_funcs("PyInit_spam", "helper") + [SymbolSpec("plain", size=16)],
+            runpath="/opt/ext:/opt/lib",
+        )
+        catalog = corpus.add_paths(
+            [
+                RUBY_LIKE,
+                write_varied_elf(str(tmp_path / "msb32.so"), ElfClass.ELF32, DataEncoding.MSB),
+                write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB),
+                ext,
+                *symtab_only(tmp_path),
+                no_symbol_rows(tmp_path)[0],
+                *system_elves(limit=3),
+            ]
+        )
+        strategies = {"elf_symbols": mode}
+        plan = "EXPLAIN QUERY PLAN " + analyses._COUNT_TABLE_SQL
+        with engine.register(catalog, strategies) as indexed, engine.register(
+            catalog, strategies
+        ) as plain:
+            plain.execute("SELECT COUNT(*) FROM elf_symbols")
+            plain._conn.execute("DROP INDEX elf_symbols_path")
+            want = every_analysis(plain, catalog.paths)
+            # A LAZY session fills elf_symbols, and so builds the index, on its first count.
+            got = every_analysis(indexed, catalog.paths)
+            params = {"path": catalog.paths[0]}
+            assert "elf_symbols_path" in str(indexed.execute(plan, params).rows)
+            assert "elf_symbols_path" not in str(plain.execute(plan, params).rows)
+        assert got == want
+        assert want["python", os.path.realpath(ext)] == 3
+        assert want["audit"].rows and want["histogram"].rows
+        assert any(want[key].rows for key in want if key[0] == "diff")

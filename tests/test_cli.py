@@ -333,7 +333,7 @@ class TestStartup:
             bare = set(sys.modules)  # with whatever a site .pth file loads
             import elfdb.cli
             added = set(sys.modules) - bare
-            loaded = [m for m in ("ctypes", "dataclasses", "elfdb.bench") if m in added]
+            loaded = [m for m in ("ctypes", "dataclasses", "elfdb.bench", "logging") if m in added]
             import json
             import elfdb
             star = {}

@@ -132,6 +132,16 @@ class TestAddPaths:
         catalog = add_paths([str(empty), str(good)])
         assert catalog.read_errors == ((str(empty), "not an ELF file"),)
 
+    def test_a_skipped_input_logs_a_warning(self, tmp_path, caplog):
+        good = tmp_path / "good.so"
+        write_elf(str(good), symbols=exported_funcs("f"))
+        missing = str(tmp_path / "missing.so")
+        with caplog.at_level("WARNING", logger="elfdb.corpus"):
+            catalog = add_paths([missing, str(good)])
+        assert [e.path for e in catalog.entries] == [os.path.realpath(str(good))]
+        assert [(r.name, r.levelname) for r in caplog.records] == [("elfdb.corpus", "WARNING")]
+        assert caplog.records[0].getMessage().startswith(f"skipping {missing}: ")
+
     def test_many_small_files_under_a_low_descriptor_limit(self, tmp_path):
         # Files below the mapping threshold are read, so they hold no
         # descriptor once parsed.

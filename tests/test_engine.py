@@ -8,7 +8,7 @@ from itertools import islice
 
 import pytest
 
-from elfdb import bench, corpus, engine, model, reader
+from elfdb import analyses, bench, corpus, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.engine import (
     ExportAborted,
@@ -558,6 +558,57 @@ class TestStrategyEquivalence:
                 assert lazy.execute(sql).rows == memo.execute(sql).rows
 
 
+def index_names(conn) -> list[str]:
+    return [name for (name,) in conn.execute("SELECT name FROM sqlite_master WHERE type = 'index'")]
+
+
+class TestSymbolIndex:
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_two_file_sessions_and_their_exports_hold_it(self, small_corpus, mode, tmp_path):
+        dest = str(tmp_path / "out.sqlite")
+        with register(small_corpus, {"elf_symbols": mode}) as session:
+            filled = mode is StrategyMode.MEMOIZED
+            assert index_names(session._conn) == (["elf_symbols_path"] if filled else [])
+            session.execute("SELECT COUNT(*) FROM elf_symbols")
+            assert index_names(session._conn) == ["elf_symbols_path"]
+            session.export_database(dest)
+        conn = sqlite3.connect(dest)
+        try:
+            assert index_names(conn) == ["elf_symbols_path"]
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_one_file_sessions_and_their_exports_never_hold_it(self, mode, tmp_path):
+        dest = str(tmp_path / "out.sqlite")
+        with register(corpus.add_paths([RUBY_LIKE]), {"elf_symbols": mode}) as session:
+            session.execute("SELECT COUNT(*) FROM elf_symbols")
+            assert index_names(session._conn) == []
+            session.export_database(dest)
+        conn = sqlite3.connect(dest)
+        try:
+            assert index_names(conn) == []
+        finally:
+            conn.close()
+
+    def test_count_symbols_searches_it(self, small_corpus):
+        path = small_corpus.paths[0]
+        with register(small_corpus) as session:
+            assert analyses.count_symbols(session, path) == 4  # null row, alpha, beta, ext
+            plan = session.execute("EXPLAIN QUERY PLAN " + analyses._COUNT_TABLE_SQL, {"path": path})
+        # One search; SQLite before 3.36 writes "SEARCH TABLE elf_symbols USING ...".
+        [(*_, detail)] = plan.rows
+        assert "USING COVERING INDEX elf_symbols_path (path=?)" in detail
+
+    def test_its_root_page_maps_to_elf_symbols(self, small_corpus):
+        with register(small_corpus) as session:
+            session.execute("SELECT COUNT(*) FROM elf_symbols")
+            (root,) = session._conn.execute(
+                "SELECT rootpage FROM sqlite_master WHERE name = 'elf_symbols_path'"
+            ).fetchone()
+            assert session._root_tables[root] == "elf_symbols"
+
+
 class TestExport:
     def test_round_trip_counts(self, small_corpus, tmp_path):
         dest = str(tmp_path / "out.sqlite")
@@ -632,7 +683,7 @@ class TestExport:
             headers = conn.execute("SELECT COUNT(*) FROM elf_headers").fetchone()[0]
         finally:
             conn.close()
-        assert names == sorted(TABLE_NAMES)
+        assert names == sorted(TABLE_NAMES + ("elf_symbols_path",))
         assert headers == summary.per_table["elf_headers"] == 2
         assert os.listdir(out) == ["out.sqlite"]
 
