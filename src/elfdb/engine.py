@@ -32,7 +32,7 @@ from itertools import chain, islice
 from typing import Mapping, NamedTuple, Optional, Union
 
 from .corpus import CorpusCatalog
-from .model import SCHEMA, TABLE_NAMES, TABLE_PRODUCERS
+from .model import SCHEMA, TABLE_NAMES, TABLE_PRODUCERS, ZERO_IS_NULL
 from .reader import Frozen
 
 
@@ -96,7 +96,9 @@ _BATCH_ROWS = 32
 
 
 def _insert_sql(name: str, rows: int) -> str:
-    row = "({})".format(", ".join("?" * len(SCHEMA[name])))
+    row = "({})".format(
+        ", ".join("NULLIF(?, 0)" if (name, col) == ZERO_IS_NULL else "?" for col, _ in SCHEMA[name])
+    )
     return 'INSERT INTO "{}" VALUES {}'.format(name, ", ".join([row] * rows))
 
 

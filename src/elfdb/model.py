@@ -6,11 +6,13 @@ its DDL from it.
 
 Each `*_tuples` producer (`TABLE_PRODUCERS`) maps one ElfObject straight
 to the rows of one table: tuples in SCHEMA column order, exactly as SQLite
-stores them.  Integers are in SQLite's signed 64-bit range, flags are 0/1
-and section contents are views of the file.  Row order is deterministic,
-derived columns (exported/imported, demangled names, flag letters,
-reserved-index names) are computed here, and everything is pure: the same
-object always yields the same rows.
+stores them, with one exception: a missing `elf_symbols.version` is the
+integer 0 in the tuple and NULL in SQL (see `ZERO_IS_NULL`).  Integers are
+in SQLite's signed 64-bit range, flags are 0/1 and section contents are
+views of the file.  Row order is deterministic, derived columns
+(exported/imported, demangled names, flag letters, reserved-index names)
+are computed here, and everything is pure: the same object always yields
+the same rows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import os
 from itertools import accumulate, count, repeat
 from operator import add, itemgetter
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import reader
 from .demangle import demangle
@@ -47,9 +49,10 @@ _EXPORTABLE_TYPES = frozenset(("FUNC", "OBJECT", "TLS", "GNU_IFUNC"))
 _BINDABLE = frozenset(("GLOBAL", "WEAK", "GNU_UNIQUE"))
 
 # The columns of each table in declaration order, each with the Python type
-# of its values: `str` (TEXT; only `elf_symbols.version` and
-# `elf_dynamic_entries.string` may be None), `int` and `bool` (INTEGER) or
-# `bytes` (BLOB).  Everything else about a table's shape is derived from this.
+# of its values: `str` (TEXT; only `elf_symbols.version`, see ZERO_IS_NULL,
+# and `elf_dynamic_entries.string` may be NULL), `int` and `bool` (INTEGER)
+# or `bytes` (BLOB).  Everything else about a table's shape is derived from
+# this.
 SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
     "elf_headers": (
         ("path", str), ("file_type", str), ("machine", str), ("version", int),
@@ -81,6 +84,12 @@ SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
 }
 
 TABLE_NAMES = tuple(SCHEMA)
+
+# The one (table, column) whose producer writes NULL as the integer 0, which
+# the engine's INSERT turns back into NULL with `NULLIF(?, 0)`: sqlite3 binds
+# None through an adapter lookup that costs about ten times an int's bind.
+# A version is TEXT, and SQLite never finds a text equal to 0, so `'0'` stays.
+ZERO_IS_NULL = ("elf_symbols", "version")
 
 
 def path_text(path: str) -> str:
@@ -126,11 +135,13 @@ def derive_export_import(
 def _string_columns(content: bytes) -> tuple[Iterator[int], Iterator[str]]:
     """The offsets and the values of the NUL-terminated entries of one
     string table; an unterminated tail is not an entry."""
-    pieces = content.split(b"\x00")
+    text = content.isascii()
+    # An ASCII table is decoded once; its entries' lengths are byte lengths.
+    pieces = content.decode("ascii").split("\0") if text else content.split(b"\x00")
     pieces.pop()  # the bytes after the last NUL
     # Entry i starts after the i entries and i NULs before it.
     offsets = map(add, accumulate(map(len, pieces), initial=0), count())
-    return offsets, map(decode_bytes, pieces)
+    return offsets, iter(pieces) if text else map(decode_bytes, pieces)
 
 
 _I64_MAX = 2**63
@@ -192,20 +203,33 @@ def _symbol_columns(obj: ElfObject, table: SymbolTable) -> dict[tuple[int, int, 
     return columns
 
 
+def _db_ints(column: tuple[int, ...]) -> Iterable[int]:
+    """`column` as stored: converted by `_db_int` only when a value needs it."""
+    return map(_db_int, column) if column and max(column) >= _I64_MAX else column
+
+
 def _symbol_tuples_in_table_order(obj: ElfObject) -> Iterator[tuple]:
     path = path_text(obj.path)
     for table in obj.symbol_tables:
         kind = table.kind.value
         columns = _symbol_columns(obj, table)
-        keys = zip(table.infos, table.others, table.shndxs)
-        versions = map(itemgetter(0), table.versions) if table.versions else repeat(None)
-        for index, name, key, value, size, version in zip(
-            count(), table.names, keys, table.values, table.sizes, versions
-        ):
-            section, type_, binding, visibility, exported, imported = columns[key]
+        derived = map(columns.__getitem__, zip(table.infos, table.others, table.shndxs))
+        # A missing version is 0, which the engine stores as NULL.
+        if table.versions:
+            stored = {pair: 0 if pair[0] is None else pair[0] for pair in set(table.versions)}
+            versions = map(stored.__getitem__, table.versions)
+        else:
+            versions = repeat(0)
+        rows = zip(
+            count(), table.names, derived, _db_ints(table.values), _db_ints(table.sizes), versions
+        )
+        for (
+            index, name, (section, type_, binding, visibility, exported, imported), value, size,
+            version,
+        ) in rows:
             yield (
                 path, kind, index, name, demangle(name), section, type_, binding,
-                visibility, _db_int(value), _db_int(size), version, exported, imported,
+                visibility, value, size, version, exported, imported,
             )
 
 

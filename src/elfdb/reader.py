@@ -8,12 +8,14 @@ The model is purely structural; relational concerns live in `model`.
 
 from __future__ import annotations
 
+import array
 import errno
 import functools
 import mmap
 import os
 import stat
 import struct
+import sys
 from collections.abc import Mapping, Sequence
 from enum import Enum
 from itertools import chain
@@ -486,9 +488,9 @@ class _Layouts:
             self.sym = struct.Struct(bo + "IBBHQQ")
             self.dyn = struct.Struct(bo + "QQ")
             self.phdr_has_leading_flags = True
-            # Record positions of st_name, st_info, st_other, st_shndx,
-            # st_value and st_size.
-            self.sym_fields = (0, 1, 2, 3, 4, 5)
+            # (offset, width) of st_name, st_info, st_other, st_shndx,
+            # st_value and st_size within a symbol record.
+            self.sym_columns = ((0, 4), (4, 1), (5, 1), (6, 2), (8, 8), (16, 8))
         else:
             self.ehdr = struct.Struct(bo + "HHIIIIIHHHHHH")
             self.shdr = struct.Struct(bo + "IIIIIIIIII")
@@ -496,8 +498,9 @@ class _Layouts:
             self.sym = struct.Struct(bo + "IIIBBH")
             self.dyn = struct.Struct(bo + "II")
             self.phdr_has_leading_flags = False
-            self.sym_fields = (0, 3, 4, 5, 1, 2)
-        self.half = struct.Struct(bo + "H")
+            self.sym_columns = ((0, 4), (12, 1), (13, 1), (14, 2), (4, 4), (8, 4))
+        # The file's byte order is not this machine's.
+        self.swap = (encoding == DataEncoding.LSB) != (sys.byteorder == "little")
         self.verneed = struct.Struct(bo + "HHIII")
         self.vernaux = struct.Struct(bo + "IHHII")
         self.verdef = struct.Struct(bo + "HHHHIII")
@@ -629,9 +632,40 @@ def _parse_segments(data: memoryview, hdr: ElfHeader, lay: _Layouts) -> list[Seg
     return segments
 
 
+# The native memoryview/array format of an unsigned field of each width.
+_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def _field_columns(
+    view: memoryview, lay: _Layouts, entsize: int, fields: Sequence[tuple[int, int]]
+) -> list[tuple[int, ...]]:
+    """For each (offset, width) of `fields`, that unsigned field of every
+    `entsize`-byte record in `view`, in record order.
+
+    `len(view)` is a multiple of `entsize`, and each field is aligned to its
+    width within the record, so a column is one strided slice of `view`
+    read as words of that width: a cast in the machine's byte order, else
+    one byteswapped copy per width.
+    """
+    words_of: dict[int, Sequence[int]] = {}
+    columns = []
+    for offset, width in fields:
+        words = words_of.get(width)
+        if words is None:
+            if lay.swap and width > 1:
+                words = array.array(_FORMATS[width])
+                words.frombytes(view)
+                words.byteswap()
+            else:
+                words = view.cast(_FORMATS[width])
+            words_of[width] = words
+        columns.append(tuple(words[offset // width :: entsize // width].tolist()))
+    return columns
+
+
 def _parse_versym(section: Section, lay: _Layouts) -> tuple[int, ...]:
-    words = section.view[: section.size // 2 * 2]
-    return tuple(word for (word,) in lay.half.iter_unpack(words))
+    words = section.view[: len(section.view) // 2 * 2]
+    return _field_columns(words, lay, 2, ((0, 2),))[0]
 
 
 def _parse_verneed(section: Section, strtab: bytes, count: int, lay: _Layouts) -> dict[int, str]:
@@ -712,7 +746,14 @@ def _linked_strtab(
 
 def _symbol_names(strtab: bytes, name_offsets: tuple[int, ...]) -> tuple[str, ...]:
     try:
-        return tuple([decode_bytes(strtab[o : strtab.index(0, o)]) for o in name_offsets])
+        if strtab.isascii():
+            # One decode for the whole table; its byte offsets are then text
+            # offsets, and every name is a slice of the text.
+            text = strtab.decode("ascii")
+            index = text.index
+            return tuple([text[o : index("\0", o)] for o in name_offsets])
+        index = strtab.index
+        return tuple([decode_bytes(strtab[o : index(0, o)]) for o in name_offsets])
     except ValueError:
         # An offset past the end or an unterminated name: string_at says which.
         return tuple(string_at(strtab, o, "symbol name") for o in name_offsets)
@@ -735,8 +776,9 @@ def _parse_symbol_table(
     if sec.size % entsize != 0:
         raise Malformed(f"symbol table {sec.name!r} size not a multiple of {entsize}")
     strtab = _linked_strtab(sections, sec.link, f"symbol table {sec.name!r}", strtabs)
-    columns = tuple(zip(*lay.sym.iter_unpack(sec.view))) or ((),) * 6
-    name_offsets, infos, others, shndxs, values, sizes = (columns[i] for i in lay.sym_fields)
+    name_offsets, infos, others, shndxs, values, sizes = _field_columns(
+        sec.view, lay, entsize, lay.sym_columns
+    )
 
     names = _symbol_names(strtab, name_offsets)
     dangling = {x for x in set(shndxs) if shnum <= x < SHN_LORESERVE}

@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import struct
 import subprocess
 from dataclasses import dataclass
 from typing import Optional
@@ -45,6 +46,10 @@ _TABLE_HEADER = re.compile(r"Symbol table '(\S+)' contains (\d+) entries:")
 _SYMBOL_LINE = re.compile(
     r"^\s*(\d+):\s+([0-9a-fA-F]+)\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s*(.*)$"
 )
+# readelf's text for a type or binding code reserved to the OS ABI, such as
+# binding 10 (GNU_UNIQUE) in a file whose OS/ABI is not GNU; rewritten to
+# one word, OS_SPECIFIC_10, so that the line splits into its fields.
+_OS_SPECIFIC = re.compile(r"<OS specific>: (\d+)")
 
 
 @dataclass(frozen=True)
@@ -84,7 +89,7 @@ def readelf_symbol_tables(path: str) -> dict[str, list[OracleSymbol]]:
             continue
         if current is None:
             continue
-        m = _SYMBOL_LINE.match(line)
+        m = _SYMBOL_LINE.match(_OS_SPECIFIC.sub(r"OS_SPECIFIC_\1", line))
         if not m or m.group(3) == "Size":
             continue
         name, version, default = _split_versioned_name(m.group(8))
@@ -214,6 +219,30 @@ def make_elf(tmp_path):
 
 
 @pytest.fixture
+def versioned_lib(tmp_path) -> tuple[str, list[Optional[str]]]:
+    """A file whose .dynsym holds the null symbol and 40 functions, so that a
+    fill inserts one 32-row batch and then single rows, and whose .symtab
+    holds 2 more; and the version of each .dynsym entry.
+
+    Entries 1, 31 and 33, on both sides of the batch's end, and 40, the last
+    one, have a version literally named "0"; entry 2 has "LIB_1"; the rest
+    have none."""
+    path = str(tmp_path / "libversioned.so")
+    write_elf(
+        path,
+        symbols=exported_funcs(*(f"fn_{i:02}" for i in range(1, 41))),
+        symtab_symbols=exported_funcs("helper", "other"),
+    )
+    words = [0] + [1] * 40
+    words[1] = words[33] = words[40] = 2
+    words[31] = 0x8002  # hidden: not the default version, still named "0"
+    words[2] = 3
+    add_symbol_versions(path, ["0", "LIB_1"], words)
+    names = {2: "0", 3: "LIB_1"}
+    return os.path.realpath(path), [names.get(w & 0x7FFF) for w in words]
+
+
+@pytest.fixture
 def non_utf8_lib(tmp_path) -> str:
     """A generated file, alone in its directory, whose name holds byte 0xff,
     which is not valid UTF-8; skipped where the filesystem refuses it."""
@@ -240,6 +269,53 @@ def symbol_table(obj: reader.ElfObject, kind: SymbolTableKind) -> reader.SymbolT
 
 def exported_funcs(*names: str) -> list[SymbolSpec]:
     return [SymbolSpec(name=n) for n in names]
+
+
+def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> None:
+    """Version the .dynsym of the 64-bit LSB file at `path` in place.
+
+    Appends a `.gnu.version` holding `words`, one per .dynsym entry, a
+    `.gnu.version_d` that defines index 1 as the base and `versions` as
+    indices 2, 3, ..., and a `.verstr` string table for their names; then a
+    `.shstrtab` naming all sections, and the section headers.  Only the
+    section headers locate the new sections, so readelf, which looks for
+    versions through the dynamic section, does not show them.
+    """
+    obj = reader.load_elf(path)
+    hdr = obj.header
+    data = bytearray(open(path, "rb").read())
+    shdr = struct.Struct("<IIQQQQIIQQ")
+    headers = [list(shdr.unpack_from(data, hdr.shoff + i * hdr.shentsize)) for i in range(hdr.shnum)]
+    dynsym = obj.section_named(".dynsym").index
+    shstrtab = bytearray(obj.sections[hdr.shstrndx].content)
+    verstr = bytearray(b"\x00")
+    verdef = bytearray()
+    names = ["base", *versions]
+    for ndx, name in enumerate(names, start=1):
+        name_offset = len(verstr)
+        verstr += name.encode() + b"\x00"
+        last = ndx == len(names)
+        # Elf64_Verdef (20 bytes) then its one Elf64_Verdaux (8 bytes).
+        verdef += struct.pack("<HHHHIII", 1, int(ndx == 1), ndx, 1, 0, 20, 0 if last else 28)
+        verdef += struct.pack("<II", name_offset, 0)
+    bodies = [
+        (".gnu.version", reader.SHT_GNU_VERSYM, struct.pack(f"<{len(words)}H", *words), dynsym, 0, 2),
+        (".gnu.version_d", reader.SHT_GNU_VERDEF, bytes(verdef), hdr.shnum + 2, len(names), 0),
+        (".verstr", reader.SHT_STRTAB, bytes(verstr), 0, 0, 0),
+    ]
+    for name, type_code, body, link, info, entsize in bodies:
+        data += bytes(-len(data) % 8)
+        headers.append([len(shstrtab), type_code, 0, 0, len(data), len(body), link, info, 8, entsize])
+        shstrtab += name.encode() + b"\x00"
+        data += body
+    headers[hdr.shstrndx][4:6] = [len(data), len(shstrtab)]
+    data += shstrtab + bytes(-(len(data) + len(shstrtab)) % 8)
+    shoff = len(data)
+    data += b"".join(shdr.pack(*h) for h in headers)
+    struct.pack_into("<Q", data, 40, shoff)  # e_shoff
+    struct.pack_into("<H", data, 60, len(headers))  # e_shnum
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def write_varied_elf(path: str, elf_class: ElfClass, encoding: DataEncoding) -> str:

@@ -435,6 +435,31 @@ class TestBatchedFill:
             conn.close()
 
 
+class TestVersionBinding:
+    """A missing `elf_symbols.version` is bound as the integer 0 and stored
+    as NULL by the INSERT's `NULLIF(?, 0)`; a version named "0" is text and
+    survives it."""
+
+    def test_version_named_zero_is_text_and_a_missing_one_is_null(self, versioned_lib, tmp_path):
+        path, versions = versioned_lib
+        # "0" on both sides of the first batch's end: one batched row, one single-row insert.
+        assert len(versions) == B + 9 and versions[B - 1] == versions[B + 1] == "0"
+        want = [(".dynsym", i, v, "null" if v is None else "text") for i, v in enumerate(versions)]
+        want += [(".symtab", i, None, "null") for i in range(3)]
+        sql = 'SELECT "table", "index", version, typeof(version) FROM elf_symbols ORDER BY rowid'
+        memoized = {"elf_symbols": StrategyMode.MEMOIZED}
+        for mode, strategies in (("lazy", None), ("memoized", memoized)):
+            dest = str(tmp_path / f"{mode}.sqlite")
+            with register(corpus.add_paths([path]), strategies) as session:
+                assert list(session.execute(sql).rows) == want, mode
+                session.export_database(dest)
+            conn = sqlite3.connect(dest)
+            try:
+                assert conn.execute(sql).fetchall() == want, mode
+            finally:
+                conn.close()
+
+
 class TestStrategyEquivalence:
     def test_lazy_equals_memoized(self, small_corpus):
         with register(small_corpus) as lazy, register(

@@ -143,9 +143,21 @@ class TestSymbolRows:
 
     def test_version_only_on_dynsym(self):
         obj = load_elf("/lib/x86_64-linux-gnu/libc.so.6")
-        versioned = [r for r in named_rows("elf_symbols", obj) if r["version"] is not None]
+        # A missing version is 0 in the tuple.
+        versioned = [r for r in named_rows("elf_symbols", obj) if r["version"] != 0]
         assert versioned
         assert all(r["table"] == ".dynsym" for r in versioned)
+
+    def test_missing_version_is_zero_in_the_tuple_and_null_in_sql(self, versioned_lib):
+        path, versions = versioned_lib
+        obj = load_elf(path)
+        rows = [(r["table"], r["version"]) for r in named_rows("elf_symbols", obj)]
+        want = [(".dynsym", 0 if v is None else v) for v in versions] + [(".symtab", 0)] * 3
+        assert rows == want
+        assert "0" in versions and None in versions
+        with engine.register(corpus.add_paths([path])) as session:
+            stored = session.execute('SELECT "table", version FROM elf_symbols ORDER BY rowid').rows
+        assert list(stored) == [(t, None if v == 0 else v) for t, v in want]
 
 
 class TestDemangle:
@@ -401,6 +413,7 @@ def reference_symbol_rows(obj) -> list[tuple]:
                 table.names[index], table.infos[index], table.others[index], table.shndxs[index]
             )
             exported, imported = derive_export_import(info, other, shndx, table.kind)
+            version = table.versions[index][0] if table.versions else None
             rows.append(
                 (
                     obj.path,
@@ -414,7 +427,7 @@ def reference_symbol_rows(obj) -> list[tuple]:
                     render_code(other & 0x3, reader.SYMBOL_VISIBILITY_NAMES),
                     model._db_int(table.values[index]),
                     model._db_int(table.sizes[index]),
-                    table.versions[index][0] if table.versions else None,
+                    0 if version is None else version,  # a missing version, stored as NULL
                     int(exported),
                     int(imported),
                 )
@@ -657,7 +670,7 @@ class TestSmallTableTuples:
             ], path
 
 
-_NULLABLE = {("elf_symbols", "version"), ("elf_dynamic_entries", "string")}
+_NULLABLE = {("elf_dynamic_entries", "string")}
 _STRING_TAGS = {"NEEDED", "SONAME", "RPATH", "RUNPATH"}
 
 
@@ -680,6 +693,9 @@ def test_tuples_follow_the_schema(tmp_path):
                 filled.add(table)
                 assert len(row) == len(columns), (path, table)
                 for (column, kind), value in zip(columns, row):
+                    if (table, column) == model.ZERO_IS_NULL and type(value) is int:
+                        assert value == 0, (path, table, column)  # stored as NULL
+                        continue
                     if value is None:
                         assert (table, column) in _NULLABLE, (path, table, column)
                         continue

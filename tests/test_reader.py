@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elfdb import reader
+from elfdb import model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.reader import (
     DataEncoding,
@@ -336,3 +336,107 @@ def test_arbitrary_names_round_trip(tmp_path_factory, names):
     obj = load_elf(path)
     parsed = sorted(n for n in symbol_table(obj, SymbolTableKind.DYNSYM).names if n)
     assert parsed == sorted(names)
+
+
+# The struct field order of each class's symbol record, by column: st_name,
+# st_info, st_other, st_shndx, st_value, st_size.
+_STRUCT_ORDER = {ElfClass.ELF64: (0, 1, 2, 3, 4, 5), ElfClass.ELF32: (0, 3, 4, 5, 1, 2)}
+_LAYOUTS = [(c, e) for c in ElfClass for e in DataEncoding]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(_LAYOUTS),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=7),
+    st.data(),
+)
+def test_symbol_columns_equal_iter_unpack(layout, count, misalign, data):
+    """Each field column equals the struct unpack of every record, for any
+    record bytes, in both classes and byte orders, from any start address."""
+    lay = reader._layouts(*layout)
+    raw = data.draw(st.binary(min_size=count * lay.sym.size, max_size=count * lay.sym.size))
+    view = memoryview(bytes(misalign) + raw)[misalign:]
+    columns = reader._field_columns(view, lay, lay.sym.size, lay.sym_columns)
+    records = list(lay.sym.iter_unpack(raw))
+    for column, field in zip(columns, _STRUCT_ORDER[layout[0]]):
+        assert type(column) is tuple
+        assert column == tuple(r[field] for r in records)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(list(DataEncoding)), st.binary(max_size=41))
+def test_version_words_equal_iter_unpack(encoding, raw):
+    """`.gnu.version` is read as whole halfwords; a trailing odd byte is
+    ignored."""
+    lay = reader._layouts(ElfClass.ELF64, encoding)
+    bo = "<" if encoding == DataEncoding.LSB else ">"
+    section = reader.Section(
+        0, ".gnu.version", reader.SHT_GNU_VERSYM, 0, 0, 0, len(raw), 0, 0, 2, 2, memoryview(raw)
+    )
+    want = tuple(w for (w,) in struct.iter_unpack(bo + "H", raw[: len(raw) // 2 * 2]))
+    assert reader._parse_versym(section, lay) == want
+
+
+# Entries of a string table: ASCII names, multi-byte UTF-8, stray bytes that
+# are not UTF-8, and empty entries.
+_ENTRY = st.one_of(
+    st.text(alphabet=st.characters(min_codepoint=1, max_codepoint=127), max_size=8).map(str.encode),
+    st.text(alphabet=st.characters(min_codepoint=1, blacklist_categories=("Cs",)), max_size=6).map(
+        str.encode
+    ),
+    st.binary(max_size=6).map(lambda b: bytes(x | 0x80 for x in b)),
+)
+
+
+@st.composite
+def string_tables(draw) -> bytes:
+    """NUL-terminated entries, possibly followed by an unterminated tail."""
+    entries = draw(st.lists(_ENTRY, max_size=8))
+    tail = draw(st.one_of(st.just(b""), _ENTRY))
+    return b"".join(e + b"\x00" for e in entries) + tail.replace(b"\x00", b"")
+
+
+def _reference_name(table: bytes, offset: int) -> str:
+    return reader.decode_bytes(table[offset : table.index(0, offset)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(string_tables(), st.data())
+def test_names_and_string_rows_equal_per_entry_decode(table, data):
+    """Names at any offset, the middle of an entry included, and the
+    `elf_strings` rows of the table equal a decode of each entry's bytes on
+    its own."""
+    valid = [o for o in range(len(table)) if 0 in table[o:]]
+    offsets = tuple(data.draw(st.lists(st.sampled_from(valid), max_size=12))) if valid else ()
+    assert reader._symbol_names(table, offsets) == tuple(_reference_name(table, o) for o in offsets)
+    entries, offset = [], 0
+    while 0 in table[offset:]:
+        entries.append((offset, _reference_name(table, offset)))
+        offset = table.index(0, offset) + 1
+    assert list(zip(*model._string_columns(table))) == entries
+
+
+@settings(max_examples=40, deadline=None)
+@given(string_tables(), st.data())
+def test_bad_name_offset_raises_string_at_message(table, data):
+    """An offset past the end or into an unterminated tail raises the
+    Malformed that string_at raises for the first such offset."""
+    bad = [o for o in range(len(table) + 3) if 0 not in table[o:]]
+    good = [o for o in range(len(table)) if 0 in table[o:]]
+    offsets = data.draw(st.lists(st.sampled_from(good), max_size=4)) if good else []
+    offsets.insert(data.draw(st.integers(0, len(offsets))), data.draw(st.sampled_from(bad)))
+    first_bad = next(o for o in offsets if o in bad)
+    with pytest.raises(Malformed) as want:
+        reader.string_at(table, first_bad, "symbol name")
+    with pytest.raises(Malformed) as got:
+        reader._symbol_names(table, tuple(offsets))
+    assert str(got.value) == str(want.value)
+
+
+def test_ascii_bad_name_offsets_raise():
+    table = b"\x00abc\x00def"
+    with pytest.raises(Malformed, match=r"symbol name string offset 9 past table end \(8\)"):
+        reader._symbol_names(table, (1, 9))
+    with pytest.raises(Malformed, match="symbol name string at offset 5 is not NUL-terminated"):
+        reader._symbol_names(table, (1, 5))
