@@ -225,8 +225,8 @@ def versioned_lib(tmp_path) -> tuple[str, list[Optional[str]]]:
     holds 2 more; and the version of each .dynsym entry.
 
     Entries 1, 31 and 33, on both sides of the batch's end, and 40, the last
-    one, have a version literally named "0"; entry 2 has "LIB_1"; the rest
-    have none."""
+    one, have a version literally named "0"; entry 2 has "LIB_1" and entry
+    3 one with an empty name; the rest have none."""
     path = str(tmp_path / "libversioned.so")
     write_elf(
         path,
@@ -236,9 +236,9 @@ def versioned_lib(tmp_path) -> tuple[str, list[Optional[str]]]:
     words = [0] + [1] * 40
     words[1] = words[33] = words[40] = 2
     words[31] = 0x8002  # hidden: not the default version, still named "0"
-    words[2] = 3
-    add_symbol_versions(path, ["0", "LIB_1"], words)
-    names = {2: "0", 3: "LIB_1"}
+    words[2], words[3] = 3, 4
+    add_symbol_versions(path, ["0", "LIB_1", ""], words)
+    names = {2: "0", 3: "LIB_1", 4: ""}
     return os.path.realpath(path), [names.get(w & 0x7FFF) for w in words]
 
 

@@ -55,7 +55,8 @@ _SYMBOL_TYPES = {"IFUNC": "GNU_IFUNC", "OS_SPECIFIC_10": "GNU_IFUNC"}
 _SECTION_TYPES = {"VERSYM": "GNU_VERSYM", "VERDEF": "GNU_VERDEF", "VERNEED": "GNU_VERNEED"}
 _SHT_LOPROC, _SHT_HIPROC = 0x70000000, 0x7FFFFFFF
 _SHNDX = {"UND": "SHN_UNDEF", "ABS": "SHN_ABS", "COM": "SHN_COMMON"}
-_RENDERED_SECTION_FLAGS = frozenset(letter for _, letter in reader.SECTION_FLAG_LETTERS)
+# The generic flag letters, the only ones elfdb renders.
+_RENDERED_SECTION_FLAGS = frozenset("WAXMSILOGTCE")
 _DATA = {"2's complement, little endian": "LSB", "2's complement, big endian": "MSB"}
 _OSABI = {
     "UNIX - System V": "SYSV", "UNIX - GNU": "GNU", "UNIX - FreeBSD": "FREEBSD",
