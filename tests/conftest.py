@@ -318,9 +318,9 @@ def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> Non
         fh.write(data)
 
 
-def write_varied_elf(path: str, elf_class: ElfClass, encoding: DataEncoding) -> str:
-    """A file with both symbol tables and one symbol of each kind the writer
-    can plant, a full-width size included."""
+def varied_elf_kwargs(elf_class: ElfClass, encoding: DataEncoding) -> dict:
+    """`write_elf` arguments for a file with both symbol tables and one symbol
+    of each kind the writer can plant, a full-width size included."""
     widest = 2**64 - 1 if elf_class == ElfClass.ELF64 else 2**32 - 1
     dynsym = [
         SymbolSpec("plain"),
@@ -342,8 +342,7 @@ def write_varied_elf(path: str, elf_class: ElfClass, encoding: DataEncoding) -> 
         SymbolSpec("_ZN3app6helperEi", binding="WEAK"),
         SymbolSpec("undefined_here", section="SHN_UNDEF"),
     ]
-    write_elf(
-        path,
+    return dict(
         symbols=dynsym,
         symtab_symbols=symtab,
         needed=["libc.so.6"],
@@ -352,4 +351,9 @@ def write_varied_elf(path: str, elf_class: ElfClass, encoding: DataEncoding) -> 
         encoding=encoding,
         machine=62 if elf_class == ElfClass.ELF64 else 20,
     )
+
+
+def write_varied_elf(path: str, elf_class: ElfClass, encoding: DataEncoding) -> str:
+    """The file of `varied_elf_kwargs` at `path`."""
+    write_elf(path, **varied_elf_kwargs(elf_class, encoding))
     return path
