@@ -165,10 +165,12 @@ def header_tuples(obj: ElfObject) -> Iterator[tuple]:
 
 def section_tuples(obj: ElfObject) -> Iterator[tuple]:
     path = path_text(obj.path)
+    machine = obj.header.machine_code
     for s in obj.sections:
         yield (
-            path, s.index, s.name, s.type_name, s.flag_letters, _db_int(s.address),
-            _db_int(s.offset), _db_int(s.size), s.link, s.info, s.view,
+            path, s.index, s.name, reader.section_type_name(s.type_code, machine),
+            s.flag_letters, _db_int(s.address), _db_int(s.offset), _db_int(s.size), s.link,
+            s.info, s.view,
         )
 
 

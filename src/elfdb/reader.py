@@ -153,6 +153,10 @@ SECTION_TYPE_NAMES = {
     0x6FFFFFFF: "GNU_VERSYM",
 }
 
+# Processor-specific section types (0x70000000-0x7FFFFFFF) that readelf
+# names, by e_machine.  Such a code of any other machine renders in decimal.
+PROCESSOR_SECTION_TYPE_NAMES = {EM_X86_64: {0x70000001: "X86_64_UNWIND"}}
+
 SEGMENT_TYPE_NAMES = {
     0: "NULL",
     1: "LOAD",
@@ -241,6 +245,12 @@ DYNAMIC_TAG_NAMES = {
 def render_code(code: int, names: dict[int, str]) -> str:
     """Canonical text for an enum code: the known name, else decimal."""
     return names.get(code, str(code))
+
+
+def section_type_name(type_code: int, machine_code: int) -> str:
+    """The name of a section type in a file for `machine_code`, else decimal."""
+    name = PROCESSOR_SECTION_TYPE_NAMES.get(machine_code, {}).get(type_code)
+    return name or render_code(type_code, SECTION_TYPE_NAMES)
 
 
 def render_flags(flags: int, letters: tuple[tuple[int, str], ...]) -> str:
@@ -364,10 +374,6 @@ class Section(NamedTuple):
         return bytes(self.view)
 
     @property
-    def type_name(self) -> str:
-        return render_code(self.type_code, SECTION_TYPE_NAMES)
-
-    @property
     def flag_letters(self) -> str:
         return render_flags(self.flags, SECTION_FLAG_LETTERS)
 
@@ -485,7 +491,7 @@ class _Layouts:
             self.ehdr = struct.Struct(bo + "HHIQQQIHHHHHH")
             self.shdr = struct.Struct(bo + "IIQQQQIIQQ")
             self.phdr = struct.Struct(bo + "IIQQQQQQ")
-            self.sym = struct.Struct(bo + "IBBHQQ")
+            self.sym_size = 24
             self.dyn = struct.Struct(bo + "QQ")
             self.phdr_has_leading_flags = True
             # (offset, width) of st_name, st_info, st_other, st_shndx,
@@ -495,7 +501,7 @@ class _Layouts:
             self.ehdr = struct.Struct(bo + "HHIIIIIHHHHHH")
             self.shdr = struct.Struct(bo + "IIIIIIIIII")
             self.phdr = struct.Struct(bo + "IIIIIIII")
-            self.sym = struct.Struct(bo + "IIIBBH")
+            self.sym_size = 16
             self.dyn = struct.Struct(bo + "II")
             self.phdr_has_leading_flags = False
             self.sym_columns = ((0, 4), (12, 1), (13, 1), (14, 2), (4, 4), (8, 4))
@@ -770,7 +776,7 @@ def _parse_symbol_table(
     verdef: dict[int, str],
     strtabs: dict[int, bytes],
 ) -> SymbolTable:
-    entsize = lay.sym.size
+    entsize = lay.sym_size
     if sec.entsize != 0 and sec.entsize != entsize:
         raise Malformed(f"symbol table {sec.name!r} entsize {sec.entsize} != {entsize}")
     if sec.size % entsize != 0:

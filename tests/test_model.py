@@ -645,7 +645,8 @@ class TestSmallTableTuples:
             ], path
             assert named_rows("elf_sections", obj) == [
                 {
-                    "path": obj.path, "index": s.index, "name": s.name, "sh_type": s.type_name,
+                    "path": obj.path, "index": s.index, "name": s.name,
+                    "sh_type": reader.section_type_name(s.type_code, h.machine_code),
                     "flags": s.flag_letters, "address": model._db_int(s.address),
                     "offset": model._db_int(s.offset), "size": model._db_int(s.size), "link": s.link,
                     "info": s.info, "content": s.content,

@@ -23,20 +23,24 @@ The comparison keeps to where the two tools name things differently:
 * readelf calls the GNU version sections `VERSYM`, `VERDEF` and `VERNEED`,
   and shows section flags elfdb does not render (such as `R`, retain, and
   `l`, large); elfdb's `flags` holds the generic letters only.
-* readelf names processor-specific section types by machine, such as
-  `X86_64_UNWIND` (0x70000001, an LLVM-linked `.eh_frame`); elfdb's names
-  do not depend on the machine, so it writes these codes in decimal.
+* readelf names processor-specific section types by machine.  elfdb names
+  them for the machines of `reader.PROCESSOR_SECTION_TYPE_NAMES`, x86-64's
+  `X86_64_UNWIND` (0x70000001, an LLVM-linked `.eh_frame`); for any other
+  machine it writes these codes in decimal, where readelf may name them
+  (0x70000001 is `ARM_EXIDX` on ARM).
 """
 
 from __future__ import annotations
 
 import os
 import re
+import struct
 import sys
 
 import pytest
 
 from elfdb import model, reader
+from elfdb.bench import SymbolSpec, write_elf
 from elfdb.reader import ElfError
 
 from conftest import (
@@ -147,8 +151,12 @@ def _section_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
     ):
         got = (row[1], row[2], row[3], row[4], _unsigned(row[5]), _unsigned(row[6]),
                _unsigned(row[7]), row[8], row[9])
-        if row[3].isdigit() and _SHT_LOPROC <= int(row[3]) <= _SHT_HIPROC:
-            type_name = row[3]  # a processor-specific code, named by readelf
+        if (
+            row[3].isdigit()
+            and _SHT_LOPROC <= int(row[3]) <= _SHT_HIPROC
+            and obj.header.machine_code not in reader.PROCESSOR_SECTION_TYPE_NAMES
+        ):
+            type_name = row[3]  # a processor-specific code of a machine elfdb names none for
         expected = (
             int(index), name, _SECTION_TYPES.get(type_name, type_name),
             "".join(f for f in flags if f in _RENDERED_SECTION_FLAGS),
@@ -215,6 +223,23 @@ def test_library_sample_matches_readelf():
         pytest.skip(f"no ELF files in {LIBRARY_DIR}")
     problems = [problem for path in paths for problem in mismatches(path)]
     assert not problems, "\n".join(problems[:20])
+
+
+@pytest.mark.parametrize("machine", [reader.EM_X86_64, 40])
+def test_processor_section_type_named_by_machine(tmp_path, machine):
+    """A section of type 0x70000001 is readelf's `X86_64_UNWIND` in an x86-64
+    file; in an ARM (40) file, where readelf shows `ARM_EXIDX`, it is decimal."""
+    path = str(tmp_path / "unwind.so")
+    write_elf(path, symbols=[SymbolSpec("f")], machine=machine)
+    obj = reader.load_elf(path)
+    text = obj.section_named(".text")
+    with open(path, "r+b") as fh:
+        fh.seek(obj.header.shoff + text.index * obj.header.shentsize + 4)  # its sh_type
+        fh.write(struct.pack("<I", 0x70000001))
+    obj = reader.load_elf(path)
+    (sh_type,) = [row[3] for row in model.section_tuples(obj) if row[2] == ".text"]
+    assert sh_type == ("X86_64_UNWIND" if machine == reader.EM_X86_64 else "1879048193")
+    assert _section_mismatches(obj, path) == []
 
 
 def main(argv: list[str]) -> int:

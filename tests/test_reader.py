@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from elfdb import model, reader
+from elfdb import bench, model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.reader import (
     DataEncoding,
@@ -338,10 +338,15 @@ def test_arbitrary_names_round_trip(tmp_path_factory, names):
     assert parsed == sorted(names)
 
 
-# The struct field order of each class's symbol record, by column: st_name,
-# st_info, st_other, st_shndx, st_value, st_size.
+# Elf64_Sym and Elf32_Sym as struct formats, and the struct field of each
+# column: st_name, st_info, st_other, st_shndx, st_value, st_size.
+_SYM_FORMATS = {ElfClass.ELF64: "IBBHQQ", ElfClass.ELF32: "IIIBBH"}
 _STRUCT_ORDER = {ElfClass.ELF64: (0, 1, 2, 3, 4, 5), ElfClass.ELF32: (0, 3, 4, 5, 1, 2)}
 _LAYOUTS = [(c, e) for c in ElfClass for e in DataEncoding]
+
+
+def _sym_struct(elf_class: ElfClass, encoding: DataEncoding) -> struct.Struct:
+    return struct.Struct(("<" if encoding == DataEncoding.LSB else ">") + _SYM_FORMATS[elf_class])
 
 
 @settings(max_examples=60, deadline=None)
@@ -355,13 +360,36 @@ def test_symbol_columns_equal_iter_unpack(layout, count, misalign, data):
     """Each field column equals the struct unpack of every record, for any
     record bytes, in both classes and byte orders, from any start address."""
     lay = reader._layouts(*layout)
-    raw = data.draw(st.binary(min_size=count * lay.sym.size, max_size=count * lay.sym.size))
+    record = _sym_struct(*layout)
+    assert lay.sym_size == record.size
+    raw = data.draw(st.binary(min_size=count * record.size, max_size=count * record.size))
     view = memoryview(bytes(misalign) + raw)[misalign:]
-    columns = reader._field_columns(view, lay, lay.sym.size, lay.sym_columns)
-    records = list(lay.sym.iter_unpack(raw))
+    columns = reader._field_columns(view, lay, record.size, lay.sym_columns)
+    records = list(record.iter_unpack(raw))
     for column, field in zip(columns, _STRUCT_ORDER[layout[0]]):
         assert type(column) is tuple
         assert column == tuple(r[field] for r in records)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_LAYOUTS), st.integers(min_value=1, max_value=20), st.data())
+def test_packed_symbol_columns_round_trip(layout, count, data):
+    """The writer's symbol records, for column values across each field's
+    full width, are the struct pack of each record and read back as the
+    same columns."""
+    lay = reader._layouts(*layout)
+    record = _sym_struct(*layout)
+    fields = _STRUCT_ORDER[layout[0]]
+    widths = [struct.calcsize("<" + _SYM_FORMATS[layout[0]][f]) for f in fields]
+    columns = [
+        data.draw(st.lists(st.integers(0, 2 ** (8 * w) - 1), min_size=count, max_size=count))
+        for w in widths
+    ]
+    packed = bench._pack_symbols(lay, columns)
+    by_field = [columns[fields.index(f)] for f in range(len(fields))]
+    assert bytes(packed) == b"".join(record.pack(*values) for values in zip(*by_field))
+    read = reader._field_columns(memoryview(packed), lay, record.size, lay.sym_columns)
+    assert read == [tuple(column) for column in columns]
 
 
 @settings(max_examples=30, deadline=None)
