@@ -27,8 +27,7 @@ _SPECIAL_SECTIONS = {"SHN_UNDEF": reader.SHN_UNDEF, "SHN_ABS": reader.SHN_ABS}
 # 0 for SHN_UNDEF and SHN_ABS.
 _DEFAULT_SIZES = {".text": 1, ".data": 4, ".bss": 4}
 
-_SHF_WRITE = 0x1
-_SHF_WA = _SHF_WRITE | reader.SHF_ALLOC
+_SHF_WA = reader.SHF_WRITE | reader.SHF_ALLOC
 # The output sections in file order: name, type, flags, alignment and the
 # string table that sh_link names.  A file holds .data and .bss when a
 # symbol lies there, .dynamic when it has dynamic symbols or entries, and

@@ -75,6 +75,7 @@ SECTION_FLAG_LETTERS = (
     (0x80000000, "E"),   # EXCLUDE
 )
 
+SHF_WRITE = 0x1
 SHF_ALLOC = 0x2
 SHF_EXECINSTR = 0x4
 
