@@ -6,9 +6,8 @@ session is registered, LAZY tables are filled before the first statement
 whose compiled program reads them (its `EXPLAIN` listing opens their
 b-trees), so queries only pay for the tables they read.  Pragmas, schema
 lookups, `EXPLAIN` and refused statements fill nothing.  (The stdlib engine
-offers no Python-level virtual tables, so deferred materialization stands
-in for lazy virtual evaluation; the observable contract - pay at first
-query, identical results - is the same.)  A fill inserts its producer's
+offers no Python-level virtual tables; a deferred fill keeps their
+contract: pay at first query, same results.)  A fill inserts its producer's
 rows in order through multi-row `INSERT` statements of `_BATCH_ROWS` rows
 each, the last few one row at a time, so rowids follow producer order.
 When the corpus holds two or more files, the `elf_symbols` fill also builds
@@ -16,6 +15,10 @@ the index `elf_symbols_path` on `(path, "table")`, so per-file statements
 search it instead of scanning every file's symbols.  Rows and rowids do not
 change, but a statement without a total `ORDER BY` may list its rows in
 index order, e.g. `SELECT path FROM elf_symbols` by path.
+The read-only allowlist authorizer stays installed for the session's life.
+A fill swaps in a permissive one and then reinstalls it, which expires
+every prepared statement: a repeated statement compiles once until the next
+fill, and no statement of a fill is ever reused unchecked.
 
 `export_database` persists the whole schema, declared column types and
 `elf_symbols_path` included, to an ordinary SQLite 3 file with SQLite's
@@ -27,7 +30,10 @@ from __future__ import annotations
 
 import os
 import sqlite3
+import weakref
+from contextlib import closing
 from enum import Enum
+from functools import partial
 from itertools import chain, islice
 from typing import Mapping, NamedTuple, Optional, Union
 
@@ -122,8 +128,7 @@ Strategies = Optional[Mapping[str, StrategyMode]]
 
 
 def _allow_all(_action, _arg1, _arg2, _dbname, _source):
-    # set_authorizer(None) only clears the hook on Python 3.11+; installing a
-    # permissive callback works everywhere.
+    # set_authorizer(None) clears the hook only on Python 3.11+; this works everywhere.
     return sqlite3.SQLITE_OK
 
 
@@ -155,15 +160,22 @@ class Session:
         self._conn = sqlite3.connect(":memory:", isolation_level=None)
         self._pending = set(TABLE_NAMES)
         self._write_denied = False
+        # Weak, so the connection keeps no session alive: one dropped unclosed is freed at once.
+        self._allowlist = partial(Session._authorize, weakref.proxy(self))
         try:
+            try:
+                for name in TABLE_NAMES:
+                    self._conn.execute(_CREATE_SQL[name])
+            except sqlite3.Error as exc:
+                raise RegistrationFailure(str(exc)) from exc
+            self._map_root_pages()
+            self._conn.set_authorizer(self._allowlist)
             for name in TABLE_NAMES:
-                self._conn.execute(_CREATE_SQL[name])
-        except sqlite3.Error as exc:
-            raise RegistrationFailure(str(exc)) from exc
-        self._map_root_pages()
-        for name in TABLE_NAMES:
-            if modes[name] == StrategyMode.MEMOIZED:
-                self._materialize(name)
+                if modes[name] == StrategyMode.MEMOIZED:
+                    self._materialize(name)
+        except BaseException:
+            self._conn.close()
+            raise
 
     @property
     def paths(self) -> tuple[str, ...]:
@@ -191,8 +203,9 @@ class Session:
                     return
                 yield tuple(chain.from_iterable(batch))
 
-        self._conn.execute("BEGIN")
+        self._conn.set_authorizer(_allow_all)
         try:
+            self._conn.execute("BEGIN")
             self._conn.executemany(_BATCH_INSERT_SQL[table], batches())
             self._conn.executemany(_INSERT_SQL[table], tail)
             indexed = table == "elf_symbols" and len(self._catalog.entries) >= 2
@@ -200,16 +213,18 @@ class Session:
                 self._conn.execute(_SYMBOL_INDEX_SQL)
             self._conn.execute("COMMIT")
         except BaseException:
-            self._conn.execute("ROLLBACK")
+            if self._conn.in_transaction:
+                self._conn.execute("ROLLBACK")
             raise
+        finally:
+            self._conn.set_authorizer(self._allowlist)
         self._pending.discard(table)
         if indexed:
             self._map_root_pages()
 
     def _fill_tables_read(self, sql: str, params: dict) -> None:
-        # `EXPLAIN <sql>` compiles the statement under the authorizer without
-        # running it; an OpenRead row with p3 = 0 opens the main database's
-        # b-tree whose root page is p2.
+        # `EXPLAIN <sql>` compiles the statement under the authorizer without running it;
+        # an OpenRead row with p3 = 0 opens the main database's b-tree whose root page is p2.
         try:
             program = self._conn.execute("EXPLAIN " + sql, params).fetchall()
         except (sqlite3.Error, sqlite3.Warning):
@@ -219,15 +234,12 @@ class Session:
             # the user's own EXPLAIN compile alone but not here; neither reads rows.
             return
         read = {self._root_tables.get(op[3]) for op in program if op[1] == "OpenRead" and op[4] == 0}
-        self._conn.set_authorizer(_allow_all)
         for table in sorted(read & self._pending):
             self._materialize(table)
-        self._conn.set_authorizer(self._authorize)
 
     def materialize_all(self) -> None:
-        for name in TABLE_NAMES:
-            if name in self._pending:
-                self._materialize(name)
+        for name in sorted(self._pending, key=TABLE_NAMES.index):
+            self._materialize(name)
 
     def _authorize(self, action, arg1, arg2, _dbname, _source):
         # A pragma's name arrives as typed: `table_info` or `TABLE_INFO`.
@@ -246,9 +258,6 @@ class Session:
         """
         params = dict(params) if params else {}
         self._write_denied = False
-        # Set per statement: setting an authorizer expires cached statements,
-        # so an INSERT a fill prepared is never reused unchecked.
-        self._conn.set_authorizer(self._authorize)
         try:
             if self._pending:
                 self._fill_tables_read(sql, params)
@@ -259,15 +268,11 @@ class Session:
             if self._write_denied:
                 raise WriteRejected(str(exc)) from exc
             raise SqlError(str(exc)) from exc
-        finally:
-            self._conn.set_authorizer(_allow_all)
-        return QueryResult(columns=columns, rows=tuple(tuple(r) for r in rows))
+        return QueryResult(columns, tuple(rows))
 
     def schema_sql(self) -> tuple[str, ...]:
-        cur = self._conn.execute(
-            "SELECT sql FROM sqlite_master WHERE type = 'table' ORDER BY name"
-        )
-        return tuple(row[0] for row in cur.fetchall())
+        rows = self._conn.execute("SELECT sql FROM sqlite_master WHERE type = 'table' ORDER BY name")
+        return tuple(sql for (sql,) in rows)
 
     def export_database(self, dest: Union[str, os.PathLike], overwrite: bool = False) -> ExportSummary:
         """Materialize every table into a standalone SQLite file at `dest`.
@@ -287,11 +292,8 @@ class Session:
         self.materialize_all()
         tmp = os.path.join(dest_dir, f".{os.path.basename(dest)}.tmp{os.getpid()}")
         try:
-            target = sqlite3.connect(tmp)
-            try:
+            with closing(sqlite3.connect(tmp)) as target:
                 self._conn.backup(target)
-            finally:
-                target.close()
             os.replace(tmp, dest)
         except (sqlite3.Error, OSError) as exc:
             if os.path.exists(tmp):
@@ -301,9 +303,7 @@ class Session:
             name: self._conn.execute(f'SELECT COUNT(*) FROM main."{name}"').fetchone()[0]
             for name in TABLE_NAMES
         }
-        return ExportSummary(
-            tables=len(TABLE_NAMES), rows=sum(per_table.values()), per_table=per_table
-        )
+        return ExportSummary(len(TABLE_NAMES), sum(per_table.values()), per_table)
 
     def close(self) -> None:
         self._conn.close()

@@ -36,10 +36,14 @@ def require_readelf():
 
 
 def run_readelf(*args: str) -> str:
+    """readelf's output.  Under a UTF-8 locale readelf 2.40 mangles a
+    multi-byte name (`grüße` comes out as the bytes 67 72 c3 c3 65), so it
+    runs in the C locale, which passes a name's bytes through; they are
+    decoded as UTF-8 with stray bytes escaped, as the reader decodes names."""
     require_readelf()
-    return subprocess.run(
-        [READELF, *args], capture_output=True, text=True, check=True
-    ).stdout
+    env = {**os.environ, "LC_ALL": "C"}
+    out = subprocess.run([READELF, *args], capture_output=True, check=True, env=env).stdout
+    return out.decode("utf-8", "backslashreplace")
 
 
 _TABLE_HEADER = re.compile(r"Symbol table '(\S+)' contains (\d+) entries:")

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import mmap
 import os
 import random
 import sqlite3
 import struct
+import weakref
 from itertools import islice
 
 import pytest
@@ -76,6 +78,39 @@ class TestRegistration:
     def test_unknown_strategy_table_rejected(self, small_corpus, strategies):
         with pytest.raises(RegistrationFailure):
             register(small_corpus, strategies)
+
+    def test_a_failed_registration_closes_its_connection(self, small_corpus, monkeypatch):
+        opened = []
+        connect = sqlite3.connect
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", recording_connect)
+
+        def failing(_obj):
+            raise RuntimeError("producer failed")
+            yield
+
+        monkeypatch.setitem(model.TABLE_PRODUCERS, "elf_symbols", failing)
+        with pytest.raises(RuntimeError, match="producer failed"):
+            register(small_corpus, {"elf_symbols": StrategyMode.MEMOIZED})
+        [conn] = opened
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")
+
+    def test_a_dropped_session_is_freed_without_the_cycle_collector(self, small_corpus):
+        # The connection holds the authorizer, which must not hold the session.
+        session = register(small_corpus)
+        session.execute("SELECT COUNT(*) FROM elf_symbols")
+        ref = weakref.ref(session)
+        gc.disable()
+        try:
+            del session
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_case_insensitive_table_names(self, small_corpus):
         with register(small_corpus) as session:
@@ -632,6 +667,74 @@ class TestSymbolIndex:
                 "SELECT rootpage FROM sqlite_master WHERE name = 'elf_symbols_path'"
             ).fetchone()
             assert session._root_tables[root] == "elf_symbols"
+
+
+class TestStatementReuse:
+    """The allowlist authorizer stays installed, so SQLite's statement cache
+    serves a repeated statement until a fill reinstalls the authorizer, which
+    expires every prepared statement, the fill's own included."""
+
+    SQL = "SELECT name FROM elf_symbols WHERE path = :path ORDER BY name"
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_a_repeated_statement_is_compiled_once(self, small_corpus, mode, monkeypatch):
+        # Each compile of a session registered below calls its authorizer.
+        calls = []
+        authorize = engine.Session._authorize
+
+        def recording(self, *args):
+            calls.append(args)
+            return authorize(self, *args)
+
+        monkeypatch.setattr(engine.Session, "_authorize", recording)
+        # elf_sections stays LAZY for the fill below, and elf_strings so that
+        # a table is pending at every measured execute: each then runs the
+        # same `EXPLAIN` probe besides the statement itself.
+        lazy = ("elf_sections", "elf_strings")
+        strategies = {t: mode for t in TABLE_NAMES if t not in lazy}
+        params = {"path": small_corpus.paths[0]}
+        with register(small_corpus, strategies) as session:
+            session.execute("SELECT COUNT(*) FROM elf_symbols")
+            calls.clear()
+            first = session.execute(self.SQL, params)
+            compiled = list(calls)
+            assert compiled and first.rows
+            calls.clear()
+            assert session.execute(self.SQL, params) == first
+            assert calls == []
+            session.execute("SELECT COUNT(*) FROM elf_sections")
+            assert "elf_sections" not in session._pending and "elf_strings" in session._pending
+            calls.clear()
+            assert session.execute(self.SQL, params) == first
+            assert calls == compiled
+
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_a_fills_statements_are_never_reused(self, small_corpus, mode):
+        counts = [f'SELECT COUNT(*) FROM "{t}"' for t in TABLE_NAMES]
+        with register(small_corpus, dict.fromkeys(TABLE_NAMES, mode)) as session:
+            # In a LAZY session these counts fill every table.  Either way the
+            # fills have prepared each statement below, and with two files in
+            # the corpus the index exists.
+            before = [session.execute(sql).rows for sql in counts]
+            assert not session._pending and index_names(session._conn)
+            for sql in ("BEGIN", "COMMIT"):
+                with pytest.raises(WriteRejected):
+                    session.execute(sql)
+            # SQLite finds the index's name taken before it asks the authorizer.
+            with pytest.raises(SqlError, match="already exists"):
+                session.execute(engine._SYMBOL_INDEX_SQL)
+            for name in TABLE_NAMES:
+                width = len(SCHEMA[name])
+                for sql, rows in ((engine._INSERT_SQL[name], 1), (engine._BATCH_INSERT_SQL[name], B)):
+                    # `execute` binds names only, and `sqlite3` binds a cached
+                    # statement before SQLite re-prepares it, so the INSERT
+                    # fails to bind.  Bound by position, the re-prepare refuses it.
+                    with pytest.raises(SqlError):
+                        session.execute(sql)
+                    with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
+                        session._conn.execute(sql, [0] * width * rows)
+            assert not session._conn.in_transaction
+            assert [session.execute(sql).rows for sql in counts] == before
 
 
 class TestExport:

@@ -242,6 +242,19 @@ def test_processor_section_type_named_by_machine(tmp_path, machine):
     assert _section_mismatches(obj, path) == []
 
 
+@pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
+def test_non_ascii_symbol_name_matches_readelf(tmp_path, monkeypatch, locale):
+    """Under a UTF-8 locale readelf 2.40 prints `grüße` as bytes that are
+    not UTF-8; the oracle reads the name intact whatever the caller's locale."""
+    if READELF is None:
+        pytest.skip("readelf not available for oracle comparison")
+    monkeypatch.setenv("LC_ALL", locale)
+    path = str(tmp_path / "names.so")
+    write_elf(path, symbols=[SymbolSpec("grüße"), SymbolSpec("plain")])
+    assert [s.name for s in readelf_symbol_tables(path)[".dynsym"]][-2:] == ["grüße", "plain"]
+    assert mismatches(path) == []
+
+
 def main(argv: list[str]) -> int:
     directory = argv[1] if len(argv) > 1 else LIBRARY_DIR
     paths = library_elves(directory)
