@@ -244,10 +244,8 @@ def write_elf(
     if want_dynamic:
         segments.append(pt_dynamic)
     for i, (p_type, p_flags, p_offset, vaddr, filesz, memsz, p_align) in enumerate(segments):
-        if lay.phdr_has_leading_flags:
-            fields = (p_type, p_flags, p_offset, vaddr, vaddr, filesz, memsz, p_align)
-        else:
-            fields = (p_type, p_offset, vaddr, vaddr, filesz, memsz, p_flags, p_align)
+        fields = [p_type, p_flags, p_offset, vaddr, vaddr, filesz, memsz, p_align]
+        fields.insert(lay.phdr_flags_at, fields.pop(1))
         lay.phdr.pack_into(blob, ehsize + i * lay.phdr.size, *fields)
 
     with open(dest, "wb") as fh:

@@ -114,19 +114,14 @@ def add_paths(paths: Sequence[str], recurse_dirs: bool = False) -> CorpusCatalog
         if real in seen:
             return True
         try:
-            data = reader.read_file(real)
-        except OSError as exc:
-            errors.append((file_path, str(exc)))
-            return False
-        if data[:4] != reader.ELF_MAGIC:
+            obj = reader.open_elf(reader.read_file(real), real)
+        except reader.NotElf:
             if from_directory:
                 skipped.append(file_path)
                 return True
             errors.append((file_path, "not an ELF file"))
             return False
-        try:
-            obj = reader.open_elf(data, real)
-        except reader.ElfError as exc:
+        except (OSError, reader.ElfError) as exc:
             errors.append((file_path, str(exc)))
             return False
         seen.add(real)

@@ -66,7 +66,7 @@ def default_decoder() -> Optional[Decoder]:
     return _cached_decoder
 
 
-def demangle(name: str, decoder: Optional[Decoder] = None) -> str:
+def demangle(name: str) -> str:
     """Demangled form of `name`, or `name` itself when not decodable.
 
     Total: never raises.  Names without the "_Z" prefix pass through
@@ -74,10 +74,9 @@ def demangle(name: str, decoder: Optional[Decoder] = None) -> str:
     """
     if not name.startswith("_Z"):
         return name
+    decoder = _cached_decoder if _probed else default_decoder()
     if decoder is None:
-        decoder = _cached_decoder if _probed else default_decoder()
-        if decoder is None:
-            return name
+        return name
     try:
         decoded = decoder(name)
     except Exception:

@@ -254,10 +254,7 @@ def string_tuples(obj: ElfObject) -> Iterator[tuple]:
     path = path_text(obj.path)
     for sec in obj.sections:
         if sec.type_code == SHT_STRTAB:
-            # The parse already holds bytes copies of the tables it looked
-            # up; any other table is copied only while it is split.
-            content = obj.string_tables.get(sec.index) or sec.content
-            yield from zip(repeat(path), repeat(sec.name), *_string_columns(content))
+            yield from zip(repeat(path), repeat(sec.name), *_string_columns(sec.content))
 
 
 def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:

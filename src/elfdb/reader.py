@@ -16,10 +16,9 @@ import os
 import stat
 import struct
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from enum import Enum
 from itertools import chain
-from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 
@@ -284,8 +283,7 @@ class SymbolTableKind(Enum):
 
 class Frozen:
     """Base of the read-only records that are not tuples: those whose `len`
-    or iteration means something else, or that carry a cache.  The other
-    records are NamedTuples.
+    or iteration means something else.  The other records are NamedTuples.
 
     A subclass names its value fields in `_fields` and stores them once, in
     `__init__`, with `_assign`; assigning or deleting an attribute later
@@ -442,8 +440,7 @@ class DynamicEntry(NamedTuple):
 class ElfObject(Frozen):
     """One fully parsed ELF file.  Immutable; safe to share across threads."""
 
-    _fields = ("path", "header", "sections", "segments", "symbol_tables", "dynamic")
-    __slots__ = _fields + ("string_tables",)
+    _fields = __slots__ = ("path", "header", "sections", "segments", "symbol_tables", "dynamic")
 
     def __init__(
         self,
@@ -454,12 +451,8 @@ class ElfObject(Frozen):
         # .dynsym tables first, then .symtab tables, each in section order.
         symbol_tables: tuple[SymbolTable, ...],
         dynamic: tuple[DynamicEntry, ...],
-        string_tables: Optional[Mapping[int, bytes]] = None,
     ):
         self._assign(path, header, sections, segments, symbol_tables, dynamic)
-        # Read-only bytes copies of the string tables the parse looked up, by
-        # section index; neither compared nor shown.
-        object.__setattr__(self, "string_tables", MappingProxyType(string_tables or {}))
 
     @property
     def symbols(self) -> tuple[str, ...]:
@@ -487,6 +480,9 @@ class _Layouts:
     """struct.Struct instances for one class/endianness combination."""
 
     def __init__(self, elf_class: ElfClass, encoding: DataEncoding):
+        # `ehdr`, `shdr` and `phdr` unpack into the field order of ElfHeader,
+        # Section and Segment (after their leading ident or index), except
+        # that ELF32 keeps p_flags at `phdr_flags_at` rather than second.
         bo = "<" if encoding == DataEncoding.LSB else ">"
         if elf_class == ElfClass.ELF64:
             self.ehdr = struct.Struct(bo + "HHIQQQIHHHHHH")
@@ -494,7 +490,7 @@ class _Layouts:
             self.phdr = struct.Struct(bo + "IIQQQQQQ")
             self.sym_size = 24
             self.dyn = struct.Struct(bo + "QQ")
-            self.phdr_has_leading_flags = True
+            self.phdr_flags_at = 1
             # (offset, width) of st_name, st_info, st_other, st_shndx,
             # st_value and st_size within a symbol record.
             self.sym_columns = ((0, 4), (4, 1), (5, 1), (6, 2), (8, 8), (16, 8))
@@ -504,7 +500,7 @@ class _Layouts:
             self.phdr = struct.Struct(bo + "IIIIIIII")
             self.sym_size = 16
             self.dyn = struct.Struct(bo + "II")
-            self.phdr_has_leading_flags = False
+            self.phdr_flags_at = 6
             self.sym_columns = ((0, 4), (12, 1), (13, 1), (14, 2), (4, 4), (8, 4))
         # The file's byte order is not this machine's.
         self.swap = (encoding == DataEncoding.LSB) != (sys.byteorder == "little")
@@ -529,50 +525,13 @@ def _parse_ident(data: memoryview) -> ElfIdent:
         raise Malformed(
             f"unsupported class/encoding bytes {data[EI_CLASS]}/{data[EI_DATA]}"
         ) from None
-    return ElfIdent(
-        elf_class=elf_class,
-        data_encoding=encoding,
-        ei_version=data[EI_VERSION],
-        os_abi=data[EI_OSABI],
-        abi_version=data[EI_ABIVERSION],
-    )
+    return ElfIdent(elf_class, encoding, data[EI_VERSION], data[EI_OSABI], data[EI_ABIVERSION])
 
 
 def _parse_header(data: memoryview, ident: ElfIdent, lay: _Layouts) -> ElfHeader:
-    want = 16 + lay.ehdr.size
-    if len(data) < want:
+    if len(data) < 16 + lay.ehdr.size:
         raise Malformed("truncated header")
-    (
-        e_type,
-        e_machine,
-        e_version,
-        e_entry,
-        e_phoff,
-        e_shoff,
-        e_flags,
-        e_ehsize,
-        e_phentsize,
-        e_phnum,
-        e_shentsize,
-        e_shnum,
-        e_shstrndx,
-    ) = lay.ehdr.unpack_from(data, 16)
-    return ElfHeader(
-        ident=ident,
-        file_type_code=e_type,
-        machine_code=e_machine,
-        version=e_version,
-        entry_point=e_entry,
-        phoff=e_phoff,
-        shoff=e_shoff,
-        flags=e_flags,
-        ehsize=e_ehsize,
-        phentsize=e_phentsize,
-        phnum=e_phnum,
-        shentsize=e_shentsize,
-        shnum=e_shnum,
-        shstrndx=e_shstrndx,
-    )
+    return ElfHeader(ident, *lay.ehdr.unpack_from(data, 16))
 
 
 def _parse_sections(data: memoryview, hdr: ElfHeader, lay: _Layouts) -> tuple[list, int, int]:
@@ -614,28 +573,14 @@ def _parse_segments(data: memoryview, hdr: ElfHeader, lay: _Layouts) -> list[Seg
         raise Malformed("program header table out of bounds")
     segments = []
     for i in range(hdr.phnum):
-        rec = lay.phdr.unpack_from(data, hdr.phoff + i * hdr.phentsize)
-        if lay.phdr_has_leading_flags:
-            p_type, p_flags, p_offset, p_vaddr, p_paddr, p_filesz, p_memsz, p_align = rec
-        else:
-            p_type, p_offset, p_vaddr, p_paddr, p_filesz, p_memsz, p_flags, p_align = rec
-        if p_filesz > p_memsz:
-            raise Malformed(f"segment {i} filesz {p_filesz} exceeds memsz {p_memsz}")
-        if p_offset + p_filesz > len(data):
+        rec = list(lay.phdr.unpack_from(data, hdr.phoff + i * hdr.phentsize))
+        rec.insert(1, rec.pop(lay.phdr_flags_at))  # p_flags second, as in ELF64
+        seg = Segment(i, *rec)
+        if seg.filesz > seg.memsz:
+            raise Malformed(f"segment {i} filesz {seg.filesz} exceeds memsz {seg.memsz}")
+        if seg.offset + seg.filesz > len(data):
             raise Malformed(f"segment {i} file range out of bounds")
-        segments.append(
-            Segment(
-                index=i,
-                type_code=p_type,
-                flags=p_flags,
-                offset=p_offset,
-                vaddr=p_vaddr,
-                paddr=p_paddr,
-                filesz=p_filesz,
-                memsz=p_memsz,
-                align=p_align,
-            )
-        )
+        segments.append(seg)
     return segments
 
 
@@ -848,24 +793,8 @@ def open_elf(data, origin_path: str) -> ElfObject:
     ]
     shstrtab = bytes(views[shstrndx]) if views else b""
     sections = [
-        Section(
-            index=i,
-            name=string_at(shstrtab, sh_name, f"section {i} name"),
-            type_code=sh_type,
-            flags=sh_flags,
-            address=sh_addr,
-            offset=sh_offset,
-            size=sh_size,
-            link=sh_link,
-            info=sh_info,
-            addralign=sh_align,
-            entsize=sh_entsize,
-            view=view,
-        )
-        for i, (
-            (sh_name, sh_type, sh_flags, sh_addr, sh_offset, sh_size, sh_link, sh_info, sh_align, sh_entsize),
-            view,
-        ) in enumerate(zip(raw_sections, views))
+        Section(i, string_at(shstrtab, rec[0], f"section {i} name"), *rec[1:], view)
+        for i, (rec, view) in enumerate(zip(raw_sections, views))
     ]
 
     segments = _parse_segments(data, hdr, lay)
@@ -893,13 +822,7 @@ def open_elf(data, origin_path: str) -> ElfObject:
     dynamic = _parse_dynamic(sections, lay, strtabs)
 
     return ElfObject(
-        path=origin_path,
-        header=hdr,
-        sections=tuple(sections),
-        segments=tuple(segments),
-        symbol_tables=symbol_tables,
-        dynamic=tuple(dynamic),
-        string_tables=strtabs,
+        origin_path, hdr, tuple(sections), tuple(segments), symbol_tables, tuple(dynamic)
     )
 
 

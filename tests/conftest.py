@@ -13,6 +13,7 @@ import shutil
 import struct
 import subprocess
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -119,17 +120,26 @@ def readelf_table_counts(path: str) -> dict[str, int]:
     return {m.group(1): int(m.group(2)) for m in _TABLE_HEADER.finditer(out)}
 
 
-# One program header of `readelf -lW`: its flags are the three characters
-# before the alignment, R, W and E or a space each.
-_SEGMENT_LINE = re.compile(r"^\s+\S+(?:\s+0x[0-9a-f]+){5} (.{3}) 0x[0-9a-f]+$")
+# One program header of `readelf -lW`: type, offset, virtual address,
+# physical address, file size and memory size, then the flags (the three
+# characters R, W and E or a space each) and the alignment.
+_SEGMENT_LINE = re.compile(
+    r"^\s+(\S+)\s+(0x[0-9a-f]+)\s+(0x[0-9a-f]+)\s+0x[0-9a-f]+\s+(0x[0-9a-f]+)"
+    r"\s+(0x[0-9a-f]+) (.{3}) (0x[0-9a-f]+|0)$"
+)
 
 
-def readelf_segment_flags(path: str) -> list[str]:
-    """The flags of each program header in order, written as elfdb writes
-    them: `R E` becomes `RX`."""
-    out = run_readelf("-lW", path)
-    flags = [m.group(1) for m in map(_SEGMENT_LINE.match, out.splitlines()) if m]
-    return [f.replace(" ", "").replace("E", "X") for f in flags]
+def readelf_segments(path: str) -> list[tuple]:
+    """Each program header in order as the `elf_segments` columns from
+    `type` on: (type, flags, offset, vaddr, filesz, memsz, align).  Flags are
+    written as elfdb writes them: `R E` becomes `RX`."""
+    rows = []
+    for m in map(_SEGMENT_LINE.match, run_readelf("-lW", path).splitlines()):
+        if m:
+            seg_type, offset, vaddr, filesz, memsz, flags, align = m.groups()
+            numbers = (int(v, 16) for v in (offset, vaddr, filesz, memsz, align))
+            rows.append((seg_type, flags.replace(" ", "").replace("E", "X"), *numbers))
+    return rows
 
 
 _DYNAMIC_LINE = re.compile(r"^ 0x[0-9a-fA-F]+ \((\w+)\)\s+(.*)$")
@@ -287,7 +297,7 @@ def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> Non
     """
     obj = reader.load_elf(path)
     hdr = obj.header
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     shdr = struct.Struct("<IIQQQQIIQQ")
     headers = [list(shdr.unpack_from(data, hdr.shoff + i * hdr.shentsize)) for i in range(hdr.shnum)]
     dynsym = obj.section_named(".dynsym").index

@@ -1,6 +1,7 @@
 import os
 import sqlite3
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -359,7 +360,7 @@ def hide_sections(path: str, *names: str) -> str:
     """Retype the named sections of an ELF64-LSB file as SHT_PROGBITS, so
     the reader finds no symbol table in them."""
     obj = reader.load_elf(path)
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     for sec in obj.sections:
         if sec.name in names:
             struct.pack_into("<I", data, obj.header.shoff + sec.index * obj.header.shentsize + 4, 1)

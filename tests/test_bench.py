@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import os
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +49,7 @@ class TestGenerateElf:
         two = str(tmp_path / "two.so")
         generate_elf(GeneratedElfSpec(symbol_count=12), one)
         generate_elf(GeneratedElfSpec(symbol_count=12), two)
-        assert open(one, "rb").read() == open(two, "rb").read()
+        assert Path(one).read_bytes() == Path(two).read_bytes()
 
     def test_custom_name_pattern(self, tmp_path):
         dest = str(tmp_path / "pat.so")
@@ -65,7 +66,7 @@ class TestGenerateElf:
         spec.loader.exec_module(generator)
         generator.main(str(tmp_path))
         fresh = (tmp_path / "ruby_like.so").read_bytes()
-        assert fresh == open(RUBY_LIKE, "rb").read(), (
+        assert fresh == Path(RUBY_LIKE).read_bytes(), (
             "tests/fixtures/ruby_like.so is stale; regenerate it with "
             "`PYTHONPATH=src python tests/fixtures/generate_fixtures.py`"
         )

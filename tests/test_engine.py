@@ -7,6 +7,7 @@ import sqlite3
 import struct
 import weakref
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
@@ -105,12 +106,16 @@ class TestRegistration:
         session = register(small_corpus)
         session.execute("SELECT COUNT(*) FROM elf_symbols")
         ref = weakref.ref(session)
+        # Kept to be closed at the end: a connection is freed only by the
+        # cycle collector, and Python 3.13 warns when it was left open.
+        conn = session._conn
         gc.disable()
         try:
             del session
             assert ref() is None
         finally:
             gc.enable()
+            conn.close()
 
     def test_case_insensitive_table_names(self, small_corpus):
         with register(small_corpus) as session:
@@ -294,10 +299,10 @@ class TestExecution:
         write_elf(lib, symbols=exported_funcs("hi_fn"))
         obj = reader_mod.load_elf(lib)
         dynsym = next(s for s in obj.sections if s.name == ".dynsym")
-        data = bytearray(open(lib, "rb").read())
+        data = bytearray(Path(lib).read_bytes())
         # st_value of symbol 1 sits 8 bytes into its 24-byte entry
         struct.pack_into("<Q", data, dynsym.offset + 24 + 8, 0xFFFFFFFF_FFFFF000)
-        open(lib, "wb").write(data)
+        Path(lib).write_bytes(data)
         with register(corpus.add_paths([lib])) as session:
             result = session.execute(
                 "SELECT value FROM elf_symbols WHERE name = 'hi_fn'"
@@ -322,14 +327,14 @@ class TestExecution:
 
     def test_source_files_untouched_by_queries(self, small_corpus):
         digests = {
-            e.path: hashlib.sha256(open(e.path, "rb").read()).hexdigest()
+            e.path: hashlib.sha256(Path(e.path).read_bytes()).hexdigest()
             for e in small_corpus.entries
         }
         with register(small_corpus) as session:
             session.execute("SELECT * FROM elf_symbols")
             session.execute("SELECT * FROM elf_sections")
         for path, digest in digests.items():
-            assert hashlib.sha256(open(path, "rb").read()).hexdigest() == digest
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest
 
 
 def _query_everything(session) -> dict:

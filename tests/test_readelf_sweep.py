@@ -1,7 +1,7 @@
 """elfdb's rows for a library directory's ELF files against readelf.
 
 For every file: each `elf_symbols` row against `readelf -sW`, each section
-against `readelf -SW`, each segment's flags against `readelf -lW`, each
+against `readelf -SW`, each `elf_segments` row against `readelf -lW`, each
 dynamic tag (and the string of NEEDED, SONAME, RPATH and RUNPATH) against
 `readelf -dW`, and the `elf_headers` row against `readelf -hW`.
 
@@ -41,14 +41,15 @@ import pytest
 
 from elfdb import model, reader
 from elfdb.bench import SymbolSpec, write_elf
-from elfdb.reader import ElfError
+from elfdb.reader import DataEncoding, ElfClass, ElfError
 
 from conftest import (
     READELF,
     readelf_dynamic,
-    readelf_segment_flags,
+    readelf_segments,
     readelf_symbol_tables,
     run_readelf,
+    write_varied_elf,
 )
 
 LIBRARY_DIR = "/usr/lib/x86_64-linux-gnu"
@@ -188,9 +189,13 @@ def _header_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
 
 def _segment_and_dynamic_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
     problems = []
-    flags = [row[3] for row in model.segment_tuples(obj)]
-    if flags != readelf_segment_flags(path):
-        problems.append(f"{path}: segment flags {flags} readelf {readelf_segment_flags(path)}")
+    segments = [
+        (row[2], row[3], row[4], _unsigned(row[5]), row[6], _unsigned(row[7]), _unsigned(row[8]))
+        for row in model.segment_tuples(obj)
+    ]
+    oracle = readelf_segments(path)
+    if segments != oracle:
+        problems.append(f"{path}: segments {segments} readelf {oracle}")
     dynamic = [(row[2], row[4]) for row in model.dynamic_entry_tuples(obj)]
     oracle = [
         (tag, text if tag in ("NEEDED", "SONAME", "RPATH", "RUNPATH") else None)
@@ -223,6 +228,17 @@ def test_library_sample_matches_readelf():
         pytest.skip(f"no ELF files in {LIBRARY_DIR}")
     problems = [problem for path in paths for problem in mismatches(path)]
     assert not problems, "\n".join(problems[:20])
+
+
+@pytest.mark.parametrize("encoding", list(DataEncoding))
+@pytest.mark.parametrize("elf_class", list(ElfClass))
+def test_varied_file_matches_readelf(tmp_path, elf_class, encoding):
+    """Every library the sweep reads is ELF64 LSB; these files give readelf
+    ELF32 and MSB headers, sections, segments and symbols."""
+    if READELF is None:
+        pytest.skip("readelf not available for oracle comparison")
+    path = write_varied_elf(str(tmp_path / "varied.so"), elf_class, encoding)
+    assert mismatches(path) == []
 
 
 @pytest.mark.parametrize("machine", [reader.EM_X86_64, 40])
