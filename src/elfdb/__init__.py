@@ -17,10 +17,8 @@ from .analyses import (
     symbol_histogram,
 )
 from .corpus import (
-    CatalogEntry,
     CorpusCatalog,
     CorpusError,
-    Provenance,
     SearchConfig,
     UnresolvedDependency,
     add_paths,
@@ -58,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "CatalogEntry",
     "CorpusCatalog",
     "CorpusError",
     "DynamicEntry",
@@ -70,7 +67,6 @@ __all__ = [
     "HistogramReport",
     "Malformed",
     "NotElf",
-    "Provenance",
     "QueryResult",
     "RegistrationFailure",
     "SearchConfig",

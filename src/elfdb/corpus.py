@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import reader
@@ -28,17 +27,6 @@ class CorpusError(Exception):
     """Every input path failed to produce an entry."""
 
 
-class Provenance(Enum):
-    EXPLICIT = "EXPLICIT"
-    RECURSIVE = "RECURSIVE"
-
-
-class CatalogEntry(NamedTuple):
-    path: str  # canonical absolute path
-    provenance: Provenance
-    object: ElfObject
-
-
 class UnresolvedDependency(NamedTuple):
     soname: str
     dependent: str
@@ -46,13 +34,17 @@ class UnresolvedDependency(NamedTuple):
 
 
 class CorpusCatalog(Frozen):
-    """Parsed files in insertion order: explicit first, then BFS discovery."""
+    """Parsed files, each once under its canonical absolute path, in order:
+    the inputs of `add_paths` first, then the files `resolve_recursive`
+    discovered, breadth first.  So `resolved.entries[len(catalog):]` are
+    the files that resolving `catalog` added.
+    """
 
     _fields = __slots__ = ("entries", "skipped", "read_errors", "unresolved")
 
     def __init__(
         self,
-        entries: tuple[CatalogEntry, ...] = (),
+        entries: tuple[ElfObject, ...] = (),
         skipped: tuple[str, ...] = (),  # non-ELF files seen while walking
         read_errors: tuple[tuple[str, str], ...] = (),  # (path, why)
         unresolved: tuple[UnresolvedDependency, ...] = (),
@@ -96,14 +88,14 @@ def _iter_directory(path: str, recurse: bool) -> Iterable[str]:
 
 
 def add_paths(paths: Sequence[str], recurse_dirs: bool = False) -> CorpusCatalog:
-    """Parse files (and directory members) into a catalog of EXPLICIT entries.
+    """Parse files (and directory members) into a catalog, in input order.
 
     Directories are walked one level deep unless `recurse_dirs`.  Non-ELF
     files inside directories are skipped and counted; unreadable or
     malformed inputs are collected as read errors.  Raises CorpusError only
     when paths were given and every one of them failed outright.
     """
-    entries: list[CatalogEntry] = []
+    entries: list[ElfObject] = []
     seen: set[str] = set()
     skipped: list[str] = []
     errors: list[tuple[str, str]] = []
@@ -125,7 +117,7 @@ def add_paths(paths: Sequence[str], recurse_dirs: bool = False) -> CorpusCatalog
             errors.append((file_path, str(exc)))
             return False
         seen.add(real)
-        entries.append(CatalogEntry(path=real, provenance=Provenance.EXPLICIT, object=obj))
+        entries.append(obj)
         return True
 
     for path in paths:
@@ -184,9 +176,9 @@ def resolve_recursive(catalog: CorpusCatalog, cfg: Optional[SearchConfig] = None
 
     Breadth-first and cycle-safe: a soname is resolved at most once, first
     existing regular file on the search path wins, and discovered objects
-    join the catalog with RECURSIVE provenance.  Missing or unparseable
-    dependencies are reported in `unresolved` and resolution continues.
-    Idempotent: a second pass adds nothing.
+    follow the input's entries in the order they were found.  Missing or
+    unparseable dependencies are reported in `unresolved` and resolution
+    continues.  Idempotent: a second pass adds nothing.
     """
     if not catalog.entries:
         raise ValueError("resolve_recursive requires a non-empty catalog")
@@ -194,17 +186,17 @@ def resolve_recursive(catalog: CorpusCatalog, cfg: Optional[SearchConfig] = None
         cfg = SearchConfig()
 
     entries = list(catalog.entries)
-    known_paths = {e.path for e in entries}
+    known_paths = {obj.path for obj in entries}
     # A soname already provided by a catalog member is never re-resolved.
     settled: set[str] = set()
-    for entry in entries:
-        soname = reader.dynamic_string(entry.object, DT_SONAME)
+    for obj in entries:
+        soname = reader.dynamic_string(obj, DT_SONAME)
         if soname:
             settled.add(soname)
-        settled.add(os.path.basename(entry.path))
+        settled.add(os.path.basename(obj.path))
 
     unresolved: list[UnresolvedDependency] = []
-    queue: deque[tuple[ElfObject, ...]] = deque((e.object,) for e in catalog.entries)
+    queue: deque[tuple[ElfObject, ...]] = deque((obj,) for obj in entries)
     while queue:
         chain = queue.popleft()
         dependent = chain[0]
@@ -234,7 +226,7 @@ def resolve_recursive(catalog: CorpusCatalog, cfg: Optional[SearchConfig] = None
                 )
                 continue
             known_paths.add(found)
-            entries.append(CatalogEntry(path=found, provenance=Provenance.RECURSIVE, object=obj))
+            entries.append(obj)
             queue.append((obj, *chain))
 
     return CorpusCatalog(tuple(entries), catalog.skipped, catalog.read_errors, tuple(unresolved))

@@ -158,6 +158,8 @@ class Session:
         self._catalog = catalog
         modes = _normalize_strategies(strategies)
         self._conn = sqlite3.connect(":memory:", isolation_level=None)
+        # Closed once the session is dropped: the cache's cycle would wait for the collector.
+        self._close = weakref.finalize(self, self._conn.close)
         self._pending = set(TABLE_NAMES)
         self._write_denied = False
         # Weak, so the connection keeps no session alive: one dropped unclosed is freed at once.
@@ -174,12 +176,12 @@ class Session:
                 if modes[name] == StrategyMode.MEMOIZED:
                     self._materialize(name)
         except BaseException:
-            self._conn.close()
+            self._close()
             raise
 
     @property
     def paths(self) -> tuple[str, ...]:
-        return tuple(e.path for e in self._catalog.entries)
+        return self._catalog.paths
 
     @property
     def table_names(self) -> tuple[str, ...]:
@@ -192,7 +194,7 @@ class Session:
 
     def _materialize(self, table: str) -> None:
         producer = TABLE_PRODUCERS[table]
-        rows = chain.from_iterable(producer(entry.object) for entry in self._catalog.entries)
+        rows = chain.from_iterable(map(producer, self._catalog.entries))
         tail: list[tuple] = []
 
         def batches():
@@ -306,7 +308,7 @@ class Session:
         return ExportSummary(len(TABLE_NAMES), sum(per_table.values()), per_table)
 
     def close(self) -> None:
-        self._conn.close()
+        self._close()
 
     def __enter__(self) -> "Session":
         return self

@@ -9,17 +9,17 @@ to the rows of one table: tuples in SCHEMA column order, exactly as SQLite
 stores them, with one exception: a missing `elf_symbols.version` is the
 integer 0 in the tuple and NULL in SQL (see `ZERO_IS_NULL`).  Integers are
 in SQLite's signed 64-bit range, flags are 0/1 and section contents are
-views of the file.  Row order is deterministic, derived columns
-(exported/imported, demangled names, flag letters, reserved-index names)
-are computed here, and everything is pure: the same object always yields
-the same rows.
+views of the file.  Rows follow the file's order (symbols table by table,
+as `readelf -sW` lists them), derived columns (exported/imported,
+demangled names, flag letters, reserved-index names) are computed here,
+and everything is pure: the same object always yields the same rows.
 """
 
 from __future__ import annotations
 
 import os
 from itertools import accumulate, count, repeat
-from operator import add, itemgetter
+from operator import add
 from typing import Iterable, Iterator, Optional
 
 from . import reader
@@ -210,7 +210,10 @@ def _db_ints(column: tuple[int, ...]) -> Iterable[int]:
     return map(_db_int, column) if column and max(column) >= _I64_MAX else column
 
 
-def _symbol_tuples_in_table_order(obj: ElfObject) -> Iterator[tuple]:
+def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
+    """One row per .symtab/.dynsym entry, null symbol included, table by
+    table in `obj.symbol_tables` order and each table in index order;
+    versions only appear on .dynsym rows."""
     path = path_text(obj.path)
     for table in obj.symbol_tables:
         kind = table.kind.value
@@ -233,20 +236,6 @@ def _symbol_tuples_in_table_order(obj: ElfObject) -> Iterator[tuple]:
                 path, kind, index, name, demangle(name), section, type_, binding,
                 visibility, value, size, version, exported, imported,
             )
-
-
-def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
-    """One row per .symtab/.dynsym entry, null symbol included.
-
-    Ordered by (table, index) with '.dynsym' first; versions only appear on
-    .dynsym rows.  Rows come straight from the parsed tables, which are
-    already in that order unless one file holds two tables of one kind.
-    """
-    rows = _symbol_tuples_in_table_order(obj)
-    kinds = [t.kind for t in obj.symbol_tables]
-    if len(set(kinds)) < len(kinds):
-        rows = sorted(rows, key=itemgetter(1, 2))
-    yield from rows
 
 
 def string_tuples(obj: ElfObject) -> Iterator[tuple]:

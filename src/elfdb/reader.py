@@ -437,22 +437,16 @@ class DynamicEntry(NamedTuple):
         return render_code(self.tag_code, DYNAMIC_TAG_NAMES)
 
 
-class ElfObject(Frozen):
+class ElfObject(NamedTuple):
     """One fully parsed ELF file.  Immutable; safe to share across threads."""
 
-    _fields = __slots__ = ("path", "header", "sections", "segments", "symbol_tables", "dynamic")
-
-    def __init__(
-        self,
-        path: str,
-        header: ElfHeader,
-        sections: tuple[Section, ...],
-        segments: tuple[Segment, ...],
-        # .dynsym tables first, then .symtab tables, each in section order.
-        symbol_tables: tuple[SymbolTable, ...],
-        dynamic: tuple[DynamicEntry, ...],
-    ):
-        self._assign(path, header, sections, segments, symbol_tables, dynamic)
+    path: str
+    header: ElfHeader
+    sections: tuple[Section, ...]
+    segments: tuple[Segment, ...]
+    # .dynsym tables first, then .symtab tables, each in section order.
+    symbol_tables: tuple[SymbolTable, ...]
+    dynamic: tuple[DynamicEntry, ...]
 
     @property
     def symbols(self) -> tuple[str, ...]:

@@ -13,7 +13,6 @@ from elfdb import corpus, reader
 from elfdb.bench import write_elf
 from elfdb.corpus import (
     CorpusError,
-    Provenance,
     SearchConfig,
     add_paths,
     resolve_recursive,
@@ -245,11 +244,8 @@ class TestResolveRecursive:
         resolved = resolve_recursive(catalog, SearchConfig(default_dirs=()))
         names = [os.path.basename(e.path) for e in resolved.entries]
         assert names == ["app", "libA.so", "libB.so"]
-        assert [e.provenance for e in resolved.entries] == [
-            Provenance.EXPLICIT,
-            Provenance.RECURSIVE,
-            Provenance.RECURSIVE,
-        ]
+        # The input's entries come first, unchanged; the rest were discovered.
+        assert resolved.entries[: len(catalog)] == catalog.entries
         assert resolved.unresolved == ()
 
     def test_matches_oracle_trace(self, dep_tree):
@@ -366,10 +362,10 @@ class TestResolveRecursive:
         from elfdb import reader
 
         reachable = set()
-        frontier = [e.object for e in resolved.entries if e.provenance == Provenance.EXPLICIT]
+        frontier = list(catalog.entries)
         by_soname = {}
         for e in resolved.entries:
-            soname = reader.dynamic_string(e.object, reader.DT_SONAME)
+            soname = reader.dynamic_string(e, reader.DT_SONAME)
             if soname:
                 by_soname[soname] = e
             by_soname.setdefault(os.path.basename(e.path), e)
@@ -379,10 +375,9 @@ class TestResolveRecursive:
                 entry = by_soname.get(soname)
                 if entry and entry.path not in reachable:
                     reachable.add(entry.path)
-                    frontier.append(entry.object)
-        for e in resolved.entries:
-            if e.provenance == Provenance.RECURSIVE:
-                assert e.path in reachable
+                    frontier.append(entry)
+        for e in resolved.entries[len(catalog) :]:
+            assert e.path in reachable
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError):

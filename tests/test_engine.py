@@ -117,6 +117,19 @@ class TestRegistration:
             gc.enable()
             conn.close()
 
+    def test_a_dropped_session_closes_its_connection_at_once(self, small_corpus):
+        session = register(small_corpus)
+        session.execute("SELECT COUNT(*) FROM elf_symbols")
+        conn = session._conn
+        gc.disable()
+        try:
+            del session
+            with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+                conn.execute("SELECT 1")
+        finally:
+            gc.enable()
+            conn.close()
+
     def test_case_insensitive_table_names(self, small_corpus):
         with register(small_corpus) as session:
             upper = session.execute("SELECT COUNT(*) FROM ELF_SYMBOLS")
@@ -272,7 +285,7 @@ class TestExecution:
         catalog = corpus.add_paths([lib])
         from elfdb.reader import needed_libraries
 
-        expected = needed_libraries(catalog.entries[0].object)
+        expected = needed_libraries(catalog.entries[0])
         with register(catalog) as session:
             result = session.execute(
                 """
@@ -396,7 +409,7 @@ def _assert_fill_equals_one_row_inserts(catalog) -> dict[str, tuple]:
             for table, producer in model.TABLE_PRODUCERS.items():
                 reference.execute(engine._CREATE_SQL[table])
                 reference.executemany(
-                    engine._INSERT_SQL[table], (r for e in catalog for r in producer(e.object))
+                    engine._INSERT_SQL[table], (r for e in catalog for r in producer(e))
                 )
                 dumps[table] = tuple(reference.execute(_dump_sql(table)))
                 assert session.execute(_dump_sql(table)).rows == dumps[table], table
@@ -433,10 +446,10 @@ class TestBatchedFill:
         first = write_varied_elf(str(tmp_path / "varied.so"), ElfClass.ELF64, DataEncoding.LSB)
         catalog = corpus.add_paths([first, _generated(tmp_path, 2 * B)])
         for table in ("elf_symbols", "elf_strings"):
-            rows = [sum(1 for _ in model.TABLE_PRODUCERS[table](e.object)) for e in catalog]
+            rows = [sum(1 for _ in model.TABLE_PRODUCERS[table](e)) for e in catalog]
             # The first file ends inside a batch that the second file completes.
             assert rows[0] % B and sum(rows) >= (rows[0] // B + 1) * B, table
-        obj = catalog.entries[0].object
+        obj = catalog.entries[0]
         assert isinstance(next(model.TABLE_PRODUCERS["elf_sections"](obj))[-1], memoryview)
         dumps = _assert_fill_equals_one_row_inserts(catalog)
         assert any(type(v) is int and v < 0 for row in dumps["elf_symbols"] for v in row)
@@ -509,7 +522,7 @@ class TestStrategyEquivalence:
 
     def test_every_table_equal_lazy_memoized_and_exported(self, mapped_elf, tmp_path):
         catalog = corpus.add_paths([mapped_elf, RUBY_LIKE])
-        mapped, read = (e.object.section_named(".dynsym").view.obj for e in catalog)
+        mapped, read = (e.section_named(".dynsym").view.obj for e in catalog)
         assert isinstance(mapped, mmap.mmap) and type(read) is bytes
         dest = str(tmp_path / "all.sqlite")
         with register(catalog) as lazy, register(
@@ -530,7 +543,7 @@ class TestStrategyEquivalence:
                 "SELECT content FROM elf_sections WHERE name = '.dynstr' ORDER BY rowid"
             ).rows
         assert [b for (b,) in blobs] == [
-            e.object.section_named(".dynstr").content for e in catalog
+            e.section_named(".dynstr").content for e in catalog
         ]
 
     def test_lazy_tables_fill_only_when_touched(self, small_corpus):

@@ -27,6 +27,7 @@ from conftest import (
     named_rows,
     readelf_dynamic,
     readelf_segments,
+    readelf_symbol_tables,
     symbol_table,
     system_elves,
     write_varied_elf,
@@ -405,8 +406,7 @@ class TestHeaderAndSectionRows:
 
 def reference_symbol_rows(obj) -> list[tuple]:
     """The per-row derivation that `symbol_tuples` replaced, kept as the
-    reference it must equal: one index of the table columns at a time,
-    sorted at the end."""
+    reference it must equal: one index of the table columns at a time."""
     rows = []
     for table in obj.symbol_tables:
         for index in range(len(table)):
@@ -433,7 +433,6 @@ def reference_symbol_rows(obj) -> list[tuple]:
                     int(imported),
                 )
             )
-    rows.sort(key=lambda r: (r[1], r[2]))
     return rows
 
 
@@ -469,13 +468,16 @@ class TestSymbolTuples:
                 produced = producer(obj)
                 assert iter(produced) is produced, table
 
-    def test_two_tables_of_one_kind_interleave_by_index(self, tmp_path):
-        obj = load_elf(symtab_patched_to_dynsym(tmp_path))
+    def test_two_tables_of_one_kind_come_table_by_table(self, tmp_path):
+        path = symtab_patched_to_dynsym(tmp_path)
+        obj = load_elf(path)
         dynsym_count, symtab_count = 13, 5
         assert [len(t) for t in obj.symbol_tables] == [dynsym_count, symtab_count]
-        keys = [(t[1], t[2]) for t in model.symbol_tuples(obj)]
-        assert keys == sorted(keys)
-        assert keys[:4] == [(".dynsym", 0), (".dynsym", 0), (".dynsym", 1), (".dynsym", 1)]
+        keys = [(t[2], t[3]) for t in model.symbol_tuples(obj)]
+        assert [index for index, _ in keys] == [*range(dynsym_count), *range(symtab_count)]
+        listed = readelf_symbol_tables(path)
+        assert list(listed) == [".dynsym", ".symtab"]
+        assert keys == [(s.index, s.name) for table in listed.values() for s in table]
 
 
 def reference_table_strings(content: bytes) -> list[tuple[int, str]]:

@@ -1,6 +1,7 @@
 import errno
 import mmap
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from conftest import (
     readelf_table_counts,
     symbol_table,
     system_elves,
+    write_varied_elf,
 )
 
 
@@ -274,6 +276,100 @@ class TestSymbolVersions:
     def test_dangling_version_index_is_malformed(self):
         with pytest.raises(Malformed, match="version index"):
             reader._version_of_word(7, {}, {})
+
+
+# ELF64 field offsets: in the file header, in a section header, and in the
+# first record of a version section (Elf64_Verdef and Elf64_Verneed).
+E_PHENTSIZE, E_SHENTSIZE = 54, 58
+SH_SIZE, SH_LINK, SH_ENTSIZE = 32, 40, 56
+VD_AUX, VN_AUX = 12, 8
+
+
+def section_header_at(obj, name: str) -> int:
+    return obj.header.shoff + obj.section_named(name).index * obj.header.shentsize
+
+
+def assert_malformed_after(path: str, patch, message: str) -> None:
+    """Setting the one field that `patch(obj)` gives as (offset, struct
+    format, value) makes the file's parse raise Malformed with `message`."""
+    obj = load_elf(path)
+    offset, fmt, value = patch(obj)
+    data = bytearray(Path(path).read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    with pytest.raises(Malformed, match=re.escape(message)):
+        open_elf(bytes(data), path)
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            (lambda obj: (E_SHENTSIZE, "<H", 10), "section header entry size 10 too small"),
+            (lambda obj: (E_PHENTSIZE, "<H", 10), "program header entry size 10 too small"),
+            (
+                lambda obj: (section_header_at(obj, ".dynsym") + SH_LINK, "<I", 999),
+                "string table link 999 out of range",
+            ),
+            (
+                lambda obj: (section_header_at(obj, ".dynsym") + SH_ENTSIZE, "<Q", 23),
+                "entsize 23 != 24",
+            ),
+            (
+                lambda obj: (
+                    section_header_at(obj, ".dynsym") + SH_SIZE,
+                    "<Q",
+                    obj.section_named(".dynsym").size - 1,
+                ),
+                "size not a multiple of 24",
+            ),
+        ],
+        ids=["e_shentsize", "e_phentsize", "sh_link", "sh_entsize", "sh_size"],
+    )
+    def test_header_and_symbol_table_fields(self, tmp_path, patch, message):
+        path = write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB)
+        assert_malformed_after(path, patch, message)
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            (
+                lambda obj: (section_header_at(obj, ".gnu.version_d") + SH_SIZE, "<Q", 8),
+                "verdef entry out of bounds",
+            ),
+            (
+                lambda obj: (obj.section_named(".gnu.version_d").offset + VD_AUX, "<I", 2**20),
+                "verdaux entry out of bounds",
+            ),
+        ],
+        ids=["sh_size", "vd_aux"],
+    )
+    def test_verdef_fields(self, versioned_lib, patch, message):
+        path, _versions = versioned_lib
+        assert_malformed_after(path, patch, message)
+
+    @pytest.mark.parametrize(
+        "patch, message",
+        [
+            (
+                lambda obj: (section_header_at(obj, ".gnu.version_r") + SH_SIZE, "<Q", 8),
+                "verneed entry out of bounds",
+            ),
+            (
+                lambda obj: (obj.section_named(".gnu.version_r").offset + VN_AUX, "<I", 2**20),
+                "vernaux entry out of bounds",
+            ),
+        ],
+        ids=["sh_size", "vn_aux"],
+    )
+    def test_verneed_fields(self, patch, message):
+        for path in system_elves():
+            obj = load_elf(path)
+            lsb64 = obj.header.ident[:2] == (ElfClass.ELF64, DataEncoding.LSB)
+            if lsb64 and obj.section_named(".gnu.version_r"):
+                break
+        else:
+            pytest.skip("no 64-bit LSB host library has a .gnu.version_r")
+        assert_malformed_after(path, patch, message)
 
 
 class TestNeededLibraries:

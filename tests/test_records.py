@@ -17,7 +17,6 @@ RECORDS = {
     "SymbolTable": lambda obj: obj.symbol_tables[0],
     "DynamicEntry": lambda obj: reader.DynamicEntry(ordinal=0, tag_code=reader.DT_NULL, value=0),
     "ElfObject": lambda obj: obj,
-    "CatalogEntry": lambda obj: corpus.CatalogEntry(obj.path, corpus.Provenance.EXPLICIT, obj),
     "UnresolvedDependency": lambda obj: corpus.UnresolvedDependency(
         soname="libm.so.6", dependent=obj.path
     ),
