@@ -3,94 +3,69 @@
 Parse single files or whole-system corpora, query them with SQL through an
 in-process SQLite session, export snapshots to standard SQLite files, walk
 shared-library dependency closures, and run canned binary-hygiene analyses.
+
+The package is a lazy namespace (PEP 562): `import elfdb` loads no
+submodule, and a name of `__all__` or a submodule is imported on its first
+lookup, so a command loads only the modules it runs.
 """
 
-from .analyses import (
-    AnalysisReport,
-    HistogramReport,
-    UnknownPath,
-    count_symbols,
-    diff_symbols,
-    interposition_audit,
-    python_extension_check,
-    runpath,
-    symbol_histogram,
-)
-from .corpus import (
-    CorpusCatalog,
-    CorpusError,
-    SearchConfig,
-    UnresolvedDependency,
-    add_paths,
-    resolve_recursive,
-)
-from .demangle import demangle
-from .engine import (
-    ExportAborted,
-    ExportSummary,
-    QueryResult,
-    RegistrationFailure,
-    Session,
-    SqlError,
-    StrategyMode,
-    WriteRejected,
-    register,
-)
-from .model import derive_export_import
-from .reader import (
-    DynamicEntry,
-    ElfHeader,
-    ElfIdent,
-    ElfObject,
-    Malformed,
-    NotElf,
-    Section,
-    Segment,
-    SymbolTableKind,
-    load_elf,
-    needed_libraries,
-    open_elf,
-)
+import sys
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnalysisReport",
-    "CorpusCatalog",
-    "CorpusError",
-    "DynamicEntry",
-    "ElfHeader",
-    "ElfIdent",
-    "ElfObject",
-    "ExportAborted",
-    "ExportSummary",
-    "HistogramReport",
-    "Malformed",
-    "NotElf",
-    "QueryResult",
-    "RegistrationFailure",
-    "SearchConfig",
-    "Section",
-    "Segment",
-    "Session",
-    "SqlError",
-    "StrategyMode",
-    "SymbolTableKind",
-    "UnknownPath",
-    "UnresolvedDependency",
-    "WriteRejected",
-    "add_paths",
-    "count_symbols",
-    "demangle",
-    "derive_export_import",
-    "diff_symbols",
-    "interposition_audit",
-    "load_elf",
-    "needed_libraries",
-    "open_elf",
-    "python_extension_check",
-    "register",
-    "resolve_recursive",
-    "runpath",
-    "symbol_histogram",
-]
+# The submodule that defines each public name.
+_DEFINED_IN = {
+    "analyses": (
+        "AnalysisReport", "HistogramReport", "UnknownPath", "count_symbols", "diff_symbols",
+        "interposition_audit", "python_extension_check", "runpath", "symbol_histogram",
+    ),
+    "corpus": (
+        "CorpusCatalog", "CorpusError", "SearchConfig", "UnresolvedDependency", "add_paths",
+        "resolve_recursive",
+    ),
+    "demangle": ("demangle",),
+    "engine": (
+        "ExportAborted", "ExportSummary", "QueryResult", "RegistrationFailure", "Session",
+        "SqlError", "StrategyMode", "WriteRejected", "register",
+    ),
+    "model": ("derive_export_import",),
+    "reader": (
+        "DynamicEntry", "ElfHeader", "ElfIdent", "ElfObject", "Malformed", "NotElf", "Section",
+        "Segment", "SymbolTableKind", "load_elf", "needed_libraries", "open_elf",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _DEFINED_IN.items() for name in names}
+_SUBMODULES = ("analyses", "bench", "cli", "corpus", "demangle", "disasm", "engine", "model", "reader")
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name, name)
+    if module not in _SUBMODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The builtin rather than importlib.import_module, whose imports
+    # `-X importtime` does not list.
+    __import__(f"{__name__}.{module}")
+    value = sys.modules[f"{__name__}.{module}"]
+    if name in _MODULE_OF:
+        value = getattr(value, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *__all__, *_SUBMODULES})
+
+
+class _Namespace(ModuleType):
+    def __setattr__(self, name: str, value) -> None:
+        # Importing the submodule `elfdb.demangle` binds it on the package;
+        # `elfdb.demangle` stays the function of the same name.
+        if name == "demangle" and isinstance(value, ModuleType):
+            value = value.demangle
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Namespace

@@ -1,20 +1,24 @@
 """Command-line interface: SQL queries, an interactive shell, database
 export, and the canned analyses, over one or more ELF files or directories.
 
-Exit codes: 0 success, 1 runtime error, 2 usage error.
+Exit codes: 0 success, 1 runtime error, 2 usage error, 141 (128 + SIGPIPE,
+as for `readelf` or `nm` killed by the signal) when the reader of stdout
+closed it early, as `elfdb query … | head -1` does; that exit prints nothing.
+
+A command imports only what it runs: the analyses, the JSON and CSV writers
+and, through `model`, the instruction decoder load on first use.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
+import os
 import sqlite3
 import sys
 from typing import Optional, Sequence
 
-from . import analyses, corpus, engine, reader
+from . import corpus, engine, reader
 from .engine import Session, SqlError
 
 FORMATS = ("table", "csv", "json")
@@ -41,6 +45,8 @@ def format_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
 
 
 def format_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
@@ -50,6 +56,8 @@ def format_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
 
 
 def format_json(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+    import json
+
     records = [
         {col: (_cell_text(v) if isinstance(v, bytes) else v) for col, v in zip(columns, row)}
         for row in rows
@@ -170,6 +178,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    from . import analyses
+
     with build_session(args) as session:
         report = analyses.interposition_audit(session)
     print(render(args.format, report.columns, report.rows))
@@ -177,6 +187,8 @@ def cmd_audit(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    from . import analyses
+
     args.paths = [args.path_a, args.path_b]
     with build_session(args) as session:
         report = analyses.diff_symbols(session, args.path_a, args.path_b)
@@ -188,6 +200,8 @@ def cmd_diff(args) -> int:
 
 
 def cmd_histogram(args) -> int:
+    from . import analyses
+
     if args.bucket_width is not None and args.bucket_width < 1:
         raise UsageError(f"--bucket-width must be >= 1, got {args.bucket_width}")
     with build_session(args) as session:
@@ -253,21 +267,40 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (
-        engine.SqlError,
-        engine.RegistrationFailure,
-        engine.ExportAborted,
-        analyses.UnknownPath,
-        corpus.CorpusError,
-        reader.ElfError,
-        OSError,
-    ) as exc:
+    except BrokenPipeError:
+        raise
+    except _runtime_errors() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
+def _runtime_errors() -> tuple:
+    """The exceptions that exit 1.  An `except` evaluates this only once an
+    exception reaches it, so `analyses` is not imported on success."""
+    from .analyses import UnknownPath
+
+    return (
+        engine.SqlError,
+        engine.RegistrationFailure,
+        engine.ExportAborted,
+        UnknownPath,
+        corpus.CorpusError,
+        reader.ElfError,
+        OSError,
+    )
+
+
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        # Output that fits the buffer meets a closed pipe only here.
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader of stdout has gone.  As the `signal` module's docs advise,
+        # point stdout at devnull, so that the flush at shutdown raises nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 141
+    sys.exit(status)
 
 
 if __name__ == "__main__":

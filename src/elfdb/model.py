@@ -20,11 +20,10 @@ from __future__ import annotations
 import os
 from itertools import accumulate, count, repeat
 from operator import add
-from typing import Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from . import reader
 from .demangle import demangle
-from .disasm import DEFAULT_DECODER, InstructionDecoder
 from .reader import (
     SHF_EXECINSTR,
     SHN_ABS,
@@ -42,6 +41,9 @@ from .reader import (
     decode_bytes,
     render_code,
 )
+
+if TYPE_CHECKING:
+    from .disasm import InstructionDecoder
 
 # Symbol type/binding sets for the exported/imported predicate: bindable
 # definitions only, per conventional dynamic-linker rules.
@@ -252,15 +254,23 @@ def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:
         yield (path, e.ordinal, e.tag_name, _db_int(e.value), e.string)
 
 
+# The default of `instruction_tuples`: `disasm.DEFAULT_DECODER`, imported on first use.
+_DEFAULT_DECODER = object()
+
+
 def instruction_tuples(
-    obj: ElfObject, decoder: Optional[InstructionDecoder] = DEFAULT_DECODER
+    obj: ElfObject, decoder: Optional[InstructionDecoder] = _DEFAULT_DECODER
 ) -> Iterator[tuple]:
     """Linear-sweep decode of every EXECINSTR section.
 
     Bytes the decoder rejects become one-byte "(bad)" rows, so addresses
     always advance by exactly the emitted size.  No decoder (or a machine
-    the decoder does not support) yields no rows.
+    the decoder does not support) yields no rows.  Without a `decoder`
+    argument, `disasm.DEFAULT_DECODER` decodes, with the `decode` it has
+    when the rows are produced.
     """
+    if decoder is _DEFAULT_DECODER:
+        from .disasm import DEFAULT_DECODER as decoder
     if decoder is None or not decoder.supports(obj.header.machine_code):
         return
     path = path_text(obj.path)

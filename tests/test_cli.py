@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import sqlite3
@@ -325,10 +326,56 @@ class TestUsage:
         assert err
 
 
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this `elfdb`."""
+    src = os.path.dirname(os.path.dirname(elfdb.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_child(script: str, *argv: str) -> list:
+    """The last stdout line of a child running `script`, read as a literal."""
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *argv],
+        env=child_env(), capture_output=True, text=True, check=True,
+    ).stdout
+    return ast.literal_eval(out.splitlines()[-1])
+
+
 class TestStartup:
+    def test_query_run_loads_only_what_it_runs(self):
+        # `python -m elfdb.cli`, with the modules loaded at exit compared
+        # with those a bare interpreter (and any site .pth file) loaded.
+        script = """
+            import runpy, sys
+            bare = set(sys.modules)
+            sys.argv = ["elfdb", "query", sys.argv[1], "--format", "csv", "--sql",
+                        "SELECT COUNT(*) FROM elf_symbols WHERE exported = 1"]
+            try:
+                runpy.run_module("elfdb.cli", run_name="__main__", alter_sys=True)
+            except SystemExit as exc:
+                status = exc.code
+            unused = ("json", "elfdb.analyses", "elfdb.disasm", "ctypes", "logging", "dataclasses")
+            print([status, [m for m in unused if m in sys.modules and m not in bare]])
+        """
+        assert run_child(script, RUBY_LIKE) == [0, []]
+
+    def test_bare_import_loads_no_submodule_and_resolves_on_lookup(self):
+        script = """
+            import sys
+            import elfdb
+            bare = sorted(m for m in sys.modules if m.startswith("elfdb."))
+            resolved = [
+                len(elfdb.model.SCHEMA), elfdb.engine.TABLE_NAMES == tuple(elfdb.model.SCHEMA),
+                elfdb.count_symbols.__module__, set(elfdb.__all__) <= set(dir(elfdb)),
+            ]
+            # The model imports the submodule `elfdb.demangle`; the package's
+            # `demangle` stays the function.
+            print([bare, resolved, elfdb.demangle("_Z3foov") in ("foo()", "_Z3foov")])
+        """
+        assert run_child(script) == [[], [7, True, "elfdb.analyses", True], True]
+
     def test_cli_import_loads_neither_ctypes_nor_bench(self):
-        script = textwrap.dedent(
-            """
+        script = """
             import sys
             bare = set(sys.modules)  # with whatever a site .pth file loads
             import elfdb.cli
@@ -348,11 +395,34 @@ class TestStartup:
                 "star_missing": sorted(set(elfdb.__all__) - set(star)),
                 "missing": missing,
             }))
-            """
-        )
-        src = os.path.dirname(os.path.dirname(elfdb.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-        ).stdout
-        assert json.loads(out) == {"loaded": [], "star_missing": [], "missing": "AttributeError"}
+        """
+        assert run_child(script) == {"loaded": [], "star_missing": [], "missing": "AttributeError"}
+
+
+class TestClosedStdout:
+    """`elfdb query … | head -1`: the reader of stdout exits before elfdb
+    has written everything."""
+
+    @pytest.mark.parametrize(
+        "sql",
+        [
+            # Fits the stdout buffer, so the write fails at the final flush.
+            "SELECT COUNT(*) FROM elf_symbols",
+            # About 100 kB, so the write fails inside the command.
+            "WITH RECURSIVE n(i) AS (SELECT 1 UNION ALL SELECT i + 1 FROM n WHERE i < 20000) "
+            "SELECT i FROM n",
+        ],
+    )
+    def test_exits_141_without_a_message(self, sql):
+        env = child_env()
+        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered, as usual
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "elfdb.cli", "query", RUBY_LIKE, "--sql", sql],
+                env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, "")

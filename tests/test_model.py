@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from elfdb import corpus, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.demangle import default_decoder, demangle
-from elfdb.disasm import DEFAULT_DECODER
+from elfdb.disasm import DEFAULT_DECODER, Decoded
 from elfdb.engine import _CREATE_SQL, _INSERT_SQL
 from elfdb.model import derive_export_import, section_name_for_symbol
 from elfdb.reader import DataEncoding, ElfClass, SymbolTableKind, load_elf, render_code
@@ -617,6 +617,18 @@ class TestInstructionTuples:
             del DEFAULT_DECODER.decode
         assert len(calls) == len(rows) > 0
         assert calls == [r[2] - obj.section_named(".text").address for r in rows]
+
+    def test_default_decoder_decode_is_read_at_call_time(self, tmp_path):
+        # perfbench's tracer times decoding by setting `decode` on this instance.
+        obj = load_elf(write_code_elf(str(tmp_path / "code.so")))
+        try:
+            for mnemonic in ("first", "second"):
+                DEFAULT_DECODER.decode = lambda buf, offset, address, m=mnemonic: Decoded(1, m, "")
+                rows = list(model.instruction_tuples(obj))
+                assert rows and {r[4] for r in rows} == {mnemonic}
+        finally:
+            del DEFAULT_DECODER.decode
+        assert list(model.instruction_tuples(obj)) == reference_instruction_tuples(obj)
 
 
 class TestSmallTableTuples:
