@@ -1,7 +1,16 @@
 """Bridge between the relational schema and an embedded SQLite engine.
 
-A Session owns an in-memory SQLite database holding the seven schema
-tables.  Each table follows a strategy: MEMOIZED tables are filled when the
+A Session owns a private temporary SQLite database, opened with an empty
+file name, holding the seven schema tables.  At most SQLite's default page
+cache (2 MiB) of it stays in memory.  Once the database outgrows the cache,
+SQLite writes the other pages to a file that it unlinks as soon as it opens
+it, in the first writable directory of `SQLITE_TMPDIR`, `TMPDIR`,
+`/var/tmp`, `/usr/tmp`, `/tmp` and `.`.  The file grows to about the size
+of the session's export and is gone when the session closes, or the process
+ends.  A fill that meets a full disk (SQLITE_FULL) raises the error of the
+call that ran it and leaves its table empty and pending.
+
+Each table follows a strategy: MEMOIZED tables are filled when the
 session is registered, LAZY tables are filled before the first statement
 whose compiled program reads them (its `EXPLAIN` listing opens their
 b-trees), so queries only pay for the tables they read.  Pragmas, schema
@@ -157,7 +166,8 @@ class Session:
     def __init__(self, catalog: CorpusCatalog, strategies: Strategies = None):
         self._catalog = catalog
         modes = _normalize_strategies(strategies)
-        self._conn = sqlite3.connect(":memory:", isolation_level=None)
+        # A private temporary database: past its page cache, pages go to an unlinked file.
+        self._conn = sqlite3.connect("", isolation_level=None)
         # Closed once the session is dropped: the cache's cycle would wait for the collector.
         self._close = weakref.finalize(self, self._conn.close)
         self._pending = set(TABLE_NAMES)
@@ -168,13 +178,13 @@ class Session:
             try:
                 for name in TABLE_NAMES:
                     self._conn.execute(_CREATE_SQL[name])
+                self._map_root_pages()
+                self._conn.set_authorizer(self._allowlist)
+                for name in TABLE_NAMES:
+                    if modes[name] == StrategyMode.MEMOIZED:
+                        self._materialize(name)
             except sqlite3.Error as exc:
                 raise RegistrationFailure(str(exc)) from exc
-            self._map_root_pages()
-            self._conn.set_authorizer(self._allowlist)
-            for name in TABLE_NAMES:
-                if modes[name] == StrategyMode.MEMOIZED:
-                    self._materialize(name)
         except BaseException:
             self._close()
             raise
@@ -283,7 +293,8 @@ class Session:
         SQLite's online-backup API, so the file keeps the declared schema,
         then atomically renames it, so a failed export leaves nothing
         behind.  Raises FileExistsError when `dest` exists and `overwrite`
-        is false.
+        is false, and ExportAborted when a fill, the copy or the rename
+        fails.
         """
         dest = os.fspath(dest)
         if os.path.exists(dest) and not overwrite:
@@ -291,9 +302,9 @@ class Session:
         dest_dir = os.path.dirname(os.path.abspath(dest)) or "."
         if not os.path.isdir(dest_dir):
             raise FileNotFoundError(f"no such directory: {dest_dir}")
-        self.materialize_all()
         tmp = os.path.join(dest_dir, f".{os.path.basename(dest)}.tmp{os.getpid()}")
         try:
+            self.materialize_all()
             with closing(sqlite3.connect(tmp)) as target:
                 self._conn.backup(target)
             os.replace(tmp, dest)
@@ -318,5 +329,8 @@ class Session:
 
 
 def register(catalog: CorpusCatalog, strategies: Strategies = None) -> Session:
-    """Create a Session whose SQL namespace holds all seven schema tables."""
+    """Create a Session whose SQL namespace holds all seven schema tables.
+
+    Raises RegistrationFailure when the strategies are invalid or SQLite
+    fails to create the schema or fill a MEMOIZED table."""
     return Session(catalog, strategies)

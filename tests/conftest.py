@@ -7,18 +7,23 @@ and dynamic-entry comparisons are genuinely independent cross-checks.
 
 from __future__ import annotations
 
+import ast
 import os
 import re
 import shutil
+import sqlite3
 import struct
 import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import pytest
 
-from elfdb import bench, model, reader
+import elfdb
+from elfdb import bench, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.reader import DataEncoding, ElfClass, SymbolTableKind
 
@@ -220,6 +225,55 @@ def mapped_elf(tmp_path_factory) -> str:
     bench.generate_elf(bench.GeneratedElfSpec(symbol_count=30_000), path)
     assert os.path.getsize(path) >= reader.MAP_THRESHOLD
     return os.path.realpath(path)
+
+
+# Pages a limited session database may hold: the schema and a few rows.
+SESSION_PAGE_LIMIT = 16
+
+
+@pytest.fixture
+def full_session_database(monkeypatch) -> list:
+    """Limits each session database opened during the test to
+    `SESSION_PAGE_LIMIT` pages, so filling a large table fails with
+    SQLITE_FULL as on a full temp disk.  Returns the limited connections."""
+    connect = sqlite3.connect
+    limited = []
+
+    def limited_connect(database, *args, **kwargs):
+        conn = connect(database, *args, **kwargs)
+        if database == "":
+            conn.execute(f"PRAGMA max_page_count = {SESSION_PAGE_LIMIT}")
+            limited.append(conn)
+        return conn
+
+    monkeypatch.setattr(sqlite3, "connect", limited_connect)
+    return limited
+
+
+def lift_page_limit(session: engine.Session) -> None:
+    """Lifts a `full_session_database` limit, as freeing the disk would."""
+    session._conn.set_authorizer(engine._allow_all)
+    try:
+        session._conn.execute("PRAGMA max_page_count = 1000000")
+    finally:
+        session._conn.set_authorizer(session._allowlist)
+
+
+def child_env(**extra: str) -> dict:
+    """The environment of a child interpreter that imports this `elfdb`."""
+    src = os.path.dirname(os.path.dirname(elfdb.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=pythonpath, **extra)
+
+
+def run_child(script: str, *argv: str, **env: str):
+    """The last stdout line of a child running `script`, read as a literal;
+    `env` adds variables to the child's environment."""
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script), *argv],
+        env=child_env(**env), capture_output=True, text=True, check=True,
+    ).stdout
+    return ast.literal_eval(out.splitlines()[-1])
 
 
 @pytest.fixture

@@ -1,20 +1,17 @@
-import ast
 import json
 import os
 import sqlite3
 import subprocess
 import sys
-import textwrap
 
 import pytest
 
-import elfdb
 from elfdb import corpus
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.cli import main
 from elfdb.engine import register
 
-from conftest import RUBY_LIKE, exported_funcs
+from conftest import RUBY_LIKE, child_env, exported_funcs, run_child
 
 
 @pytest.fixture
@@ -228,6 +225,13 @@ class TestExport:
         assert code == 0
         assert out_db.read_bytes()[:15] == b"SQLite format 3"
 
+    def test_a_full_session_database_exits_1_and_leaves_nothing(
+        self, capsys, mapped_elf, tmp_path, full_session_database
+    ):
+        code, out, err = run_cli(capsys, "export", mapped_elf, "--out", str(tmp_path / "snap.sqlite"))
+        assert (code, out, err) == (1, "", "error: database or disk is full\n")
+        assert os.listdir(tmp_path) == []
+
     def test_directory_export(self, capsys, tmp_path):
         for i in range(3):
             write_elf(str(tmp_path / f"m{i}.so"), symbols=exported_funcs(f"fn{i}"))
@@ -324,21 +328,6 @@ class TestUsage:
         code, _, err = run_cli(capsys, "query", "/no/such/input", "--sql", "SELECT 1")
         assert code == 1
         assert err
-
-
-def child_env() -> dict:
-    """The environment of a child interpreter that imports this `elfdb`."""
-    src = os.path.dirname(os.path.dirname(elfdb.__file__))
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
-def run_child(script: str, *argv: str) -> list:
-    """The last stdout line of a child running `script`, read as a literal."""
-    out = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(script), *argv],
-        env=child_env(), capture_output=True, text=True, check=True,
-    ).stdout
-    return ast.literal_eval(out.splitlines()[-1])
 
 
 class TestStartup:

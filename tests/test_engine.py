@@ -24,7 +24,14 @@ from elfdb.engine import (
 from elfdb.model import SCHEMA, TABLE_NAMES
 from elfdb.reader import DataEncoding, ElfClass
 
-from conftest import RUBY_LIKE, exported_funcs, readelf_symbol_tables, write_varied_elf
+from conftest import (
+    RUBY_LIKE,
+    exported_funcs,
+    lift_page_limit,
+    readelf_symbol_tables,
+    run_child,
+    write_varied_elf,
+)
 
 
 @pytest.fixture
@@ -891,3 +898,113 @@ class TestExport:
             )
         finally:
             conn.close()
+
+
+@pytest.fixture(scope="module")
+def symbols_1e5(tmp_path_factory) -> str:
+    path = str(tmp_path_factory.mktemp("spill") / "gen100000.so")
+    bench.generate_elf(bench.GeneratedElfSpec(symbol_count=100_000), path)
+    return path
+
+
+class TestTemporaryDatabase:
+    """The session database is SQLite's private temporary database: past
+    its page cache it spills to a file that SQLite unlinks at once."""
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
+    def test_a_fill_keeps_memory_bounded(self, symbols_1e5):
+        script = """
+            import os, sys
+            from elfdb import corpus, engine
+
+            def rss():
+                with open("/proc/self/statm") as fh:
+                    return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+            with engine.register(corpus.add_paths([sys.argv[1]])) as session:
+                before = rss()
+                session.execute("SELECT COUNT(*) FROM elf_symbols")
+                grown = rss() - before
+                [(pages,)] = session.execute("PRAGMA page_count").rows
+                [(page_size,)] = session.execute("PRAGMA page_size").rows
+            print([grown, pages * page_size])
+        """
+        grown, database = run_child(script, symbols_1e5)
+        # 1e5 rows take about 10 MB; an in-memory database grew RSS by 8.3 MB.
+        assert database > 8_000_000
+        assert grown < database / 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_the_spill_goes_to_sqlite_tmpdir_and_leaves_nothing(self, symbols_1e5, tmp_path):
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        script = """
+            import os, sys
+            from elfdb import corpus, engine
+
+            def spilled():
+                links = []
+                for fd in os.listdir("/proc/self/fd"):
+                    try:
+                        links.append(os.readlink(f"/proc/self/fd/{fd}"))
+                    except FileNotFoundError:  # the descriptor that listed the directory
+                        pass
+                return [link for link in links if link.startswith(os.environ["SQLITE_TMPDIR"])]
+
+            with engine.register(corpus.add_paths([sys.argv[1]])) as session:
+                session.execute("SELECT COUNT(*) FROM elf_symbols")
+                during = [spilled(), os.listdir(os.environ["SQLITE_TMPDIR"])]
+            print([during, [spilled(), os.listdir(os.environ["SQLITE_TMPDIR"])]])
+        """
+        (open_during, listed_during), after = run_child(script, symbols_1e5, SQLITE_TMPDIR=str(spill))
+        assert open_during
+        for link in open_during:
+            assert os.path.dirname(link) == str(spill) and link.endswith(" (deleted)")
+        assert listed_during == []
+        assert after == [[], []]
+        assert os.listdir(spill) == []
+
+
+class TestFullDatabase:
+    """A fill that meets SQLITE_FULL raises the error of the call that ran
+    it, leaves its table empty and pending, and counts right on a retry."""
+
+    def test_a_query_raises_sql_error(self, mapped_elf, full_session_database):
+        with register(corpus.add_paths([mapped_elf])) as session:
+            assert session.execute("SELECT COUNT(*) FROM elf_headers").rows == ((1,),)
+            with pytest.raises(SqlError, match="database or disk is full"):
+                session.execute("SELECT COUNT(*) FROM elf_symbols")
+            assert session._conn.execute("SELECT COUNT(*) FROM elf_symbols").fetchone() == (0,)
+            assert "elf_symbols" in session._pending
+            lift_page_limit(session)
+            assert session.execute("SELECT COUNT(*) FROM elf_symbols").rows == ((30_001,),)
+
+    def test_a_memoized_registration_raises_registration_failure(
+        self, mapped_elf, full_session_database, monkeypatch
+    ):
+        catalog = corpus.add_paths([mapped_elf])
+        memoized = {"elf_symbols": StrategyMode.MEMOIZED}
+        with pytest.raises(RegistrationFailure, match="database or disk is full"):
+            register(catalog, memoized)
+        [conn] = full_session_database
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            conn.execute("SELECT 1")
+        monkeypatch.undo()
+        with register(catalog, memoized) as session:
+            assert session.execute("SELECT COUNT(*) FROM elf_symbols").rows == ((30_001,),)
+
+    def test_an_export_raises_export_aborted_and_leaves_nothing(
+        self, mapped_elf, full_session_database, tmp_path
+    ):
+        dest = tmp_path / "out.sqlite"
+        with register(corpus.add_paths([mapped_elf])) as session:
+            with pytest.raises(ExportAborted, match="database or disk is full"):
+                session.export_database(str(dest))
+            assert os.listdir(tmp_path) == []
+            assert session._pending
+            for table in session._pending:
+                assert session._conn.execute(f'SELECT COUNT(*) FROM "{table}"').fetchone() == (0,)
+            lift_page_limit(session)
+            summary = session.export_database(str(dest))
+        assert summary.per_table["elf_symbols"] == 30_001
+        assert os.listdir(tmp_path) == ["out.sqlite"]
