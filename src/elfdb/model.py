@@ -18,7 +18,7 @@ and everything is pure: the same object always yields the same rows.
 from __future__ import annotations
 
 import os
-from itertools import accumulate, count, repeat
+from itertools import accumulate, chain, count, repeat
 from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
@@ -36,7 +36,6 @@ from .reader import (
     SYMBOL_TYPE_NAMES,
     SYMBOL_VISIBILITY_NAMES,
     ElfObject,
-    SymbolTable,
     SymbolTableKind,
     decode_bytes,
     render_code,
@@ -134,15 +133,16 @@ def derive_export_import(
     return exported, imported
 
 
-def _string_columns(content: bytes) -> tuple[Iterator[int], Iterator[str]]:
-    """The offsets and the values of the NUL-terminated entries of one
-    string table; an unterminated tail is not an entry."""
+def _string_columns(content: bytes, start: int = 0) -> tuple[Iterator[int], Iterator[str]]:
+    """The offsets and the values of the NUL-terminated entries of a string
+    table piece at offset `start`; the bytes after its last NUL are not an
+    entry."""
     text = content.isascii()
     # An ASCII table is decoded once; its entries' lengths are byte lengths.
     pieces = content.decode("ascii").split("\0") if text else content.split(b"\x00")
     pieces.pop()  # the bytes after the last NUL
     # Entry i starts after the i entries and i NULs before it.
-    offsets = map(add, accumulate(map(len, pieces), initial=0), count())
+    offsets = map(add, accumulate(map(len, pieces), initial=start), count())
     return offsets, iter(pieces) if text else map(decode_bytes, pieces)
 
 
@@ -185,17 +185,28 @@ def segment_tuples(obj: ElfObject) -> Iterator[tuple]:
         )
 
 
-def _symbol_columns(obj: ElfObject, table: SymbolTable) -> dict[tuple[int, int, int], tuple]:
+# Records per chunk of a symbol table's fill: `symbol_tuples` holds one
+# chunk's columns at a time, beside one copy of the table's string table.
+_SYMBOL_CHUNK = 4096
+
+# Bytes per piece of a string table's fill: `string_tuples` copies and
+# splits one piece at a time.
+_STRING_PIECE = 1 << 16
+
+
+def _symbol_columns(
+    obj: ElfObject, kind: SymbolTableKind, keys: Iterable[tuple[int, int, int]]
+) -> dict[tuple[int, int, int], tuple]:
     """(section, type, binding, visibility, exported, imported) for each
-    distinct (st_info, st_other, st_shndx) of one table.
+    distinct (st_info, st_other, st_shndx) of `keys`, from a table of `kind`.
 
     Those columns depend on nothing else, so each combination is derived
     once.
     """
     columns = {}
-    for key in dict.fromkeys(zip(table.infos, table.others, table.shndxs)):
+    for key in dict.fromkeys(keys):
         info, other, shndx = key
-        exported, imported = derive_export_import(info, other, shndx, table.kind)
+        exported, imported = derive_export_import(info, other, shndx, kind)
         columns[key] = (
             section_name_for_symbol(obj, shndx),
             render_code(info & 0xF, SYMBOL_TYPE_NAMES),
@@ -207,7 +218,7 @@ def _symbol_columns(obj: ElfObject, table: SymbolTable) -> dict[tuple[int, int, 
     return columns
 
 
-def _db_ints(column: tuple[int, ...]) -> Iterable[int]:
+def _db_ints(column: list[int]) -> Iterable[int]:
     """`column` as stored: converted by `_db_int` only when a value needs it."""
     return map(_db_int, column) if column and max(column) >= _I64_MAX else column
 
@@ -215,37 +226,66 @@ def _db_ints(column: tuple[int, ...]) -> Iterable[int]:
 def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
     """One row per .symtab/.dynsym entry, null symbol included, table by
     table in `obj.symbol_tables` order and each table in index order;
-    versions only appear on .dynsym rows."""
+    versions only appear on .dynsym rows.
+
+    Each table is read from the file in chunks of `_SYMBOL_CHUNK` records.
+    """
     path = path_text(obj.path)
     for table in obj.symbol_tables:
         kind = table.kind.value
-        columns = _symbol_columns(obj, table)
-        derived = map(columns.__getitem__, zip(table.infos, table.others, table.shndxs))
+        names_at = table.name_reader()
         # A missing version is 0, which the engine stores as NULL.
-        if table.versions:
-            stored = {pair: 0 if pair[0] is None else pair[0] for pair in set(table.versions)}
-            versions = map(stored.__getitem__, table.versions)
-        else:
-            versions = repeat(0)
-        rows = zip(
-            count(), table.names, derived, _db_ints(table.values), _db_ints(table.sizes), versions
-        )
-        for (
-            index, name, (section, type_, binding, visibility, exported, imported), value, size,
-            version,
-        ) in rows:
-            yield (
-                path, kind, index, name, demangle(name), section, type_, binding,
-                visibility, value, size, version, exported, imported,
+        stored = {
+            word: 0 if version is None else version
+            for word, (version, _default) in table.version_of.items()
+        }
+        for start in range(0, len(table), _SYMBOL_CHUNK):
+            name_offsets, infos, others, shndxs, values, sizes, words = table.fields(
+                start, start + _SYMBOL_CHUNK
             )
+            columns = _symbol_columns(obj, table.kind, zip(infos, others, shndxs))
+            rows = zip(
+                count(start), names_at(name_offsets),
+                map(columns.__getitem__, zip(infos, others, shndxs)),
+                _db_ints(values), _db_ints(sizes), chain(map(stored.__getitem__, words), repeat(0)),
+            )
+            for (
+                index, name, (section, type_, binding, visibility, exported, imported), value,
+                size, version,
+            ) in rows:
+                yield (
+                    path, kind, index, name, demangle(name), section, type_, binding,
+                    visibility, value, size, version, exported, imported,
+                )
+
+
+def _string_pieces(table: memoryview) -> Iterator[tuple[int, bytes]]:
+    """A string table as consecutive (offset, bytes) pieces: each of about
+    `_STRING_PIECE` bytes, and past its last NUL only when it is the table's
+    last piece.  A piece holding no NUL is widened, so an entry longer than
+    a piece is never split."""
+    start, width = 0, _STRING_PIECE
+    while start < len(table):
+        piece = bytes(table[start : start + width])
+        end = piece.rfind(b"\0") + 1
+        last = start + width >= len(table)
+        if not end and not last:
+            width *= 2
+            continue
+        yield start, piece
+        if last:
+            return
+        start, width = start + end, _STRING_PIECE
 
 
 def string_tuples(obj: ElfObject) -> Iterator[tuple]:
-    """One row per entry of every SHT_STRTAB section, in (section, offset) order."""
+    """One row per entry of every SHT_STRTAB section, in (section, offset)
+    order, read from the file in pieces of about `_STRING_PIECE` bytes."""
     path = path_text(obj.path)
     for sec in obj.sections:
         if sec.type_code == SHT_STRTAB:
-            yield from zip(repeat(path), repeat(sec.name), *_string_columns(sec.content))
+            for start, piece in _string_pieces(sec.view):
+                yield from zip(repeat(path), repeat(sec.name), *_string_columns(piece, start))
 
 
 def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:

@@ -16,7 +16,7 @@ import os
 import stat
 import struct
 import sys
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Sequence
 from enum import Enum
 from itertools import chain
 from typing import NamedTuple, Optional
@@ -397,31 +397,85 @@ class Segment(NamedTuple):
         return render_flags(self.flags, SEGMENT_FLAG_LETTERS)
 
 
-class SymbolTable(Frozen):
-    """One .dynsym or .symtab section, unpacked once into parallel columns.
+def _column(i: int) -> property:
+    """A property giving list `i` of `SymbolTable.fields` for every record."""
+    return property(lambda self: tuple(self.fields(0, len(self))[i]))
 
-    Entry i of each column belongs to the symbol with index i, and `len` is
-    the symbol count.  `versions` holds a (version, default) pair per symbol
-    of a versioned .dynsym and is empty otherwise.
+
+class SymbolTable(Frozen):
+    """One .dynsym or .symtab section, checked at parse and read from the
+    file's bytes whenever its columns are read.
+
+    `view` holds the symbol records and `strtab` the linked string table,
+    both views of the file, and `layout` is the file's `_Layouts`.  For a
+    versioned .dynsym, `versym` holds the versym words of its leading
+    records (one per record, fewer if the versym section is shorter) and
+    `version_of` maps each of those words to its (version, default) pair;
+    otherwise both are empty.
+
+    `len` is the symbol count.  Entry i of each column (`names`, `infos`,
+    `others`, `shndxs`, `values`, `sizes`, `versions`) belongs to the symbol
+    with index i; `versions` is empty for a table without versions.  Each
+    read derives the whole column; `fields` and `name_reader` derive a
+    range of records.
     """
 
-    _fields = __slots__ = ("kind", "names", "infos", "others", "shndxs", "values", "sizes", "versions")
+    _fields = __slots__ = ("kind", "view", "strtab", "layout", "versym", "version_of")
 
     def __init__(
         self,
         kind: SymbolTableKind,
-        names: tuple[str, ...],
-        infos: tuple[int, ...],
-        others: tuple[int, ...],
-        shndxs: tuple[int, ...],
-        values: tuple[int, ...],
-        sizes: tuple[int, ...],
-        versions: tuple[tuple[Optional[str], bool], ...],
+        view: memoryview,
+        strtab: memoryview,
+        layout: _Layouts,
+        versym: memoryview,
+        version_of: dict[int, tuple[Optional[str], bool]],
     ):
-        self._assign(kind, names, infos, others, shndxs, values, sizes, versions)
+        self._assign(kind, view, strtab, layout, versym, version_of)
 
     def __len__(self) -> int:
-        return len(self.names)
+        return len(self.view) // self.layout.sym_size
+
+    def fields(self, start: int, stop: int) -> list[list[int]]:
+        """The st_name, st_info, st_other, st_shndx, st_value and st_size of
+        records [start, stop), one list per field, and then the versym word
+        of each of those records that has one."""
+        lay = self.layout
+        size = lay.sym_size
+        records = self.view[start * size : stop * size]
+        words = self.versym[start * 2 : stop * 2]
+        columns = _field_columns(records, lay, size, lay.sym_columns)
+        columns += _field_columns(words, lay, 2, ((0, 2),))
+        return [column.tolist() for column in columns]
+
+    def name_reader(self) -> Callable[[Iterable[int]], list[str]]:
+        """A function from st_name offsets, as the parse checked them, to
+        the names at them.  The string table is copied and decoded once, when
+        the function is made."""
+        try:
+            text = str(self.strtab, "ascii")
+        except UnicodeDecodeError:
+            table = bytes(self.strtab)
+            index = table.index
+            return lambda offsets: [decode_bytes(table[o : index(0, o)]) for o in offsets]
+        # One decode for the whole table; its byte offsets are then text
+        # offsets, and every name is a slice of the text.
+        find = text.index
+        return lambda offsets: [text[o : find("\0", o)] for o in offsets]
+
+    @property
+    def names(self) -> tuple[str, ...]:
+        return tuple(self.name_reader()(self.fields(0, len(self))[0]))
+
+    infos, others, shndxs, values, sizes = map(_column, range(1, 6))
+
+    @property
+    def versions(self) -> tuple[tuple[Optional[str], bool], ...]:
+        words = self.fields(0, len(self))[6]
+        if not words:
+            return ()
+        pairs = tuple(map(self.version_of.__getitem__, words))
+        return pairs + ((None, False),) * (len(self) - len(words))
 
 
 class DynamicEntry(NamedTuple):
@@ -438,7 +492,13 @@ class DynamicEntry(NamedTuple):
 
 
 class ElfObject(NamedTuple):
-    """One fully parsed ELF file.  Immutable; safe to share across threads."""
+    """One parsed ELF file.  Immutable; safe to share across threads.
+
+    The header, sections, segments and .dynamic are decoded at parse.  The
+    symbol tables are checked then, and their columns are read from the
+    file's bytes on each access, so the object keeps the file alive (its
+    bytes, or its map) but no per-symbol values.
+    """
 
     path: str
     header: ElfHeader
@@ -584,9 +644,10 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 def _field_columns(
     view: memoryview, lay: _Layouts, entsize: int, fields: Sequence[tuple[int, int]]
-) -> list[tuple[int, ...]]:
+) -> list[Sequence[int]]:
     """For each (offset, width) of `fields`, that unsigned field of every
-    `entsize`-byte record in `view`, in record order.
+    `entsize`-byte record in `view`, in record order, as a memoryview or an
+    array (each has `tolist`).
 
     `len(view)` is a multiple of `entsize`, and each field is aligned to its
     width within the record, so a column is one strided slice of `view`
@@ -605,13 +666,8 @@ def _field_columns(
             else:
                 words = view.cast(_FORMATS[width])
             words_of[width] = words
-        columns.append(tuple(words[offset // width :: entsize // width].tolist()))
+        columns.append(words[offset // width :: entsize // width])
     return columns
-
-
-def _parse_versym(section: Section, lay: _Layouts) -> tuple[int, ...]:
-    words = section.view[: len(section.view) // 2 * 2]
-    return _field_columns(words, lay, 2, ((0, 2),))[0]
 
 
 def _parse_verneed(section: Section, strtab: bytes, count: int, lay: _Layouts) -> dict[int, str]:
@@ -678,31 +734,28 @@ def _version_of_word(
     raise Malformed(f"version index {idx} not defined by verneed/verdef")
 
 
+def _linked_view(sections: Sequence[Section], link: int, what: str) -> memoryview:
+    """The contents of section `link`, the string table of `what`."""
+    if link >= len(sections):
+        raise Malformed(f"{what} string table link {link} out of range")
+    return sections[link].view
+
+
 def _linked_strtab(
     sections: Sequence[Section], link: int, what: str, copies: dict[int, bytes]
 ) -> bytes:
     """A bytes copy of section `link`, made once per table and kept in
     `copies`, since searching for NULs needs bytes."""
-    if link >= len(sections):
-        raise Malformed(f"{what} string table link {link} out of range")
     if link not in copies:
-        copies[link] = sections[link].content
+        copies[link] = bytes(_linked_view(sections, link, what))
     return copies[link]
 
 
-def _symbol_names(strtab: bytes, name_offsets: tuple[int, ...]) -> tuple[str, ...]:
-    try:
-        if strtab.isascii():
-            # One decode for the whole table; its byte offsets are then text
-            # offsets, and every name is a slice of the text.
-            text = strtab.decode("ascii")
-            index = text.index
-            return tuple([text[o : index("\0", o)] for o in name_offsets])
-        index = strtab.index
-        return tuple([decode_bytes(strtab[o : index(0, o)]) for o in name_offsets])
-    except ValueError:
-        # An offset past the end or an unterminated name: string_at says which.
-        return tuple(string_at(strtab, o, "symbol name") for o in name_offsets)
+def _last_nul(table: memoryview) -> int:
+    """The offset of the last NUL in `table`, or -1 when it has none."""
+    if table and table[-1] == 0:
+        return len(table) - 1
+    return bytes(table).rfind(b"\0")
 
 
 def _parse_symbol_table(
@@ -711,35 +764,40 @@ def _parse_symbol_table(
     sections: list[Section],
     lay: _Layouts,
     shnum: int,
-    versym: tuple[int, ...],
+    versym: memoryview,
     verneed: dict[int, str],
     verdef: dict[int, str],
-    strtabs: dict[int, bytes],
 ) -> SymbolTable:
+    """The SymbolTable of `sec`, after the checks that deriving its columns
+    would make, in the same order and with the same messages; no column is
+    built unless a check fails and its message needs one."""
     entsize = lay.sym_size
     if sec.entsize != 0 and sec.entsize != entsize:
         raise Malformed(f"symbol table {sec.name!r} entsize {sec.entsize} != {entsize}")
     if sec.size % entsize != 0:
         raise Malformed(f"symbol table {sec.name!r} size not a multiple of {entsize}")
-    strtab = _linked_strtab(sections, sec.link, f"symbol table {sec.name!r}", strtabs)
-    name_offsets, infos, others, shndxs, values, sizes = _field_columns(
-        sec.view, lay, entsize, lay.sym_columns
+    strtab = _linked_view(sections, sec.link, f"symbol table {sec.name!r}")
+    name_offsets, shndxs = _field_columns(
+        sec.view, lay, entsize, (lay.sym_columns[0], lay.sym_columns[3])
     )
 
-    names = _symbol_names(strtab, name_offsets)
+    # Every name ends at a NUL when no offset lies past the table's last one.
+    if name_offsets and max(name_offsets) > _last_nul(strtab):
+        table = bytes(strtab)
+        for offset in name_offsets:
+            string_at(table, offset, "symbol name")  # raises at the first bad one
     dangling = {x for x in set(shndxs) if shnum <= x < SHN_LORESERVE}
     if dangling:
         i = next(i for i, x in enumerate(shndxs) if x in dangling)
         raise Malformed(
             f"symbol {i} in {sec.name!r} references section {shndxs[i]} of {shnum}"
         )
-    versions: tuple[tuple[Optional[str], bool], ...] = ()
-    if kind == SymbolTableKind.DYNSYM and versym:
-        words = versym[: len(names)]
-        by_word = {w: _version_of_word(w, verneed, verdef) for w in set(words)}
-        versions = tuple(map(by_word.__getitem__, words))
-        versions += ((None, False),) * (len(names) - len(words))
-    return SymbolTable(kind, names, infos, others, shndxs, values, sizes, versions)
+    # The whole halfwords of `.gnu.version`, one per record, version a .dynsym.
+    count = len(sec.view) // entsize if kind == SymbolTableKind.DYNSYM else 0
+    versym = versym[: min(len(versym) // 2, count) * 2]
+    words = _field_columns(versym, lay, 2, ((0, 2),))[0]
+    version_of = {w: _version_of_word(w, verneed, verdef) for w in set(words)}
+    return SymbolTable(kind, sec.view, strtab, lay, versym, version_of)
 
 
 def _parse_dynamic(
@@ -794,12 +852,12 @@ def open_elf(data, origin_path: str) -> ElfObject:
     segments = _parse_segments(data, hdr, lay)
 
     strtabs: dict[int, bytes] = {}
-    versym: tuple[int, ...] = ()
+    versym = data[:0]
     verneed: dict[int, str] = {}
     verdef: dict[int, str] = {}
     for sec in sections:
         if sec.type_code == SHT_GNU_VERSYM:
-            versym = _parse_versym(sec, lay)
+            versym = sec.view
         elif sec.type_code == SHT_GNU_VERNEED:
             strtab = _linked_strtab(sections, sec.link, "verneed", strtabs)
             verneed = _parse_verneed(sec, strtab, sec.info, lay)
@@ -808,7 +866,7 @@ def open_elf(data, origin_path: str) -> ElfObject:
             verdef = _parse_verdef(sec, strtab, sec.info, lay)
 
     symbol_tables = tuple(
-        _parse_symbol_table(sec, kind, sections, lay, shnum, versym, verneed, verdef, strtabs)
+        _parse_symbol_table(sec, kind, sections, lay, shnum, versym, verneed, verdef)
         for kind, type_code in ((SymbolTableKind.DYNSYM, SHT_DYNSYM), (SymbolTableKind.SYMTAB, SHT_SYMTAB))
         for sec in sections
         if sec.type_code == type_code

@@ -276,6 +276,14 @@ def run_child(script: str, *argv: str, **env: str):
     return ast.literal_eval(out.splitlines()[-1])
 
 
+@pytest.fixture(scope="session")
+def symbols_1e5(tmp_path_factory) -> str:
+    """A generated file of 100,000 exported functions."""
+    path = str(tmp_path_factory.mktemp("gen") / "gen100000.so")
+    bench.generate_elf(bench.GeneratedElfSpec(symbol_count=100_000), path)
+    return path
+
+
 @pytest.fixture
 def make_elf(tmp_path):
     """Factory writing one synthetic ELF into the test's tmp dir."""
@@ -340,7 +348,7 @@ def exported_funcs(*names: str) -> list[SymbolSpec]:
 
 
 def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> None:
-    """Version the .dynsym of the 64-bit LSB file at `path` in place.
+    """Version the .dynsym of the file at `path` in place.
 
     Appends a `.gnu.version` holding `words`, one per .dynsym entry, a
     `.gnu.version_d` that defines index 1 as the base and `versions` as
@@ -351,9 +359,11 @@ def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> Non
     """
     obj = reader.load_elf(path)
     hdr = obj.header
+    lay = reader._layouts(hdr.ident.elf_class, hdr.ident.data_encoding)
     data = bytearray(Path(path).read_bytes())
-    shdr = struct.Struct("<IIQQQQIIQQ")
-    headers = [list(shdr.unpack_from(data, hdr.shoff + i * hdr.shentsize)) for i in range(hdr.shnum)]
+    headers = [
+        list(lay.shdr.unpack_from(data, hdr.shoff + i * hdr.shentsize)) for i in range(hdr.shnum)
+    ]
     dynsym = obj.section_named(".dynsym").index
     shstrtab = bytearray(obj.sections[hdr.shstrndx].content)
     verstr = bytearray(b"\x00")
@@ -363,11 +373,13 @@ def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> Non
         name_offset = len(verstr)
         verstr += name.encode() + b"\x00"
         last = ndx == len(names)
-        # Elf64_Verdef (20 bytes) then its one Elf64_Verdaux (8 bytes).
-        verdef += struct.pack("<HHHHIII", 1, int(ndx == 1), ndx, 1, 0, 20, 0 if last else 28)
-        verdef += struct.pack("<II", name_offset, 0)
+        # Elf_Verdef (20 bytes) then its one Elf_Verdaux (8 bytes).
+        verdef += lay.verdef.pack(1, int(ndx == 1), ndx, 1, 0, 20, 0 if last else 28)
+        verdef += lay.verdaux.pack(name_offset, 0)
+    bo = "<" if hdr.ident.data_encoding == DataEncoding.LSB else ">"
+    versym = struct.pack(f"{bo}{len(words)}H", *words)
     bodies = [
-        (".gnu.version", reader.SHT_GNU_VERSYM, struct.pack(f"<{len(words)}H", *words), dynsym, 0, 2),
+        (".gnu.version", reader.SHT_GNU_VERSYM, versym, dynsym, 0, 2),
         (".gnu.version_d", reader.SHT_GNU_VERDEF, bytes(verdef), hdr.shnum + 2, len(names), 0),
         (".verstr", reader.SHT_STRTAB, bytes(verstr), 0, 0, 0),
     ]
@@ -379,9 +391,8 @@ def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> Non
     headers[hdr.shstrndx][4:6] = [len(data), len(shstrtab)]
     data += shstrtab + bytes(-(len(data) + len(shstrtab)) % 8)
     shoff = len(data)
-    data += b"".join(shdr.pack(*h) for h in headers)
-    struct.pack_into("<Q", data, 40, shoff)  # e_shoff
-    struct.pack_into("<H", data, 60, len(headers))  # e_shnum
+    data += b"".join(lay.shdr.pack(*h) for h in headers)
+    lay.ehdr.pack_into(data, 16, *hdr._replace(shoff=shoff, shnum=len(headers))[1:])
     with open(path, "wb") as fh:
         fh.write(data)
 

@@ -900,13 +900,6 @@ class TestExport:
             conn.close()
 
 
-@pytest.fixture(scope="module")
-def symbols_1e5(tmp_path_factory) -> str:
-    path = str(tmp_path_factory.mktemp("spill") / "gen100000.so")
-    bench.generate_elf(bench.GeneratedElfSpec(symbol_count=100_000), path)
-    return path
-
-
 class TestTemporaryDatabase:
     """The session database is SQLite's private temporary database: past
     its page cache it spills to a file that SQLite unlinks at once."""

@@ -28,6 +28,7 @@ from conftest import (
     readelf_dynamic,
     readelf_segments,
     readelf_symbol_tables,
+    run_child,
     symbol_table,
     system_elves,
     write_varied_elf,
@@ -785,17 +786,87 @@ def mutation_seeds(tmp_path_factory) -> list[bytes]:
 # Section 0's sh_offset (bytes 1016-1023 of the ELF64-LSB seed) set to 2**63 + 1.
 @example(seed=0, edits=[(1016, 0x01), (1023, 0x80)])
 def test_byte_mutations_raise_only_elf_errors(mutation_seeds, seed, edits):
-    """Mutated bytes either fail with an ElfError or give rows SQLite stores."""
+    """Mutated bytes either fail the parse with an ElfError or give rows
+    SQLite stores: every producer yields all rows of a file the parse
+    accepted, and raises nothing."""
     data = bytearray(mutation_seeds[seed])
     for position, byte in edits:
         data[position % len(data)] = byte
-    db = sqlite3.connect(":memory:")
     try:
         obj = reader.open_elf(bytes(data), "/mutated.so")
+    except reader.ElfError:
+        return
+    db = sqlite3.connect(":memory:")
+    try:
         for table, producer in model.TABLE_PRODUCERS.items():
             db.execute(_CREATE_SQL[table])
             db.executemany(_INSERT_SQL[table], producer(obj))
-    except reader.ElfError:
-        pass
     finally:
         db.close()
+
+
+@pytest.mark.parametrize(
+    "layout", [(ElfClass.ELF64, DataEncoding.LSB), (ElfClass.ELF32, DataEncoding.MSB)],
+    ids=["lsb64", "msb32"],
+)
+@pytest.mark.parametrize("piece", [1, 2, 7, 64])
+def test_string_rows_in_pieces_equal_whole_tables(tmp_path, monkeypatch, layout, piece):
+    """Split into pieces of any size, an entry longer than a piece included,
+    string tables give the rows of one split of each whole table."""
+    path = write_varied_elf(str(tmp_path / "varied.so"), *layout)
+    obj = load_elf(path)
+    whole = [
+        (model.path_text(path), sec.name, *entry)
+        for sec in obj.sections if sec.type_code == reader.SHT_STRTAB
+        for entry in zip(*model._string_columns(sec.content))
+    ]
+    monkeypatch.setattr(model, "_STRING_PIECE", piece)
+    assert list(model.string_tuples(obj)) == whole
+
+
+class TestBoundedMemory:
+    """A catalog keeps no per-symbol values, and a fill derives symbol rows
+    and string entries in bounded pieces."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, symbols_1e5):
+        script = """
+            import sys, tracemalloc
+            from elfdb import corpus, model
+
+            tracemalloc.start()
+            catalog = corpus.add_paths([sys.argv[1]])
+            held = tracemalloc.get_traced_memory()[0]
+            [obj] = catalog.entries
+            peaks = []
+            for producer in (model.symbol_tuples, model.string_tuples):
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                rows = sum(1 for _ in producer(obj))
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            print([held, *peaks, obj.section_named(".dynstr").size])
+        """
+        return run_child(script, symbols_1e5)
+
+    def test_a_catalog_holds_no_symbol_columns(self, traced):
+        held, _symbols, _strings, _dynstr = traced
+        # The parent commit's catalog of this file held 13.6 MB: every
+        # symbol's name and fields.
+        assert held < 1_000_000
+
+    def test_a_symbol_fill_holds_one_chunk_and_one_string_table(self, traced):
+        _held, peak, _strings, dynstr = traced
+        # One copy of .dynstr (1.3 MB of 13-byte names) and one chunk's
+        # columns: 4,096 records, each with a name (about 64 B), seven list
+        # slots (56 B) and up to three ints past the small-int cache (96 B),
+        # about 1 MB, here allowed twice that.  Deriving all 1e5 records at
+        # once held 18.6 MB.
+        assert peak < dynstr + 2_000_000
+
+    def test_a_string_fill_holds_one_piece(self, traced):
+        _held, _symbols, peak, dynstr = traced
+        # A piece is copied, split into about 5,000 entries of 13 bytes
+        # (about 60 B each, list slots included) and numbered: well under
+        # 1 MB.  One split of the whole .dynstr took 9.5 MB.
+        assert dynstr > 1_000_000
+        assert peak < 1_000_000

@@ -4,6 +4,7 @@ import os
 import re
 import struct
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from elfdb.reader import (
 
 from conftest import (
     RUBY_LIKE,
+    add_symbol_versions,
     exported_funcs,
     readelf_dynamic,
     readelf_symbol_tables,
@@ -372,6 +374,101 @@ class TestMalformedFields:
         assert_malformed_after(path, patch, message)
 
 
+def layout_of(obj) -> reader._Layouts:
+    return reader._layouts(obj.header.ident.elf_class, obj.header.ident.data_encoding)
+
+
+def symbol_field_at(obj, table: str, index: int, field: int) -> tuple[int, str]:
+    """The file offset and struct format of field `field` of symbol `index`
+    in section `table`: 0 is st_name and 3 st_shndx, as in `sym_columns`."""
+    lay = layout_of(obj)
+    offset, width = lay.sym_columns[field]
+    at = obj.section_named(table).offset + index * lay.sym_size + offset
+    return at, lay.shdr.format[0] + reader._FORMATS[width]
+
+
+def section_size_at(obj, name: str) -> tuple[int, str]:
+    """The file offset and struct format of the sh_size of section `name`;
+    a section header's format starts with its byte order."""
+    fmt = layout_of(obj).shdr.format
+    return section_header_at(obj, name) + struct.calcsize(fmt[:6]), fmt[0] + fmt[6]
+
+
+def opened_after(path: str, offset: int, fmt: str, value: int) -> reader.ElfObject:
+    data = bytearray(Path(path).read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    return open_elf(bytes(data), path)
+
+
+@pytest.fixture(
+    params=[(ElfClass.ELF64, DataEncoding.LSB), (ElfClass.ELF32, DataEncoding.MSB)],
+    ids=["lsb64", "msb32"],
+)
+def varied_layout(request, tmp_path) -> str:
+    """The file of `varied_elf_kwargs`, each .dynsym entry versioned "V1"
+    (index 2, after the base version's 1), in two layouts."""
+    path = write_varied_elf(str(tmp_path / "varied.so"), *request.param)
+    entries = len(symbol_table(load_elf(path), SymbolTableKind.DYNSYM))
+    add_symbol_versions(path, ["V1"], [0] + [2] * (entries - 1))
+    return path
+
+
+class TestSymbolTableChecks:
+    """The checks that validate a symbol table without deriving its
+    columns, each at its boundary: what they accept derives, and what they
+    refuse raises the message the derivation raised."""
+
+    def test_st_name_at_the_last_nul_and_one_past_it(self, varied_layout):
+        obj = load_elf(varied_layout)
+        end = obj.section_named(".dynstr").size
+        offset, fmt = symbol_field_at(obj, ".dynsym", 1, 0)
+        accepted = opened_after(varied_layout, offset, fmt, end - 1)
+        assert symbol_table(accepted, SymbolTableKind.DYNSYM).names[1] == ""
+        assert [row[3] for row in model.symbol_tuples(accepted)][1] == ""
+        assert_malformed_after(
+            varied_layout,
+            lambda obj: (offset, fmt, end),
+            f"symbol name string offset {end} past table end ({end})",
+        )
+
+    def test_a_name_in_an_unterminated_tail(self, varied_layout):
+        obj = load_elf(varied_layout)
+        strtab = obj.section_named(".strtab").content
+        last = strtab[:-1].rfind(b"\0") + 1  # the last name, ending the table
+        assert strtab[last:] == b"undefined_here\0"
+        assert_malformed_after(
+            varied_layout,
+            lambda obj: (*section_size_at(obj, ".strtab"), len(strtab) - 1),
+            f"symbol name string at offset {last} is not NUL-terminated",
+        )
+
+    def test_st_shndx_at_shnum(self, varied_layout):
+        obj = load_elf(varied_layout)
+        shnum = len(obj.sections)
+        offset, fmt = symbol_field_at(obj, ".dynsym", 1, 3)
+        accepted = opened_after(varied_layout, offset, fmt, shnum - 1)
+        assert [row[5] for row in model.symbol_tuples(accepted)][1] == obj.sections[-1].name
+        assert_malformed_after(
+            varied_layout,
+            lambda obj: (offset, fmt, shnum),
+            f"symbol 1 in '.dynsym' references section {shnum} of {shnum}",
+        )
+
+    @pytest.mark.parametrize("word", [3, 0x8003])
+    def test_an_undefined_versym_index(self, varied_layout, word):
+        obj = load_elf(varied_layout)
+        versym = obj.section_named(".gnu.version")
+        fmt = layout_of(obj).shdr.format[0] + "H"
+        accepted = opened_after(varied_layout, versym.offset + 2, fmt, 0x8002)
+        assert symbol_table(accepted, SymbolTableKind.DYNSYM).versions[1] == ("V1", False)
+        assert [row[11] for row in model.symbol_tuples(accepted)][1] == "V1"
+        assert_malformed_after(
+            varied_layout,
+            lambda obj: (versym.offset + 2, fmt, word),
+            "version index 3 not defined by verneed/verdef",
+        )
+
+
 class TestNeededLibraries:
     def test_static_object_has_none(self, make_elf):
         written = make_elf(symbols=[])
@@ -461,8 +558,7 @@ def test_symbol_columns_equal_iter_unpack(layout, count, misalign, data):
     columns = reader._field_columns(view, lay, record.size, lay.sym_columns)
     records = list(record.iter_unpack(raw))
     for column, field in zip(columns, _STRUCT_ORDER[layout[0]]):
-        assert type(column) is tuple
-        assert column == tuple(r[field] for r in records)
+        assert column.tolist() == [r[field] for r in records]
 
 
 @settings(max_examples=60, deadline=None)
@@ -483,7 +579,31 @@ def test_packed_symbol_columns_round_trip(layout, count, data):
     by_field = [columns[fields.index(f)] for f in range(len(fields))]
     assert bytes(packed) == b"".join(record.pack(*values) for values in zip(*by_field))
     read = reader._field_columns(memoryview(packed), lay, record.size, lay.sym_columns)
-    assert read == [tuple(column) for column in columns]
+    assert [column.tolist() for column in read] == columns
+
+
+def parse_symbol_table(
+    lay, name_offsets, strtab: bytes, versym: bytes = b"", verdef: Optional[dict] = None
+) -> reader.SymbolTable:
+    """`reader._parse_symbol_table` of a .dynsym holding one record per
+    name offset, its other fields 0, linked to `strtab`, with `versym` as
+    the `.gnu.version` bytes and `verdef` the defined versions."""
+    count = len(name_offsets)
+    records = bench._pack_symbols(lay, [list(name_offsets)] + [[0] * count] * 5)
+
+    def section(index, name, type_code, link, content):
+        view = memoryview(bytes(content))
+        return reader.Section(index, name, type_code, 0, 0, 0, len(view), link, 0, 0, 0, view)
+
+    sections = [
+        section(0, "", reader.SHT_NULL, 0, b""),
+        section(1, ".dynsym", reader.SHT_DYNSYM, 2, records),
+        section(2, ".dynstr", reader.SHT_STRTAB, 0, strtab),
+    ]
+    return reader._parse_symbol_table(
+        sections[1], SymbolTableKind.DYNSYM, sections, lay, len(sections), memoryview(versym),
+        {}, verdef or {},
+    )
 
 
 @settings(max_examples=30, deadline=None)
@@ -493,11 +613,12 @@ def test_version_words_equal_iter_unpack(encoding, raw):
     ignored."""
     lay = reader._layouts(ElfClass.ELF64, encoding)
     bo = "<" if encoding == DataEncoding.LSB else ">"
-    section = reader.Section(
-        0, ".gnu.version", reader.SHT_GNU_VERSYM, 0, 0, 0, len(raw), 0, 0, 2, 2, memoryview(raw)
-    )
-    want = tuple(w for (w,) in struct.iter_unpack(bo + "H", raw[: len(raw) // 2 * 2]))
-    assert reader._parse_versym(section, lay) == want
+    want = [w for (w,) in struct.iter_unpack(bo + "H", raw[: len(raw) // 2 * 2])]
+    defined = {w & 0x7FFF: "V" for w in want}
+    # More records than `raw` has halfwords, and fewer.
+    for count in (21, len(want) // 2):
+        table = parse_symbol_table(lay, [0] * count, b"\0", raw, defined)
+        assert table.fields(0, count)[6] == want[:count]
 
 
 # Entries of a string table: ASCII names, multi-byte UTF-8, stray bytes that
@@ -531,7 +652,9 @@ def test_names_and_string_rows_equal_per_entry_decode(table, data):
     its own."""
     valid = [o for o in range(len(table)) if 0 in table[o:]]
     offsets = tuple(data.draw(st.lists(st.sampled_from(valid), max_size=12))) if valid else ()
-    assert reader._symbol_names(table, offsets) == tuple(_reference_name(table, o) for o in offsets)
+    lay = reader._layouts(ElfClass.ELF64, DataEncoding.LSB)
+    names = parse_symbol_table(lay, offsets, table).names
+    assert names == tuple(_reference_name(table, o) for o in offsets)
     entries, offset = [], 0
     while 0 in table[offset:]:
         entries.append((offset, _reference_name(table, offset)))
@@ -552,13 +675,14 @@ def test_bad_name_offset_raises_string_at_message(table, data):
     with pytest.raises(Malformed) as want:
         reader.string_at(table, first_bad, "symbol name")
     with pytest.raises(Malformed) as got:
-        reader._symbol_names(table, tuple(offsets))
+        parse_symbol_table(reader._layouts(ElfClass.ELF32, DataEncoding.MSB), offsets, table)
     assert str(got.value) == str(want.value)
 
 
 def test_ascii_bad_name_offsets_raise():
     table = b"\x00abc\x00def"
+    lay = reader._layouts(ElfClass.ELF64, DataEncoding.LSB)
     with pytest.raises(Malformed, match=r"symbol name string offset 9 past table end \(8\)"):
-        reader._symbol_names(table, (1, 9))
+        parse_symbol_table(lay, (1, 9), table)
     with pytest.raises(Malformed, match="symbol name string at offset 5 is not NUL-terminated"):
-        reader._symbol_names(table, (1, 5))
+        parse_symbol_table(lay, (1, 5), table)
