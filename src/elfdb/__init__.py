@@ -10,7 +10,6 @@ lookup, so a command loads only the modules it runs.
 """
 
 import sys
-from types import ModuleType
 
 __version__ = "0.1.0"
 
@@ -24,7 +23,7 @@ _DEFINED_IN = {
         "CorpusCatalog", "CorpusError", "SearchConfig", "UnresolvedDependency", "add_paths",
         "resolve_recursive",
     ),
-    "demangle": ("demangle",),
+    "cxxabi": ("demangle",),
     "engine": (
         "ExportAborted", "ExportSummary", "QueryResult", "RegistrationFailure", "Session",
         "SqlError", "StrategyMode", "WriteRejected", "register",
@@ -36,7 +35,7 @@ _DEFINED_IN = {
     ),
 }
 _MODULE_OF = {name: module for module, names in _DEFINED_IN.items() for name in names}
-_SUBMODULES = ("analyses", "bench", "cli", "corpus", "demangle", "disasm", "engine", "model", "reader")
+_SUBMODULES = ("analyses", "bench", "cli", "corpus", "cxxabi", "disasm", "engine", "model", "reader")
 
 __all__ = sorted(_MODULE_OF)
 
@@ -57,15 +56,3 @@ def __getattr__(name: str):
 
 def __dir__() -> list:
     return sorted({*globals(), *__all__, *_SUBMODULES})
-
-
-class _Namespace(ModuleType):
-    def __setattr__(self, name: str, value) -> None:
-        # Importing the submodule `elfdb.demangle` binds it on the package;
-        # `elfdb.demangle` stays the function of the same name.
-        if name == "demangle" and isinstance(value, ModuleType):
-            value = value.demangle
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Namespace

@@ -4,7 +4,10 @@ per-file symbol histogram.
 
 Each analysis is a SQL statement against the schema, so results are
 identical under lazy, memoized, and exported-file execution, and the
-queries double as documentation of the data model.
+queries double as documentation of the data model.  The symbol diff is one
+statement too, which stock `sqlite3` runs unchanged on an export.  What
+Python adds is presentation: the audit's sorted library list, the runpath
+split and the histogram's buckets.
 """
 
 from __future__ import annotations
@@ -137,51 +140,42 @@ def python_extension_check(session: Session, path: str, module_name: str) -> Opt
     return result.rows[0][0] if result.rows else None
 
 
-_DIFF_EXTRACT_SQL = """
-    SELECT name, demangle_name, type, size
-    FROM elf_symbols
-    WHERE path = :path AND size != 0 AND type IN ('FUNC', 'OBJECT')
-    ORDER BY "table", "index"
+# Per path, the first row of each (name, type): with one MIN() in a
+# grouped SELECT, SQLite takes the bare columns from the row holding the
+# minimum, and rowids follow the reader's order (.dynsym, then .symtab, each
+# by index).  The change names sort in ADDED, REMOVED, RESIZED order.
+_DIFF_SQL = """
+    WITH a AS (
+        SELECT name, demangle_name, type, size, MIN(rowid) FROM elf_symbols
+        WHERE path = :a AND size != 0 AND type IN ('FUNC', 'OBJECT')
+        GROUP BY name, type
+    ), b AS (
+        SELECT name, demangle_name, type, size, MIN(rowid) FROM elf_symbols
+        WHERE path = :b AND size != 0 AND type IN ('FUNC', 'OBJECT')
+        GROUP BY name, type
+    )
+    SELECT 'ADDED' AS change, name, b.demangle_name AS demangle_name, type,
+           NULL AS old_size, b.size AS new_size
+    FROM b LEFT JOIN a USING (name, type) WHERE a.name IS NULL
+    UNION ALL
+    SELECT 'REMOVED', name, a.demangle_name, type, a.size, NULL
+    FROM a LEFT JOIN b USING (name, type) WHERE b.name IS NULL
+    UNION ALL
+    SELECT 'RESIZED', name, b.demangle_name, type, a.size, b.size
+    FROM a JOIN b USING (name, type) WHERE a.size != b.size
+    ORDER BY change, name, type
 """
-
-DIFF_COLUMNS = ("change", "name", "demangle_name", "type", "old_size", "new_size")
-
-
-def _diff_extract(session: Session, real: str) -> dict[tuple[str, str], tuple[str, int]]:
-    # (name, type) -> (demangle_name, size); first occurrence wins.
-    result = session.execute(_DIFF_EXTRACT_SQL, {"path": real})
-    out: dict[tuple[str, str], tuple[str, int]] = {}
-    for name, demangle_name, sym_type, size in result.rows:
-        out.setdefault((name, sym_type), (demangle_name, size))
-    return out
 
 
 def diff_symbols(session: Session, path_a: str, path_b: str) -> AnalysisReport:
     """Nonzero-size FUNC/OBJECT symbols added, removed, or resized from a to b.
 
     Rows carry old/new sizes (NULL on the absent side) and are grouped
-    ADDED, REMOVED, RESIZED, each sorted by name.
+    ADDED, REMOVED, RESIZED, each sorted by name.  A name and type listed
+    twice in one file count once, as their first row.
     """
-    real_a = _require_path(session, path_a)
-    real_b = _require_path(session, path_b)
-    syms_a = _diff_extract(session, real_a)
-    syms_b = _diff_extract(session, real_b)
-    rows: list[tuple] = []
-    for key in sorted(syms_b.keys() - syms_a.keys()):
-        name, sym_type = key
-        demangled, size = syms_b[key]
-        rows.append(("ADDED", name, demangled, sym_type, None, size))
-    for key in sorted(syms_a.keys() - syms_b.keys()):
-        name, sym_type = key
-        demangled, size = syms_a[key]
-        rows.append(("REMOVED", name, demangled, sym_type, size, None))
-    for key in sorted(syms_a.keys() & syms_b.keys()):
-        name, sym_type = key
-        demangled_a, size_a = syms_a[key]
-        demangled_b, size_b = syms_b[key]
-        if size_a != size_b:
-            rows.append(("RESIZED", name, demangled_b, sym_type, size_a, size_b))
-    return AnalysisReport(columns=DIFF_COLUMNS, rows=tuple(rows))
+    params = {"a": _require_path(session, path_a), "b": _require_path(session, path_b)}
+    return session.execute(_DIFF_SQL, params)
 
 
 # Counted before the join: joining elf_symbols itself builds an automatic index per call.

@@ -23,7 +23,7 @@ from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from . import reader
-from .demangle import demangle
+from .cxxabi import demangle
 from .reader import (
     SHF_EXECINSTR,
     SHN_ABS,

@@ -4,6 +4,11 @@ Supports ELF32 and ELF64 in either byte order.  Parsing is strict: a
 truncated table, an out-of-range offset, or a string offset past its
 table's end fails the whole file rather than producing partial results.
 The model is purely structural; relational concerns live in `model`.
+
+Records are read by two walks: `_table` reads a header table of fixed-size
+entries (section and program headers) after checking its entry size and
+bounds, and `_chain` follows a version section's records, each of which
+gives the offset of the next in its last field.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import os
 import stat
 import struct
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
 from itertools import chain
 from typing import NamedTuple, Optional
@@ -588,6 +593,33 @@ def _parse_header(data: memoryview, ident: ElfIdent, lay: _Layouts) -> ElfHeader
     return ElfHeader(ident, *lay.ehdr.unpack_from(data, 16))
 
 
+def _table(
+    data: memoryview, offset: int, count: int, entsize: int, record: struct.Struct, what: str
+) -> list[tuple]:
+    """The `count` records of `record` at `offset`, `entsize` bytes apart."""
+    if entsize < record.size:
+        raise Malformed(f"{what} entry size {entsize} too small")
+    if offset + count * entsize > len(data):
+        raise Malformed(f"{what} table out of bounds")
+    return [record.unpack_from(data, offset + i * entsize) for i in range(count)]
+
+
+def _chain(
+    buf: memoryview, offset: int, count: int, record: struct.Struct, what: str
+) -> Iterator[tuple[int, tuple]]:
+    """(offset, fields) of at most `count` records of `record` in `buf`: the
+    first at `offset`, each next one its last field's bytes after it, and
+    none after a record whose last field is 0."""
+    for _ in range(count):
+        if offset + record.size > len(buf):
+            raise Malformed(f"{what} entry out of bounds")
+        fields = record.unpack_from(buf, offset)
+        yield offset, fields
+        if fields[-1] == 0:
+            return
+        offset += fields[-1]
+
+
 def _parse_sections(data: memoryview, hdr: ElfHeader, lay: _Layouts) -> tuple[list, int, int]:
     """Raw section records plus the effective shnum/shstrndx.
 
@@ -597,16 +629,10 @@ def _parse_sections(data: memoryview, hdr: ElfHeader, lay: _Layouts) -> tuple[li
     """
     if hdr.shoff == 0:
         return [], 0, 0
-    if hdr.shentsize < lay.shdr.size:
-        raise Malformed(f"section header entry size {hdr.shentsize} too small")
-    if hdr.shoff + hdr.shentsize > len(data):
-        raise Malformed("section header table out of bounds")
-    first = lay.shdr.unpack_from(data, hdr.shoff)
+    (first,) = _table(data, hdr.shoff, 1, hdr.shentsize, lay.shdr, "section header")
     shnum = hdr.shnum if hdr.shnum != 0 else first[5]  # sh_size of section 0
     shstrndx = hdr.shstrndx if hdr.shstrndx != SHN_XINDEX else first[6]  # sh_link
-    if hdr.shoff + shnum * hdr.shentsize > len(data):
-        raise Malformed("section header table out of bounds")
-    raw = [lay.shdr.unpack_from(data, hdr.shoff + i * hdr.shentsize) for i in range(shnum)]
+    raw = _table(data, hdr.shoff, shnum, hdr.shentsize, lay.shdr, "section header")
     return raw, shnum, shstrndx
 
 
@@ -621,13 +647,9 @@ def _section_view(data: memoryview, type_code: int, offset: int, size: int, inde
 def _parse_segments(data: memoryview, hdr: ElfHeader, lay: _Layouts) -> list[Segment]:
     if hdr.phoff == 0 or hdr.phnum == 0:
         return []
-    if hdr.phentsize < lay.phdr.size:
-        raise Malformed(f"program header entry size {hdr.phentsize} too small")
-    if hdr.phoff + hdr.phnum * hdr.phentsize > len(data):
-        raise Malformed("program header table out of bounds")
+    records = _table(data, hdr.phoff, hdr.phnum, hdr.phentsize, lay.phdr, "program header")
     segments = []
-    for i in range(hdr.phnum):
-        rec = list(lay.phdr.unpack_from(data, hdr.phoff + i * hdr.phentsize))
+    for i, rec in enumerate(map(list, records)):
         rec.insert(1, rec.pop(lay.phdr_flags_at))  # p_flags second, as in ELF64
         seg = Segment(i, *rec)
         if seg.filesz > seg.memsz:
@@ -671,48 +693,25 @@ def _field_columns(
 
 
 def _parse_verneed(section: Section, strtab: bytes, count: int, lay: _Layouts) -> dict[int, str]:
-    """Map version index -> version name from a GNU verneed section."""
-    out: dict[int, str] = {}
+    """Map version index -> version name from a GNU verneed section; a later
+    record of an index replaces an earlier one."""
     buf = section.view
-    offset = 0
-    for _ in range(count):
-        if offset + lay.verneed.size > len(buf):
-            raise Malformed("verneed entry out of bounds")
-        _vn_version, vn_cnt, _vn_file, vn_aux, vn_next = lay.verneed.unpack_from(buf, offset)
-        aux = offset + vn_aux
-        for _ in range(vn_cnt):
-            if aux + lay.vernaux.size > len(buf):
-                raise Malformed("vernaux entry out of bounds")
-            _hash, _flags, vna_other, vna_name, vna_next = lay.vernaux.unpack_from(buf, aux)
-            out[vna_other & 0x7FFF] = string_at(strtab, vna_name, "version")
-            if vna_next == 0:
-                break
-            aux += vna_next
-        if vn_next == 0:
-            break
-        offset += vn_next
-    return out
+    return {
+        vna_other & 0x7FFF: string_at(strtab, vna_name, "version")
+        for at, (_, vn_cnt, _, vn_aux, _) in _chain(buf, 0, count, lay.verneed, "verneed")
+        for _, (_, _, vna_other, vna_name, _) in _chain(buf, at + vn_aux, vn_cnt, lay.vernaux, "vernaux")
+    }
 
 
 def _parse_verdef(section: Section, strtab: bytes, count: int, lay: _Layouts) -> dict[int, str]:
-    """Map version index -> version name from a GNU verdef section."""
-    out: dict[int, str] = {}
+    """Map version index -> version name from a GNU verdef section: the name
+    of each definition's first verdaux (the others name its parents)."""
     buf = section.view
-    offset = 0
-    for _ in range(count):
-        if offset + lay.verdef.size > len(buf):
-            raise Malformed("verdef entry out of bounds")
-        _ver, _flags, vd_ndx, vd_cnt, _hash, vd_aux, vd_next = lay.verdef.unpack_from(buf, offset)
-        if vd_cnt >= 1:
-            aux = offset + vd_aux
-            if aux + lay.verdaux.size > len(buf):
-                raise Malformed("verdaux entry out of bounds")
-            vda_name, _vda_next = lay.verdaux.unpack_from(buf, aux)
-            out[vd_ndx & 0x7FFF] = string_at(strtab, vda_name, "version")
-        if vd_next == 0:
-            break
-        offset += vd_next
-    return out
+    return {
+        vd_ndx & 0x7FFF: string_at(strtab, vda_name, "version")
+        for at, (_, _, vd_ndx, vd_cnt, _, vd_aux, _) in _chain(buf, 0, count, lay.verdef, "verdef")
+        for _, (vda_name, _) in _chain(buf, at + vd_aux, min(vd_cnt, 1), lay.verdaux, "verdaux")
+    }
 
 
 def _version_of_word(
@@ -839,13 +838,17 @@ def open_elf(data, origin_path: str) -> ElfObject:
     if shnum and not shstrndx < shnum:
         raise Malformed(f"shstrndx {shstrndx} out of range ({shnum} sections)")
 
-    # Contents first, then names via the section header string table.
+    # Contents first, then names via the section header string table.  With
+    # e_shstrndx SHN_UNDEF the file has none, and readelf's name for every
+    # section is "<no-strings>".
     views = [
         _section_view(data, rec[1], rec[4], rec[5], i) for i, rec in enumerate(raw_sections)
     ]
-    shstrtab = bytes(views[shstrndx]) if views else b""
+    shstrtab = bytes(views[shstrndx]) if views and shstrndx != SHN_UNDEF else None
     sections = [
         Section(i, string_at(shstrtab, rec[0], f"section {i} name"), *rec[1:], view)
+        if shstrtab is not None
+        else Section(i, "<no-strings>", *rec[1:], view)
         for i, (rec, view) in enumerate(zip(raw_sections, views))
     ]
 

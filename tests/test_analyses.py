@@ -1,6 +1,7 @@
 import os
 import sqlite3
 import struct
+from contextlib import closing
 from pathlib import Path
 
 import pytest
@@ -299,6 +300,34 @@ class TestDiffSymbols:
         with session_over(lib) as session:
             with pytest.raises(UnknownPath):
                 diff_symbols(session, lib, "/absent")
+
+    def test_first_row_of_a_name_wins(self, tmp_path):
+        # `f` of .dynsym, the first table, is 8 bytes and `f` of .symtab 16.
+        a = str(tmp_path / "a.so")
+        b = str(tmp_path / "b.so")
+        write_elf(a, symbols=[SymbolSpec("f", size=8)], symtab_symbols=[SymbolSpec("f", size=16)])
+        write_elf(b, symbols=[SymbolSpec("f", size=8)])
+        with session_over(a, b) as session:
+            assert diff_symbols(session, a, b).rows == ()
+            assert diff_symbols(session, b, a).rows == ()
+
+    def test_stock_sqlite_on_an_export_agrees(self, tmp_path):
+        a = str(tmp_path / "a.so")
+        b = str(tmp_path / "b.so")
+        write_elf(a, symbols=[SymbolSpec("stays"), SymbolSpec("gone"), SymbolSpec("grows", size=2)])
+        write_elf(b, symbols=[SymbolSpec("stays"), SymbolSpec("fresh"), SymbolSpec("grows", size=9)])
+        dest = str(tmp_path / "export.sqlite")
+        with session_over(a, b) as session:
+            session.export_database(dest)
+            want = [diff_symbols(session, a, b).rows, diff_symbols(session, b, a).rows]
+        real_a, real_b = os.path.realpath(a), os.path.realpath(b)
+        with closing(sqlite3.connect(dest)) as conn:
+            got = [
+                tuple(conn.execute(analyses._DIFF_SQL, {"a": x, "b": y}).fetchall())
+                for x, y in ((real_a, real_b), (real_b, real_a))
+            ]
+        assert got == want
+        assert {row[0] for row in want[0]} == {"ADDED", "REMOVED", "RESIZED"}
 
 
 class TestSymbolHistogram:

@@ -357,8 +357,8 @@ class TestStartup:
                 len(elfdb.model.SCHEMA), elfdb.engine.TABLE_NAMES == tuple(elfdb.model.SCHEMA),
                 elfdb.count_symbols.__module__, set(elfdb.__all__) <= set(dir(elfdb)),
             ]
-            # The model imports the submodule `elfdb.demangle`; the package's
-            # `demangle` stays the function.
+            # The model imports `demangle` from the submodule `elfdb.cxxabi`;
+            # the package's `demangle` is that function.
             print([bare, resolved, elfdb.demangle("_Z3foov") in ("foo()", "_Z3foov")])
         """
         assert run_child(script) == [[], [7, True, "elfdb.analyses", True], True]

@@ -176,6 +176,13 @@ class TestExecution:
             )
             assert result.rows == (("/opt/lib",),)
 
+    def test_len_and_iteration_go_over_the_rows(self, small_corpus):
+        with register(small_corpus) as session:
+            result = session.execute("SELECT name FROM elf_symbols ORDER BY name")
+        assert len(result.rows) > 1
+        assert len(result) == len(result.rows)
+        assert list(result) == list(result.rows)
+
     def test_named_params(self, small_corpus):
         with register(small_corpus) as session:
             result = session.execute(

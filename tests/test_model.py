@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from elfdb import corpus, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
-from elfdb.demangle import default_decoder, demangle
+from elfdb.cxxabi import default_decoder, demangle
 from elfdb.disasm import DEFAULT_DECODER, Decoded
 from elfdb.engine import _CREATE_SQL, _INSERT_SQL
 from elfdb.model import derive_export_import, section_name_for_symbol

@@ -36,19 +36,22 @@ import os
 import re
 import struct
 import sys
+from pathlib import Path
 
 import pytest
 
 from elfdb import model, reader
 from elfdb.bench import SymbolSpec, write_elf
-from elfdb.reader import DataEncoding, ElfClass, ElfError
+from elfdb.reader import DataEncoding, ElfClass, ElfError, SymbolTableKind
 
 from conftest import (
     READELF,
+    named_rows,
     readelf_dynamic,
     readelf_segments,
     readelf_symbol_tables,
     run_readelf,
+    symbol_table,
     write_varied_elf,
 )
 
@@ -187,23 +190,22 @@ def _header_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
     return [] if got == expected else [f"{path} header: elfdb {got} readelf {expected}"]
 
 
-def _segment_and_dynamic_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
-    problems = []
+def _segment_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
     segments = [
         (row[2], row[3], row[4], _unsigned(row[5]), row[6], _unsigned(row[7]), _unsigned(row[8]))
         for row in model.segment_tuples(obj)
     ]
     oracle = readelf_segments(path)
-    if segments != oracle:
-        problems.append(f"{path}: segments {segments} readelf {oracle}")
+    return [] if segments == oracle else [f"{path}: segments {segments} readelf {oracle}"]
+
+
+def _dynamic_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
     dynamic = [(row[2], row[4]) for row in model.dynamic_entry_tuples(obj)]
     oracle = [
         (tag, text if tag in ("NEEDED", "SONAME", "RPATH", "RUNPATH") else None)
         for tag, text in readelf_dynamic(path)
     ]
-    if dynamic != oracle:
-        problems.append(f"{path}: dynamic entries {dynamic} readelf {oracle}")
-    return problems
+    return [] if dynamic == oracle else [f"{path}: dynamic entries {dynamic} readelf {oracle}"]
 
 
 def mismatches(path: str) -> list[str]:
@@ -215,7 +217,8 @@ def mismatches(path: str) -> list[str]:
     return [
         *_header_mismatches(obj, path),
         *_section_mismatches(obj, path),
-        *_segment_and_dynamic_mismatches(obj, path),
+        *_segment_mismatches(obj, path),
+        *_dynamic_mismatches(obj, path),
         *_symbol_mismatches(obj, path),
     ]
 
@@ -256,6 +259,99 @@ def test_processor_section_type_named_by_machine(tmp_path, machine):
     (sh_type,) = [row[3] for row in model.section_tuples(obj) if row[2] == ".text"]
     assert sh_type == ("X86_64_UNWIND" if machine == reader.EM_X86_64 else "1879048193")
     assert _section_mismatches(obj, path) == []
+
+
+# ELF64 file header offsets of e_shoff, e_shnum and e_shstrndx.
+E_SHOFF, E_SHNUM, E_SHSTRNDX = 40, 60, 62
+
+
+def patch_fields(path: str, *fields: tuple[int, str, int]) -> None:
+    """Sets each (offset, struct format, value) of `fields` in the file at `path`."""
+    data = bytearray(Path(path).read_bytes())
+    for offset, fmt, value in fields:
+        struct.pack_into(fmt, data, offset, value)
+    Path(path).write_bytes(data)
+
+
+def test_sectionless_file_matches_readelf(tmp_path):
+    """A file whose header gives no section header table has no sections
+    and so no symbols; its header and segments are read as readelf reads
+    them."""
+    if READELF is None:
+        pytest.skip("readelf not available for oracle comparison")
+    path = str(tmp_path / "sectionless.so")
+    write_elf(path, symbols=[SymbolSpec("f")], needed=["libz.so.1"])
+    patch_fields(path, (E_SHOFF, "<Q", 0), (E_SHNUM, "<H", 0), (E_SHSTRNDX, "<H", 0))
+    obj = reader.load_elf(path)
+    assert (obj.sections, obj.symbol_tables) == ((), ())
+    assert "There are no sections in this file." in run_readelf("-SW", path)
+    assert [
+        *_header_mismatches(obj, path),
+        *_section_mismatches(obj, path),
+        *_segment_mismatches(obj, path),
+        *_symbol_mismatches(obj, path),
+    ] == []
+
+
+def test_file_without_section_names_matches_readelf(tmp_path):
+    """e_shstrndx SHN_UNDEF: the file has no section name string table.
+    Every section is named `<no-strings>`, as readelf names it, and the
+    symbol tables and .dynamic are still found by their types."""
+    if READELF is None:
+        pytest.skip("readelf not available for oracle comparison")
+    path = str(tmp_path / "unnamed.so")
+    write_elf(
+        path,
+        symbols=[SymbolSpec("f"), SymbolSpec("g", sym_type="OBJECT", section=".data")],
+        symtab_symbols=[SymbolSpec("h", binding="LOCAL")],
+        needed=["libz.so.1", "libm.so.6"],
+    )
+    patch_fields(path, (E_SHSTRNDX, "<H", 0))
+    obj = reader.load_elf(path)
+    assert {s.name for s in obj.sections} == {"<no-strings>"}
+    assert reader.needed_libraries(obj) == ["libz.so.1", "libm.so.6"]
+    assert [
+        *_header_mismatches(obj, path),
+        *_section_mismatches(obj, path),
+        *_segment_mismatches(obj, path),
+        *_dynamic_mismatches(obj, path),
+    ] == []
+    # readelf names both symbol tables `<no-strings>`, so lists them as one.
+    (oracle,) = readelf_symbol_tables(path).values()
+    rows = named_rows("elf_symbols", obj)
+    assert [
+        (r["index"], r["name"], r["value"], r["size"], r["type"], r["binding"], r["section"])
+        for r in rows
+    ] == [
+        (
+            o.index, o.name, o.value, int(o.size), o.sym_type, o.bind,
+            "<no-strings>" if o.ndx.isdigit() else _SHNDX[o.ndx],
+        )
+        for o in oracle
+    ]
+    assert [r["table"] for r in rows] == [".dynsym"] * 3 + [".symtab"] * 2
+
+
+def test_common_symbol_matches_readelf(tmp_path):
+    """A .symtab symbol whose st_shndx is SHN_COMMON: elfdb's section
+    `SHN_COMMON`, readelf's `COM`."""
+    if READELF is None:
+        pytest.skip("readelf not available for oracle comparison")
+    path = str(tmp_path / "common.so")
+    write_elf(
+        path,
+        symbols=[SymbolSpec("f")],
+        symtab_symbols=[SymbolSpec("tentative", sym_type="OBJECT", section=".data")],
+    )
+    obj = reader.load_elf(path)
+    lay = reader._layouts(ElfClass.ELF64, DataEncoding.LSB)
+    index = symbol_table(obj, SymbolTableKind.SYMTAB).names.index("tentative")
+    st_shndx = obj.section_named(".symtab").offset + index * lay.sym_size + lay.sym_columns[3][0]
+    patch_fields(path, (st_shndx, "<H", reader.SHN_COMMON))
+    obj = reader.load_elf(path)
+    rows = named_rows("elf_symbols", obj)
+    assert [r["section"] for r in rows if r["name"] == "tentative"] == ["SHN_COMMON"]
+    assert mismatches(path) == []
 
 
 @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])

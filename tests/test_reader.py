@@ -282,7 +282,7 @@ class TestSymbolVersions:
 
 # ELF64 field offsets: in the file header, in a section header, and in the
 # first record of a version section (Elf64_Verdef and Elf64_Verneed).
-E_PHENTSIZE, E_SHENTSIZE = 54, 58
+E_PHOFF, E_PHENTSIZE, E_SHENTSIZE = 32, 54, 58
 SH_SIZE, SH_LINK, SH_ENTSIZE = 32, 40, 56
 VD_AUX, VN_AUX = 12, 8
 
@@ -308,6 +308,7 @@ class TestMalformedFields:
         [
             (lambda obj: (E_SHENTSIZE, "<H", 10), "section header entry size 10 too small"),
             (lambda obj: (E_PHENTSIZE, "<H", 10), "program header entry size 10 too small"),
+            (lambda obj: (E_PHOFF, "<Q", 2**20), "program header table out of bounds"),
             (
                 lambda obj: (section_header_at(obj, ".dynsym") + SH_LINK, "<I", 999),
                 "string table link 999 out of range",
@@ -325,7 +326,7 @@ class TestMalformedFields:
                 "size not a multiple of 24",
             ),
         ],
-        ids=["e_shentsize", "e_phentsize", "sh_link", "sh_entsize", "sh_size"],
+        ids=["e_shentsize", "e_phentsize", "e_phoff", "sh_link", "sh_entsize", "sh_size"],
     )
     def test_header_and_symbol_table_fields(self, tmp_path, patch, message):
         path = write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB)
