@@ -20,8 +20,8 @@ _DEFINED_IN = {
         "interposition_audit", "python_extension_check", "runpath", "symbol_histogram",
     ),
     "corpus": (
-        "CorpusCatalog", "CorpusError", "SearchConfig", "UnresolvedDependency", "add_paths",
-        "resolve_recursive",
+        "CatalogEntry", "CorpusCatalog", "CorpusError", "SearchConfig", "UnresolvedDependency",
+        "add_paths", "resolve_recursive",
     ),
     "cxxabi": ("demangle",),
     "engine": (
@@ -30,8 +30,9 @@ _DEFINED_IN = {
     ),
     "model": ("derive_export_import",),
     "reader": (
-        "DynamicEntry", "ElfHeader", "ElfIdent", "ElfObject", "Malformed", "NotElf", "Section",
-        "Segment", "SymbolTableKind", "load_elf", "needed_libraries", "open_elf",
+        "DynamicEntry", "ElfHeader", "ElfIdent", "ElfObject", "FileChanged", "FileIdentity",
+        "Malformed", "NotElf", "Section", "Segment", "SymbolTableKind", "load_elf",
+        "needed_libraries", "open_elf",
     ),
 }
 _MODULE_OF = {name: module for module, names in _DEFINED_IN.items() for name in names}

@@ -43,7 +43,7 @@ _SECTIONS = (
     (".strtab", reader.SHT_STRTAB, 0, 1, None),
     (".shstrtab", reader.SHT_STRTAB, 0, 1, None),
 )
-_DT_STRTAB, _DT_SYMTAB, _DT_STRSZ, _DT_SYMENT = 5, 6, 10, 11
+_DT_SYMTAB, _DT_SYMENT = 6, 11
 
 
 class SymbolSpec(NamedTuple):
@@ -208,8 +208,8 @@ def write_elf(
             entsize = lay.sym_size
         elif name == ".dynamic":
             entries = [(tag, dynstr_offsets[t]) for tag, t in tagged] + [
-                (_DT_STRTAB, addr[".dynstr"]), (_DT_SYMTAB, addr[".dynsym"]),
-                (_DT_STRSZ, len(dynstr)), (_DT_SYMENT, lay.sym_size), (reader.DT_NULL, 0),
+                (reader.DT_STRTAB, addr[".dynstr"]), (_DT_SYMTAB, addr[".dynsym"]),
+                (reader.DT_STRSZ, len(dynstr)), (_DT_SYMENT, lay.sym_size), (reader.DT_NULL, 0),
                 *dynamic_suffix,
             ]
             body = b"".join(lay.dyn.pack(tag, value) for tag, value in entries)

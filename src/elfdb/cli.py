@@ -161,7 +161,7 @@ def cmd_repl(args) -> int:
             statement, buffer = buffer, ""
             try:
                 result = session.execute(statement)
-            except SqlError as exc:
+            except (SqlError, reader.ElfError) as exc:  # a file changed before its fill, too
                 print(f"error: {exc}", file=sys.stderr)
                 continue
             print(render("table", result.columns, result.rows))

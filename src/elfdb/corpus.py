@@ -1,4 +1,10 @@
-"""Build corpora of parsed ELF files and expand them along DT_NEEDED edges.
+"""Build corpora of ELF files and expand them along DT_NEEDED edges.
+
+A catalog keeps what it needs of each file, not the file: every input is
+parsed in full, and refused as a fill would refuse it, but an entry keeps
+only the file's path, its identity and the .dynamic entries that resolution
+reads.  A fill parses the file again with `reopen`, which refuses a file
+that changed in between.
 
 Dependency resolution emulates the common dynamic-loader search order
 (RPATH-without-RUNPATH up the loader chain, then the configured library
@@ -13,7 +19,16 @@ from collections import deque
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import reader
-from .reader import DT_RPATH, DT_RUNPATH, DT_SONAME, ElfObject, Frozen
+from .reader import (
+    DT_RPATH,
+    DT_RUNPATH,
+    DT_SONAME,
+    STRING_TAGS,
+    DynamicEntry,
+    ElfObject,
+    FileIdentity,
+    Frozen,
+)
 
 DEFAULT_SEARCH_DIRS = (
     "/lib",
@@ -33,18 +48,44 @@ class UnresolvedDependency(NamedTuple):
     reason: str = "not found"
 
 
+class CatalogEntry(NamedTuple):
+    """One catalogued file: its canonical absolute path, the identity of the
+    file that was parsed, and the DT_NEEDED, DT_SONAME, DT_RPATH and
+    DT_RUNPATH entries of its .dynamic, in order."""
+
+    path: str
+    identity: FileIdentity
+    dynamic: tuple[DynamicEntry, ...]
+
+
+def _parse_entry(path: str) -> CatalogEntry:
+    """Read and parse the file at `path` in full, and keep its entry; the
+    parsed object and the file's contents are dropped on return."""
+    data, identity = reader.read_file(path)
+    obj = reader.open_elf(data, path)
+    return CatalogEntry(path, identity, tuple(e for e in obj.dynamic if e.tag_code in STRING_TAGS))
+
+
+def reopen(entry: CatalogEntry) -> ElfObject:
+    """Read and parse the file of `entry` again.  Raises FileChanged, naming
+    its path, when the file is gone or its identity is not the one that
+    `entry` recorded, before reading it."""
+    return reader.open_elf(reader.read_file(entry.path, entry.identity)[0], entry.path)
+
+
 class CorpusCatalog(Frozen):
-    """Parsed files, each once under its canonical absolute path, in order:
-    the inputs of `add_paths` first, then the files `resolve_recursive`
-    discovered, breadth first.  So `resolved.entries[len(catalog):]` are
-    the files that resolving `catalog` added.
+    """Catalogued files, each a CatalogEntry once under its canonical
+    absolute path, in order: the inputs of `add_paths` first, then the files
+    `resolve_recursive` discovered, breadth first.  So
+    `resolved.entries[len(catalog):]` are the files that resolving
+    `catalog` added.  A catalog holds no file open or mapped.
     """
 
     _fields = __slots__ = ("entries", "skipped", "read_errors", "unresolved")
 
     def __init__(
         self,
-        entries: tuple[ElfObject, ...] = (),
+        entries: tuple[CatalogEntry, ...] = (),
         skipped: tuple[str, ...] = (),  # non-ELF files seen while walking
         read_errors: tuple[tuple[str, str], ...] = (),  # (path, why)
         unresolved: tuple[UnresolvedDependency, ...] = (),
@@ -95,7 +136,7 @@ def add_paths(paths: Sequence[str], recurse_dirs: bool = False) -> CorpusCatalog
     malformed inputs are collected as read errors.  Raises CorpusError only
     when paths were given and every one of them failed outright.
     """
-    entries: list[ElfObject] = []
+    entries: list[CatalogEntry] = []
     seen: set[str] = set()
     skipped: list[str] = []
     errors: list[tuple[str, str]] = []
@@ -106,7 +147,7 @@ def add_paths(paths: Sequence[str], recurse_dirs: bool = False) -> CorpusCatalog
         if real in seen:
             return True
         try:
-            obj = reader.open_elf(reader.read_file(real), real)
+            entry = _parse_entry(real)
         except reader.NotElf:
             if from_directory:
                 skipped.append(file_path)
@@ -117,7 +158,7 @@ def add_paths(paths: Sequence[str], recurse_dirs: bool = False) -> CorpusCatalog
             errors.append((file_path, str(exc)))
             return False
         seen.add(real)
-        entries.append(obj)
+        entries.append(entry)
         return True
 
     for path in paths:
@@ -148,16 +189,16 @@ def add_paths(paths: Sequence[str], recurse_dirs: bool = False) -> CorpusCatalog
     )
 
 
-def _search_path_entries(obj: ElfObject, tag: int) -> list[str]:
-    """RPATH/RUNPATH directories, `$ORIGIN` expanded to the directory of `obj`."""
-    raw = reader.dynamic_string(obj, tag)
+def _search_path_entries(entry: CatalogEntry, tag: int) -> list[str]:
+    """RPATH/RUNPATH directories, `$ORIGIN` expanded to the directory of `entry`."""
+    raw = reader.dynamic_string(entry, tag)
     if not raw:
         return []
-    origin = os.path.dirname(obj.path)
+    origin = os.path.dirname(entry.path)
     return [p.replace("${ORIGIN}", origin).replace("$ORIGIN", origin) for p in raw.split(":") if p]
 
 
-def _search_order(dependent_chain: Sequence[ElfObject], cfg: SearchConfig) -> list[str]:
+def _search_order(dependent_chain: Sequence[CatalogEntry], cfg: SearchConfig) -> list[str]:
     """Candidate directories for one NEEDED lookup, highest priority first."""
     dependent = dependent_chain[0]
     dirs: list[str] = []
@@ -186,17 +227,17 @@ def resolve_recursive(catalog: CorpusCatalog, cfg: Optional[SearchConfig] = None
         cfg = SearchConfig()
 
     entries = list(catalog.entries)
-    known_paths = {obj.path for obj in entries}
+    known_paths = {entry.path for entry in entries}
     # A soname already provided by a catalog member is never re-resolved.
     settled: set[str] = set()
-    for obj in entries:
-        soname = reader.dynamic_string(obj, DT_SONAME)
+    for entry in entries:
+        soname = reader.dynamic_string(entry, DT_SONAME)
         if soname:
             settled.add(soname)
-        settled.add(os.path.basename(obj.path))
+        settled.add(os.path.basename(entry.path))
 
     unresolved: list[UnresolvedDependency] = []
-    queue: deque[tuple[ElfObject, ...]] = deque((obj,) for obj in entries)
+    queue: deque[tuple[CatalogEntry, ...]] = deque((entry,) for entry in entries)
     while queue:
         chain = queue.popleft()
         dependent = chain[0]
@@ -219,14 +260,14 @@ def resolve_recursive(catalog: CorpusCatalog, cfg: Optional[SearchConfig] = None
             if found in known_paths:
                 continue
             try:
-                obj = reader.load_elf(found)
+                entry = _parse_entry(found)
             except (reader.ElfError, OSError) as exc:
                 unresolved.append(
                     UnresolvedDependency(soname=soname, dependent=dependent.path, reason=str(exc))
                 )
                 continue
             known_paths.add(found)
-            entries.append(obj)
-            queue.append((obj, *chain))
+            entries.append(entry)
+            queue.append((entry, *chain))
 
     return CorpusCatalog(tuple(entries), catalog.skipped, catalog.read_errors, tuple(unresolved))

@@ -16,9 +16,18 @@ whose compiled program reads them (its `EXPLAIN` listing opens their
 b-trees), so queries only pay for the tables they read.  Pragmas, schema
 lookups, `EXPLAIN` and refused statements fill nothing.  (The stdlib engine
 offers no Python-level virtual tables; a deferred fill keeps their
-contract: pay at first query, same results.)  A fill inserts its producer's
-rows in order through multi-row `INSERT` statements of `_BATCH_ROWS` rows
-each, the last few one row at a time, so rowids follow producer order.
+contract: pay at first query, same results.)
+
+A fill works one catalog entry at a time, in catalog order: `corpus.reopen`
+opens the file again, checks it against the identity its catalog recorded
+and parses it; the table's producer gives its rows, which go in through
+multi-row `INSERT` statements of `_BATCH_ROWS` rows each, the file's last
+few one row at a time, so rowids follow catalog and producer order.  The
+parsed file, and its map, are dropped before the next file opens, so a fill
+holds one file at a time.  A file that is gone or is another file raises
+`reader.FileChanged` from the call that ran the fill (`execute`, `register`
+for a MEMOIZED table, `export_database`); the fill is rolled back and its
+table stays pending.
 When the corpus holds two or more files, the `elf_symbols` fill also builds
 the index `elf_symbols_path` on `(path, "table")`, so per-file statements
 search it instead of scanning every file's symbols.  Rows and rowids do not
@@ -44,9 +53,9 @@ from contextlib import closing
 from enum import Enum
 from functools import partial
 from itertools import chain, islice
-from typing import Mapping, NamedTuple, Optional, Union
+from typing import Iterator, Mapping, NamedTuple, Optional, Union
 
-from .corpus import CorpusCatalog
+from . import corpus
 from .model import SCHEMA, TABLE_NAMES, TABLE_PRODUCERS, ZERO_IS_NULL
 from .reader import Frozen
 
@@ -161,9 +170,13 @@ def _normalize_strategies(strategies: Strategies) -> dict[str, StrategyMode]:
 
 
 class Session:
-    """A SQL namespace over one immutable corpus.  One statement at a time."""
+    """A SQL namespace over one immutable corpus.  One statement at a time.
 
-    def __init__(self, catalog: CorpusCatalog, strategies: Strategies = None):
+    The session keeps the catalog, which holds no file; each fill reads the
+    files it needs again and releases each before the next (see the module
+    docstring)."""
+
+    def __init__(self, catalog: corpus.CorpusCatalog, strategies: Strategies = None):
         self._catalog = catalog
         modes = _normalize_strategies(strategies)
         # A private temporary database: past its page cache, pages go to an unlinked file.
@@ -204,22 +217,11 @@ class Session:
 
     def _materialize(self, table: str) -> None:
         producer = TABLE_PRODUCERS[table]
-        rows = chain.from_iterable(map(producer, self._catalog.entries))
-        tail: list[tuple] = []
-
-        def batches():
-            while True:
-                batch = tuple(islice(rows, _BATCH_ROWS))
-                if len(batch) < _BATCH_ROWS:
-                    tail.extend(batch)
-                    return
-                yield tuple(chain.from_iterable(batch))
-
         self._conn.set_authorizer(_allow_all)
         try:
             self._conn.execute("BEGIN")
-            self._conn.executemany(_BATCH_INSERT_SQL[table], batches())
-            self._conn.executemany(_INSERT_SQL[table], tail)
+            for entry in self._catalog.entries:
+                self._insert(table, producer(corpus.reopen(entry)))
             indexed = table == "elf_symbols" and len(self._catalog.entries) >= 2
             if indexed:
                 self._conn.execute(_SYMBOL_INDEX_SQL)
@@ -233,6 +235,22 @@ class Session:
         self._pending.discard(table)
         if indexed:
             self._map_root_pages()
+
+    def _insert(self, table: str, rows: Iterator[tuple]) -> None:
+        """Insert one file's `rows` in order.  Nothing refers to the file
+        once this returns, so its map is gone before the next file opens."""
+        tail: list[tuple] = []
+
+        def batches():
+            while True:
+                batch = tuple(islice(rows, _BATCH_ROWS))
+                if len(batch) < _BATCH_ROWS:
+                    tail.extend(batch)
+                    return
+                yield tuple(chain.from_iterable(batch))
+
+        self._conn.executemany(_BATCH_INSERT_SQL[table], batches())
+        self._conn.executemany(_INSERT_SQL[table], tail)
 
     def _fill_tables_read(self, sql: str, params: dict) -> None:
         # `EXPLAIN <sql>` compiles the statement under the authorizer without running it;
@@ -293,8 +311,9 @@ class Session:
         SQLite's online-backup API, so the file keeps the declared schema,
         then atomically renames it, so a failed export leaves nothing
         behind.  Raises FileExistsError when `dest` exists and `overwrite`
-        is false, and ExportAborted when a fill, the copy or the rename
-        fails.
+        is false, reader.FileChanged when a fill finds a file changed since
+        its catalog, and ExportAborted when a fill, the copy or the rename
+        fails otherwise.
         """
         dest = os.fspath(dest)
         if os.path.exists(dest) and not overwrite:
@@ -328,9 +347,11 @@ class Session:
         self.close()
 
 
-def register(catalog: CorpusCatalog, strategies: Strategies = None) -> Session:
+def register(catalog: corpus.CorpusCatalog, strategies: Strategies = None) -> Session:
     """Create a Session whose SQL namespace holds all seven schema tables.
 
     Raises RegistrationFailure when the strategies are invalid or SQLite
-    fails to create the schema or fill a MEMOIZED table."""
+    fails to create the schema or fill a MEMOIZED table, and
+    reader.FileChanged when a MEMOIZED table's fill finds a file changed
+    since its catalog."""
     return Session(catalog, strategies)

@@ -87,15 +87,19 @@ def _split_versioned_name(raw: str) -> tuple[str, Optional[str], bool]:
     return raw, None, False
 
 
-def readelf_symbol_tables(path: str) -> dict[str, list[OracleSymbol]]:
-    """All symbol tables as readelf reports them, keyed by section name."""
+def readelf_symbol_tables(path: str) -> list[tuple[str, list[OracleSymbol]]]:
+    """All symbol tables as readelf reports them, each with its section's
+    name, in the order readelf lists them: section order.  Two tables may
+    have one name, as both have `<no-strings>` when `e_shstrndx` is
+    SHN_UNDEF."""
     out = run_readelf("-sW", path)
-    tables: dict[str, list[OracleSymbol]] = {}
+    tables: list[tuple[str, list[OracleSymbol]]] = []
     current: Optional[list[OracleSymbol]] = None
     for line in out.splitlines():
         header = _TABLE_HEADER.search(line)
         if header:
-            current = tables.setdefault(header.group(1), [])
+            current = []
+            tables.append((header.group(1), current))
             continue
         if current is None:
             continue

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from elfdb import corpus
+from elfdb import corpus, engine
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.cli import main
 from elfdb.engine import register
@@ -415,3 +415,37 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, "")
+
+
+class TestChangedFile:
+    """A file touched between its catalog and its fill: `elfdb query` exits
+    1 with the message, and the shell reports it and reads on."""
+
+    @pytest.fixture
+    def touched_before_fill(self, lib, monkeypatch) -> str:
+        register = engine.register
+
+        def touching(catalog, *args):
+            st = os.stat(lib)
+            os.utime(lib, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+            return register(catalog, *args)
+
+        monkeypatch.setattr(engine, "register", touching)
+        return f"error: {os.path.realpath(lib)} changed after it was first read"
+
+    def test_query_exits_one(self, capsys, lib, touched_before_fill):
+        code, out, err = run_cli(capsys, "query", lib, "--sql", "SELECT COUNT(*) FROM elf_symbols")
+        assert (code, out) == (1, "")
+        assert err.startswith(touched_before_fill)
+
+    def test_the_shell_reports_it_and_reads_the_next_line(
+        self, capsys, lib, touched_before_fill, monkeypatch
+    ):
+        import io
+
+        script = "SELECT COUNT(*) FROM elf_symbols;\nSELECT 7;\n"
+        monkeypatch.setattr("sys.stdin", io.StringIO(script))
+        code, out, err = run_cli(capsys, "repl", lib)
+        assert code == 0
+        assert err.startswith(touched_before_fill)
+        assert "7" in out

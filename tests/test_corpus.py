@@ -225,6 +225,20 @@ class TestAddPaths:
             "outer.so",
         ]
 
+    def test_an_entry_keeps_identity_and_the_entries_resolution_reads(self, tmp_path):
+        lib = str(tmp_path / "lib.so")
+        write_elf(
+            lib, symbols=exported_funcs("f"), needed=["liba.so.1"], soname="lib.so", runpath="/opt"
+        )
+        (entry,) = add_paths([lib]).entries
+        st = os.stat(lib)
+        assert entry.path == os.path.realpath(lib)
+        assert entry.identity == (st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns)
+        parsed = reader.load_elf(lib).dynamic
+        assert len(parsed) > 3
+        assert entry.dynamic == tuple(e for e in parsed if e.tag_code in reader.STRING_TAGS)
+        assert [e.tag_name for e in entry.dynamic] == ["NEEDED", "SONAME", "RUNPATH"]
+
     def test_insertion_order_is_argument_order(self, tmp_path):
         paths = []
         for name in ("zz.so", "aa.so", "mm.so"):
@@ -276,6 +290,22 @@ class TestResolveRecursive:
             "two",
             "libshared.so",
         ]
+
+    def test_a_file_without_section_headers_is_followed(self, tmp_path):
+        """Its DT_NEEDED are read through PT_DYNAMIC, as the loader reads them."""
+        write_elf(str(tmp_path / "libdep.so"), symbols=exported_funcs("d"), soname="libdep.so")
+        app = tmp_path / "app"
+        write_elf(
+            str(app), symbols=exported_funcs("m"), needed=["libdep.so"], runpath=str(tmp_path)
+        )
+        data = bytearray(app.read_bytes())
+        for offset, fmt in ((40, "<Q"), (60, "<H"), (62, "<H")):  # e_shoff, e_shnum, e_shstrndx
+            struct.pack_into(fmt, data, offset, 0)
+        app.write_bytes(data)
+        assert reader.load_elf(str(app)).sections == ()
+        resolved = resolve_recursive(add_paths([str(app)]), SearchConfig(default_dirs=()))
+        assert [os.path.basename(p) for p in resolved.paths] == ["app", "libdep.so"]
+        assert set(resolved.paths) == oracle_loader_trace(str(app))
 
     def test_unresolved_reported_once_and_continues(self, tmp_path):
         write_elf(str(tmp_path / "libgood.so"), symbols=exported_funcs("g"), soname="libgood.so")

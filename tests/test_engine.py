@@ -3,11 +3,14 @@ import hashlib
 import mmap
 import os
 import random
+import re
+import shutil
 import sqlite3
 import struct
 import weakref
 from itertools import islice
 from pathlib import Path
+from textwrap import dedent
 
 import pytest
 
@@ -22,7 +25,7 @@ from elfdb.engine import (
     register,
 )
 from elfdb.model import SCHEMA, TABLE_NAMES
-from elfdb.reader import DataEncoding, ElfClass
+from elfdb.reader import DataEncoding, ElfClass, FileChanged
 
 from conftest import (
     RUBY_LIKE,
@@ -149,7 +152,7 @@ class TestExecution:
         path = os.path.realpath("/bin/ls")
         if not os.path.exists(path):
             pytest.skip("no /bin/ls")
-        oracle = readelf_symbol_tables(path)[".dynsym"]
+        oracle = dict(readelf_symbol_tables(path))[".dynsym"]
         expected = sum(
             1 for e in oracle if e.ndx == "UND" and e.bind in ("GLOBAL", "WEAK", "UNIQUE")
         )
@@ -423,7 +426,8 @@ def _assert_fill_equals_one_row_inserts(catalog) -> dict[str, tuple]:
             for table, producer in model.TABLE_PRODUCERS.items():
                 reference.execute(engine._CREATE_SQL[table])
                 reference.executemany(
-                    engine._INSERT_SQL[table], (r for e in catalog for r in producer(e))
+                    engine._INSERT_SQL[table],
+                    (r for e in catalog for r in producer(reader.load_elf(e.path))),
                 )
                 dumps[table] = tuple(reference.execute(_dump_sql(table)))
                 assert session.execute(_dump_sql(table)).rows == dumps[table], table
@@ -456,14 +460,16 @@ class TestBatchedFill:
     def test_one_file_equals_one_row_inserts(self, tmp_path, symbol_count):
         _assert_fill_equals_one_row_inserts(corpus.add_paths([_generated(tmp_path, symbol_count)]))
 
-    def test_a_batch_spanning_two_files_equals_one_row_inserts(self, tmp_path):
+    def test_a_file_ending_inside_a_batch_equals_one_row_inserts(self, tmp_path):
         first = write_varied_elf(str(tmp_path / "varied.so"), ElfClass.ELF64, DataEncoding.LSB)
         catalog = corpus.add_paths([first, _generated(tmp_path, 2 * B)])
+        objs = [reader.load_elf(e.path) for e in catalog]
         for table in ("elf_symbols", "elf_strings"):
-            rows = [sum(1 for _ in model.TABLE_PRODUCERS[table](e)) for e in catalog]
-            # The first file ends inside a batch that the second file completes.
+            rows = [sum(1 for _ in model.TABLE_PRODUCERS[table](obj)) for obj in objs]
+            # The first file ends inside a batch that the second file would complete;
+            # its last rows go in one at a time before the second file is opened.
             assert rows[0] % B and sum(rows) >= (rows[0] // B + 1) * B, table
-        obj = catalog.entries[0]
+        obj = objs[0]
         assert isinstance(next(model.TABLE_PRODUCERS["elf_sections"](obj))[-1], memoryview)
         dumps = _assert_fill_equals_one_row_inserts(catalog)
         assert any(type(v) is int and v < 0 for row in dumps["elf_symbols"] for v in row)
@@ -536,7 +542,8 @@ class TestStrategyEquivalence:
 
     def test_every_table_equal_lazy_memoized_and_exported(self, mapped_elf, tmp_path):
         catalog = corpus.add_paths([mapped_elf, RUBY_LIKE])
-        mapped, read = (e.section_named(".dynsym").view.obj for e in catalog)
+        objs = [reader.load_elf(e.path) for e in catalog]
+        mapped, read = (obj.section_named(".dynsym").view.obj for obj in objs)
         assert isinstance(mapped, mmap.mmap) and type(read) is bytes
         dest = str(tmp_path / "all.sqlite")
         with register(catalog) as lazy, register(
@@ -556,9 +563,7 @@ class TestStrategyEquivalence:
             blobs = lazy.execute(
                 "SELECT content FROM elf_sections WHERE name = '.dynstr' ORDER BY rowid"
             ).rows
-        assert [b for (b,) in blobs] == [
-            e.section_named(".dynstr").content for e in catalog
-        ]
+        assert [b for (b,) in blobs] == [obj.section_named(".dynstr").content for obj in objs]
 
     def test_lazy_tables_fill_only_when_touched(self, small_corpus):
         session = register(small_corpus)
@@ -963,6 +968,197 @@ class TestTemporaryDatabase:
         assert listed_during == []
         assert after == [[], []]
         assert os.listdir(spill) == []
+
+
+# The start of a child script: `open_inputs(directory)` lists the files under
+# `directory` that the process maps or holds a descriptor of.
+_OPEN_INPUTS = dedent(
+    """
+    import os
+
+    def open_inputs(directory):
+        names = set()
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.split(maxsplit=5)
+                if len(fields) == 6:
+                    names.add(fields[5].strip())
+        for fd in os.listdir("/proc/self/fd"):
+            try:
+                names.add(os.readlink(f"/proc/self/fd/{fd}"))
+            except FileNotFoundError:  # the descriptor that listed the directory
+                pass
+        return sorted(name for name in names if name.startswith(directory + os.sep))
+    """
+)
+
+_NO_PROC = not (os.path.exists("/proc/self/maps") and os.path.isdir("/proc/self/fd"))
+
+
+@pytest.fixture(scope="module")
+def sized_files(tmp_path_factory) -> list[str]:
+    """Six generated libraries padded with zeros to 2.5 MiB, past what any
+    parse reads, so they are mapped; then four of 0.3 MB, which are read.
+    Beside them, an `app` that needs all ten through its RUNPATH."""
+    directory = os.path.realpath(tmp_path_factory.mktemp("sized"))
+    paths = []
+    for i in range(10):
+        paths.append(os.path.join(directory, f"lib{i}.so"))
+        count = 20_000 + 1_000 * i if i < 6 else 8_000
+        bench.generate_elf(bench.GeneratedElfSpec(symbol_count=count), paths[-1])
+        if i < 6:
+            os.truncate(paths[-1], 5 << 19)
+    mapped = [os.path.getsize(path) >= reader.MAP_THRESHOLD for path in paths]
+    assert mapped == [True] * 6 + [False] * 4
+    write_elf(
+        os.path.join(directory, "app"),
+        symbols=exported_funcs("main"),
+        needed=[os.path.basename(path) for path in paths],
+        runpath=directory,
+    )
+    return paths
+
+
+@pytest.mark.skipif(_NO_PROC, reason="needs /proc/self/maps and /proc/self/fd")
+class TestOneFileAtATime:
+    """A catalog keeps no file mapped or open, and a fill maps, parses and
+    releases one file at a time."""
+
+    def test_a_catalog_keeps_no_input_open(self, sized_files):
+        script = """
+            import sys
+            from elfdb import corpus
+
+            directory = os.path.dirname(sys.argv[1])
+            catalog = corpus.add_paths(sys.argv[1:])
+            added = open_inputs(directory)
+            app = corpus.add_paths([os.path.join(directory, "app")])
+            resolved = corpus.resolve_recursive(app, corpus.SearchConfig(default_dirs=()))
+            print([len(catalog), len(resolved), added, open_inputs(directory)])
+        """
+        script = _OPEN_INPUTS + dedent(script)
+        files, resolved, added, after_resolution = run_child(script, *sized_files)
+        assert (files, resolved) == (10, 11)
+        assert added == after_resolution == []
+
+    def test_a_fill_maps_one_input_at_a_time(self, sized_files):
+        script = """
+            import sys
+            from elfdb import corpus, engine, model
+
+            directory = os.path.dirname(sys.argv[1])
+            produce = model.TABLE_PRODUCERS["elf_symbols"]
+            probes = []
+
+            def probed(obj):
+                probes.append([obj.path, open_inputs(directory)])
+                yield from produce(obj)
+
+            model.TABLE_PRODUCERS["elf_symbols"] = probed
+            with engine.register(corpus.add_paths(sys.argv[1:])) as session:
+                session.execute("SELECT COUNT(*) FROM elf_symbols")
+                probes.append(["after the fill", open_inputs(directory)])
+            print(probes)
+        """
+        *during, after = run_child(_OPEN_INPUTS + dedent(script), *sized_files)
+        assert [path for path, _ in during] == sized_files
+        for path, open_now in during:
+            # The file being filled, while mapped; never one filled before it.
+            assert open_now == ([path] if os.path.getsize(path) >= reader.MAP_THRESHOLD else [])
+        assert after == ["after the fill", []]
+
+    def test_a_fill_grows_peak_rss_by_less_than_the_largest_file(self, sized_files):
+        script = """
+            import sys
+            from elfdb import corpus, engine
+
+            def peak_rss():
+                with open("/proc/self/status") as fh:
+                    [kib] = [line.split()[1] for line in fh if line.startswith("VmHWM:")]
+                return int(kib) * 1024
+
+            engine.register(corpus.CorpusCatalog()).close()
+            before = peak_rss()
+            with engine.register(corpus.add_paths(sys.argv[1:])) as session:
+                session.execute("SELECT COUNT(*) FROM elf_headers")
+            print(peak_rss() - before)
+        """
+        grown = run_child(script, *sized_files)
+        # A catalog that kept each file held every small file's bytes and
+        # every page the parses touched: 5.6 MB here.
+        assert grown < max(map(os.path.getsize, sized_files))
+
+
+def _change(path: str, how: str) -> None:
+    """Make the file at `path` another file: rename a new file over it,
+    rewrite it in place with another size, touch it, or delete it."""
+    if how == "rename":
+        write_elf(path + ".new", symbols=exported_funcs("renamed"))
+        os.replace(path + ".new", path)
+    elif how == "rewrite":
+        with open(path, "r+b") as fh:
+            fh.seek(0, os.SEEK_END)
+            fh.write(bytes(16))
+    elif how == "touch":
+        st = os.stat(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+    else:
+        os.unlink(path)
+
+
+CHANGES = ("rename", "rewrite", "touch", "delete")
+
+
+class TestChangedFile:
+    """A file that is gone, or is another file, when a fill reads it again
+    raises FileChanged naming it, and nothing of its table is inserted."""
+
+    @pytest.fixture
+    def files(self, tmp_path) -> tuple[str, str]:
+        kept = str(tmp_path / "kept.so")
+        changed = str(tmp_path / "changed.so")
+        write_elf(kept, symbols=exported_funcs("k"))
+        write_elf(changed, symbols=exported_funcs("c"), needed=["libz.so.1"])
+        return os.path.realpath(kept), os.path.realpath(changed)
+
+    @pytest.mark.parametrize("how", CHANGES)
+    def test_a_statement_raises_and_its_table_stays_pending(self, files, how):
+        kept, changed = files
+        with register(corpus.add_paths([kept, changed])) as session:
+            assert session.execute("SELECT COUNT(*) FROM elf_headers").rows == ((2,),)
+            _change(changed, how)
+            for _ in range(2):
+                with pytest.raises(FileChanged, match=re.escape(changed)):
+                    session.execute("SELECT COUNT(*) FROM elf_symbols")
+                assert "elf_symbols" in session._pending
+                assert session._conn.execute("SELECT COUNT(*) FROM elf_symbols").fetchone() == (0,)
+            assert session.execute("SELECT COUNT(*) FROM elf_headers").rows == ((2,),)
+
+    @pytest.mark.parametrize("how", CHANGES)
+    def test_a_memoized_registration_and_an_export_raise(self, files, how, tmp_path):
+        kept, changed = files
+        catalog = corpus.add_paths([kept, changed])
+        _change(changed, how)
+        with pytest.raises(FileChanged, match=re.escape(changed)):
+            register(catalog, {"elf_symbols": StrategyMode.MEMOIZED})
+        out = tmp_path / "out"
+        out.mkdir()
+        with register(catalog) as session:
+            with pytest.raises(FileChanged, match=re.escape(changed)):
+                session.export_database(str(out / "snap.sqlite"))
+            assert set(session._pending) == set(TABLE_NAMES)
+        assert os.listdir(out) == []
+
+    def test_a_mapped_file_replaced_before_its_fill(self, mapped_elf, tmp_path):
+        """The map of a catalogued file no longer keeps the old file
+        readable once a new one is renamed over it."""
+        path = str(tmp_path / "mapped.so")
+        shutil.copyfile(mapped_elf, path)
+        catalog = corpus.add_paths([path])
+        _change(path, "rename")
+        with register(catalog) as session:
+            with pytest.raises(FileChanged, match=re.escape(path) + ".* ino"):
+                session.execute("SELECT COUNT(*) FROM elf_symbols")
 
 
 class TestFullDatabase:

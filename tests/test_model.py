@@ -477,8 +477,8 @@ class TestSymbolTuples:
         keys = [(t[2], t[3]) for t in model.symbol_tuples(obj)]
         assert [index for index, _ in keys] == [*range(dynsym_count), *range(symtab_count)]
         listed = readelf_symbol_tables(path)
-        assert list(listed) == [".dynsym", ".symtab"]
-        assert keys == [(s.index, s.name) for table in listed.values() for s in table]
+        assert [name for name, _ in listed] == [".dynsym", ".symtab"]
+        assert keys == [(s.index, s.name) for _, table in listed for s in table]
 
 
 def reference_table_strings(content: bytes) -> list[tuple[int, str]]:
@@ -832,12 +832,12 @@ class TestBoundedMemory:
     def traced(self, symbols_1e5):
         script = """
             import sys, tracemalloc
-            from elfdb import corpus, model
+            from elfdb import corpus, model, reader
 
             tracemalloc.start()
             catalog = corpus.add_paths([sys.argv[1]])
             held = tracemalloc.get_traced_memory()[0]
-            [obj] = catalog.entries
+            obj = reader.load_elf(sys.argv[1])
             peaks = []
             for producer in (model.symbol_tuples, model.string_tuples):
                 tracemalloc.reset_peak()

@@ -234,7 +234,7 @@ class TestSymbolVersions:
     def test_real_binary_versions_match_readelf(self):
         path = system_elves(limit=1)[0]
         versions = dynsym_versions(load_elf(path))
-        oracle = readelf_symbol_tables(path).get(".dynsym", [])
+        oracle = dict(readelf_symbol_tables(path)).get(".dynsym", [])
         versioned = 0
         for entry in oracle:
             got = versions[entry.index]
@@ -253,7 +253,7 @@ class TestSymbolVersions:
                 break
         else:
             pytest.skip("no version-defining library found")
-        oracle = readelf_symbol_tables(path)[".dynsym"]
+        oracle = dict(readelf_symbol_tables(path))[".dynsym"]
         defaults = [e for e in oracle if e.version_default]
         assert defaults, "expected default-versioned definitions"
         versions = dynsym_versions(obj)
@@ -282,7 +282,7 @@ class TestSymbolVersions:
 
 # ELF64 field offsets: in the file header, in a section header, and in the
 # first record of a version section (Elf64_Verdef and Elf64_Verneed).
-E_PHOFF, E_PHENTSIZE, E_SHENTSIZE = 32, 54, 58
+E_PHOFF, E_SHOFF, E_PHENTSIZE, E_SHENTSIZE, E_SHNUM, E_SHSTRNDX = 32, 40, 54, 58, 60, 62
 SH_SIZE, SH_LINK, SH_ENTSIZE = 32, 40, 56
 VD_AUX, VN_AUX = 12, 8
 
@@ -373,6 +373,34 @@ class TestMalformedFields:
         else:
             pytest.skip("no 64-bit LSB host library has a .gnu.version_r")
         assert_malformed_after(path, patch, message)
+
+
+    @pytest.mark.parametrize(
+        "tag, field, value, message",
+        [
+            (reader.DT_STRTAB, 8, 2**40, "in no PT_LOAD segment"),
+            (reader.DT_STRSZ, 8, 2**30, "in no PT_LOAD segment"),
+            (reader.DT_STRTAB, 0, 21, "no DT_STRTAB and DT_STRSZ"),  # DT_DEBUG in its place
+        ],
+        ids=["d_val_strtab", "d_val_strsz", "d_tag_strtab"],
+    )
+    def test_dynamic_fields_without_sections(self, tmp_path, tag, field, value, message):
+        """With no section headers, .dynamic is read through PT_DYNAMIC and
+        its strings at DT_STRTAB, DT_STRSZ bytes of one PT_LOAD segment."""
+        path = str(tmp_path / "sectionless.so")
+        write_elf(path, symbols=[SymbolSpec("f")], needed=["libz.so.1"])
+        data = bytearray(Path(path).read_bytes())
+        for offset, fmt in ((E_SHOFF, "<Q"), (E_SHNUM, "<H"), (E_SHSTRNDX, "<H")):
+            struct.pack_into(fmt, data, offset, 0)
+        Path(path).write_bytes(data)
+
+        def entry_field(obj):
+            (segment,) = [s for s in obj.segments if s.type_code == reader.PT_DYNAMIC]
+            (entry,) = [e for e in obj.dynamic if e.tag_code == tag]
+            return segment.offset + entry.ordinal * 16 + field, "<Q", value
+
+        assert reader.needed_libraries(load_elf(path)) == ["libz.so.1"]
+        assert_malformed_after(path, entry_field, message)
 
 
 def layout_of(obj) -> reader._Layouts:
