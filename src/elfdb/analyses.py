@@ -5,7 +5,8 @@ per-file symbol histogram.
 Each analysis is a SQL statement against the schema, so results are
 identical under lazy, memoized, and exported-file execution, and the
 queries double as documentation of the data model.  The symbol diff is one
-statement too, which stock `sqlite3` runs unchanged on an export.  What
+statement too: one grouped scan of both files' symbols, whose first rows it
+fetches by rowid, and stock `sqlite3` runs it unchanged on an export.  What
 Python adds is presentation: the audit's sorted library list, the runpath
 split and the histogram's buckets.
 """
@@ -140,29 +141,26 @@ def python_extension_check(session: Session, path: str, module_name: str) -> Opt
     return result.rows[0][0] if result.rows else None
 
 
-# Per path, the first row of each (name, type): with one MIN() in a
-# grouped SELECT, SQLite takes the bare columns from the row holding the
-# minimum, and rowids follow the reader's order (.dynsym, then .symtab, each
-# by index).  The change names sort in ADDED, REMOVED, RESIZED order.
+# One grouped scan of both files keeps the rowid of each (name, type)'s first
+# row in each file (rowids follow the reader's order: .dynsym, then .symtab,
+# each by index); the report fetches those rows by rowid.  An unchanged symbol
+# gets no change and drops out; changes sort ADDED, REMOVED, RESIZED.
 _DIFF_SQL = """
-    WITH a AS (
-        SELECT name, demangle_name, type, size, MIN(rowid) FROM elf_symbols
-        WHERE path = :a AND size != 0 AND type IN ('FUNC', 'OBJECT')
-        GROUP BY name, type
-    ), b AS (
-        SELECT name, demangle_name, type, size, MIN(rowid) FROM elf_symbols
-        WHERE path = :b AND size != 0 AND type IN ('FUNC', 'OBJECT')
+    WITH firsts AS (
+        SELECT name, type, MIN(CASE WHEN path = :a THEN rowid END) AS a,
+               MIN(CASE WHEN path = :b THEN rowid END) AS b
+        FROM elf_symbols
+        WHERE path IN (:a, :b) AND size != 0 AND type IN ('FUNC', 'OBJECT')
         GROUP BY name, type
     )
-    SELECT 'ADDED' AS change, name, b.demangle_name AS demangle_name, type,
-           NULL AS old_size, b.size AS new_size
-    FROM b LEFT JOIN a USING (name, type) WHERE a.name IS NULL
-    UNION ALL
-    SELECT 'REMOVED', name, a.demangle_name, type, a.size, NULL
-    FROM a LEFT JOIN b USING (name, type) WHERE b.name IS NULL
-    UNION ALL
-    SELECT 'RESIZED', name, b.demangle_name, type, a.size, b.size
-    FROM a JOIN b USING (name, type) WHERE a.size != b.size
+    SELECT CASE WHEN firsts.a IS NULL THEN 'ADDED' WHEN firsts.b IS NULL THEN 'REMOVED'
+                WHEN old.size != new.size THEN 'RESIZED' END AS change,
+           firsts.name AS name, COALESCE(new.demangle_name, old.demangle_name) AS demangle_name,
+           firsts.type AS type, old.size AS old_size, new.size AS new_size
+    FROM firsts
+    LEFT JOIN elf_symbols AS old ON old.rowid = firsts.a
+    LEFT JOIN elf_symbols AS new ON new.rowid = firsts.b
+    WHERE change IS NOT NULL
     ORDER BY change, name, type
 """
 

@@ -191,7 +191,9 @@ class Session:
             try:
                 for name in TABLE_NAMES:
                     self._conn.execute(_CREATE_SQL[name])
-                self._map_root_pages()
+                # Each table's root page, mapped once: elf_symbols_path exists only once
+                # elf_symbols is filled, so a statement that opens it reads no pending table.
+                self._root_tables = dict(self._conn.execute("SELECT rootpage, name FROM sqlite_master"))
                 self._conn.set_authorizer(self._allowlist)
                 for name in TABLE_NAMES:
                     if modes[name] == StrategyMode.MEMOIZED:
@@ -210,11 +212,6 @@ class Session:
     def table_names(self) -> tuple[str, ...]:
         return TABLE_NAMES
 
-    def _map_root_pages(self) -> None:
-        # Each b-tree's root page to its table.  `tbl_name`, so that an index
-        # (which a covering scan opens alone) maps to the table it indexes.
-        self._root_tables = dict(self._conn.execute("SELECT rootpage, tbl_name FROM sqlite_master"))
-
     def _materialize(self, table: str) -> None:
         producer = TABLE_PRODUCERS[table]
         self._conn.set_authorizer(_allow_all)
@@ -222,8 +219,7 @@ class Session:
             self._conn.execute("BEGIN")
             for entry in self._catalog.entries:
                 self._insert(table, producer(corpus.reopen(entry)))
-            indexed = table == "elf_symbols" and len(self._catalog.entries) >= 2
-            if indexed:
+            if table == "elf_symbols" and len(self._catalog.entries) >= 2:
                 self._conn.execute(_SYMBOL_INDEX_SQL)
             self._conn.execute("COMMIT")
         except BaseException:
@@ -233,8 +229,6 @@ class Session:
         finally:
             self._conn.set_authorizer(self._allowlist)
         self._pending.discard(table)
-        if indexed:
-            self._map_root_pages()
 
     def _insert(self, table: str, rows: Iterator[tuple]) -> None:
         """Insert one file's `rows` in order.  Nothing refers to the file
@@ -258,10 +252,9 @@ class Session:
         try:
             program = self._conn.execute("EXPLAIN " + sql, params).fetchall()
         except (sqlite3.Error, sqlite3.Warning):
-            if self._write_denied:
-                raise
-            # The statement reports its own error.  Only an empty statement and
-            # the user's own EXPLAIN compile alone but not here; neither reads rows.
+            # The statement reports its own error, a refused write included.  Only
+            # an empty statement and the user's own EXPLAIN compile alone but not
+            # here; neither reads rows.
             return
         read = {self._root_tables.get(op[3]) for op in program if op[1] == "OpenRead" and op[4] == 0}
         for table in sorted(read & self._pending):

@@ -99,17 +99,20 @@ def path_text(path: str) -> str:
     return decode_bytes(os.fsencode(path))
 
 
+_SHN_NAMES = {SHN_UNDEF: "SHN_UNDEF", SHN_ABS: "SHN_ABS", SHN_COMMON: "SHN_COMMON"}
+
+
 def section_name_for_symbol(obj: ElfObject, shndx: int) -> str:
-    """The `section` column: a section name or a reserved-index name."""
-    if shndx == SHN_UNDEF:
-        return "SHN_UNDEF"
-    if shndx == SHN_ABS:
-        return "SHN_ABS"
-    if shndx == SHN_COMMON:
-        return "SHN_COMMON"
-    if shndx >= SHN_LORESERVE:
-        return str(shndx)
-    return obj.sections[shndx].name
+    """The `section` column: a section name or a reserved-index name.  Any
+    other reserved index is written as readelf writes it: `LARGE_COM` on
+    x86-64, else `PRC[0xff00]`, `OS [0xff20]` or `RSV[0xfff0]` by range."""
+    if shndx in _SHN_NAMES:
+        return _SHN_NAMES[shndx]
+    if shndx < SHN_LORESERVE:
+        return obj.sections[shndx].name
+    name = reader.PROCESSOR_SECTION_INDEX_NAMES.get(obj.header.machine_code, {}).get(shndx)
+    kind = "PRC" if shndx < reader.SHN_LOOS else "OS " if shndx <= reader.SHN_HIOS else "RSV"
+    return name or f"{kind}[0x{shndx:04x}]"
 
 
 def derive_export_import(

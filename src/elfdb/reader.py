@@ -63,7 +63,9 @@ SHT_GNU_VERSYM = 0x6FFFFFFF
 
 # Reserved section indices
 SHN_UNDEF = 0
-SHN_LORESERVE = 0xFF00
+SHN_LORESERVE = 0xFF00  # also SHN_LOPROC
+SHN_LOOS = 0xFF20
+SHN_HIOS = 0xFF3F
 SHN_ABS = 0xFFF1
 SHN_COMMON = 0xFFF2
 SHN_XINDEX = 0xFFFF
@@ -172,6 +174,8 @@ SECTION_TYPE_NAMES = {
 # Processor-specific section types (0x70000000-0x7FFFFFFF) that readelf
 # names, by e_machine.  Such a code of any other machine renders in decimal.
 PROCESSOR_SECTION_TYPE_NAMES = {EM_X86_64: {0x70000001: "X86_64_UNWIND"}}
+# Likewise the processor-specific section indices (0xFF00-0xFF1F) that readelf names.
+PROCESSOR_SECTION_INDEX_NAMES = {EM_X86_64: {0xFF02: "LARGE_COM"}}
 
 SEGMENT_TYPE_NAMES = {
     0: "NULL",

@@ -53,8 +53,10 @@ def run_readelf(*args: str) -> str:
 
 
 _TABLE_HEADER = re.compile(r"Symbol table '(\S+)' contains (\d+) entries:")
+# The Ndx field is one word but for an OS-specific index, such as `OS [0xff20]`.
 _SYMBOL_LINE = re.compile(
-    r"^\s*(\d+):\s+([0-9a-fA-F]+)\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s*(.*)$"
+    r"^\s*(\d+):\s+([0-9a-fA-F]+)\s+(\S+)\s+(\S+)\s+(\S+)\s+(\S+)\s+"
+    r"(OS \[0x[0-9a-f]+\]|\S+)\s*(.*)$"
 )
 # readelf's text for a type or binding code reserved to the OS ABI, such as
 # binding 10 (GNU_UNIQUE) in a file whose OS/ABI is not GNU; rewritten to

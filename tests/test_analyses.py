@@ -385,6 +385,31 @@ _OLD_HISTOGRAM_SQL = """
 """
 
 
+# The statement `diff_symbols` ran before it became one grouped scan of both
+# files, kept verbatim as the reference.
+_OLD_DIFF_SQL = """
+    WITH a AS (
+        SELECT name, demangle_name, type, size, MIN(rowid) FROM elf_symbols
+        WHERE path = :a AND size != 0 AND type IN ('FUNC', 'OBJECT')
+        GROUP BY name, type
+    ), b AS (
+        SELECT name, demangle_name, type, size, MIN(rowid) FROM elf_symbols
+        WHERE path = :b AND size != 0 AND type IN ('FUNC', 'OBJECT')
+        GROUP BY name, type
+    )
+    SELECT 'ADDED' AS change, name, b.demangle_name AS demangle_name, type,
+           NULL AS old_size, b.size AS new_size
+    FROM b LEFT JOIN a USING (name, type) WHERE a.name IS NULL
+    UNION ALL
+    SELECT 'REMOVED', name, a.demangle_name, type, a.size, NULL
+    FROM a LEFT JOIN b USING (name, type) WHERE b.name IS NULL
+    UNION ALL
+    SELECT 'RESIZED', name, b.demangle_name, type, a.size, b.size
+    FROM a JOIN b USING (name, type) WHERE a.size != b.size
+    ORDER BY change, name, type
+"""
+
+
 def hide_sections(path: str, *names: str) -> str:
     """Retype the named sections of an ELF64-LSB file as SHT_PROGBITS, so
     the reader finds no symbol table in them."""
@@ -478,6 +503,71 @@ class TestOneScanStatements:
             report = symbol_histogram(session)
         assert report.rows == ((other, 22), (lib, 0))
         assert report.buckets == (("0", 1), ("10-99", 1))
+
+
+def changed_pair(tmp_path) -> list[str]:
+    """Two files with a symbol of each change, one unchanged, one whose
+    .symtab row differs from its first (.dynsym) row, and one of size 0."""
+    a = str(tmp_path / "old.so")
+    b = str(tmp_path / "new.so")
+    write_elf(
+        a,
+        symbols=[
+            SymbolSpec("stays", size=4),
+            SymbolSpec("gone", sym_type="OBJECT", section=".data", size=8),
+            SymbolSpec("grows", size=16),
+            SymbolSpec("twice", size=8),
+        ],
+        symtab_symbols=[SymbolSpec("twice", size=16), SymbolSpec("zero", size=0)],
+    )
+    write_elf(
+        b,
+        symbols=[
+            SymbolSpec("stays", size=4),
+            SymbolSpec("fresh", size=32),
+            SymbolSpec("grows", size=24),
+            SymbolSpec("twice", size=8),
+        ],
+    )
+    return [a, b]
+
+
+DIFF_INPUTS = {
+    "written": lambda tmp_path: [
+        *changed_pair(tmp_path),
+        RUBY_LIKE,
+        write_varied_elf(str(tmp_path / "msb32.so"), ElfClass.ELF32, DataEncoding.MSB),
+        write_varied_elf(str(tmp_path / "lsb64.so"), ElfClass.ELF64, DataEncoding.LSB),
+        *symtab_only(tmp_path),
+    ],
+    "system": lambda tmp_path: system_elves(limit=6),
+}
+
+
+class TestDiffStatement:
+    @pytest.mark.parametrize("inputs", list(DIFF_INPUTS))
+    def test_equal_to_the_old_statement_on_every_ordered_pair(self, inputs, tmp_path):
+        with session_over(*DIFF_INPUTS[inputs](tmp_path)) as session:
+            changes = set()
+            for a in session.paths:
+                for b in session.paths:
+                    report = diff_symbols(session, a, b)
+                    # Equal columns and rows, in order.
+                    assert report == session.execute(_OLD_DIFF_SQL, {"a": a, "b": b}), (a, b)
+                    if a == b:  # a file against itself
+                        assert report.rows == (), a
+                    changes.update(row[0] for row in report.rows)
+        assert changes == {"ADDED", "REMOVED", "RESIZED"}
+
+    def test_one_search_of_the_index_and_no_automatic_index(self, tmp_path):
+        a, b = (os.path.realpath(p) for p in changed_pair(tmp_path))
+        with session_over(a, b) as session:
+            assert len(diff_symbols(session, a, b)) == 3
+            plan = session.execute("EXPLAIN QUERY PLAN " + analyses._DIFF_SQL, {"a": a, "b": b})
+        details = [detail for *_, detail in plan.rows]
+        # SQLite before 3.36 writes "SEARCH TABLE elf_symbols USING ...".
+        assert sum("USING INDEX elf_symbols_path (path=?)" in d for d in details) == 1, details
+        assert not [d for d in details if "AUTOMATIC" in d or "MATERIALIZE" in d], details
 
 
 def every_analysis(session, paths) -> dict:

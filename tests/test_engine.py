@@ -697,13 +697,16 @@ class TestSymbolIndex:
         [(*_, detail)] = plan.rows
         assert "USING COVERING INDEX elf_symbols_path (path=?)" in detail
 
-    def test_its_root_page_maps_to_elf_symbols(self, small_corpus):
-        with register(small_corpus) as session:
-            session.execute("SELECT COUNT(*) FROM elf_symbols")
-            (root,) = session._conn.execute(
-                "SELECT rootpage FROM sqlite_master WHERE name = 'elf_symbols_path'"
-            ).fetchone()
-            assert session._root_tables[root] == "elf_symbols"
+    def test_a_count_through_it_fills_nothing_else(self, small_corpus):
+        # The covering index is the only b-tree the count opens, as the plan above shows.
+        memoized = {t: StrategyMode.MEMOIZED for t in TABLE_NAMES}
+        with register(small_corpus) as lazy, register(small_corpus, memoized) as memo:
+            lazy.execute("SELECT COUNT(*) FROM elf_symbols")
+            pending = set(TABLE_NAMES) - {"elf_symbols"}
+            assert lazy._pending == pending
+            for path in small_corpus.paths:
+                assert analyses.count_symbols(lazy, path) == analyses.count_symbols(memo, path)
+            assert lazy._pending == pending
 
 
 class TestStatementReuse:

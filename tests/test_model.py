@@ -407,15 +407,17 @@ class TestHeaderAndSectionRows:
 
 def reference_symbol_rows(obj) -> list[tuple]:
     """The per-row derivation that `symbol_tuples` replaced, kept as the
-    reference it must equal: one index of the table columns at a time."""
+    reference it must equal: one index of the table columns at a time.
+    Each column property derives the whole column from the file, so each
+    is read once per table, before the loop."""
     rows = []
     for table in obj.symbol_tables:
+        names, infos, others, shndxs = table.names, table.infos, table.others, table.shndxs
+        values, sizes, versions = table.values, table.sizes, table.versions
         for index in range(len(table)):
-            name, info, other, shndx = (
-                table.names[index], table.infos[index], table.others[index], table.shndxs[index]
-            )
+            name, info, other, shndx = names[index], infos[index], others[index], shndxs[index]
             exported, imported = derive_export_import(info, other, shndx, table.kind)
-            version = table.versions[index][0] if table.versions else None
+            version = versions[index][0] if versions else None
             rows.append(
                 (
                     obj.path,
@@ -427,8 +429,8 @@ def reference_symbol_rows(obj) -> list[tuple]:
                     render_code(info & 0xF, reader.SYMBOL_TYPE_NAMES),
                     render_code(info >> 4, reader.SYMBOL_BINDING_NAMES),
                     render_code(other & 0x3, reader.SYMBOL_VISIBILITY_NAMES),
-                    model._db_int(table.values[index]),
-                    model._db_int(table.sizes[index]),
+                    model._db_int(values[index]),
+                    model._db_int(sizes[index]),
                     0 if version is None else version,  # a missing version, stored as NULL
                     int(exported),
                     int(imported),

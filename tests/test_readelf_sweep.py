@@ -319,25 +319,52 @@ def test_file_without_section_names_matches_readelf(tmp_path):
     assert mismatches(path) == []
 
 
-def test_common_symbol_matches_readelf(tmp_path):
-    """A .symtab symbol whose st_shndx is SHN_COMMON: elfdb's section
-    `SHN_COMMON`, readelf's `COM`."""
-    if READELF is None:
-        pytest.skip("readelf not available for oracle comparison")
-    path = str(tmp_path / "common.so")
+def symtab_symbol_in(tmp_path, shndx: int, machine: int = reader.EM_X86_64) -> str:
+    """A written file whose .symtab symbol `tentative` has st_shndx `shndx`."""
+    path = str(tmp_path / "reserved.so")
     write_elf(
         path,
         symbols=[SymbolSpec("f")],
         symtab_symbols=[SymbolSpec("tentative", sym_type="OBJECT", section=".data")],
+        machine=machine,
     )
     obj = reader.load_elf(path)
     lay = reader._layouts(ElfClass.ELF64, DataEncoding.LSB)
     index = symbol_table(obj, SymbolTableKind.SYMTAB).names.index("tentative")
     st_shndx = obj.section_named(".symtab").offset + index * lay.sym_size + lay.sym_columns[3][0]
-    patch_fields(path, (st_shndx, "<H", reader.SHN_COMMON))
-    obj = reader.load_elf(path)
-    rows = named_rows("elf_symbols", obj)
+    patch_fields(path, (st_shndx, "<H", shndx))
+    return path
+
+
+def test_common_symbol_matches_readelf(tmp_path):
+    """A .symtab symbol whose st_shndx is SHN_COMMON: elfdb's section
+    `SHN_COMMON`, readelf's `COM`."""
+    if READELF is None:
+        pytest.skip("readelf not available for oracle comparison")
+    path = symtab_symbol_in(tmp_path, reader.SHN_COMMON)
+    rows = named_rows("elf_symbols", reader.load_elf(path))
     assert [r["section"] for r in rows if r["name"] == "tentative"] == ["SHN_COMMON"]
+    assert mismatches(path) == []
+
+
+@pytest.mark.parametrize(
+    "shndx, machine, section",
+    [
+        (0xFF00, reader.EM_X86_64, "PRC[0xff00]"),
+        (0xFF02, reader.EM_X86_64, "LARGE_COM"),
+        (0xFF02, 183, "PRC[0xff02]"),  # AArch64: x86-64's name only on x86-64
+        (0xFF20, reader.EM_X86_64, "OS [0xff20]"),
+        (0xFFF0, reader.EM_X86_64, "RSV[0xfff0]"),
+        (0xFFFF, reader.EM_X86_64, "RSV[0xffff]"),  # SHN_XINDEX, with no SHT_SYMTAB_SHNDX
+    ],
+)
+def test_reserved_symbol_index_matches_readelf(tmp_path, shndx, machine, section):
+    """A reserved st_shndx without an elfdb name is written as readelf writes it."""
+    if READELF is None:
+        pytest.skip("readelf not available for oracle comparison")
+    path = symtab_symbol_in(tmp_path, shndx, machine)
+    rows = named_rows("elf_symbols", reader.load_elf(path))
+    assert [r["section"] for r in rows if r["name"] == "tentative"] == [section]
     assert mismatches(path) == []
 
 
