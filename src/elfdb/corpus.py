@@ -3,7 +3,9 @@
 A catalog keeps what it needs of each file, not the file: every input is
 parsed in full, and refused as a fill would refuse it, but an entry keeps
 only the file's path, its identity and the .dynamic entries that resolution
-reads.  A fill parses the file again with `reopen`, which refuses a file
+reads.  Those are read as the loader reads them: .dynamic through
+PT_DYNAMIC, its strings at DT_STRTAB/DT_STRSZ inside a PT_LOAD segment, with
+no section header consulted.  A fill parses the file again with `reopen`, which refuses a file
 that changed in between.
 
 Dependency resolution emulates the common dynamic-loader search order

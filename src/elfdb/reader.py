@@ -106,7 +106,7 @@ DT_STRSZ = 10
 DT_SONAME = 14
 DT_RPATH = 15
 DT_RUNPATH = 29
-# The tags whose value is an offset into .dynamic's linked string table.
+# The tags whose value is an offset into .dynamic's string table.
 STRING_TAGS = frozenset((DT_NEEDED, DT_SONAME, DT_RPATH, DT_RUNPATH))
 
 FILE_TYPE_NAMES = {1: "REL", 2: "EXEC", 3: "DYN", 4: "CORE"}
@@ -502,8 +502,8 @@ class DynamicEntry(NamedTuple):
     ordinal: int
     tag_code: int
     value: int
-    # The linked string table's entry at `value` for the tags in
-    # STRING_TAGS; None for every other tag.
+    # The string at `value` in .dynamic's string table (DT_STRTAB) for the
+    # tags in STRING_TAGS; None for every other tag.
     string: Optional[str] = None
 
     @property
@@ -831,26 +831,15 @@ def _segment_strtab(data: memoryview, segments: list[Segment], records: list[tup
     raise Malformed(f".dynamic string table [{address:#x}, {end:#x}) in no PT_LOAD segment")
 
 
-def _parse_dynamic(
-    data: memoryview,
-    sections: list[Section],
-    segments: list[Segment],
-    lay: _Layouts,
-    strtabs: dict[int, bytes],
-) -> list[DynamicEntry]:
+def _parse_dynamic(data: memoryview, segments: list[Segment], lay: _Layouts) -> list[DynamicEntry]:
     """The entries of .dynamic up to DT_NULL, each string-valued one
-    resolved in its string table.  .dynamic is the first SHT_DYNAMIC
-    section, with its linked string table, or, when no section holds it (a
-    file without section headers), the first PT_DYNAMIC segment, with the
-    string table that `_segment_strtab` finds."""
-    sec = next((s for s in sections if s.type_code == SHT_DYNAMIC), None)
-    if sec is not None:
-        view = sec.view
-    else:
-        seg = next((s for s in segments if s.type_code == PT_DYNAMIC), None)
-        if seg is None:
-            return []
-        view = data[seg.offset : seg.offset + seg.filesz]
+    resolved in the string table that `_segment_strtab` finds.  .dynamic is
+    the first PT_DYNAMIC segment, read as the loader reads it: no section
+    header is consulted."""
+    seg = next((s for s in segments if s.type_code == PT_DYNAMIC), None)
+    if seg is None:
+        return []
+    view = data[seg.offset : seg.offset + seg.filesz]
     entsize = lay.dyn.size
     records = []
     for i in range(len(view) // entsize):
@@ -863,11 +852,7 @@ def _parse_dynamic(
         string = None
         if d_tag in STRING_TAGS:
             if table is None:
-                table = (
-                    _linked_strtab(sections, sec.link, ".dynamic", strtabs)
-                    if sec is not None
-                    else _segment_strtab(data, segments, records)
-                )
+                table = _segment_strtab(data, segments, records)
             string = string_at(table, d_val, DYNAMIC_TAG_NAMES[d_tag])
         entries.append(DynamicEntry(i, d_tag, d_val, string))
     return entries
@@ -877,9 +862,11 @@ def open_elf(data, origin_path: str) -> ElfObject:
     """Parse `data` (a whole ELF file) into an ElfObject keyed by `origin_path`.
 
     `data` is any read-only bytes-like object, such as bytes or a read-only
-    mmap; sections keep zero-copy views of it.  Raises NotElf when the magic
-    is absent and Malformed for any structural violation; a single bad
-    record fails the whole file.
+    mmap; sections keep zero-copy views of it.  .dynamic is read as the
+    loader reads it, through PT_DYNAMIC, with its strings at DT_STRTAB and
+    DT_STRSZ inside a PT_LOAD segment; no section header is consulted for
+    it.  Raises NotElf when the magic is absent and Malformed for any
+    structural violation; a single bad record fails the whole file.
     """
     data = memoryview(data)
     ident = _parse_ident(data)
@@ -905,6 +892,9 @@ def open_elf(data, origin_path: str) -> ElfObject:
     ]
 
     segments = _parse_segments(data, hdr, lay)
+    # Before the versions below copy .dynstr into `strtabs`: this parse's
+    # copy of it is dropped on return, so the two are never held at once.
+    dynamic = _parse_dynamic(data, segments, lay)
 
     strtabs: dict[int, bytes] = {}
     versym = data[:0]
@@ -926,7 +916,6 @@ def open_elf(data, origin_path: str) -> ElfObject:
         for sec in sections
         if sec.type_code == type_code
     )
-    dynamic = _parse_dynamic(data, sections, segments, lay, strtabs)
 
     return ElfObject(
         origin_path, hdr, tuple(sections), tuple(segments), symbol_tables, tuple(dynamic)

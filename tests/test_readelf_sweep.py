@@ -268,8 +268,10 @@ def test_processor_section_type_named_by_machine(tmp_path, machine):
     assert _section_mismatches(obj, path) == []
 
 
-# ELF64 file header offsets of e_shoff, e_shnum and e_shstrndx.
-E_SHOFF, E_SHNUM, E_SHSTRNDX = 40, 60, 62
+# ELF64 file header offsets of e_shoff, e_phnum, e_shnum and e_shstrndx,
+# and of sh_link in an ELF64 section header.
+E_SHOFF, E_PHNUM, E_SHNUM, E_SHSTRNDX = 40, 56, 60, 62
+SH_LINK = 40
 
 
 def patch_fields(path: str, *fields: tuple[int, str, int]) -> None:
@@ -298,8 +300,9 @@ def test_sectionless_file_matches_readelf(tmp_path):
 
 def test_file_without_section_names_matches_readelf(tmp_path):
     """e_shstrndx SHN_UNDEF: the file has no section name string table.
-    Every section is named `<no-strings>`, as readelf names it, and the
-    symbol tables and .dynamic are still found by their types."""
+    Every section is named `<no-strings>`, as readelf names it, the
+    symbol tables are still found by their types, and .dynamic through
+    PT_DYNAMIC."""
     if READELF is None:
         pytest.skip("readelf not available for oracle comparison")
     path = str(tmp_path / "unnamed.so")
@@ -316,6 +319,39 @@ def test_file_without_section_names_matches_readelf(tmp_path):
     # readelf names both symbol tables `<no-strings>`; they pair in order.
     assert [name for name, _ in readelf_symbol_tables(path)] == ["<no-strings>"] * 2
     assert [r["table"] for r in named_rows("elf_symbols", obj)] == [".dynsym"] * 3 + [".symtab"] * 2
+    assert mismatches(path) == []
+
+
+def dynamic_link_to_shstrtab(obj: reader.ElfObject) -> tuple[int, str, int]:
+    """The field setting .dynamic's sh_link to e_shstrndx."""
+    header = obj.header.shoff + obj.section_named(".dynamic").index * obj.header.shentsize
+    return header + SH_LINK, "<I", obj.header.shstrndx
+
+
+@pytest.mark.parametrize(
+    "patch, strings",
+    [
+        (dynamic_link_to_shstrtab, ["libz.so.1", "liba.so", "$ORIGIN/x"]),
+        (lambda obj: (E_PHNUM, "<H", 0), []),
+    ],
+    ids=["dynamic_sh_link_to_shstrtab", "e_phnum_0"],
+)
+def test_dynamic_read_through_segments_matches_readelf(tmp_path, patch, strings):
+    """.dynamic is read through PT_DYNAMIC and its strings at DT_STRTAB, as
+    readelf -d reads them: its section's sh_link, here pointed at .shstrtab,
+    is not consulted, and a file without program headers (e_phnum 0) has
+    no dynamic entries, though it keeps its .dynamic section."""
+    if READELF is None:
+        pytest.skip("readelf not available for oracle comparison")
+    path = str(tmp_path / "dynamic.so")
+    write_elf(
+        path, symbols=[SymbolSpec("f")], needed=["libz.so.1"], soname="liba.so", runpath="$ORIGIN/x"
+    )
+    patch_fields(path, patch(reader.load_elf(path)))
+    obj = reader.load_elf(path)
+    assert [e.string for e in obj.dynamic if e.string is not None] == strings
+    if not strings:
+        assert "There is no dynamic section in this file." in run_readelf("-dW", path)
     assert mismatches(path) == []
 
 

@@ -2,7 +2,9 @@ import errno
 import mmap
 import os
 import re
+import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 from typing import Optional
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from elfdb import bench, model, reader
 from elfdb.bench import SymbolSpec, write_elf
+from elfdb.corpus import add_paths, resolve_recursive
 from elfdb.reader import (
     DataEncoding,
     ElfClass,
@@ -25,6 +28,7 @@ from elfdb.reader import (
 
 from conftest import (
     RUBY_LIKE,
+    SYSTEM_DIRS,
     add_symbol_versions,
     exported_funcs,
     readelf_dynamic,
@@ -283,7 +287,7 @@ class TestSymbolVersions:
 # ELF64 field offsets: in the file header, in a section header, and in the
 # first record of a version section (Elf64_Verdef and Elf64_Verneed).
 E_PHOFF, E_SHOFF, E_PHENTSIZE, E_SHENTSIZE, E_SHNUM, E_SHSTRNDX = 32, 40, 54, 58, 60, 62
-SH_SIZE, SH_LINK, SH_ENTSIZE = 32, 40, 56
+SH_OFFSET, SH_SIZE, SH_LINK, SH_ENTSIZE = 24, 32, 40, 56
 VD_AUX, VN_AUX = 12, 8
 
 
@@ -525,6 +529,81 @@ class TestNeededLibraries:
         assert needed_libraries(obj) == ["libreal.so"]
         # the suffix entry is also invisible to the dynamic-entry list
         assert sum(1 for e in obj.dynamic if e.tag_name == "NEEDED") == 1
+
+
+def closure(path: str) -> tuple[list, list]:
+    """The paths and unresolved sonames of `path`'s DT_NEEDED closure."""
+    resolved = resolve_recursive(add_paths([path]))
+    return [e.path for e in resolved.entries], list(resolved.unresolved)
+
+
+class TestDynamicSectionHeader:
+    """.dynamic is read through PT_DYNAMIC, as the loader reads it, so a
+    wrong section header for it changes none of what elfdb reads of it.
+    readelf is not the oracle here: it follows the section header, and on
+    the written file with sh_offset 64 it prints 8 `<unknown>` tags read
+    from offset 0x40."""
+
+    @pytest.fixture(scope="class")
+    def originals(self, tmp_path_factory) -> list[str]:
+        """Three 64-bit LSB system files with a .dynamic section and one
+        written file."""
+        found = []
+        for path in system_elves():
+            obj = load_elf(path)
+            lsb64 = obj.header.ident[:2] == (ElfClass.ELF64, DataEncoding.LSB)
+            if lsb64 and obj.section_named(".dynamic"):
+                found.append(path)
+                if len(found) == 3:
+                    break
+        written = str(tmp_path_factory.mktemp("written") / "liba.so")
+        write_elf(
+            written, symbols=[SymbolSpec("f")], needed=["libz.so.1"],
+            soname="liba.so", runpath="$ORIGIN/x",
+        )
+        return [*found, written]
+
+    @pytest.mark.parametrize(
+        "field, at, fmt, value",
+        [
+            ("offset", SH_OFFSET, "<Q", 64),
+            ("size", SH_SIZE, "<Q", 16),
+            ("link", SH_LINK, "<I", None),  # None: e_shstrndx
+        ],
+        ids=["sh_offset", "sh_size", "sh_link"],
+    )
+    def test_reads_the_same(self, tmp_path, originals, field, at, fmt, value):
+        for original in originals:
+            path = str(tmp_path / os.path.basename(original))
+            shutil.copyfile(original, path)
+            before = load_elf(path)
+            expected = (before.dynamic, needed_libraries(before), closure(path))
+            new = before.header.shstrndx if value is None else value
+            data = bytearray(Path(path).read_bytes())
+            struct.pack_into(fmt, data, section_header_at(before, ".dynamic") + at, new)
+            Path(path).write_bytes(data)
+            after = load_elf(path)
+            assert getattr(after.section_named(".dynamic"), field) == new
+            assert (after.dynamic, needed_libraries(after), closure(path)) == expected, original
+
+
+def test_parse_holds_one_copy_of_dynstr():
+    """A parse copies .dynstr twice, for .dynamic's strings and for the
+    version sections' names; the first copy is dropped before the second is
+    made, so the parse's peak stays near one copy: 1.13 times .dynstr for
+    x86-64 libstdc++.so.6.0.30, and 2.14 when both copies are alive."""
+    paths = (os.path.join(d, "libstdc++.so.6") for d in SYSTEM_DIRS)
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        pytest.skip("libstdc++.so.6 not found")
+    data = Path(path).read_bytes()
+    tracemalloc.start()
+    try:
+        obj = open_elf(data, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * obj.section_named(".dynstr").size
 
 
 class TestSystemParity:
