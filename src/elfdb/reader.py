@@ -5,6 +5,9 @@ truncated table, an out-of-range offset, or a string offset past its
 table's end fails the whole file rather than producing partial results.
 The model is purely structural; relational concerns live in `model`.
 
+Strings are read in place, in the file's bytes or map: `string_at` finds
+each NUL in a view of its table, so a parse copies no string table.
+
 Records are read by two walks: `_table` reads a header table of fixed-size
 entries (section and program headers) after checking its entry size and
 bounds, and `_chain` follows a version section's records, each of which
@@ -18,6 +21,7 @@ import errno
 import functools
 import mmap
 import os
+import re
 import stat
 import struct
 import sys
@@ -278,10 +282,10 @@ def render_flags(flags: int, letters: tuple[tuple[int, str], ...]) -> str:
     return "".join(letter for bit, letter in letters if flags & bit)
 
 
-def decode_bytes(raw: bytes) -> str:
+def decode_bytes(raw: bytes | memoryview) -> str:
     # Lossless-enough rendering: UTF-8 with escapes for stray bytes, so the
     # result is always a bindable str containing no NUL surprises.
-    return raw.decode("utf-8", "backslashreplace")
+    return str(raw, "utf-8", "backslashreplace")
 
 
 class ElfClass(Enum):
@@ -470,14 +474,12 @@ class SymbolTable(Frozen):
 
     def name_reader(self) -> Callable[[Iterable[int]], list[str]]:
         """A function from st_name offsets, as the parse checked them, to
-        the names at them.  The string table is copied and decoded once, when
-        the function is made."""
+        the names at them.  An ASCII string table is decoded once, when the
+        function is made; any other is read in place, name by name."""
         try:
             text = str(self.strtab, "ascii")
         except UnicodeDecodeError:
-            table = bytes(self.strtab)
-            index = table.index
-            return lambda offsets: [decode_bytes(table[o : index(0, o)]) for o in offsets]
+            return lambda offsets: [string_at(self.strtab, o, "symbol name") for o in offsets]
         # One decode for the whole table; its byte offsets are then text
         # offsets, and every name is a slice of the text.
         find = text.index
@@ -540,14 +542,18 @@ class ElfObject(NamedTuple):
         return None
 
 
-def string_at(table: bytes, offset: int, what: str) -> str:
-    """The NUL-terminated string at `offset`; Malformed if out of bounds."""
+_NUL = re.compile(b"\0")
+
+
+def string_at(table: bytes | memoryview, offset: int, what: str) -> str:
+    """The NUL-terminated string at `offset` of `table`, bytes or a view of
+    the file, found in place; Malformed if out of bounds."""
     if offset >= len(table):
         raise Malformed(f"{what} string offset {offset} past table end ({len(table)})")
-    end = table.find(b"\x00", offset)
-    if end < 0:
+    end = _NUL.search(table, offset)
+    if end is None:
         raise Malformed(f"{what} string at offset {offset} is not NUL-terminated")
-    return decode_bytes(table[offset:end])
+    return decode_bytes(table[offset : end.start()])
 
 
 class _Layouts:
@@ -707,18 +713,26 @@ def _field_columns(
     return columns
 
 
-def _parse_verneed(section: Section, strtab: bytes, count: int, lay: _Layouts) -> dict[int, str]:
+def _parse_verneed(section: Section, strtab: memoryview, count: int, lay: _Layouts) -> dict[int, str]:
     """Map version index -> version name from a GNU verneed section; a later
-    record of an index replaces an earlier one."""
+    record of an index replaces an earlier one.  The walk reads at most as
+    many vernaux records as the section holds, so verneed records that all
+    point at one vernaux chain cannot make it quadratic in the section."""
     buf = section.view
-    return {
-        vna_other & 0x7FFF: string_at(strtab, vna_name, "version")
+    auxes = chain.from_iterable(
+        _chain(buf, at + vn_aux, vn_cnt, lay.vernaux, "vernaux")
         for at, (_, vn_cnt, _, vn_aux, _) in _chain(buf, 0, count, lay.verneed, "verneed")
-        for _, (_, _, vna_other, vna_name, _) in _chain(buf, at + vn_aux, vn_cnt, lay.vernaux, "vernaux")
-    }
+    )
+    cap = len(buf) // lay.vernaux.size
+    names = {}
+    for read, (_, (_, _, vna_other, vna_name, _)) in enumerate(auxes):
+        if read == cap:
+            raise Malformed(f"verneed reads more than the {cap} vernaux records its section holds")
+        names[vna_other & 0x7FFF] = string_at(strtab, vna_name, "version")
+    return names
 
 
-def _parse_verdef(section: Section, strtab: bytes, count: int, lay: _Layouts) -> dict[int, str]:
+def _parse_verdef(section: Section, strtab: memoryview, count: int, lay: _Layouts) -> dict[int, str]:
     """Map version index -> version name from a GNU verdef section: the name
     of each definition's first verdaux (the others name its parents)."""
     buf = section.view
@@ -755,16 +769,6 @@ def _linked_view(sections: Sequence[Section], link: int, what: str) -> memoryvie
     return sections[link].view
 
 
-def _linked_strtab(
-    sections: Sequence[Section], link: int, what: str, copies: dict[int, bytes]
-) -> bytes:
-    """A bytes copy of section `link`, made once per table and kept in
-    `copies`, since searching for NULs needs bytes."""
-    if link not in copies:
-        copies[link] = bytes(_linked_view(sections, link, what))
-    return copies[link]
-
-
 def _last_nul(table: memoryview) -> int:
     """The offset of the last NUL in `table`, or -1 when it has none."""
     if table and table[-1] == 0:
@@ -795,11 +799,11 @@ def _parse_symbol_table(
         sec.view, lay, entsize, (lay.sym_columns[0], lay.sym_columns[3])
     )
 
-    # Every name ends at a NUL when no offset lies past the table's last one.
-    if name_offsets and max(name_offsets) > _last_nul(strtab):
-        table = bytes(strtab)
-        for offset in name_offsets:
-            string_at(table, offset, "symbol name")  # raises at the first bad one
+    # Every name ends at a NUL when no offset lies past the table's last
+    # one; else the first offset past it is the first bad name.
+    last = _last_nul(strtab)
+    if name_offsets and max(name_offsets) > last:
+        string_at(strtab, next(o for o in name_offsets if o > last), "symbol name")  # raises
     dangling = {x for x in set(shndxs) if shnum <= x < SHN_LORESERVE}
     if dangling:
         i = next(i for i, x in enumerate(shndxs) if x in dangling)
@@ -814,11 +818,11 @@ def _parse_symbol_table(
     return SymbolTable(kind, sec.view, strtab, lay, versym, version_of)
 
 
-def _segment_strtab(data: memoryview, segments: list[Segment], records: list[tuple]) -> bytes:
-    """The string table of .dynamic `records` read through PT_DYNAMIC: the
-    DT_STRSZ bytes at the address DT_STRTAB gives, in the file at the offset
-    of the first PT_LOAD segment whose file bytes hold them, as readelf
-    finds it."""
+def _segment_strtab(data: memoryview, segments: list[Segment], records: list[tuple]) -> memoryview:
+    """The string table of .dynamic `records` read through PT_DYNAMIC: a
+    view of the DT_STRSZ bytes at the address DT_STRTAB gives, in the file
+    at the offset of the first PT_LOAD segment whose file bytes hold them,
+    as readelf finds it."""
     values = dict(reversed(records))  # the first entry of each tag
     address, size = values.get(DT_STRTAB), values.get(DT_STRSZ)
     if address is None or size is None:
@@ -827,7 +831,7 @@ def _segment_strtab(data: memoryview, segments: list[Segment], records: list[tup
     for seg in segments:
         if seg.type_code == PT_LOAD and seg.vaddr <= address and end <= seg.vaddr + seg.filesz:
             start = seg.offset + address - seg.vaddr
-            return bytes(data[start : start + size])
+            return data[start : start + size]
     raise Malformed(f".dynamic string table [{address:#x}, {end:#x}) in no PT_LOAD segment")
 
 
@@ -846,23 +850,23 @@ def _parse_dynamic(data: memoryview, segments: list[Segment], lay: _Layouts) -> 
         records.append(lay.dyn.unpack_from(view, i * entsize))
         if records[-1][0] == DT_NULL:
             break
-    table = None
-    entries: list[DynamicEntry] = []
-    for i, (d_tag, d_val) in enumerate(records):
-        string = None
-        if d_tag in STRING_TAGS:
-            if table is None:
-                table = _segment_strtab(data, segments, records)
-            string = string_at(table, d_val, DYNAMIC_TAG_NAMES[d_tag])
-        entries.append(DynamicEntry(i, d_tag, d_val, string))
-    return entries
+    strings = any(d_tag in STRING_TAGS for d_tag, _ in records)
+    table = _segment_strtab(data, segments, records) if strings else None
+    return [
+        DynamicEntry(i, d_tag, d_val, string_at(table, d_val, DYNAMIC_TAG_NAMES[d_tag]))
+        if d_tag in STRING_TAGS
+        else DynamicEntry(i, d_tag, d_val)
+        for i, (d_tag, d_val) in enumerate(records)
+    ]
 
 
 def open_elf(data, origin_path: str) -> ElfObject:
     """Parse `data` (a whole ELF file) into an ElfObject keyed by `origin_path`.
 
     `data` is any read-only bytes-like object, such as bytes or a read-only
-    mmap; sections keep zero-copy views of it.  .dynamic is read as the
+    mmap; sections keep zero-copy views of it.  Section, version and
+    .dynamic names, and the checks of symbol names, read their strings in
+    place there: the parse copies no string table.  .dynamic is read as the
     loader reads it, through PT_DYNAMIC, with its strings at DT_STRTAB and
     DT_STRSZ inside a PT_LOAD segment; no section header is consulted for
     it.  Raises NotElf when the magic is absent and Malformed for any
@@ -883,7 +887,7 @@ def open_elf(data, origin_path: str) -> ElfObject:
     views = [
         _section_view(data, rec[1], rec[4], rec[5], i) for i, rec in enumerate(raw_sections)
     ]
-    shstrtab = bytes(views[shstrndx]) if views and shstrndx != SHN_UNDEF else None
+    shstrtab = views[shstrndx] if views and shstrndx != SHN_UNDEF else None
     sections = [
         Section(i, string_at(shstrtab, rec[0], f"section {i} name"), *rec[1:], view)
         if shstrtab is not None
@@ -892,11 +896,8 @@ def open_elf(data, origin_path: str) -> ElfObject:
     ]
 
     segments = _parse_segments(data, hdr, lay)
-    # Before the versions below copy .dynstr into `strtabs`: this parse's
-    # copy of it is dropped on return, so the two are never held at once.
     dynamic = _parse_dynamic(data, segments, lay)
 
-    strtabs: dict[int, bytes] = {}
     versym = data[:0]
     verneed: dict[int, str] = {}
     verdef: dict[int, str] = {}
@@ -904,11 +905,9 @@ def open_elf(data, origin_path: str) -> ElfObject:
         if sec.type_code == SHT_GNU_VERSYM:
             versym = sec.view
         elif sec.type_code == SHT_GNU_VERNEED:
-            strtab = _linked_strtab(sections, sec.link, "verneed", strtabs)
-            verneed = _parse_verneed(sec, strtab, sec.info, lay)
+            verneed = _parse_verneed(sec, _linked_view(sections, sec.link, "verneed"), sec.info, lay)
         elif sec.type_code == SHT_GNU_VERDEF:
-            strtab = _linked_strtab(sections, sec.link, "verdef", strtabs)
-            verdef = _parse_verdef(sec, strtab, sec.info, lay)
+            verdef = _parse_verdef(sec, _linked_view(sections, sec.link, "verdef"), sec.info, lay)
 
     symbol_tables = tuple(
         _parse_symbol_table(sec, kind, sections, lay, shnum, versym, verneed, verdef)
