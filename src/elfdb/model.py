@@ -13,13 +13,13 @@ views of the file.  Rows follow the file's order (symbols table by table,
 as `readelf -sW` lists them), derived columns (exported/imported,
 demangled names, flag letters, reserved-index names) are computed here,
 and everything is pure: the same object always yields the same rows.
+Every string comes from `reader`, which finds each NUL of a string table.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import accumulate, chain, count, repeat
-from operator import add
+from itertools import chain, count, repeat
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from . import reader
@@ -136,19 +136,6 @@ def derive_export_import(
     return exported, imported
 
 
-def _string_columns(content: bytes, start: int = 0) -> tuple[Iterator[int], Iterator[str]]:
-    """The offsets and the values of the NUL-terminated entries of a string
-    table piece at offset `start`; the bytes after its last NUL are not an
-    entry."""
-    text = content.isascii()
-    # An ASCII table is decoded once; its entries' lengths are byte lengths.
-    pieces = content.decode("ascii").split("\0") if text else content.split(b"\x00")
-    pieces.pop()  # the bytes after the last NUL
-    # Entry i starts after the i entries and i NULs before it.
-    offsets = map(add, accumulate(map(len, pieces), initial=start), count())
-    return offsets, iter(pieces) if text else map(decode_bytes, pieces)
-
-
 _I64_MAX = 2**63
 
 
@@ -191,10 +178,6 @@ def segment_tuples(obj: ElfObject) -> Iterator[tuple]:
 # Records per chunk of a symbol table's fill: `symbol_tuples` holds one
 # chunk's columns at a time, beside one copy of the table's string table.
 _SYMBOL_CHUNK = 4096
-
-# Bytes per piece of a string table's fill: `string_tuples` copies and
-# splits one piece at a time.
-_STRING_PIECE = 1 << 16
 
 
 def _symbol_columns(
@@ -262,33 +245,14 @@ def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
                 )
 
 
-def _string_pieces(table: memoryview) -> Iterator[tuple[int, bytes]]:
-    """A string table as consecutive (offset, bytes) pieces: each of about
-    `_STRING_PIECE` bytes, and past its last NUL only when it is the table's
-    last piece.  A piece holding no NUL is widened, so an entry longer than
-    a piece is never split."""
-    start, width = 0, _STRING_PIECE
-    while start < len(table):
-        piece = bytes(table[start : start + width])
-        end = piece.rfind(b"\0") + 1
-        last = start + width >= len(table)
-        if not end and not last:
-            width *= 2
-            continue
-        yield start, piece
-        if last:
-            return
-        start, width = start + end, _STRING_PIECE
-
-
 def string_tuples(obj: ElfObject) -> Iterator[tuple]:
     """One row per entry of every SHT_STRTAB section, in (section, offset)
-    order, read from the file in pieces of about `_STRING_PIECE` bytes."""
+    order, split by `reader.string_entries` a bounded piece at a time."""
     path = path_text(obj.path)
     for sec in obj.sections:
         if sec.type_code == SHT_STRTAB:
-            for start, piece in _string_pieces(sec.view):
-                yield from zip(repeat(path), repeat(sec.name), *_string_columns(piece, start))
+            for offsets, values in reader.string_entries(sec.view):
+                yield from zip(repeat(path), repeat(sec.name), offsets, values)
 
 
 def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:

@@ -5,13 +5,15 @@ truncated table, an out-of-range offset, or a string offset past its
 table's end fails the whole file rather than producing partial results.
 The model is purely structural; relational concerns live in `model`.
 
-Strings are read in place, in the file's bytes or map: `string_at` finds
-each NUL in a view of its table, so a parse copies no string table.
+Every NUL of a string table is found here, in place, by `_NUL`: `string_at`
+reads one name, so a parse copies no string table, and `string_entries`
+splits a table for `elf_strings`, a bounded piece at a time.
 
 Records are read by two walks: `_table` reads a header table of fixed-size
 entries (section and program headers) after checking its entry size and
 bounds, and `_chain` follows a version section's records, each of which
-gives the offset of the next in its last field.
+gives the offset of the next in its last field.  .dynamic's loop stops at
+DT_NULL, where `_table` would unpack a PT_DYNAMIC that spans the file.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ import struct
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
-from itertools import chain
+from itertools import accumulate, chain
+from operator import add
 from typing import NamedTuple, Optional
 
 
@@ -545,15 +548,48 @@ class ElfObject(NamedTuple):
 _NUL = re.compile(b"\0")
 
 
-def string_at(table: bytes | memoryview, offset: int, what: str) -> str:
-    """The NUL-terminated string at `offset` of `table`, bytes or a view of
-    the file, found in place; Malformed if out of bounds."""
+def _string_end(table: bytes | memoryview, offset: int, what: str) -> int:
+    """The end of the string at `offset` of `table`; Malformed if out of bounds."""
     if offset >= len(table):
         raise Malformed(f"{what} string offset {offset} past table end ({len(table)})")
     end = _NUL.search(table, offset)
     if end is None:
         raise Malformed(f"{what} string at offset {offset} is not NUL-terminated")
-    return decode_bytes(table[offset : end.start()])
+    return end.start()
+
+
+def string_at(table: bytes | memoryview, offset: int, what: str) -> str:
+    """The NUL-terminated string at `offset` of `table`, bytes or a view of
+    the file, found in place; Malformed if out of bounds."""
+    return decode_bytes(table[offset : _string_end(table, offset, what)])
+
+
+_STRING_PIECE = 1 << 16
+
+
+def _string_columns(content: bytes, start: int = 0) -> tuple[Iterator[int], Iterator[str]]:
+    """The offsets and the values of the NUL-terminated entries of a string
+    table piece at offset `start`; the bytes after its last NUL are not an
+    entry."""
+    text = content.isascii()
+    # An ASCII table is decoded once; its entries' lengths are byte lengths.
+    pieces = content.decode("ascii").split("\0") if text else content.split(b"\x00")
+    pieces.pop()  # the bytes after the last NUL
+    # Entry i starts after the i entries and i NULs before it.
+    offsets = map(add, accumulate(map(len, pieces), initial=start), range(len(pieces)))
+    return offsets, iter(pieces) if text else map(decode_bytes, pieces)
+
+
+def string_entries(table: memoryview) -> Iterator[tuple[Iterator[int], Iterator[str]]]:
+    """The `_string_columns` of a string table, one piece copied at a time:
+    each piece ends at the first NUL at least `_STRING_PIECE` bytes in, or at
+    the table's end, so an entry is never split."""
+    start = 0
+    while start < len(table):
+        nul = _NUL.search(table, start + _STRING_PIECE - 1)
+        end = nul.end() if nul else len(table)
+        yield _string_columns(bytes(table[start:end]), start)
+        start = end
 
 
 class _Layouts:
@@ -769,13 +805,6 @@ def _linked_view(sections: Sequence[Section], link: int, what: str) -> memoryvie
     return sections[link].view
 
 
-def _last_nul(table: memoryview) -> int:
-    """The offset of the last NUL in `table`, or -1 when it has none."""
-    if table and table[-1] == 0:
-        return len(table) - 1
-    return bytes(table).rfind(b"\0")
-
-
 def _parse_symbol_table(
     sec: Section,
     kind: SymbolTableKind,
@@ -799,10 +828,11 @@ def _parse_symbol_table(
         sec.view, lay, entsize, (lay.sym_columns[0], lay.sym_columns[3])
     )
 
-    # Every name ends at a NUL when no offset lies past the table's last
-    # one; else the first offset past it is the first bad name.
-    last = _last_nul(strtab)
-    if name_offsets and max(name_offsets) > last:
+    # Every name ends at a NUL exactly when the name at the largest offset
+    # does.  Else the first offset past the table's last NUL is the first
+    # bad name; the file is refused, so the table is copied to find it.
+    if name_offsets and _NUL.search(strtab, max(name_offsets)) is None:
+        last = bytes(strtab).rfind(b"\0")
         string_at(strtab, next(o for o in name_offsets if o > last), "symbol name")  # raises
     dangling = {x for x in set(shndxs) if shnum <= x < SHN_LORESERVE}
     if dangling:
@@ -839,7 +869,8 @@ def _parse_dynamic(data: memoryview, segments: list[Segment], lay: _Layouts) -> 
     """The entries of .dynamic up to DT_NULL, each string-valued one
     resolved in the string table that `_segment_strtab` finds.  .dynamic is
     the first PT_DYNAMIC segment, read as the loader reads it: no section
-    header is consulted."""
+    header is consulted.  Entries at one offset share one string, and the
+    distinct strings together hold at most the file's size in bytes."""
     seg = next((s for s in segments if s.type_code == PT_DYNAMIC), None)
     if seg is None:
         return []
@@ -850,14 +881,18 @@ def _parse_dynamic(data: memoryview, segments: list[Segment], lay: _Layouts) -> 
         records.append(lay.dyn.unpack_from(view, i * entsize))
         if records[-1][0] == DT_NULL:
             break
-    strings = any(d_tag in STRING_TAGS for d_tag, _ in records)
-    table = _segment_strtab(data, segments, records) if strings else None
-    return [
-        DynamicEntry(i, d_tag, d_val, string_at(table, d_val, DYNAMIC_TAG_NAMES[d_tag]))
-        if d_tag in STRING_TAGS
-        else DynamicEntry(i, d_tag, d_val)
-        for i, (d_tag, d_val) in enumerate(records)
-    ]
+    if any(d_tag in STRING_TAGS for d_tag, _ in records):
+        table = _segment_strtab(data, segments, records)
+    entries, strings, held = [], {}, 0
+    for i, (d_tag, d_val) in enumerate(records):
+        if d_tag in STRING_TAGS and d_val not in strings:
+            end = _string_end(table, d_val, DYNAMIC_TAG_NAMES[d_tag])
+            held += end - d_val
+            if held > len(data):
+                raise Malformed(f".dynamic strings hold more than the file's {len(data)} bytes")
+            strings[d_val] = decode_bytes(table[d_val:end])
+        entries.append(DynamicEntry(i, d_tag, d_val, strings[d_val] if d_tag in STRING_TAGS else None))
+    return entries
 
 
 def open_elf(data, origin_path: str) -> ElfObject:

@@ -28,11 +28,12 @@ or signed value.
 
 An outcome is the ElfError's type and message, or, for a parsed copy, a
 digest of each part of the object: the header, the sections (each with a
-digest of its bytes), the segments, .dynamic and every symbol table
-column.  Every differing case is listed.  The exit status is 1 when an
-exception other than ElfError escapes either reader, or either takes more
-than TIME_BOUND seconds on a case; differing outcomes alone exit 0, as a
-change to the reader may mean to change them.
+digest of its bytes), the segments, .dynamic, every symbol table column
+and the `elf_strings` rows that `model.string_tuples` splits from it.
+Every differing case is listed.  The exit status is 1 when an exception
+other than ElfError escapes either reader, or either takes more than
+TIME_BOUND seconds on a case; differing outcomes alone exit 0, as a change
+to the reader may mean to change them.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ THIS_SRC = Path(__file__).resolve().parents[1] / "src"
 WORKER = r"""
 import hashlib, json, sys, traceback
 sys.path.insert(0, sys.argv[1])
-from elfdb import reader
+from elfdb import model, reader
 
 def digest(value):
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
@@ -75,7 +76,7 @@ def parts(obj):
     return {
         "header": digest(obj.header), "sections": digest(sections),
         "segments": digest(obj.segments), "dynamic": digest(obj.dynamic),
-        "symbols": digest(tables),
+        "symbols": digest(tables), "strings": digest(list(model.string_tuples(obj))),
     }
 
 for line in sys.stdin:

@@ -6,9 +6,9 @@ import sys
 
 import pytest
 
-from elfdb import corpus, engine
+from elfdb import corpus, engine, reader
 from elfdb.bench import SymbolSpec, write_elf
-from elfdb.cli import main
+from elfdb.cli import FORMATS, main
 from elfdb.engine import register
 
 from conftest import RUBY_LIKE, child_env, exported_funcs, run_child
@@ -74,6 +74,21 @@ class TestQuery:
         )
         assert code == 0
         assert out.strip().splitlines() == ["name", "alpha", "beta"]
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_blob_cell_as_hex_literal(self, capsys, lib, fmt):
+        """A BLOB cell is printed as SQL's literal of its bytes, x'<hex>'."""
+        content = reader.load_elf(lib).section_named(".dynstr").content
+        code, out, _ = run_cli(
+            capsys, "query", lib, "--format", fmt,
+            "--sql", "SELECT content FROM elf_sections WHERE name = '.dynstr'",
+        )
+        assert code == 0
+        literal = f"x'{content.hex()}'"
+        if fmt == "json":
+            assert json.loads(out) == [{"content": literal}]
+        else:
+            assert out.strip().splitlines()[-1] == literal
 
     def test_output_stable_across_runs(self, capsys, lib):
         argv = (
@@ -306,6 +321,24 @@ class TestAnalysisCommands:
         )
         assert code == 0
         assert out.strip().splitlines()[-1] == "2"
+
+    @pytest.mark.parametrize("flag", [["--env-search-path"], []], ids=["flag", "no_flag"])
+    def test_env_search_path_flag(self, capsys, tmp_path, monkeypatch, flag):
+        """With --env-search-path, --recursive finds a dependency that only
+        LD_LIBRARY_PATH names; without it, the dependency is unresolved."""
+        libdir = tmp_path / "libs"
+        libdir.mkdir()
+        write_elf(str(libdir / "libenvonly.so"), symbols=exported_funcs("dep_fn"), soname="libenvonly.so")
+        app = str(tmp_path / "app")
+        write_elf(app, symbols=exported_funcs("main_fn"), needed=["libenvonly.so"])
+        monkeypatch.setenv("LD_LIBRARY_PATH", str(libdir))
+        code, out, err = run_cli(
+            capsys, "query", app, "--recursive", *flag, "--format", "csv",
+            "--sql", "SELECT COUNT(DISTINCT path) FROM elf_headers",
+        )
+        assert code == 0
+        assert out.strip().splitlines()[-1] == ("2" if flag else "1")
+        assert ("unresolved dependency libenvonly.so" in err) == (not flag)
 
     def test_unresolved_dependency_warns_but_succeeds(self, capsys, tmp_path):
         app = str(tmp_path / "app")

@@ -307,6 +307,19 @@ class TestResolveRecursive:
         assert [os.path.basename(p) for p in resolved.paths] == ["app", "libdep.so"]
         assert set(resolved.paths) == oracle_loader_trace(str(app))
 
+    def test_needed_name_linking_to_a_catalogued_file(self, tmp_path):
+        """A NEEDED name that is a symlink to a file the catalog holds under
+        another name resolves to that entry: nothing is added, and nothing
+        is unresolved."""
+        write_elf(str(tmp_path / "libdep.so.1"), symbols=exported_funcs("d"))
+        os.symlink("libdep.so.1", tmp_path / "libdep.so")
+        app = tmp_path / "app"
+        write_elf(str(app), symbols=exported_funcs("m"), needed=["libdep.so"], runpath=str(tmp_path))
+        catalog = add_paths([str(app), str(tmp_path / "libdep.so.1")])
+        resolved = resolve_recursive(catalog, SearchConfig(default_dirs=()))
+        assert [os.path.basename(e.path) for e in resolved.entries] == ["app", "libdep.so.1"]
+        assert resolved.unresolved == ()
+
     def test_unresolved_reported_once_and_continues(self, tmp_path):
         write_elf(str(tmp_path / "libgood.so"), symbols=exported_funcs("g"), soname="libgood.so")
         app = tmp_path / "app"

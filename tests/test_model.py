@@ -265,7 +265,7 @@ class TestDecoderEquivalence:
 
 def table_strings(content: bytes) -> list[tuple[int, str]]:
     """(offset, value) for each entry of one string table."""
-    return list(zip(*model._string_columns(content)))
+    return list(zip(*reader._string_columns(content)))
 
 
 class TestStringRows:
@@ -820,9 +820,9 @@ def test_string_rows_in_pieces_equal_whole_tables(tmp_path, monkeypatch, layout,
     whole = [
         (model.path_text(path), sec.name, *entry)
         for sec in obj.sections if sec.type_code == reader.SHT_STRTAB
-        for entry in zip(*model._string_columns(sec.content))
+        for entry in zip(*reader._string_columns(sec.content))
     ]
-    monkeypatch.setattr(model, "_STRING_PIECE", piece)
+    monkeypatch.setattr(reader, "_STRING_PIECE", piece)
     assert list(model.string_tuples(obj)) == whole
 
 

@@ -3,7 +3,8 @@
 For every file: each `elf_symbols` row against `readelf -sW`, each section
 against `readelf -SW`, each `elf_segments` row against `readelf -lW`, each
 dynamic tag (and the string of NEEDED, SONAME, RPATH and RUNPATH) against
-`readelf -dW`, and the `elf_headers` row against `readelf -hW`.
+`readelf -dW`, the `elf_headers` row against `readelf -hW`, and each
+non-empty `elf_strings` entry against `readelf -W -p`.
 
 Tier-1 sweeps an evenly spaced sample of SWEEP_FILES files from the sorted
 directory.  Run as a script to sweep every file of a directory:
@@ -28,6 +29,12 @@ The comparison keeps to where the two tools name things differently:
   `X86_64_UNWIND` (0x70000001, an LLVM-linked `.eh_frame`); for any other
   machine it writes these codes in decimal, where readelf may name them
   (0x70000001 is `ARM_EXIDX` on ARM).
+* readelf -p (binutils 2.40, C locale) starts an entry's line at its first
+  printable ASCII byte, so an entry of no such byte has no line, and writes
+  a control byte c as `^` and the byte c + 0x40.  Other bytes pass through;
+  elfdb writes one that is not UTF-8 as the escape `\\xNN`, as readelf's
+  output is read.  An entry that holds a newline, which readelf breaks
+  over two lines, shows as a mismatch; no swept file has one.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import re
 import struct
 import sys
 from functools import partial
-from itertools import islice
+from itertools import islice, zip_longest
 from pathlib import Path
 
 import pytest
@@ -83,6 +90,12 @@ _SECTION_LINE = re.compile(
     r"\s+(\S*)\s+(\d+)\s+(\d+)\s+(\d+)$"
 )
 _HEADER_LINE = re.compile(r"^\s+([^:]+):\s+(.*)$")
+_STRING_DUMP = re.compile(r"^String dump of section '(.*)':$")
+_STRING_LINE = re.compile(r"^  \[\s*([0-9a-f]+)\]  (.*)$")
+# The start of an `elf_strings` value that readelf -p does not print: bytes
+# outside printable ASCII, a byte that is not UTF-8 written as `\xNN`.
+_UNPRINTED = re.compile(r"(?:[^\x20-\x7e]|\\x[89a-f][0-9a-f])*")
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
 
 
 def library_elves(directory: str, limit: int | None = None) -> list[str]:
@@ -215,6 +228,45 @@ def _dynamic_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
     return [] if dynamic == oracle else [f"{path}: dynamic entries {dynamic} readelf {oracle}"]
 
 
+def _control(match: re.Match) -> str:
+    # readelf writes DEL as `^` and the byte 0xbf, which is not UTF-8.
+    return "^\\xbf" if match[0] == "\x7f" else "^" + chr(ord(match[0]) + 0x40)
+
+
+def _readelf_string(offset: int, value: str) -> tuple[int, str]:
+    """The offset and text of readelf -p's line for the `elf_strings` entry
+    (`offset`, `value`); the text is empty when readelf prints no line."""
+    skipped = value[: _UNPRINTED.match(value).end()]
+    # An escape is four characters for one byte.
+    offset += len(skipped.encode()) - 3 * skipped.count("\\")
+    return offset, _CONTROL.sub(_control, value[len(skipped) :])
+
+
+def _string_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
+    """Each SHT_STRTAB section's entries, selected by index, against readelf
+    -p's, in section order."""
+    indices = [str(s.index) for s in obj.sections if s.type_code == reader.SHT_STRTAB and s.size]
+    if not indices:
+        return []
+    oracle, section = [], None
+    for line in run_readelf("-W", *(arg for i in indices for arg in ("-p", i)), path).splitlines():
+        dump, entry = _STRING_DUMP.match(line), _STRING_LINE.match(line)
+        if dump:
+            section = dump.group(1)
+        elif entry:
+            oracle.append((section, int(entry.group(1), 16), entry.group(2)))
+    ours = [
+        (section, *printed)
+        for _path, section, offset, value in model.string_tuples(obj)
+        for printed in [_readelf_string(offset, value)]
+        if printed[1]
+    ]
+    first = next(((a, b) for a, b in zip_longest(ours, oracle) if a != b), None)
+    if first is None:
+        return []
+    return [f"{path}: {len(ours)} strings, readelf {len(oracle)}; first differing: elfdb {first[0]} readelf {first[1]}"]
+
+
 def mismatches(path: str) -> list[str]:
     """Every difference between elfdb's rows for `path` and readelf's."""
     try:
@@ -227,6 +279,7 @@ def mismatches(path: str) -> list[str]:
         *_segment_mismatches(obj, path),
         *_dynamic_mismatches(obj, path),
         *_symbol_mismatches(obj, path),
+        *_string_mismatches(obj, path),
     ]
 
 

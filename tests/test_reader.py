@@ -548,6 +548,41 @@ class TestNeededLibraries:
         # the suffix entry is also invisible to the dynamic-entry list
         assert sum(1 for e in obj.dynamic if e.tag_name == "NEEDED") == 1
 
+    LONG_NAME = "x" * (1 << 20)
+
+    def test_entries_at_one_offset_share_one_string(self, make_elf):
+        """40 DT_NEEDED entries naming one 1 MB string resolve it once: the
+        parse of the 1 MB file peaks under 2 MB, where a string per entry
+        peaked at 40 MB."""
+        written = make_elf(needed=[self.LONG_NAME] * 40)
+        data = Path(written.path).read_bytes()
+        tracemalloc.start()
+        try:
+            obj = open_elf(data, written.path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert needed_libraries(obj) == [self.LONG_NAME] * 40
+        assert peak < 2_000_000
+
+    def test_distinct_strings_past_the_file_size_are_malformed(self, make_elf):
+        """Those entries set to successive offsets of the one string name 40
+        distinct strings of about 1 MB each: more bytes than the file."""
+        written = make_elf(needed=[self.LONG_NAME] * 40)
+        obj = load_elf(written.path)
+        lay = layout_of(obj)
+        (seg,) = [s for s in obj.segments if s.type_code == reader.PT_DYNAMIC]
+        data = bytearray(Path(written.path).read_bytes())
+        needed = [
+            at for at in range(seg.offset, seg.offset + seg.filesz, lay.dyn.size)
+            if lay.dyn.unpack_from(data, at)[0] == reader.DT_NEEDED
+        ]
+        assert len(needed) == 40
+        for i, at in enumerate(needed):
+            lay.dyn.pack_into(data, at, reader.DT_NEEDED, written.dynstr_offsets[self.LONG_NAME] + i)
+        with pytest.raises(Malformed, match=r"\.dynamic strings hold more than the file's \d+ bytes"):
+            open_elf(bytes(data), written.path)
+
 
 def closure(path: str) -> tuple[list, list]:
     """The paths and unresolved sonames of `path`'s DT_NEEDED closure."""
@@ -812,7 +847,7 @@ def test_names_and_string_rows_equal_per_entry_decode(table, data):
     while 0 in table[offset:]:
         entries.append((offset, _reference_name(table, offset)))
         offset = table.index(0, offset) + 1
-    assert list(zip(*model._string_columns(table))) == entries
+    assert list(zip(*reader._string_columns(table))) == entries
 
 
 @settings(max_examples=40, deadline=None)
