@@ -5,14 +5,22 @@ toolchain involved, so fixtures are hermetic and bit-for-bit deterministic
 for a fixed spec.  It is deliberately minimal: enough structure for parsers
 (`readelf` included) to enumerate sections, segments, symbols and dynamic
 entries, not enough to actually load and run.
+
+One core, `_write`, lays out a file whose symbol tables come as columns
+(`_Table`).  `write_elf` turns its `SymbolSpec`s into those columns, and
+`generate_elf` hands over its names and constant columns, so a fixture of
+1e5 symbols builds no object per symbol.
 """
 
 from __future__ import annotations
 
 import array
 import os
-from itertools import accumulate, chain
-from typing import NamedTuple, Optional, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
+from itertools import accumulate, chain, compress, groupby, repeat, takewhile
+from operator import add
+from typing import NamedTuple, Optional
 
 from . import reader
 from .reader import DataEncoding, ElfClass, Frozen
@@ -72,37 +80,54 @@ class WrittenElf(NamedTuple):
     dynstr_offsets: dict[str, int]
 
 
-def _string_table(strings: Sequence[str]) -> tuple[bytes, dict[str, int]]:
-    """An ELF string table of "" and then each distinct string of `strings`,
-    and the offset of each string in it."""
-    encoded = {text: text.encode("utf-8") for text in chain(("",), strings)}
-    ends = accumulate((len(raw) + 1 for raw in encoded.values()), initial=0)
-    return b"\0".join(encoded.values()) + b"\0", dict(zip(encoded, ends))
+# A symbol table as columns in file order, LOCALs first and the null symbol
+# aside: each symbol's name, st_info, st_other, section and size.
+_Table = namedtuple("_Table", "names info other sections sizes")
 
 
-def _place(
-    specs: Sequence[SymbolSpec], ends: dict[str, int], text: bytearray
-) -> tuple[list[int], list[int]]:
-    """The offset of each symbol in its section, and its size.
-
-    A defined symbol takes the next `size` bytes of its section: `ends`
-    holds the bytes taken so far, and code is a `ret` and then `nop`s.
-    """
-    starts, sizes = [], []
-    for spec in specs:
-        section = spec.section
-        size = spec.size if spec.size is not None else _DEFAULT_SIZES.get(section, 0)
-        start = ends.get(section, 0)
-        if section in ends:
-            ends[section] = start + size
-        if section == ".text" and size:
-            text += b"\xc3" + b"\x90" * (size - 1)
-        starts.append(start)
-        sizes.append(size)
-    return starts, sizes
+def _columns(specs: Sequence[SymbolSpec]) -> _Table:
+    """`specs` as a table's columns, LOCALs first as the gABI orders them."""
+    specs = sorted(specs, key=lambda s: s.binding != "LOCAL")
+    return _Table(
+        tuple(s.name for s in specs),
+        [_SYM_BINDING_CODES[s.binding] << 4 | _SYM_TYPE_CODES[s.sym_type] for s in specs],
+        [_SYM_VISIBILITY_CODES[s.visibility] for s in specs],
+        [s.section for s in specs],
+        [_DEFAULT_SIZES.get(s.section, 0) if s.size is None else s.size for s in specs],
+    )
 
 
-def _pack_symbols(lay: reader._Layouts, columns: Sequence[Sequence[int]]) -> bytearray:
+def _string_table(names: Sequence[str], extra: Iterable[str] = ()) -> tuple:
+    """An ELF string table of "", `names` (distinct, or ValueError) and then
+    `extra`, each string once: its bytes, its strings' offsets and then its
+    size, and the offset of each of `names`."""
+    if len(set(names)) != len(names):
+        raise ValueError("symbol names must be unique within one table")
+    strings = dict.fromkeys(chain(("",), names, extra))
+    text = "\0".join(strings) + "\0"
+    # A string's length in UTF-8 is its length when the whole table is ASCII.
+    lengths = map(len, strings) if text.isascii() else (len(s.encode()) for s in strings)
+    offsets = array.array("Q", accumulate(map(add, lengths, repeat(1)), initial=0))
+    named = offsets[1 : len(names) + ("" not in names)]
+    if "" in names:  # the table's first string, so it reads offset 0
+        named.insert(names.index(""), 0)
+    return text.encode(), offsets, named
+
+
+def _place(table: _Table, ends: dict[str, int]) -> array.array:
+    """The offset of each of `table`'s symbols in its section: a defined
+    symbol takes the next `size` bytes of its section, of which `ends` holds
+    the bytes taken so far, and SHN_UNDEF and SHN_ABS symbols read 0."""
+    # One running sum of sizes per section, read in the symbols' order.
+    runs = dict.fromkeys(_SPECIAL_SECTIONS, repeat(0))
+    for section in ends.keys() & set(table.sections):
+        sizes = list(compress(table.sizes, map(section.__eq__, table.sections)))
+        runs[section] = accumulate(sizes, initial=ends[section])
+        ends[section] += sum(sizes)
+    return array.array("Q", map(next, map(runs.__getitem__, table.sections)))
+
+
+def _pack_symbols(lay: reader._Layouts, columns: Iterable[Iterable[int]]) -> bytearray:
     """Symbol records holding `columns`, one per field of `lay.sym_columns`
     with one entry per record: `reader._field_columns` in reverse.
 
@@ -110,13 +135,13 @@ def _pack_symbols(lay: reader._Layouts, columns: Sequence[Sequence[int]]) -> byt
     field's width; in the other byte order the words are swapped first.
     """
     entsize = lay.sym_size
-    records = bytearray(len(columns[0]) * entsize)
-    view = memoryview(records)
+    records = bytearray()
     for column, (offset, width) in zip(columns, lay.sym_columns):
         words = array.array(reader._FORMATS[width], column)
         if lay.swap and width > 1:
             words.byteswap()
-        view.cast(reader._FORMATS[width])[offset // width :: entsize // width] = words
+        records = records or bytearray(len(words) * entsize)
+        memoryview(records).cast(words.typecode)[offset // width :: entsize // width] = words
     return records
 
 
@@ -140,45 +165,46 @@ def write_elf(
     are dynsym symbols or any dynamic-entry inputs.  `dynamic_suffix` entries
     are written after the DT_NULL terminator (for parser edge-case tests).
     """
+    dynsym = _columns(symbols)
+    symtab = None if symtab_symbols is None else _columns(symtab_symbols)
+    optional = ((reader.DT_SONAME, soname), (reader.DT_RPATH, rpath), (reader.DT_RUNPATH, runpath))
+    tagged = [(reader.DT_NEEDED, name) for name in needed] + [(t, s) for t, s in optional if s]
+    dynstr, offsets, _ = _write(
+        dest, dynsym, symtab, tagged, dynamic_suffix, machine, elf_class, encoding)
+    symtab_names = symtab.names if symtab else ()
+    return WrittenElf(os.path.realpath(dest), dynsym.names + symtab_names, dynsym.names,
+                      symtab_names, dict(zip(dynstr[:-1].decode().split("\0"), offsets)))
+
+
+def _write(dest: str, dynsym: _Table, symtab: Optional[_Table] = None,
+           tagged: Sequence[tuple[int, str]] = (), dynamic_suffix: Sequence[tuple[int, int]] = (),
+           machine: int = reader.EM_X86_64, elf_class: ElfClass = ElfClass.ELF64,
+           encoding: DataEncoding = DataEncoding.LSB) -> tuple:
+    """Write `write_elf`'s file from its symbol tables' columns and its
+    string-valued dynamic entries, `tagged`; return .dynstr's `_string_table`."""
     lay = reader._layouts(elf_class, encoding)
-    dyn_specs = _order_symbols(symbols)
-    sym_specs = _order_symbols(symtab_symbols)
-    for specs in (dyn_specs, sym_specs):
-        if len({s.name for s in specs}) != len(specs):
-            raise ValueError("symbol names must be unique within one table")
+    tables = {".dynsym": dynsym, ".symtab": symtab} if symtab else {".dynsym": dynsym}
+    strtabs = {".dynstr": _string_table(dynsym.names, [t for _, t in tagged]),
+               ".strtab": _string_table(symtab.names if symtab else ())}
 
     # Defined symbols lie end to end in their section, .dynsym's first.
-    text = bytearray()
     ends = {".text": 0, ".data": 0, ".bss": 0}
-    dyn_placed = _place(dyn_specs, ends, text)
-    sym_placed = _place(sym_specs, ends, text)
+    starts = {name: _place(t, ends) for name, t in tables.items()}
+    # Code is a `ret` and then `nop`s; a run of functions of one size repeats one piece.
+    sizes = chain(*(compress(t.sizes, map(".text".__eq__, t.sections)) for t in tables.values()))
+    text = b"".join((b"\xc3" + b"\x90" * (size - 1) if size else b"") * len(list(run))
+                    for size, run in groupby(sizes))
 
-    tagged = [(reader.DT_NEEDED, name) for name in needed] + [
-        (tag, string) for tag, string in
-        ((reader.DT_SONAME, soname), (reader.DT_RPATH, rpath), (reader.DT_RUNPATH, runpath))
-        if string
-    ]
-    dynstr, dynstr_offsets = _string_table([s.name for s in dyn_specs] + [t for _, t in tagged])
-    strtab, strtab_offsets = _string_table([s.name for s in sym_specs])
-    want_dynamic = bool(dyn_specs or tagged or dynamic_suffix)
-    has_symtab = symtab_symbols is not None
-    used = {s.section for s in chain(dyn_specs, sym_specs)}
-    kept = {
-        ".data": ".data" in used, ".bss": ".bss" in used, ".dynamic": want_dynamic,
-        ".symtab": has_symtab, ".strtab": has_symtab,
-    }
+    want_dynamic = bool(dynsym.names or tagged or dynamic_suffix)
+    used = set().union(*(t.sections for t in tables.values()))
+    kept = {".data": ".data" in used, ".bss": ".bss" in used, ".dynamic": want_dynamic,
+            ".symtab": bool(symtab), ".strtab": bool(symtab)}
     table = [row for row in _SECTIONS if kept.get(row[0], True)]
-    shstrtab, sh_names = _string_table([row[0] for row in table])
+    shstrtab, _, sh_names = _string_table([row[0] for row in table])
     index = {row[0]: i for i, row in enumerate(table, 1)}
     shndx_of = {**_SPECIAL_SECTIONS, **index}
-    symbol_tables = {
-        ".dynsym": (dyn_specs, dyn_placed, dynstr_offsets),
-        ".symtab": (sym_specs, sym_placed, strtab_offsets),
-    }
-    bodies = {
-        ".text": text, ".data": bytes(ends[".data"]), ".bss": b"",
-        ".dynstr": dynstr, ".strtab": strtab, ".shstrtab": shstrtab,
-    }
+    bodies = {".text": text, ".data": bytes(ends[".data"]), ".bss": b"", ".shstrtab": shstrtab,
+              **{name: t[0] for name, t in strtabs.items()}}
 
     # One pass in file order after the ELF and program headers: each
     # section's offset and address, then its body, which may hold the
@@ -188,26 +214,26 @@ def write_elf(
     blob = bytearray(ehsize + phnum * lay.phdr.size)
     addr: dict[str, int] = {}
     headers = []
-    for name, sh_type, flags, align, link in table:
+    for (name, sh_type, flags, align, link), sh_name in zip(table, sh_names):
         blob += bytes(-len(blob) % align)
         offset = len(blob)
         addr[name] = _BASE_VADDR + offset if flags & reader.SHF_ALLOC else 0
         info = entsize = 0
-        if name in symbol_tables:
-            specs, (starts, sizes), name_offsets = symbol_tables[name]
-            body = _pack_symbols(lay, [
-                [0, *(name_offsets[s.name] for s in specs)],
-                [0, *(_SYM_BINDING_CODES[s.binding] << 4 | _SYM_TYPE_CODES[s.sym_type]
-                      for s in specs)],
-                [0, *(_SYM_VISIBILITY_CODES[s.visibility] for s in specs)],
-                [0, *(shndx_of[s.section] for s in specs)],
-                [0, *(addr.get(s.section, 0) + start for s, start in zip(specs, starts))],
-                [0, *sizes],
-            ])
-            info = 1 + sum(1 for s in specs if s.binding == "LOCAL")
+        if name in tables:
+            symbols = tables[name]
+            body = _pack_symbols(lay, [chain((0,), column) for column in (
+                strtabs[link][2], symbols.info, symbols.other,
+                map(shndx_of.__getitem__, symbols.sections),
+                map(add, map(addr.get, symbols.sections, repeat(0)), starts[name]),
+                symbols.sizes,
+            )])
+            # One past the last LOCAL symbol, as LOCALs come first.
+            info = 1 + sum(1 for _ in takewhile(lambda st_info: st_info >> 4 == 0, symbols.info))
             entsize = lay.sym_size
         elif name == ".dynamic":
-            entries = [(tag, dynstr_offsets[t]) for tag, t in tagged] + [
+            # A string lies once between two NULs, and "" alone at offset 0.
+            dynstr = bodies[".dynstr"]
+            entries = [(tag, dynstr.find(b"\0%b\0" % t.encode()) + 1) for tag, t in tagged] + [
                 (reader.DT_STRTAB, addr[".dynstr"]), (_DT_SYMTAB, addr[".dynsym"]),
                 (reader.DT_STRSZ, len(dynstr)), (_DT_SYMENT, lay.sym_size), (reader.DT_NULL, 0),
                 *dynamic_suffix,
@@ -219,10 +245,8 @@ def write_elf(
             body = bodies[name]
         blob += body
         size = ends[".bss"] if name == ".bss" else len(body)
-        headers.append(
-            (sh_names[name], sh_type, flags, addr[name], offset, size,
-             index.get(link, 0), info, align, entsize)
-        )
+        headers.append((sh_name, sh_type, flags, addr[name], offset, size,
+                        index.get(link, 0), info, align, entsize))
 
     blob += bytes(-len(blob) % 8)
     shoff = len(blob)
@@ -250,20 +274,7 @@ def write_elf(
 
     with open(dest, "wb") as fh:
         fh.write(blob)
-
-    return WrittenElf(
-        path=os.path.realpath(dest),
-        names=tuple(s.name for s in chain(dyn_specs, sym_specs)),
-        dynsym_names=tuple(s.name for s in dyn_specs),
-        symtab_names=tuple(s.name for s in sym_specs),
-        dynstr_offsets=dynstr_offsets,
-    )
-
-
-def _order_symbols(specs: Optional[Sequence[SymbolSpec]]) -> list[SymbolSpec]:
-    # gABI: local symbols precede all others within a table.
-    specs = specs or ()
-    return [s for s in specs if s.binding == "LOCAL"] + [s for s in specs if s.binding != "LOCAL"]
+    return strtabs[".dynstr"]
 
 
 class GeneratedElfSpec(Frozen):
@@ -292,5 +303,7 @@ def generate_elf(spec: GeneratedElfSpec, dest: str) -> Manifest:
     planted names (the null symbol is implicit).
     """
     names = spec.names()
-    written = write_elf(dest, symbols=[SymbolSpec(n) for n in names])
-    return Manifest(path=written.path, names=tuple(names))
+    # Every symbol has the columns of SymbolSpec(name), its name aside.
+    _, *constant = _columns([SymbolSpec("")])
+    _write(dest, _Table(names, *(column * len(names) for column in constant)))
+    return Manifest(path=os.path.realpath(dest), names=tuple(names))

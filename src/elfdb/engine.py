@@ -306,7 +306,8 @@ class Session:
         behind.  Raises FileExistsError when `dest` exists and `overwrite`
         is false, reader.FileChanged when a fill finds a file changed since
         its catalog, and ExportAborted when a fill, the copy or the rename
-        fails otherwise.
+        fails otherwise; any other exception propagates as it is, and every
+        failure removes the temp file.
         """
         dest = os.fspath(dest)
         if os.path.exists(dest) and not overwrite:
@@ -321,9 +322,11 @@ class Session:
                 self._conn.backup(target)
             os.replace(tmp, dest)
         except (sqlite3.Error, OSError) as exc:
+            raise ExportAborted(str(exc)) from exc
+        finally:
+            # Renamed, the temp file is gone; any failure, KeyboardInterrupt too, removes it.
             if os.path.exists(tmp):
                 os.unlink(tmp)
-            raise ExportAborted(str(exc)) from exc
         per_table = {
             name: self._conn.execute(f'SELECT COUNT(*) FROM main."{name}"').fetchone()[0]
             for name in TABLE_NAMES

@@ -14,6 +14,7 @@ from conftest import (
     RUBY_LIKE,
     named_rows,
     readelf_table_counts,
+    run_child,
     symbol_table,
     varied_elf_kwargs,
 )
@@ -120,7 +121,11 @@ _WRITE_CASES = {
         dynamic_suffix=[(reader.DT_SONAME, 0)],
     ),
 }
-_GENERATE_CASES = {f"generated-{n}": n for n in (0, 12, 1000)}
+_GENERATE_CASES = {
+    **{f"generated-{n}": GeneratedElfSpec(n) for n in (0, 12, 1000)},
+    # Non-ASCII names: the string table's lengths are counted in UTF-8.
+    "generated-utf8-12": GeneratedElfSpec(12, name_pattern="grüße_{index:02}"),
+}
 
 # sha256 of each case's file, then of what the writer reported about it.
 WRITER_PINS = {
@@ -160,7 +165,13 @@ WRITER_PINS = {
         "5060bfc6cc3701de2e7a2a8c34a1ba77de898823537262ab079e23795131de3b",
         "f2c0a5fea5c64b652257421fdd13b81e41ed12558400133cc034bbff3a9d0999",
     ),
+    "generated-utf8-12": (
+        "49ec1e23d6b9c04c172f0bcdb27e05a5eda58a9fe7e2dd1e9398a66f11b25060",
+        "0d6b1576bd56d7a542a49cba08cb9b3ac1a4faef0cf7daea4fd6b483e79ff205",
+    ),
 }
+# sha256 of the session's `symbols_1e5` file: GeneratedElfSpec(100_000).
+GENERATED_1E5_PIN = "e3fd4403af83ac349d825f4a32120fb0e604a81912182fb1b5ceffffbd0e143e"
 
 
 def _sha256(data: bytes) -> str:
@@ -178,9 +189,9 @@ def written_digests(out_dir: str) -> dict[str, tuple[str, str]]:
         report = (w.names, w.dynsym_names, w.symtab_names, sorted(w.dynstr_offsets.items()))
         with open(dest, "rb") as fh:
             digests[case] = (_sha256(fh.read()), _sha256(repr(report).encode()))
-    for case, count in _GENERATE_CASES.items():
+    for case, spec in _GENERATE_CASES.items():
         dest = os.path.join(out_dir, case + ".so")
-        manifest = generate_elf(GeneratedElfSpec(count), dest)
+        manifest = generate_elf(spec, dest)
         assert manifest.path == os.path.realpath(dest)
         with open(dest, "rb") as fh:
             digests[case] = (_sha256(fh.read()), _sha256(repr(manifest.names).encode()))
@@ -191,3 +202,32 @@ def test_writer_output_is_pinned(tmp_path):
     """The writer's bytes and reports for a fixed set of inputs never change
     unnoticed: the fixtures of the tests and of the benchmark come from it."""
     assert written_digests(str(tmp_path)) == WRITER_PINS
+
+
+def test_generated_file_at_scale_is_pinned(symbols_1e5):
+    """The writer's bytes at the benchmark's scale, from the file the tests
+    already write."""
+    with open(symbols_1e5, "rb") as fh:
+        assert _sha256(fh.read()) == GENERATED_1E5_PIN
+
+
+def test_generating_1e5_symbols_holds_no_object_per_symbol(tmp_path):
+    script = """
+        import sys, tracemalloc
+        from elfdb.bench import GeneratedElfSpec, generate_elf
+
+        tracemalloc.start()
+        generate_elf(GeneratedElfSpec(100_000), sys.argv[1])
+        print(tracemalloc.get_traced_memory()[1])
+    """
+    peak = run_child(script, str(tmp_path / "gen.so"))
+    # A write peaks twice near 19 MB.  Both times it holds the names
+    # (6.9 MB: 1e5 strings and their list) and four constant columns of 1e5
+    # references (3.2 MB).  Building .dynstr adds its distinct strings
+    # (3.8 MB), the table as text and as bytes (2.6 MB) and the offsets of
+    # its strings and of the names (1.6 MB): 18.1 MB.  Appending the records
+    # (2.4 MB) to the file image (2.5 MB) adds .dynstr (1.3 MB), those
+    # offsets and the symbols' (2.4 MB): 18.7 MB.  The uniqueness set
+    # (4.2 MB) is dropped first, and the manifest's tuple (0.8 MB) comes
+    # last.  One SymbolSpec per symbol peaked at 44.5 MB.
+    assert peak < 30_000_000

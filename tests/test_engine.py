@@ -892,6 +892,18 @@ class TestExport:
         assert leftovers == []
         assert target_dir.is_dir()
 
+    def test_interrupted_export_leaves_nothing(self, small_corpus, tmp_path, monkeypatch):
+        before = sorted(os.listdir(tmp_path))
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        with register(small_corpus) as session:
+            monkeypatch.setattr(os, "replace", interrupt)
+            with pytest.raises(KeyboardInterrupt):
+                session.export_database(str(tmp_path / "out.sqlite"))
+        assert sorted(os.listdir(tmp_path)) == before
+
     def test_missing_directory(self, small_corpus, tmp_path):
         with register(small_corpus) as session:
             with pytest.raises(FileNotFoundError):
