@@ -143,8 +143,10 @@ def python_extension_check(session: Session, path: str, module_name: str) -> Opt
 
 # One grouped scan of both files keeps the rowid of each (name, type)'s first
 # row in each file (rowids follow the reader's order: .dynsym, then .symtab,
-# each by index); the report fetches those rows by rowid.  An unchanged symbol
-# gets no change and drops out; changes sort ADDED, REMOVED, RESIZED.
+# each by index); the report fetches those rows by rowid.  A (name, type) in
+# both files whose rows there all have one size is unchanged whichever rows
+# are first, so the scan drops it before any fetch; another unchanged symbol
+# gets no change and drops out after.  Changes sort ADDED, REMOVED, RESIZED.
 _DIFF_SQL = """
     WITH firsts AS (
         SELECT name, type, MIN(CASE WHEN path = :a THEN rowid END) AS a,
@@ -152,6 +154,7 @@ _DIFF_SQL = """
         FROM elf_symbols
         WHERE path IN (:a, :b) AND size != 0 AND type IN ('FUNC', 'OBJECT')
         GROUP BY name, type
+        HAVING a IS NULL OR b IS NULL OR MIN(size) != MAX(size)
     )
     SELECT CASE WHEN firsts.a IS NULL THEN 'ADDED' WHEN firsts.b IS NULL THEN 'REMOVED'
                 WHEN old.size != new.size THEN 'RESIZED' END AS change,

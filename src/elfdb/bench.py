@@ -20,6 +20,7 @@ from collections import namedtuple
 from collections.abc import Iterable, Sequence
 from itertools import accumulate, chain, compress, groupby, repeat, takewhile
 from operator import add
+from string import Formatter
 from typing import NamedTuple, Optional
 
 from . import reader
@@ -288,7 +289,29 @@ class GeneratedElfSpec(Frozen):
         self._assign(symbol_count, name_pattern)
 
     def names(self) -> list[str]:
-        return [self.name_pattern.format(index=i) for i in range(self.symbol_count)]
+        """`name_pattern.format(index=i)` for each i below `symbol_count`."""
+        split = _index_field(self.name_pattern)
+        if split is None:
+            return [self.name_pattern.format(index=i) for i in range(self.symbol_count)]
+        before, spec, after = split
+        return [before + n + after for n in map(format, range(self.symbol_count), repeat(spec))]
+
+
+def _index_field(pattern: str) -> Optional[tuple[str, str, str]]:
+    """The literal text before and after `pattern`'s one field and the
+    field's SPEC, when that field is `{index:SPEC}` with no conversion."""
+    try:
+        parts = list(Formatter().parse(pattern))
+    except ValueError:  # str.format raises it at the first name
+        return None
+    fields = [i for i, (_, field, _, _) in enumerate(parts) if field is not None]
+    if len(fields) != 1:
+        return None
+    at = fields[0]
+    _, field, spec, conversion = parts[at]
+    if field != "index" or conversion is not None or "{" in spec:
+        return None
+    return "".join(p[0] for p in parts[: at + 1]), spec, "".join(p[0] for p in parts[at + 1 :])
 
 
 class Manifest(NamedTuple):

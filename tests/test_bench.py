@@ -4,6 +4,8 @@ import os
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from elfdb import reader
 from elfdb.bench import GeneratedElfSpec, SymbolSpec, generate_elf, write_elf
@@ -18,6 +20,11 @@ from conftest import (
     symbol_table,
     varied_elf_kwargs,
 )
+
+
+def _literal(text: str) -> str:
+    """`text` as the literal part of a format string."""
+    return text.replace("{", "{{").replace("}", "}}")
 
 
 class TestGenerateElf:
@@ -58,6 +65,41 @@ class TestGenerateElf:
             GeneratedElfSpec(symbol_count=3, name_pattern="fn_{index}"), dest
         )
         assert manifest.names == ("fn_0", "fn_1", "fn_2")
+
+    @given(
+        st.one_of(
+            st.builds(
+                lambda before, spec, after: f"{_literal(before)}{{index{spec}}}{_literal(after)}",
+                st.text(max_size=8),
+                st.from_regex(
+                    r"(:(.?[<>=^])?[-+ ]?#?0?[0-9]{0,2}[,_]?[bcdoxXn]?)?", fullmatch=True
+                ),
+                st.text(max_size=8),
+            ),
+            # Patterns that keep str.format for every name, or that it refuses.
+            st.sampled_from(
+                [
+                    "{index}_{index:x}", "{index!r}", "{index!r:x}", "{index!s:>5}", "{index.real}",
+                    "{index:{index}}", "plain", "{{index}}", "{", "}", "{0}", "{name}", "{index:q}",
+                ]
+            ),
+        ),
+        st.integers(min_value=0, max_value=300),
+    )
+    @example("{index}", 12)  # a bare number
+    @example("{index:06}", 12)
+    @example("grüße_{index:02}", 12)
+    @example("名前{index:x}_末", 300)
+    def test_names_equal_str_format(self, pattern, count):
+        spec = GeneratedElfSpec(count, pattern)
+        try:
+            want = [pattern.format(index=i) for i in range(count)]
+        except Exception as error:
+            with pytest.raises(type(error)) as raised:
+                spec.names()
+            assert raised.value.args == error.args
+        else:
+            assert spec.names() == want
 
     def test_checked_in_fixture_matches_generator(self, tmp_path):
         spec = importlib.util.spec_from_file_location(

@@ -1,11 +1,13 @@
 import ctypes
 import ctypes.util
+import itertools
 import os
 import sqlite3
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 from elfdb import corpus, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.cxxabi import default_decoder, demangle
-from elfdb.disasm import DEFAULT_DECODER, Decoded
+from elfdb.disasm import _ONE_BYTE, _REG32, _REG64, DEFAULT_DECODER, Decoded, X86_64Decoder
 from elfdb.engine import _CREATE_SQL, _INSERT_SQL
 from elfdb.model import derive_export_import, section_name_for_symbol
 from elfdb.reader import DataEncoding, ElfClass, SymbolTableKind, load_elf, render_code
@@ -523,7 +525,46 @@ class TestStringTuples:
             assert list(model.string_tuples(obj)) == want, path
 
 
-def reference_instruction_tuples(obj, decoder=DEFAULT_DECODER) -> list[tuple]:
+class RuleScanDecoder(X86_64Decoder):
+    """The rule scan that `X86_64Decoder.decode` replaced with its first-byte
+    table, kept verbatim as the reference it must equal."""
+
+    def decode(self, buf: bytes, offset: int, address: int) -> Optional[Decoded]:
+        op = buf[offset]
+        if op in _ONE_BYTE:
+            return Decoded(1, _ONE_BYTE[op], "")
+        if 0x50 <= op <= 0x57:
+            return Decoded(1, "push", _REG64[op - 0x50])
+        if 0x58 <= op <= 0x5F:
+            return Decoded(1, "pop", _REG64[op - 0x58])
+        if op == 0xC2 and offset + 3 <= len(buf):
+            imm = int.from_bytes(buf[offset + 1 : offset + 3], "little")
+            return Decoded(3, "ret", f"{imm:#x}")
+        if op == 0xCD and offset + 2 <= len(buf):
+            return Decoded(2, "int", f"{buf[offset + 1]:#x}")
+        if 0xB8 <= op <= 0xBF and offset + 5 <= len(buf):
+            imm = int.from_bytes(buf[offset + 1 : offset + 5], "little")
+            return Decoded(5, "mov", f"{_REG32[op - 0xB8]}, {imm:#x}")
+        if op == 0xEB and offset + 2 <= len(buf):
+            rel = int.from_bytes(buf[offset + 1 : offset + 2], "little", signed=True)
+            return Decoded(2, "jmp", f"{address + 2 + rel:#x}")
+        if op in (0xE8, 0xE9) and offset + 5 <= len(buf):
+            rel = int.from_bytes(buf[offset + 1 : offset + 5], "little", signed=True)
+            mnemonic = "call" if op == 0xE8 else "jmp"
+            return Decoded(5, mnemonic, f"{address + 5 + rel:#x}")
+        if op == 0x31 and offset + 2 <= len(buf):
+            modrm = buf[offset + 1]
+            if modrm >> 6 == 0b11:
+                return Decoded(2, "xor", f"{_REG32[modrm & 7]}, {_REG32[(modrm >> 3) & 7]}")
+        if buf[offset : offset + 4] == b"\xf3\x0f\x1e\xfa":
+            return Decoded(4, "endbr64", "")
+        return None
+
+
+RULE_SCAN = RuleScanDecoder()
+
+
+def reference_instruction_tuples(obj, decoder=RULE_SCAN) -> list[tuple]:
     """The per-row loop that `instruction_tuples` replaced, kept as the
     reference it must equal."""
     if decoder is None or not decoder.supports(obj.header.machine_code):
@@ -632,6 +673,68 @@ class TestInstructionTuples:
         finally:
             del DEFAULT_DECODER.decode
         assert list(model.instruction_tuples(obj)) == reference_instruction_tuples(obj)
+
+
+# Bytes after a first byte that change a rule's outcome: none, a register
+# and a memory ModRM for 0x31, endbr64's tail and near misses of it, and
+# immediates with the sign bit set and clear.
+_CONTINUATIONS = (
+    b"",
+    *(bytes([modrm]) for modrm in (0x00, 0x08, 0x3F, 0x40, 0x7F, 0x80, 0xBF)),
+    *(bytes([modrm]) for modrm in range(0xC0, 0x100)),
+    b"\x0f\x1e\xfa",
+    b"\x0f\x1e\xfb",
+    b"\x0f\x1e\xfa\x90",
+    b"\x0f\x1f\xfa",
+    b"\x0e\x1e\xfa",
+    b"\x0f\x1e",
+    b"\x00\x00\x00\x00",
+    b"\xff\xff\xff\xff",
+    b"\x00\x00\x00\x80",
+    b"\x80\x00\x00\x00\x00",
+    b"\xfe\xff\xff\x7f\xcc",
+)
+
+
+def assert_decodes_as_the_rule_scan(buf: bytes, base: int = 0x1000) -> None:
+    addresses = range(base, base + len(buf))
+    want = list(map(RULE_SCAN.decode, itertools.repeat(buf), range(len(buf)), addresses))
+    got = list(map(DEFAULT_DECODER.decode, itertools.repeat(buf), range(len(buf)), addresses))
+    if got != want:
+        offset = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        raise AssertionError((buf[offset : offset + 8].hex(), offset, got[offset], want[offset]))
+
+
+class TestFirstByteTable:
+    def test_every_first_byte_and_continuation(self):
+        for op in range(256):
+            for tail in _CONTINUATIONS:
+                for base in (0, 0x1000, 2**64 - 3):
+                    assert_decodes_as_the_rule_scan(bytes([op]) + tail, base)
+
+    def test_instructions_cut_short_at_the_section_end(self):
+        # Each instruction of at least two bytes, cut 1-5 bytes short; the
+        # earlier offsets of each buffer are cut further still.
+        for whole in "c20800 cd80 b801000000 ebfe e8fbffffff e900000080 31c0 f30f1efa".split():
+            code = bytes.fromhex(whole)
+            for cut in range(1, 6):
+                assert_decodes_as_the_rule_scan(code[: len(code) - cut])
+                assert_decodes_as_the_rule_scan(b"\x90" + code[: len(code) - cut])
+
+    @pytest.mark.parametrize("name", ["libz.so.1", "libc.so.6"])
+    def test_exec_sections_of_system_libraries(self, name):
+        path = os.path.join("/lib/x86_64-linux-gnu", name)
+        if not os.path.isfile(path):
+            pytest.skip(f"{path} is absent")
+        obj = load_elf(path)
+        sections = [
+            s
+            for s in obj.sections
+            if s.flags & reader.SHF_EXECINSTR and s.type_code != reader.SHT_NOBITS
+        ]
+        assert sections, path
+        for sec in sections:
+            assert_decodes_as_the_rule_scan(sec.content, sec.address)
 
 
 class TestSmallTableTuples:
