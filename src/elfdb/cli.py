@@ -12,11 +12,10 @@ and, through `model`, the instruction decoder load on first use.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sqlite3
 import sys
-from typing import Optional, Sequence
+from typing import Optional, Sequence, TextIO
 
 from . import corpus, engine, reader
 from .engine import Session, SqlError
@@ -32,45 +31,46 @@ def _cell_text(value) -> str:
     return str(value)
 
 
-def format_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+def write_table(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> None:
+    """Columns padded to their widest cell, `|` between them, each line's
+    trailing blanks dropped; the widths need every cell's text first."""
     cells = [[_cell_text(v) for v in row] for row in rows]
     widths = [len(c) for c in columns]
     for row in cells:
         for i, cell in enumerate(row):
             widths[i] = max(widths[i], len(cell))
-    header = " | ".join(c.ljust(w) for c, w in zip(columns, widths))
-    rule = "-+-".join("-" * w for w in widths)
-    body = [" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
-    return "\n".join([header.rstrip(), rule] + body)
+    out.write(" | ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip() + "\n")
+    out.write("-+-".join("-" * w for w in widths) + "\n")
+    for row in cells:
+        out.write(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
 
 
-def format_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+def write_csv(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> None:
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell_text(v) for v in row])
-    return buf.getvalue().rstrip("\n")
+    writer.writerows([_cell_text(v) for v in row] for row in rows)
 
 
-def format_json(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+def write_json(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> None:
+    """The text of `json.dumps` of the list of records, one record at a time."""
     import json
 
-    records = [
-        {col: (_cell_text(v) if isinstance(v, bytes) else v) for col, v in zip(columns, row)}
-        for row in rows
-    ]
-    return json.dumps(records, ensure_ascii=False)
+    encode = json.JSONEncoder(ensure_ascii=False).encode  # as json.dumps(..., ensure_ascii=False)
+    separator = ""
+    out.write("[")
+    for row in rows:
+        record = {col: (_cell_text(v) if isinstance(v, bytes) else v) for col, v in zip(columns, row)}
+        out.write(separator + encode(record))
+        separator = ", "
+    out.write("]\n")
 
 
-def render(fmt: str, columns: Sequence[str], rows: Sequence[tuple]) -> str:
-    if fmt == "csv":
-        return format_csv(columns, rows)
-    if fmt == "json":
-        return format_json(columns, rows)
-    return format_table(columns, rows)
+def write(fmt: str, columns: Sequence[str], rows: Sequence[tuple]) -> None:
+    """Print a result in format `fmt`, a line at a time, to the current
+    `sys.stdout`."""
+    {"table": write_table, "csv": write_csv, "json": write_json}[fmt](columns, rows, sys.stdout)
 
 
 def _add_corpus_args(parser: argparse.ArgumentParser, with_format: bool = True) -> None:
@@ -126,7 +126,7 @@ def cmd_query(args) -> int:
             return 1
     with build_session(args) as session:
         result = session.execute(sql)
-        print(render(args.format, result.columns, result.rows))
+        write(args.format, result.columns, result.rows)
     return 0
 
 
@@ -164,7 +164,7 @@ def cmd_repl(args) -> int:
             except (SqlError, reader.ElfError) as exc:  # a file changed before its fill, too
                 print(f"error: {exc}", file=sys.stderr)
                 continue
-            print(render("table", result.columns, result.rows))
+            write("table", result.columns, result.rows)
     return 0
 
 
@@ -182,7 +182,7 @@ def cmd_audit(args) -> int:
 
     with build_session(args) as session:
         report = analyses.interposition_audit(session)
-    print(render(args.format, report.columns, report.rows))
+    write(args.format, report.columns, report.rows)
     return 0
 
 
@@ -195,7 +195,7 @@ def cmd_diff(args) -> int:
     if not report.rows and args.format == "table":
         print("no differences")
     else:
-        print(render(args.format, report.columns, report.rows))
+        write(args.format, report.columns, report.rows)
     return 0
 
 
@@ -206,10 +206,10 @@ def cmd_histogram(args) -> int:
         raise UsageError(f"--bucket-width must be >= 1, got {args.bucket_width}")
     with build_session(args) as session:
         report = analyses.symbol_histogram(session, bucket_width=args.bucket_width)
-    print(render(args.format, report.columns, report.rows))
+    write(args.format, report.columns, report.rows)
     if args.format == "table" and report.buckets:
         print()
-        print(format_table(("bucket", "files"), report.buckets))
+        write("table", ("bucket", "files"), report.buckets)
     return 0
 
 

@@ -30,6 +30,7 @@ from .reader import (
     SHN_COMMON,
     SHN_LORESERVE,
     SHN_UNDEF,
+    SHN_XINDEX,
     SHT_NOBITS,
     SHT_STRTAB,
     SYMBOL_BINDING_NAMES,
@@ -181,20 +182,28 @@ _SYMBOL_CHUNK = 4096
 
 
 def _symbol_columns(
-    obj: ElfObject, kind: SymbolTableKind, keys: Iterable[tuple[int, int, int]]
-) -> dict[tuple[int, int, int], tuple]:
+    obj: ElfObject, kind: SymbolTableKind, keys: Iterable[tuple[int, ...]]
+) -> dict[tuple[int, ...], tuple]:
     """(section, type, binding, visibility, exported, imported) for each
     distinct (st_info, st_other, st_shndx) of `keys`, from a table of `kind`.
+    In a table with extended section indices each key ends with the
+    record's index word too, and an SHN_XINDEX record's section is the
+    section that word gives: any index, even one in the reserved range.
 
     Those columns depend on nothing else, so each combination is derived
     once.
     """
     columns = {}
     for key in dict.fromkeys(keys):
-        info, other, shndx = key
+        info, other, shndx, *extended = key
+        if extended and shndx == SHN_XINDEX:
+            shndx = extended[0]
+            section = obj.sections[shndx].name if shndx else _SHN_NAMES[SHN_UNDEF]
+        else:
+            section = section_name_for_symbol(obj, shndx)
         exported, imported = derive_export_import(info, other, shndx, kind)
         columns[key] = (
-            section_name_for_symbol(obj, shndx),
+            section,
             render_code(info & 0xF, SYMBOL_TYPE_NAMES),
             render_code(info >> 4, SYMBOL_BINDING_NAMES),
             render_code(other & 0x3, SYMBOL_VISIBILITY_NAMES),
@@ -226,13 +235,13 @@ def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
             for word, (version, _default) in table.version_of.items()
         }
         for start in range(0, len(table), _SYMBOL_CHUNK):
-            name_offsets, infos, others, shndxs, values, sizes, words = table.fields(
+            name_offsets, infos, others, shndxs, values, sizes, words, extended = table.fields(
                 start, start + _SYMBOL_CHUNK
             )
-            columns = _symbol_columns(obj, table.kind, zip(infos, others, shndxs))
+            keys = (infos, others, shndxs, extended) if extended else (infos, others, shndxs)
+            columns = _symbol_columns(obj, table.kind, zip(*keys))
             rows = zip(
-                count(start), names_at(name_offsets),
-                map(columns.__getitem__, zip(infos, others, shndxs)),
+                count(start), names_at(name_offsets), map(columns.__getitem__, zip(*keys)),
                 _db_ints(values), _db_ints(sizes), chain(map(stored.__getitem__, words), repeat(0)),
             )
             for (

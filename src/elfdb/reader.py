@@ -64,6 +64,7 @@ SHT_STRTAB = 3
 SHT_DYNAMIC = 6
 SHT_NOBITS = 8
 SHT_DYNSYM = 11
+SHT_SYMTAB_SHNDX = 18
 SHT_GNU_VERDEF = 0x6FFFFFFD
 SHT_GNU_VERNEED = 0x6FFFFFFE
 SHT_GNU_VERSYM = 0x6FFFFFFF
@@ -438,7 +439,9 @@ class SymbolTable(Frozen):
     versioned .dynsym, `versym` holds the versym words of its leading
     records (one per record, fewer if the versym section is shorter) and
     `version_of` maps each of those words to its (version, default) pair;
-    otherwise both are empty.
+    otherwise both are empty.  For a table with an SHN_XINDEX record and an
+    SHT_SYMTAB_SHNDX section linked to it, `extended` holds that section's
+    word for each record; otherwise it is empty.
 
     `len` is the symbol count.  Entry i of each column (`names`, `infos`,
     `others`, `shndxs`, `values`, `sizes`, `versions`) belongs to the symbol
@@ -447,7 +450,7 @@ class SymbolTable(Frozen):
     range of records.
     """
 
-    _fields = __slots__ = ("kind", "view", "strtab", "layout", "versym", "version_of")
+    _fields = __slots__ = ("kind", "view", "strtab", "layout", "versym", "version_of", "extended")
 
     def __init__(
         self,
@@ -457,22 +460,23 @@ class SymbolTable(Frozen):
         layout: _Layouts,
         versym: memoryview,
         version_of: dict[int, tuple[Optional[str], bool]],
+        extended: memoryview,
     ):
-        self._assign(kind, view, strtab, layout, versym, version_of)
+        self._assign(kind, view, strtab, layout, versym, version_of, extended)
 
     def __len__(self) -> int:
         return len(self.view) // self.layout.sym_size
 
     def fields(self, start: int, stop: int) -> list[list[int]]:
         """The st_name, st_info, st_other, st_shndx, st_value and st_size of
-        records [start, stop), one list per field, and then the versym word
-        of each of those records that has one."""
+        records [start, stop), one list per field, then the versym word of
+        each of those records that has one, then their `extended` words."""
         lay = self.layout
         size = lay.sym_size
         records = self.view[start * size : stop * size]
-        words = self.versym[start * 2 : stop * 2]
         columns = _field_columns(records, lay, size, lay.sym_columns)
-        columns += _field_columns(words, lay, 2, ((0, 2),))
+        columns += _field_columns(self.versym[start * 2 : stop * 2], lay, 2, ((0, 2),))
+        columns += _field_columns(self.extended[start * 4 : stop * 4], lay, 4, ((0, 4),))
         return [column.tolist() for column in columns]
 
     def name_reader(self) -> Callable[[Iterable[int]], list[str]]:
@@ -805,6 +809,23 @@ def _linked_view(sections: Sequence[Section], link: int, what: str) -> memoryvie
     return sections[link].view
 
 
+def _extended_indices(sec: Section, sections: Sequence[Section], count: int) -> memoryview:
+    """The words of the first SHT_SYMTAB_SHNDX section linked to symbol table
+    `sec`, one for each of its `count` records, as readelf reads them; an
+    empty view when no such section exists."""
+    linked = next(
+        (s for s in sections if s.type_code == SHT_SYMTAB_SHNDX and s.link == sec.index), None
+    )
+    if linked is None:
+        return sec.view[:0]
+    if len(linked.view) < 4 * count:
+        raise Malformed(
+            f"{linked.name!r} holds {len(linked.view) // 4} section indices"
+            f" for the {count} symbols of {sec.name!r}"
+        )
+    return linked.view[: 4 * count]
+
+
 def _parse_symbol_table(
     sec: Section,
     kind: SymbolTableKind,
@@ -834,18 +855,27 @@ def _parse_symbol_table(
     if name_offsets and _NUL.search(strtab, max(name_offsets)) is None:
         last = bytes(strtab).rfind(b"\0")
         string_at(strtab, next(o for o in name_offsets if o > last), "symbol name")  # raises
-    dangling = {x for x in set(shndxs) if shnum <= x < SHN_LORESERVE}
+    distinct = set(shndxs)
+    dangling = {x for x in distinct if shnum <= x < SHN_LORESERVE}
     if dangling:
         i = next(i for i, x in enumerate(shndxs) if x in dangling)
         raise Malformed(
             f"symbol {i} in {sec.name!r} references section {shndxs[i]} of {shnum}"
         )
+    extended = sec.view[:0]
+    if SHN_XINDEX in distinct:
+        # An SHN_XINDEX record's section index is its word in `extended`.
+        extended = _extended_indices(sec, sections, len(shndxs))
+        indices = _field_columns(extended, lay, 4, ((0, 4),))[0]
+        i = next((i for i, x in enumerate(indices) if x >= shnum and shndxs[i] == SHN_XINDEX), None)
+        if i is not None:
+            raise Malformed(f"symbol {i} in {sec.name!r} references section {indices[i]} of {shnum}")
     # The whole halfwords of `.gnu.version`, one per record, version a .dynsym.
     count = len(sec.view) // entsize if kind == SymbolTableKind.DYNSYM else 0
     versym = versym[: min(len(versym) // 2, count) * 2]
     words = _field_columns(versym, lay, 2, ((0, 2),))[0]
     version_of = {w: _version_of_word(w, verneed, verdef) for w in set(words)}
-    return SymbolTable(kind, sec.view, strtab, lay, versym, version_of)
+    return SymbolTable(kind, sec.view, strtab, lay, versym, version_of, extended)
 
 
 def _segment_strtab(data: memoryview, segments: list[Segment], records: list[tuple]) -> memoryview:

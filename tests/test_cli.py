@@ -1,14 +1,18 @@
+import io
 import json
 import os
 import sqlite3
 import subprocess
 import sys
+from typing import Sequence
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from elfdb import corpus, engine, reader
-from elfdb.bench import SymbolSpec, write_elf
-from elfdb.cli import FORMATS, main
+from elfdb.bench import GeneratedElfSpec, SymbolSpec, generate_elf, write_elf
+from elfdb.cli import FORMATS, _cell_text, main, write_csv, write_json, write_table
 from elfdb.engine import register
 
 from conftest import RUBY_LIKE, child_env, exported_funcs, run_child
@@ -448,6 +452,108 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, "")
+
+
+# The string builders that the writers replaced, kept as the reference
+# whose string, with print's newline, each writer's output must equal.
+def format_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+    cells = [[_cell_text(v) for v in row] for row in rows]
+    widths = [len(c) for c in columns]
+    for row in cells:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    header = " | ".join(c.ljust(w) for c, w in zip(columns, widths))
+    rule = "-+-".join("-" * w for w in widths)
+    body = [" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in cells]
+    return "\n".join([header.rstrip(), rule] + body)
+
+
+def format_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_cell_text(v) for v in row])
+    return buf.getvalue().rstrip("\n")
+
+
+def format_json(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+    records = [
+        {col: (_cell_text(v) if isinstance(v, bytes) else v) for col, v in zip(columns, row)}
+        for row in rows
+    ]
+    return json.dumps(records, ensure_ascii=False)
+
+
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(',"| \n')), max_size=12)
+_CELLS = st.one_of(
+    st.none(), st.integers(-(2**63), 2**63 - 1), st.floats(), st.binary(max_size=8), _TEXT
+)
+
+
+@st.composite
+def results(draw) -> tuple[list[str], list[tuple]]:
+    """Column names and rows as a statement gives them: no statement gives
+    rows without columns."""
+    columns = draw(st.lists(_TEXT, max_size=4))
+    rows = draw(st.lists(st.tuples(*[_CELLS] * len(columns)), max_size=5)) if columns else []
+    return columns, rows
+
+
+@given(results())
+@example(([], []))
+@example((["a", "b"], []))
+@example((["name", "x"], [("", None), ("grüße,\"|\n ", b"\0\xff"), (" ", -(2**63))]))
+def test_writers_equal_the_reference_strings(result):
+    columns, rows = result
+    for write, reference in (
+        (write_table, format_table), (write_csv, format_csv), (write_json, format_json)
+    ):
+        out = io.StringIO()
+        write(columns, rows, out)
+        assert out.getvalue() == reference(columns, rows) + "\n", write.__name__
+
+
+def test_output_path_memory_does_not_grow_with_the_printed_bytes(tmp_path):
+    """Each `SELECT *` child peaks below the `COUNT(*)` child's peak plus
+    half the bytes it printed.
+
+    The bound: the `COUNT(*)` child fills the same table, so its peak is the
+    fill's.  A writer holds one line of output at a time, so only the rows
+    fetched and, for `table`, each cell's text come on top.  Holding the
+    whole output as one string, and then as its encoded bytes, adds at
+    least the printed bytes once more, twice the bound's margin.  On a
+    2-vCPU x86-64 host the `COUNT(*)` child peaked at 66 MB; the string
+    builders at 149, 143 and 159 MB for 41.4, 40.9 and 42.7 MB printed
+    (table, csv, json); the writers at 69, 66 and 66 MB."""
+    path = str(tmp_path / "wide.so")
+    generate_elf(GeneratedElfSpec(10_000, name_pattern="w" * 2000 + "_{index:05}"), path)
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+
+    def peak_and_printed(sql: str, fmt: str) -> tuple[int, int]:
+        """The child's own peak RSS and the bytes it printed.  Each child is
+        waited on by pid: RUSAGE_CHILDREN keeps the largest of all children."""
+        child = subprocess.Popen(
+            [sys.executable, "-m", "elfdb.cli", "query", path, "--format", fmt, "--sql", sql],
+            env=env, stdout=subprocess.PIPE,
+        )
+        printed = 0
+        while chunk := child.stdout.read(1 << 16):
+            printed += len(chunk)
+        child.stdout.close()
+        _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by Popen
+        assert child.returncode == 0
+        return usage.ru_maxrss * 1024, printed
+
+    floor, _ = peak_and_printed("SELECT COUNT(*) FROM elf_symbols", "csv")
+    for fmt in FORMATS:
+        peak, printed = peak_and_printed("SELECT * FROM elf_symbols", fmt)
+        assert printed > 40e6, fmt
+        assert peak < floor + printed / 2, (fmt, peak, floor, printed)
 
 
 class TestChangedFile:

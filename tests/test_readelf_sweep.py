@@ -22,7 +22,9 @@ The comparison keeps to where the two tools name things differently:
   elfdb keeps the name whole, with no version, as `.symtab` has none.
 * readelf names an unnamed `STT_SECTION` symbol after its section.
 * readelf calls the GNU version sections `VERSYM`, `VERDEF` and `VERNEED`,
-  and shows section flags elfdb does not render (such as `R`, retain, and
+  and SHT_SYMTAB_SHNDX `SYMTAB SECTION INDICES`, where elfdb writes
+  `GNU_VERSYM`, `GNU_VERDEF`, `GNU_VERNEED` and `SYMTAB_SHNDX`.  It shows
+  section flags elfdb does not render (such as `R`, retain, and
   `l`, large); elfdb's `flags` holds the generic letters only.
 * readelf names processor-specific section types by machine.  elfdb names
   them for the machines of `reader.PROCESSOR_SECTION_TYPE_NAMES`, x86-64's
@@ -69,7 +71,10 @@ SWEEP_FILES = 24
 
 _SYMBOL_BINDINGS = {"UNIQUE": "GNU_UNIQUE", "OS_SPECIFIC_10": "GNU_UNIQUE"}
 _SYMBOL_TYPES = {"IFUNC": "GNU_IFUNC", "OS_SPECIFIC_10": "GNU_IFUNC"}
-_SECTION_TYPES = {"VERSYM": "GNU_VERSYM", "VERDEF": "GNU_VERDEF", "VERNEED": "GNU_VERNEED"}
+_SECTION_TYPES = {
+    "VERSYM": "GNU_VERSYM", "VERDEF": "GNU_VERDEF", "VERNEED": "GNU_VERNEED",
+    "SYMTAB SECTION INDICES": "SYMTAB_SHNDX",
+}
 _SHT_LOPROC, _SHT_HIPROC = 0x70000000, 0x7FFFFFFF
 _SHNDX = {"UND": "SHN_UNDEF", "ABS": "SHN_ABS", "COM": "SHN_COMMON"}
 # The generic flag letters, the only ones elfdb renders.
@@ -85,9 +90,10 @@ _MACHINES = {
     "IBM S/390": "S390", "Linux BPF": "BPF",
 }
 
+# readelf writes every section type as one word but SHT_SYMTAB_SHNDX's.
 _SECTION_LINE = re.compile(
-    r"^\s*\[\s*(\d+)\] (\S*)\s+(\S+)\s+([0-9a-f]+) ([0-9a-f]+) ([0-9a-f]+) ([0-9a-f]+)"
-    r"\s+(\S*)\s+(\d+)\s+(\d+)\s+(\d+)$"
+    r"^\s*\[\s*(\d+)\] (\S*)\s+(SYMTAB SECTION INDICES|\S+)\s+"
+    r"([0-9a-f]+) ([0-9a-f]+) ([0-9a-f]+) ([0-9a-f]+)\s+(\S*)\s+(\d+)\s+(\d+)\s+(\d+)$"
 )
 _HEADER_LINE = re.compile(r"^\s+([^:]+):\s+(.*)$")
 _STRING_DUMP = re.compile(r"^String dump of section '(.*)':$")
@@ -455,6 +461,69 @@ def test_reserved_symbol_index_matches_readelf(tmp_path, shndx, machine, section
     rows = named_rows("elf_symbols", reader.load_elf(path))
     assert [r["section"] for r in rows if r["name"] == "tentative"] == [section]
     assert mismatches(path) == []
+
+
+def extended_index_of_tentative(
+    tmp_path, words: int | None = None, index: int | None = None
+) -> str:
+    """`symtab_symbol_in`'s file with st_shndx SHN_XINDEX, and with a
+    `.symtab_shndx` section (SHT_SYMTAB_SHNDX, linked to .symtab) whose word
+    for `tentative` is `index`, by default that of `.text`.  It holds `words`
+    words, one per .symtab record by default.  The new section's name joins
+    a copy of .shstrtab, and the section header table is copied with it,
+    all three at the end of the file."""
+    path = symtab_symbol_in(tmp_path, reader.SHN_XINDEX)
+    obj = reader.load_elf(path)
+    hdr, symtab = obj.header, obj.section_named(".symtab")
+    shstrtab = obj.sections[hdr.shstrndx]
+    indices = [0] * (len(symtab.view) // 24)
+    tentative = symbol_table(obj, SymbolTableKind.SYMTAB).names.index("tentative")
+    indices[tentative] = obj.section_named(".text").index if index is None else index
+    indices = indices[:words]
+    data = bytearray(Path(path).read_bytes())
+    data += bytes(-len(data) % 8)
+    indices_at = len(data)
+    data += struct.pack(f"<{len(indices)}I", *indices)
+    names_at = len(data)
+    data += bytes(shstrtab.view) + b".symtab_shndx\0"
+    data += bytes(-len(data) % 8)
+    headers_at = len(data)
+    data += data[hdr.shoff : hdr.shoff + len(obj.sections) * hdr.shentsize]
+    struct.pack_into(
+        "<QQ", data, headers_at + shstrtab.index * hdr.shentsize + 24, names_at, len(data) - names_at
+    )
+    data += struct.pack(
+        "<IIQQQQIIQQ", len(shstrtab.view), 18, 0, 0, indices_at, 4 * len(indices), symtab.index, 0, 4, 4
+    )
+    struct.pack_into("<Q", data, E_SHOFF, headers_at)
+    struct.pack_into("<H", data, E_SHNUM, len(obj.sections) + 1)
+    Path(path).write_bytes(data)
+    return path
+
+
+def test_extended_symbol_index_matches_readelf(tmp_path):
+    """A symbol whose st_shndx is SHN_XINDEX is in the section its word in
+    the linked SHT_SYMTAB_SHNDX section gives, as readelf shows it."""
+    if READELF is None:
+        pytest.skip("readelf not available for oracle comparison")
+    path = extended_index_of_tentative(tmp_path)
+    rows = named_rows("elf_symbols", reader.load_elf(path))
+    assert [r["section"] for r in rows if r["name"] == "tentative"] == [".text"]
+    assert mismatches(path) == []
+
+
+@pytest.mark.parametrize(
+    "layout, message",
+    [
+        ({"words": 1}, "'.symtab_shndx' holds 1 section indices for the"),
+        ({"index": 99}, "references section 99 of"),
+    ],
+    ids=["word_past_section_end", "index_past_last_section"],
+)
+def test_extended_symbol_index_out_of_range_is_malformed(tmp_path, layout, message):
+    path = extended_index_of_tentative(tmp_path, **layout)
+    with pytest.raises(reader.Malformed, match=message):
+        reader.load_elf(path)
 
 
 @pytest.mark.parametrize("locale", ["C", "C.UTF-8"])
