@@ -15,6 +15,7 @@ import argparse
 import os
 import sqlite3
 import sys
+from itertools import chain
 from typing import Optional, Sequence, TextIO
 
 from . import corpus, engine, reader
@@ -46,11 +47,21 @@ def write_table(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> N
 
 
 def write_csv(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> None:
+    """The text of `csv.writer` with `\\n` line ends.  A row that needs no
+    quoting is joined as it is, as the stdlib writer copies each cell a
+    character at a time.  The writer writes the rest: a row with a cell
+    holding `,`, `"`, LF or CR (which Python 3.13 quotes and 3.11 does
+    not), and a row of one empty cell, which it writes as `""`."""
     import csv
 
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows([_cell_text(v) for v in row] for row in rows)
+    for cells in chain((columns,), ([_cell_text(v) for v in row] for row in rows)):
+        line = ",".join(cells)
+        plain = line and line.count(",") == len(cells) - 1
+        if plain and '"' not in line and "\n" not in line and "\r" not in line:
+            out.write(line + "\n")
+        else:
+            writer.writerow(cells)
 
 
 def write_json(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> None:

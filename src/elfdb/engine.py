@@ -1,14 +1,18 @@
 """Bridge between the relational schema and an embedded SQLite engine.
 
 A Session owns a private temporary SQLite database, opened with an empty
-file name, holding the seven schema tables.  At most SQLite's default page
-cache (2 MiB) of it stays in memory.  Once the database outgrows the cache,
-SQLite writes the other pages to a file that it unlinks as soon as it opens
-it, in the first writable directory of `SQLITE_TMPDIR`, `TMPDIR`,
-`/var/tmp`, `/usr/tmp`, `/tmp` and `.`.  The file grows to about the size
-of the session's export and is gone when the session closes, or the process
-ends.  A fill that meets a full disk (SQLITE_FULL) raises the error of the
-call that ran it and leaves its table empty and pending.
+file name, holding the seven schema tables in 16 KiB pages, four times
+SQLite's default: a scan or a BLOB read pays the per-page cost a quarter as
+often, in the session and in any stock reader of its export, whose pages
+are the session's.  At most SQLite's default page cache (2 MiB, set in
+bytes, so a quarter as many pages) of it stays in memory.  Once the
+database outgrows the cache, SQLite writes the other pages to a file that
+it unlinks as soon as it opens it, in the first writable directory of
+`SQLITE_TMPDIR`, `TMPDIR`, `/var/tmp`, `/usr/tmp`, `/tmp` and `.`.  The
+file grows to about the size of the session's export and is gone when the
+session closes, or the process ends.  A fill that meets a full disk
+(SQLITE_FULL) raises the error of the call that ran it and leaves its table
+empty and pending.
 
 Each table follows a strategy: MEMOIZED tables are filled when the
 session is registered, LAZY tables are filled before the first statement
@@ -40,8 +44,8 @@ fill, and no statement of a fill is ever reused unchecked.
 
 `export_database` persists the whole schema, declared column types and
 `elf_symbols_path` included, to an ordinary SQLite 3 file with SQLite's
-online-backup API; any stock SQLite tooling reads it and plans with the same
-index.
+online-backup API, which gives the new file the session's page size; any
+stock SQLite tooling reads it and plans with the same index.
 """
 
 from __future__ import annotations
@@ -112,6 +116,14 @@ _CREATE_SQL = {
     )
     for name, columns in SCHEMA.items()
 }
+
+# The session database's page size, set before its first table; an export
+# keeps it.  Stock sqlite3 counting the .dynsym rows of an export of 1e5
+# generated symbols scans the 723 pages of elf_symbols, where SQLite's
+# default of 4 KiB made 2,936, and takes about 16% less time.  Larger pages
+# waste more of each small table's last page: 32 KiB made libz's export
+# 2.9% larger than 16 KiB, and 16 KiB 0.7% larger than 4 KiB.
+_PAGE_SIZE = 16384
 
 # Rows per multi-row INSERT.  Each `executemany` step costs about as much as
 # binding a whole row, so a fill steps once per batch.  A batch of the widest
@@ -189,6 +201,7 @@ class Session:
         self._allowlist = partial(Session._authorize, weakref.proxy(self))
         try:
             try:
+                self._conn.execute(f"PRAGMA page_size = {_PAGE_SIZE}")
                 for name in TABLE_NAMES:
                     self._conn.execute(_CREATE_SQL[name])
                 # Each table's root page, mapped once: elf_symbols_path exists only once

@@ -233,7 +233,10 @@ def mapped_elf(tmp_path_factory) -> str:
     return os.path.realpath(path)
 
 
-# Pages a limited session database may hold: the schema and a few rows.
+# Pages a limited session database may hold: the 8 schema pages (the
+# schema table's and one root per table) plus 8 pages of rows, 128 KiB at
+# the session's 16 KiB pages.  The limit is set before the session sets its
+# page size, and holds as a count of pages.
 SESSION_PAGE_LIMIT = 16
 
 

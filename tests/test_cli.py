@@ -516,6 +516,29 @@ def test_writers_equal_the_reference_strings(result):
         assert out.getvalue() == reference(columns, rows) + "\n", write.__name__
 
 
+@pytest.mark.parametrize(
+    "row",
+    [
+        ("", ""), ("",), (None,), ("a", ""), ("", "b"),
+        ('say "hi"', "x"), ('"',), ("a,b", "c"), (",",), ("a", ",", "b"),
+        ("cr\rlf", "x"), ("\r",), ("line\nbreak",), ("\r\n", ""),
+        (" ", "  spaced  "), (" ",), ("grüße", "日本", "é,"), (b"\0\xff", b""), (b"",),
+        ("plain", 0, -1, 1.5),
+    ],
+)
+def test_csv_equals_the_stdlib_writer_byte_for_byte(row):
+    """A row `write_csv` joins itself and one it hands to `csv.writer` both
+    read as the stdlib writer writes them, as a header and as a row."""
+    import csv
+
+    cells = [_cell_text(v) for v in row]
+    expected = io.StringIO()
+    csv.writer(expected, lineterminator="\n").writerows([cells, cells])
+    out = io.StringIO()
+    write_csv(cells, [row], out)
+    assert out.getvalue().encode() == expected.getvalue().encode()
+
+
 def test_output_path_memory_does_not_grow_with_the_printed_bytes(tmp_path):
     """Each `SELECT *` child peaks below the `COUNT(*)` child's peak plus
     half the bytes it printed.

@@ -29,6 +29,7 @@ from elfdb.reader import DataEncoding, ElfClass, FileChanged
 
 from conftest import (
     RUBY_LIKE,
+    SESSION_PAGE_LIMIT,
     exported_funcs,
     lift_page_limit,
     readelf_symbol_tables,
@@ -931,6 +932,20 @@ class TestTemporaryDatabase:
     """The session database is SQLite's private temporary database: past
     its page cache it spills to a file that SQLite unlinks at once."""
 
+    @pytest.mark.parametrize("mode", list(StrategyMode))
+    def test_16_kib_pages_in_the_session_and_its_export(self, small_corpus, mode, tmp_path):
+        """The page cache keeps SQLite's default size in bytes, 2,000 KiB."""
+        dest = str(tmp_path / "snap.sqlite")
+        with register(small_corpus, dict.fromkeys(TABLE_NAMES, mode)) as session:
+            assert session.execute("PRAGMA page_size").rows == ((16384,),)
+            assert session.execute("PRAGMA cache_size").rows == ((-2000,),)
+            session.export_database(dest)
+        conn = sqlite3.connect(dest)
+        try:
+            assert conn.execute("PRAGMA page_size").fetchone() == (16384,)
+        finally:
+            conn.close()
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/statm"), reason="needs /proc/self/statm")
     def test_a_fill_keeps_memory_bounded(self, symbols_1e5):
         script = """
@@ -1182,6 +1197,9 @@ class TestFullDatabase:
 
     def test_a_query_raises_sql_error(self, mapped_elf, full_session_database):
         with register(corpus.add_paths([mapped_elf])) as session:
+            [conn] = full_session_database
+            assert conn.execute("PRAGMA page_size").fetchone() == (16384,)
+            assert conn.execute("PRAGMA max_page_count").fetchone() == (SESSION_PAGE_LIMIT,)
             assert session.execute("SELECT COUNT(*) FROM elf_headers").rows == ((1,),)
             with pytest.raises(SqlError, match="database or disk is full"):
                 session.execute("SELECT COUNT(*) FROM elf_symbols")
