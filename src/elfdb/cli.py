@@ -5,8 +5,10 @@ Exit codes: 0 success, 1 runtime error, 2 usage error, 141 (128 + SIGPIPE,
 as for `readelf` or `nm` killed by the signal) when the reader of stdout
 closed it early, as `elfdb query … | head -1` does; that exit prints nothing.
 
-A command imports only what it runs: the analyses, the JSON and CSV writers
-and, through `model`, the instruction decoder load on first use.
+A command imports only what it runs: the analyses, the JSON writer and,
+through `model`, the instruction decoder load on first use.  CSV is quoted
+by one rule of elfdb's own (see `write_csv`), so its bytes are the same on
+every Python.
 """
 
 from __future__ import annotations
@@ -46,22 +48,24 @@ def write_table(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> N
         out.write(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() + "\n")
 
 
-def write_csv(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> None:
-    """The text of `csv.writer` with `\\n` line ends.  A row that needs no
-    quoting is joined as it is, as the stdlib writer copies each cell a
-    character at a time.  The writer writes the rest: a row with a cell
-    holding `,`, `"`, LF or CR (which Python 3.13 quotes and 3.11 does
-    not), and a row of one empty cell, which it writes as `""`."""
-    import csv
+def _csv_cell(cell: str) -> str:
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
 
-    writer = csv.writer(out, lineterminator="\n")
+
+def write_csv(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> None:
+    """RFC 4180 text with `\\n` line ends, the same on every Python: a cell
+    holding `,`, `"`, CR or LF is written between `"`s with each `"`
+    doubled, and a row of one empty cell as `""`.  A row whose joined line
+    has no such character is written as it is."""
     for cells in chain((columns,), ([_cell_text(v) for v in row] for row in rows)):
         line = ",".join(cells)
-        plain = line and line.count(",") == len(cells) - 1
-        if plain and '"' not in line and "\n" not in line and "\r" not in line:
-            out.write(line + "\n")
-        else:
-            writer.writerow(cells)
+        if line.count(",") != len(cells) - 1 or '"' in line or "\n" in line or "\r" in line:
+            line = ",".join([_csv_cell(cell) for cell in cells])
+        elif not line:
+            line = '""'
+        out.write(line + "\n")
 
 
 def write_json(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> None:
@@ -103,10 +107,6 @@ def _add_corpus_args(parser: argparse.ArgumentParser, with_format: bool = True) 
     )
     if with_format:
         parser.add_argument("--format", choices=FORMATS, default="table")
-
-
-class UsageError(Exception):
-    pass
 
 
 def build_session(args) -> Session:
@@ -213,8 +213,6 @@ def cmd_diff(args) -> int:
 def cmd_histogram(args) -> int:
     from . import analyses
 
-    if args.bucket_width is not None and args.bucket_width < 1:
-        raise UsageError(f"--bucket-width must be >= 1, got {args.bucket_width}")
     with build_session(args) as session:
         report = analyses.symbol_histogram(session, bucket_width=args.bucket_width)
     write(args.format, report.columns, report.rows)
@@ -222,6 +220,14 @@ def cmd_histogram(args) -> int:
         print()
         write("table", ("bucket", "files"), report.buckets)
     return 0
+
+
+def bucket_width(text: str) -> int:
+    """A `--bucket-width` value: an integer of at least 1."""
+    width = int(text)
+    if width < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {width}")
+    return width
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_hist = sub.add_parser("histogram", help="per-file symbol counts and buckets")
     _add_corpus_args(p_hist)
-    p_hist.add_argument("--bucket-width", type=int, default=None)
+    p_hist.add_argument("--bucket-width", type=bucket_width, default=None)
     p_hist.set_defaults(func=cmd_histogram)
 
     return parser
@@ -275,9 +281,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         raise
     except _runtime_errors() as exc:

@@ -171,13 +171,11 @@ def _normalize_strategies(strategies: Strategies) -> dict[str, StrategyMode]:
             f"strategies must map table names to StrategyMode, not {type(strategies).__name__}"
         )
     for name, mode in strategies.items():
-        key = name.lower() if isinstance(name, str) else name
-        if key not in modes:
+        if name not in modes:
             raise RegistrationFailure(f"unknown table in strategy: {name!r}")
-        try:
-            modes[key] = StrategyMode(mode)
-        except ValueError:
-            raise RegistrationFailure(f"unknown strategy mode for {name!r}: {mode!r}") from None
+        if not isinstance(mode, StrategyMode):
+            raise RegistrationFailure(f"strategy for {name!r} is not a StrategyMode: {mode!r}")
+        modes[name] = mode
     return modes
 
 

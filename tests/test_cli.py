@@ -380,7 +380,7 @@ class TestStartup:
                 runpy.run_module("elfdb.cli", run_name="__main__", alter_sys=True)
             except SystemExit as exc:
                 status = exc.code
-            unused = ("json", "elfdb.analyses", "elfdb.disasm", "ctypes", "logging", "dataclasses")
+            unused = ("csv", "json", "elfdb.analyses", "elfdb.disasm", "ctypes", "logging", "dataclasses")
             print([status, [m for m in unused if m in sys.modules and m not in bare]])
         """
         assert run_child(script, RUBY_LIKE) == [0, []]
@@ -468,15 +468,22 @@ def format_table(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     return "\n".join([header.rstrip(), rule] + body)
 
 
-def format_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+def csv_line(cells: Sequence[str]) -> str:
+    """One row as `csv.writer` with CRLF line ends writes it, on every
+    Python (each quotes a cell holding a character of the line end), with
+    the row's CRLF replaced by LF."""
     import csv
 
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell_text(v) for v in row])
-    return buf.getvalue().rstrip("\n")
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    line = buf.getvalue()
+    assert line.endswith("\r\n")
+    return line[:-2] + "\n"
+
+
+def format_csv(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+    lines = [csv_line(columns)] + [csv_line([_cell_text(v) for v in row]) for row in rows]
+    return "".join(lines).rstrip("\n")
 
 
 def format_json(columns: Sequence[str], rows: Sequence[tuple]) -> str:
@@ -487,7 +494,7 @@ def format_json(columns: Sequence[str], rows: Sequence[tuple]) -> str:
     return json.dumps(records, ensure_ascii=False)
 
 
-_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(',"| \n')), max_size=12)
+_TEXT = st.text(st.one_of(st.characters(), st.sampled_from(',"| \r\n')), max_size=12)
 _CELLS = st.one_of(
     st.none(), st.integers(-(2**63), 2**63 - 1), st.floats(), st.binary(max_size=8), _TEXT
 )
@@ -527,16 +534,31 @@ def test_writers_equal_the_reference_strings(result):
     ],
 )
 def test_csv_equals_the_stdlib_writer_byte_for_byte(row):
-    """A row `write_csv` joins itself and one it hands to `csv.writer` both
-    read as the stdlib writer writes them, as a header and as a row."""
-    import csv
-
+    """A row that `write_csv` joins as it is and one whose cells it quotes
+    both read as the stdlib writer with CRLF line ends writes them, with
+    LF for the row's CRLF, as a header and as a row."""
     cells = [_cell_text(v) for v in row]
-    expected = io.StringIO()
-    csv.writer(expected, lineterminator="\n").writerows([cells, cells])
     out = io.StringIO()
     write_csv(cells, [row], out)
-    assert out.getvalue().encode() == expected.getvalue().encode()
+    assert out.getvalue().encode() == (csv_line(cells) * 2).encode()
+
+
+def test_csv_output_reads_back_to_the_session_cells(capsys, tmp_path):
+    """`elfdb query --format csv` of names holding CR, LF, `,`, `"` and
+    non-ASCII text reads back through `csv.reader` to the statement's cells."""
+    import csv
+
+    path = str(tmp_path / "odd.so")
+    names = ["cr\rname", "lf\nname", "crlf\r\n", "a,b", 'say "hi"', "grüße", "\r", "plain"]
+    write_elf(path, symbols=exported_funcs(*names))
+    sql = "SELECT * FROM elf_symbols"
+    code, out, _ = run_cli(capsys, "query", path, "--format", "csv", "--sql", sql)
+    assert code == 0
+    with register(corpus.add_paths([path])) as session:
+        result = session.execute(sql)
+    expected = [list(result.columns)] + [[_cell_text(v) for v in row] for row in result.rows]
+    assert list(csv.reader(io.StringIO(out, newline=""))) == expected
+    assert set(names) <= {row[result.columns.index("name")] for row in expected[1:]}
 
 
 def test_output_path_memory_does_not_grow_with_the_printed_bytes(tmp_path):

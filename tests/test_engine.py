@@ -81,10 +81,12 @@ class TestRegistration:
             "elf_symbols",
             ["elf_symbols"],
             [("elf_symbols", "MEMOIZED")],
+            {"ELF_SYMBOLS": StrategyMode.MEMOIZED},
+            {"elf_symbols": "MEMOIZED"},
         ],
         ids=[
             "unknown-table", "unknown-mode", "lowercase-mode", "int-mode", "int-table",
-            "str", "list-of-names", "list-of-pairs",
+            "str", "list-of-names", "list-of-pairs", "uppercase-table", "mode-by-value",
         ],
     )
     def test_unknown_strategy_table_rejected(self, small_corpus, strategies):
