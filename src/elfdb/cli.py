@@ -82,10 +82,39 @@ def write_json(columns: Sequence[str], rows: Sequence[tuple], out: TextIO) -> No
     out.write("]\n")
 
 
+# Characters of output `write` gathers before it passes them on: with
+# unbuffered stdout (`PYTHONUNBUFFERED=1`, `python -u`) each pass is one
+# write(2), where a line at a time made one per row.
+_BLOCK = 65536
+
+
+class _Blocks:
+    """A text sink that passes what it is given to `out` in blocks of at
+    least `_BLOCK` characters, and the rest on `flush`."""
+
+    def __init__(self, out: TextIO):
+        self._out = out
+        self._parts: list[str] = []
+        self._size = 0
+
+    def write(self, text: str) -> None:
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= _BLOCK:
+            self.flush()
+
+    def flush(self) -> None:
+        self._out.write("".join(self._parts))
+        self._parts.clear()
+        self._size = 0
+
+
 def write(fmt: str, columns: Sequence[str], rows: Sequence[tuple]) -> None:
-    """Print a result in format `fmt`, a line at a time, to the current
-    `sys.stdout`."""
-    {"table": write_table, "csv": write_csv, "json": write_json}[fmt](columns, rows, sys.stdout)
+    """Print a result in format `fmt` to the current `sys.stdout`, in blocks
+    of about `_BLOCK` characters: at most one block is held at a time."""
+    out = _Blocks(sys.stdout)
+    {"table": write_table, "csv": write_csv, "json": write_json}[fmt](columns, rows, out)
+    out.flush()
 
 
 def _add_corpus_args(parser: argparse.ArgumentParser, with_format: bool = True) -> None:

@@ -26,9 +26,16 @@ A fill works one catalog entry at a time, in catalog order: `corpus.reopen`
 opens the file again, checks it against the identity its catalog recorded
 and parses it; the table's producer gives its rows, which go in through
 multi-row `INSERT` statements of `_BATCH_ROWS` rows each, the file's last
-few one row at a time, so rowids follow catalog and producer order.  The
-parsed file, and its map, are dropped before the next file opens, so a fill
-holds one file at a time.  A file that is gone or is another file raises
+few one row at a time, so rowids follow catalog and producer order.  Of a
+table with `model.KEY_COLUMNS`, the file's key rows go first into a temp
+table, `_KEYS_TABLE`, and each producer row binds only its own columns and
+the number of its key row; the `INSERT` joins the two by rowid and stores
+the table's row, with the storage classes that binding it whole would
+give.  The fill creates that table and drops it within its transaction, so
+a failed fill leaves none behind.  Binding is most of an insert's cost,
+and each text bound is copied: an `elf_symbols` row binds 6 values, not 14.
+The parsed file, and its map, are dropped before the next file opens, so a
+fill holds one file at a time.  A file that is gone or is another file raises
 `reader.FileChanged` from the call that ran the fill (`execute`, `register`
 for a MEMOIZED table, `export_database`); the fill is rolled back and its
 table stays pending.
@@ -57,11 +64,11 @@ from contextlib import closing
 from enum import Enum
 from functools import partial
 from itertools import chain, islice
-from typing import Iterator, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import corpus
-from .model import SCHEMA, TABLE_NAMES, TABLE_PRODUCERS, ZERO_IS_NULL
-from .reader import Frozen
+from .model import KEY_COLUMNS, SCHEMA, TABLE_KEYS, TABLE_NAMES, TABLE_PRODUCERS
+from .reader import ElfObject, Frozen
 
 
 class RegistrationFailure(Exception):
@@ -130,16 +137,74 @@ _PAGE_SIZE = 16384
 # table must bind at most 999 parameters, the limit of SQLite before 3.32.
 _BATCH_ROWS = 32
 
+# A keyed fill's key rows, one file's at a time: created and dropped within
+# the fill's transaction.  Untyped columns keep each value's storage class.
+_KEYS_TABLE = "temp.fill_keys"
+
+
+def _values(width: int, rows: int) -> str:
+    return ", ".join(["({})".format(", ".join("?" * width))] * rows)
+
 
 def _insert_sql(name: str, rows: int) -> str:
-    row = "({})".format(
-        ", ".join("NULLIF(?, 0)" if (name, col) == ZERO_IS_NULL else "?" for col, _ in SCHEMA[name])
+    """The INSERT of `rows` rows of `name` from producer rows.  Of a keyed
+    table it joins each row's own values to its key row in `_KEYS_TABLE`,
+    by rowid, and stores the columns in SCHEMA order."""
+    keys = KEY_COLUMNS.get(name, ())
+    own = [col for col, _ in SCHEMA[name] if col not in keys]
+    width = len(own) + bool(keys)
+    if not keys:
+        return 'INSERT INTO "{}" VALUES {}'.format(name, _values(width, rows))
+    # A VALUES list names its columns column1, column2, ...; the key number is last.
+    source = {col: f"v.column{i}" for i, col in enumerate(own, 1)}
+    source.update((col, f'k."{col}"') for col in keys)
+    return 'INSERT INTO "{}" SELECT {} FROM (VALUES {}) AS v CROSS JOIN {} AS k ON k.rowid = v.column{}'.format(
+        name, ", ".join(source[col] for col, _ in SCHEMA[name]), _values(width, rows), _KEYS_TABLE, width
     )
-    return 'INSERT INTO "{}" VALUES {}'.format(name, ", ".join([row] * rows))
 
 
 _INSERT_SQL = {name: _insert_sql(name, 1) for name in SCHEMA}
 _BATCH_INSERT_SQL = {name: _insert_sql(name, _BATCH_ROWS) for name in SCHEMA}
+# Per keyed table: the key table's CREATE, then its INSERTs of one row and of a batch.
+_KEYS_SQL = {
+    name: (
+        "CREATE TABLE {} ({})".format(_KEYS_TABLE, ", ".join(f'"{col}"' for col in keys)),
+        *(f"INSERT INTO {_KEYS_TABLE} VALUES {_values(len(keys), rows)}" for rows in (1, _BATCH_ROWS)),
+    )
+    for name, keys in KEY_COLUMNS.items()
+}
+
+
+def _insert_rows(conn: sqlite3.Connection, one: str, batch: str, rows: Iterable[tuple]) -> None:
+    """Insert `rows` in order: `batch` inserts `_BATCH_ROWS` of them at a
+    time, and `one` the last few, one at a time."""
+    rows = iter(rows)
+    tail: list[tuple] = []
+
+    def batches():
+        while True:
+            chunk = tuple(islice(rows, _BATCH_ROWS))
+            if len(chunk) < _BATCH_ROWS:
+                tail.extend(chunk)
+                return
+            yield tuple(chain.from_iterable(chunk))
+
+    conn.executemany(batch, batches())
+    conn.executemany(one, tail)
+
+
+def _insert(conn: sqlite3.Connection, table: str, obj: ElfObject) -> None:
+    """Insert the rows of `table` for one file in order, into `conn`, whose
+    `_KEYS_TABLE` the caller created when `table` is keyed.  Nothing refers
+    to the file once this returns, so its map is gone before the next file
+    opens."""
+    if table in KEY_COLUMNS:
+        _, one, batch = _KEYS_SQL[table]
+        conn.execute(f"DELETE FROM {_KEYS_TABLE}")
+        # Emptied, the table numbers its rows from 1 again, as the producer does.
+        _insert_rows(conn, one, batch, TABLE_KEYS[table](obj))
+    _insert_rows(conn, _INSERT_SQL[table], _BATCH_INSERT_SQL[table], TABLE_PRODUCERS[table](obj))
+
 
 # Built with the fill, in the same transaction, when the catalog holds two or
 # more files; with one file every row has the same path, so the index could
@@ -224,12 +289,16 @@ class Session:
         return TABLE_NAMES
 
     def _materialize(self, table: str) -> None:
-        producer = TABLE_PRODUCERS[table]
+        keyed = table in KEY_COLUMNS
         self._conn.set_authorizer(_allow_all)
         try:
             self._conn.execute("BEGIN")
+            if keyed:
+                self._conn.execute(_KEYS_SQL[table][0])
             for entry in self._catalog.entries:
-                self._insert(table, producer(corpus.reopen(entry)))
+                _insert(self._conn, table, corpus.reopen(entry))
+            if keyed:
+                self._conn.execute(f"DROP TABLE {_KEYS_TABLE}")
             if table == "elf_symbols" and len(self._catalog.entries) >= 2:
                 self._conn.execute(_SYMBOL_INDEX_SQL)
             self._conn.execute("COMMIT")
@@ -240,22 +309,6 @@ class Session:
         finally:
             self._conn.set_authorizer(self._allowlist)
         self._pending.discard(table)
-
-    def _insert(self, table: str, rows: Iterator[tuple]) -> None:
-        """Insert one file's `rows` in order.  Nothing refers to the file
-        once this returns, so its map is gone before the next file opens."""
-        tail: list[tuple] = []
-
-        def batches():
-            while True:
-                batch = tuple(islice(rows, _BATCH_ROWS))
-                if len(batch) < _BATCH_ROWS:
-                    tail.extend(batch)
-                    return
-                yield tuple(chain.from_iterable(batch))
-
-        self._conn.executemany(_BATCH_INSERT_SQL[table], batches())
-        self._conn.executemany(_INSERT_SQL[table], tail)
 
     def _fill_tables_read(self, sql: str, params: dict) -> None:
         # `EXPLAIN <sql>` compiles the statement under the authorizer without running it;

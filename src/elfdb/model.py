@@ -4,15 +4,23 @@
 with a Python type (`str`, `int`, `bool` or `bytes`).  The engine derives
 its DDL from it.
 
-Each `*_tuples` producer (`TABLE_PRODUCERS`) maps one ElfObject straight
-to the rows of one table: tuples in SCHEMA column order, exactly as SQLite
-stores them, with one exception: a missing `elf_symbols.version` is the
-integer 0 in the tuple and NULL in SQL (see `ZERO_IS_NULL`).  Integers are
-in SQLite's signed 64-bit range, flags are 0/1 and section contents are
-views of the file.  Rows follow the file's order (symbols table by table,
-as `readelf -sW` lists them), derived columns (exported/imported,
-demangled names, flag letters, reserved-index names) are computed here,
-and everything is pure: the same object always yields the same rows.
+`rows(table, obj)` gives the rows of one table for one ElfObject: tuples in
+SCHEMA column order, exactly as SQLite stores them.  A fill binds fewer
+values.  Of a table with `KEY_COLUMNS`, the columns that take only a few
+distinct values per file, `TABLE_KEYS[table](obj)` gives each combination
+of them that the file's rows use once, as a key row, and
+`TABLE_PRODUCERS[table](obj)` gives a narrow row per table row: the other
+columns in SCHEMA order, then the number of its key row (from 1, in the
+order the key rows come).  Of every other table, the producer's rows are
+the table's rows.  `symbol_tuples`, `string_tuples` and
+`instruction_tuples` give the full rows of their tables.
+
+Integers are in SQLite's signed 64-bit range, flags are 0/1 and section
+contents are views of the file.  Rows follow the file's order (symbols
+table by table, as `readelf -sW` lists them), derived columns
+(exported/imported, demangled names, flag letters, reserved-index names)
+are computed here, and everything is pure: the same object always yields
+the same rows.  A key function reads no name and decodes no instruction.
 Every string comes from `reader`, which finds each NUL of a string table.
 """
 
@@ -20,6 +28,7 @@ from __future__ import annotations
 
 import os
 from itertools import chain, count, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from . import reader
@@ -51,8 +60,8 @@ _EXPORTABLE_TYPES = frozenset(("FUNC", "OBJECT", "TLS", "GNU_IFUNC"))
 _BINDABLE = frozenset(("GLOBAL", "WEAK", "GNU_UNIQUE"))
 
 # The columns of each table in declaration order, each with the Python type
-# of its values: `str` (TEXT; only `elf_symbols.version`, see ZERO_IS_NULL,
-# and `elf_dynamic_entries.string` may be NULL), `int` and `bool` (INTEGER)
+# of its values: `str` (TEXT; only `elf_symbols.version` and
+# `elf_dynamic_entries.string` may be NULL), `int` and `bool` (INTEGER)
 # or `bytes` (BLOB).  Everything else about a table's shape is derived from
 # this.
 SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
@@ -87,11 +96,18 @@ SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
 
 TABLE_NAMES = tuple(SCHEMA)
 
-# The one (table, column) whose producer writes NULL as the integer 0, which
-# the engine's INSERT turns back into NULL with `NULLIF(?, 0)`: sqlite3 binds
-# None through an adapter lookup that costs about ten times an int's bind.
-# A version is TEXT, and SQLite never finds a text equal to 0, so `'0'` stays.
-ZERO_IS_NULL = ("elf_symbols", "version")
+# The columns of each table that a fill binds once per file and combination
+# (see the module docstring): each takes a handful of values per file, so a
+# row of elf_symbols binds 6 values, not 14.  Binding, not storing, is most of
+# an insert's cost; a text is copied at every bind.
+KEY_COLUMNS: dict[str, tuple[str, ...]] = {
+    "elf_symbols": (
+        "path", "table", "section", "type", "binding", "visibility", "version", "exported",
+        "imported",
+    ),
+    "elf_strings": ("path", "section"),
+    "elf_instructions": ("path", "section"),
+}
 
 
 def path_text(path: str) -> str:
@@ -176,41 +192,9 @@ def segment_tuples(obj: ElfObject) -> Iterator[tuple]:
         )
 
 
-# Records per chunk of a symbol table's fill: `symbol_tuples` holds one
+# Records per chunk of a symbol table's fill: `symbol_rows` holds one
 # chunk's columns at a time, beside one copy of the table's string table.
 _SYMBOL_CHUNK = 4096
-
-
-def _symbol_columns(
-    obj: ElfObject, kind: SymbolTableKind, keys: Iterable[tuple[int, ...]]
-) -> dict[tuple[int, ...], tuple]:
-    """(section, type, binding, visibility, exported, imported) for each
-    distinct (st_info, st_other, st_shndx) of `keys`, from a table of `kind`.
-    In a table with extended section indices each key ends with the
-    record's index word too, and an SHN_XINDEX record's section is the
-    section that word gives: any index, even one in the reserved range.
-
-    Those columns depend on nothing else, so each combination is derived
-    once.
-    """
-    columns = {}
-    for key in dict.fromkeys(keys):
-        info, other, shndx, *extended = key
-        if extended and shndx == SHN_XINDEX:
-            shndx = extended[0]
-            section = obj.sections[shndx].name if shndx else _SHN_NAMES[SHN_UNDEF]
-        else:
-            section = section_name_for_symbol(obj, shndx)
-        exported, imported = derive_export_import(info, other, shndx, kind)
-        columns[key] = (
-            section,
-            render_code(info & 0xF, SYMBOL_TYPE_NAMES),
-            render_code(info >> 4, SYMBOL_BINDING_NAMES),
-            render_code(other & 0x3, SYMBOL_VISIBILITY_NAMES),
-            int(exported),
-            int(imported),
-        )
-    return columns
 
 
 def _db_ints(column: list[int]) -> Iterable[int]:
@@ -218,50 +202,110 @@ def _db_ints(column: list[int]) -> Iterable[int]:
     return map(_db_int, column) if column and max(column) >= _I64_MAX else column
 
 
-def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
-    """One row per .symtab/.dynsym entry, null symbol included, table by
-    table in `obj.symbol_tables` order and each table in index order;
-    versions only appear on .dynsym rows.
+# The versym word of a record past the end of its table's versym section,
+# and of every record of a table without versions.
+_NO_WORD = -1
+
+
+def _symbol_chunks(
+    obj: ElfObject,
+) -> Iterator[tuple[reader.SymbolTable, int, list[list[int]], Iterator[tuple]]]:
+    """Each chunk of `_SYMBOL_CHUNK` records of each symbol table, in
+    `obj.symbol_tables` order, as (table, index of its first record, its
+    `fields`, the key of each record).
+
+    A record's key is (the table's position in `obj.symbol_tables`,
+    st_info, st_other, st_shndx, versym word), and its extended index word
+    too in a table with extended section indices: all that its key row
+    depends on.
+    """
+    for position, table in enumerate(obj.symbol_tables):
+        for start in range(0, len(table), _SYMBOL_CHUNK):
+            fields = table.fields(start, start + _SYMBOL_CHUNK)
+            _, infos, others, shndxs, _, _, words, extended = fields
+            columns = [repeat(position), infos, others, shndxs, chain(words, repeat(_NO_WORD))]
+            if extended:
+                columns.append(extended)
+            yield table, start, fields, zip(*columns)
+
+
+class _KeyNumbers(dict):
+    """Key numbers from 1, each given to a key when it is first looked up."""
+
+    def __missing__(self, key: tuple) -> int:
+        number = self[key] = len(self) + 1
+        return number
+
+
+def symbol_keys(obj: ElfObject) -> Iterator[tuple]:
+    """The key rows of elf_symbols (see `KEY_COLUMNS`), one per distinct
+    record key in the order the keys first appear, which is the order
+    `symbol_rows` numbers them in.  In a table with extended section
+    indices, an SHN_XINDEX record's section is the section its index word
+    gives: any index, even one in the reserved range."""
+    path = path_text(obj.path)
+    seen = set()
+    for table, _start, _fields, keys in _symbol_chunks(obj):
+        for key in dict.fromkeys(keys):
+            if key in seen:
+                continue
+            seen.add(key)
+            _, info, other, shndx, word, *extended = key
+            if extended and shndx == SHN_XINDEX:
+                shndx = extended[0]
+                section = obj.sections[shndx].name if shndx else _SHN_NAMES[SHN_UNDEF]
+            else:
+                section = section_name_for_symbol(obj, shndx)
+            exported, imported = derive_export_import(info, other, shndx, table.kind)
+            yield (
+                path,
+                table.kind.value,
+                section,
+                render_code(info & 0xF, SYMBOL_TYPE_NAMES),
+                render_code(info >> 4, SYMBOL_BINDING_NAMES),
+                render_code(other & 0x3, SYMBOL_VISIBILITY_NAMES),
+                None if word == _NO_WORD else table.version_of[word][0],
+                int(exported),
+                int(imported),
+            )
+
+
+def symbol_rows(obj: ElfObject) -> Iterator[tuple]:
+    """One narrow row, (index, name, demangle_name, value, size, key number),
+    per .symtab/.dynsym entry, null symbol included, table by table in
+    `obj.symbol_tables` order and each table in index order; versions only
+    appear on .dynsym rows.
 
     Each table is read from the file in chunks of `_SYMBOL_CHUNK` records.
     """
-    path = path_text(obj.path)
-    for table in obj.symbol_tables:
-        kind = table.kind.value
-        names_at = table.name_reader()
-        # A missing version is 0, which the engine stores as NULL.
-        stored = {
-            word: 0 if version is None else version
-            for word, (version, _default) in table.version_of.items()
-        }
-        for start in range(0, len(table), _SYMBOL_CHUNK):
-            name_offsets, infos, others, shndxs, values, sizes, words, extended = table.fields(
-                start, start + _SYMBOL_CHUNK
-            )
-            keys = (infos, others, shndxs, extended) if extended else (infos, others, shndxs)
-            columns = _symbol_columns(obj, table.kind, zip(*keys))
-            rows = zip(
-                count(start), names_at(name_offsets), map(columns.__getitem__, zip(*keys)),
-                _db_ints(values), _db_ints(sizes), chain(map(stored.__getitem__, words), repeat(0)),
-            )
-            for (
-                index, name, (section, type_, binding, visibility, exported, imported), value,
-                size, version,
-            ) in rows:
-                yield (
-                    path, kind, index, name, demangle(name), section, type_, binding,
-                    visibility, value, size, version, exported, imported,
-                )
+    numbers = _KeyNumbers()
+    for table, start, fields, keys in _symbol_chunks(obj):
+        if not start:
+            names_at = table.name_reader()
+        names = names_at(fields[0])
+        yield from zip(
+            count(start), names, map(demangle, names), _db_ints(fields[4]), _db_ints(fields[5]),
+            map(numbers.__getitem__, keys),
+        )
 
 
-def string_tuples(obj: ElfObject) -> Iterator[tuple]:
-    """One row per entry of every SHT_STRTAB section, in (section, offset)
-    order, split by `reader.string_entries` a bounded piece at a time."""
+def _string_tables(obj: ElfObject) -> list[reader.Section]:
+    return [sec for sec in obj.sections if sec.type_code == SHT_STRTAB]
+
+
+def string_keys(obj: ElfObject) -> Iterator[tuple]:
+    """The key rows of elf_strings: one per SHT_STRTAB section."""
     path = path_text(obj.path)
-    for sec in obj.sections:
-        if sec.type_code == SHT_STRTAB:
-            for offsets, values in reader.string_entries(sec.view):
-                yield from zip(repeat(path), repeat(sec.name), offsets, values)
+    return ((path, sec.name) for sec in _string_tables(obj))
+
+
+def string_rows(obj: ElfObject) -> Iterator[tuple]:
+    """One narrow row, (offset, value, key number), per entry of every
+    SHT_STRTAB section, in (section, offset) order, split by
+    `reader.string_entries` a bounded piece at a time."""
+    for number, sec in enumerate(_string_tables(obj), 1):
+        for offsets, values in reader.string_entries(sec.view):
+            yield from zip(offsets, values, repeat(number))
 
 
 def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:
@@ -270,14 +314,28 @@ def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:
         yield (path, e.ordinal, e.tag_name, _db_int(e.value), e.string)
 
 
-# The default of `instruction_tuples`: `disasm.DEFAULT_DECODER`, imported on first use.
+# The default of `instruction_rows`: `disasm.DEFAULT_DECODER`, imported on first use.
 _DEFAULT_DECODER = object()
 
 
-def instruction_tuples(
+def _code_sections(obj: ElfObject) -> list[reader.Section]:
+    return [
+        sec for sec in obj.sections if sec.flags & SHF_EXECINSTR and sec.type_code != SHT_NOBITS
+    ]
+
+
+def instruction_keys(obj: ElfObject) -> Iterator[tuple]:
+    """The key rows of elf_instructions: one per EXECINSTR section that has
+    bytes in the file, whether or not a decoder gives it rows."""
+    path = path_text(obj.path)
+    return ((path, sec.name) for sec in _code_sections(obj))
+
+
+def instruction_rows(
     obj: ElfObject, decoder: Optional[InstructionDecoder] = _DEFAULT_DECODER
 ) -> Iterator[tuple]:
-    """Linear-sweep decode of every EXECINSTR section.
+    """Linear-sweep decode of every EXECINSTR section, one narrow row,
+    (address, size, mnemonic, operands, key number), per instruction.
 
     Bytes the decoder rejects become one-byte "(bad)" rows, so addresses
     always advance by exactly the emitted size.  No decoder (or a machine
@@ -289,13 +347,10 @@ def instruction_tuples(
         from .disasm import DEFAULT_DECODER as decoder
     if decoder is None or not decoder.supports(obj.header.machine_code):
         return
-    path = path_text(obj.path)
     decode = decoder.decode
-    for sec in obj.sections:
-        if not sec.flags & SHF_EXECINSTR or sec.type_code == SHT_NOBITS:
-            continue
+    for number, sec in enumerate(_code_sections(obj), 1):
         # A bytes copy: the decoder indexes and slices bytes faster than a view.
-        buf, name, base = sec.content, sec.name, sec.address
+        buf, base = sec.content, sec.address
         size = len(buf)
         offset = 0
         while offset < size:
@@ -304,10 +359,10 @@ def instruction_tuples(
             if address >= _I64_MAX:
                 address = _db_int(address)
             if decoded is None:
-                yield (path, name, address, 1, "(bad)", "")
+                yield (address, 1, "(bad)", "", number)
                 offset += 1
             else:
-                yield (path, name, address, decoded.size, decoded.mnemonic, decoded.operands)
+                yield (address, decoded.size, decoded.mnemonic, decoded.operands, number)
                 offset += decoded.size
 
 
@@ -315,8 +370,52 @@ TABLE_PRODUCERS = {
     "elf_headers": header_tuples,
     "elf_sections": section_tuples,
     "elf_segments": segment_tuples,
-    "elf_symbols": symbol_tuples,
-    "elf_strings": string_tuples,
+    "elf_symbols": symbol_rows,
+    "elf_strings": string_rows,
     "elf_dynamic_entries": dynamic_entry_tuples,
-    "elf_instructions": instruction_tuples,
+    "elf_instructions": instruction_rows,
 }
+
+TABLE_KEYS = {
+    "elf_symbols": symbol_keys,
+    "elf_strings": string_keys,
+    "elf_instructions": instruction_keys,
+}
+
+
+def _widened(table: str, keys: Iterable[tuple], narrow: Iterable[tuple]) -> Iterator[tuple]:
+    """The full rows of `table` from its key rows and its narrow rows."""
+    key_columns = KEY_COLUMNS[table]
+    own = [column for column, _ in SCHEMA[table] if column not in key_columns]
+    # A narrow row, then its key row: its own columns, the key number, the key columns.
+    order = itemgetter(*(
+        own.index(column) if column in own else len(own) + 1 + key_columns.index(column)
+        for column, _ in SCHEMA[table]
+    ))
+    by_number = (None, *keys)
+    return (order(row + by_number[row[-1]]) for row in narrow)
+
+
+def rows(table: str, obj: ElfObject) -> Iterator[tuple]:
+    """The rows of `table` for `obj` in SCHEMA column order, as SQLite
+    stores them, from `TABLE_PRODUCERS` and `TABLE_KEYS`."""
+    narrow = TABLE_PRODUCERS[table](obj)
+    return _widened(table, TABLE_KEYS[table](obj), narrow) if table in TABLE_KEYS else narrow
+
+
+def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
+    """The rows of elf_symbols, table by table, each in index order."""
+    return _widened("elf_symbols", symbol_keys(obj), symbol_rows(obj))
+
+
+def string_tuples(obj: ElfObject) -> Iterator[tuple]:
+    """The rows of elf_strings, in (section, offset) order."""
+    return _widened("elf_strings", string_keys(obj), string_rows(obj))
+
+
+def instruction_tuples(
+    obj: ElfObject, decoder: Optional[InstructionDecoder] = _DEFAULT_DECODER
+) -> Iterator[tuple]:
+    """The rows of elf_instructions, decoded by `decoder` as
+    `instruction_rows` decodes them."""
+    return _widened("elf_instructions", instruction_keys(obj), instruction_rows(obj, decoder))

@@ -339,11 +339,11 @@ def non_utf8_lib(tmp_path) -> str:
     return path
 
 
-def named_rows(table: str, obj: reader.ElfObject, *args) -> list[dict]:
-    """The rows `model.TABLE_PRODUCERS[table]` gives for `obj` (and `args`),
-    each a dict from column name to the value SQLite stores."""
+def named_rows(table: str, obj: reader.ElfObject) -> list[dict]:
+    """The rows `model.rows(table, obj)` gives, each a dict from column name
+    to the value SQLite stores."""
     columns = [c for c, _ in model.SCHEMA[table]]
-    return [dict(zip(columns, row)) for row in model.TABLE_PRODUCERS[table](obj, *args)]
+    return [dict(zip(columns, row)) for row in model.rows(table, obj)]
 
 
 def symbol_table(obj: reader.ElfObject, kind: SymbolTableKind) -> reader.SymbolTable:

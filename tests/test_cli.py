@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from elfdb import corpus, engine, reader
+from elfdb import cli, corpus, engine, reader
 from elfdb.bench import GeneratedElfSpec, SymbolSpec, generate_elf, write_elf
 from elfdb.cli import FORMATS, _cell_text, main, write_csv, write_json, write_table
 from elfdb.engine import register
@@ -561,13 +561,46 @@ def test_csv_output_reads_back_to_the_session_cells(capsys, tmp_path):
     assert set(names) <= {row[result.columns.index("name")] for row in expected[1:]}
 
 
+class _CountingRaw(io.RawIOBase):
+    """A binary sink that counts its write calls and bytes."""
+
+    def __init__(self):
+        self.writes = self.bytes = 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self.writes += 1
+        self.bytes += len(data)
+        return len(data)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_unbuffered_stdout_takes_blocks_not_lines(monkeypatch, fmt):
+    """Through a stdout that passes each write on at once, as with
+    `PYTHONUNBUFFERED=1`, a result of 10,000 rows takes one write per
+    `_BLOCK` characters and one for the rest: the same text in far fewer
+    calls than its lines."""
+    columns = ("index", "name", "version")
+    rows = [(i, f"symbol_{i}", None if i % 3 else "V1") for i in range(10_000)]
+    raw = _CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    cli.write(fmt, columns, rows)
+    whole = io.StringIO()
+    {"table": write_table, "csv": write_csv, "json": write_json}[fmt](columns, rows, whole)
+    assert raw.bytes == len(whole.getvalue()) > 2 * cli._BLOCK
+    assert raw.writes <= raw.bytes // cli._BLOCK + 2, raw.writes
+
+
 def test_output_path_memory_does_not_grow_with_the_printed_bytes(tmp_path):
     """Each `SELECT *` child peaks below the `COUNT(*)` child's peak plus
     half the bytes it printed.
 
     The bound: the `COUNT(*)` child fills the same table, so its peak is the
-    fill's.  A writer holds one line of output at a time, so only the rows
-    fetched and, for `table`, each cell's text come on top.  Holding the
+    fill's.  A writer holds one block of `cli._BLOCK` characters of output
+    at a time, so only the rows fetched and, for `table`, each cell's text
+    come on top.  Holding the
     whole output as one string, and then as its encoded bytes, adds at
     least the printed bytes once more, twice the bound's margin.  On a
     2-vCPU x86-64 host the `COUNT(*)` child peaked at 66 MB; the string

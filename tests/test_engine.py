@@ -403,6 +403,14 @@ class TestProducers:
             tags = session.execute("SELECT tag FROM elf_dynamic_entries").rows
         assert "DT_PLANTED" not in {t for (t,) in tags}
 
+    def test_a_replaced_demangle_feeds_the_fill(self, small_corpus, monkeypatch):
+        """The symbol producer calls `model.demangle` through the module, so
+        that perfbench's tracer can time it."""
+        monkeypatch.setattr(model, "demangle", lambda name: f"<{name}>")
+        with register(small_corpus) as session:
+            rows = session.execute("SELECT name, demangle_name FROM elf_symbols").rows
+        assert rows and all(shown == f"<{name}>" for name, shown in rows)
+
 
 B = engine._BATCH_ROWS
 
@@ -419,21 +427,28 @@ def _dump_sql(table: str) -> str:
     return f'SELECT rowid, {", ".join(columns)}, {types} FROM "{table}" ORDER BY rowid'
 
 
+def _temp_tables(session) -> list:
+    """The tables of the session's temp schema, where a fill keeps its keys."""
+    return session._conn.execute("SELECT name FROM sqlite_temp_master").fetchall()
+
+
 def _assert_fill_equals_one_row_inserts(catalog) -> dict[str, tuple]:
-    """Each table of a LAZY session equals a database filled one row per
-    statement, rowids and storage classes included."""
+    """Each table of a LAZY session equals a database filled with the full
+    rows of `model.rows`, one row per statement, rowids and storage classes
+    included."""
     reference = sqlite3.connect(":memory:")
     try:
         with register(catalog) as session:
             dumps = {}
-            for table, producer in model.TABLE_PRODUCERS.items():
+            for table, columns in SCHEMA.items():
                 reference.execute(engine._CREATE_SQL[table])
                 reference.executemany(
-                    engine._INSERT_SQL[table],
-                    (r for e in catalog for r in producer(reader.load_elf(e.path))),
+                    'INSERT INTO "{}" VALUES ({})'.format(table, ", ".join("?" * len(columns))),
+                    (r for e in catalog for r in model.rows(table, reader.load_elf(e.path))),
                 )
                 dumps[table] = tuple(reference.execute(_dump_sql(table)))
                 assert session.execute(_dump_sql(table)).rows == dumps[table], table
+                assert _temp_tables(session) == [], table
     finally:
         reference.close()
     return dumps
@@ -492,6 +507,7 @@ class TestBatchedFill:
                 session.execute("SELECT COUNT(*) FROM elf_symbols")
             assert session._conn.execute("SELECT COUNT(*) FROM elf_symbols").fetchone() == (0,)
             assert "elf_symbols" in session._pending
+            assert _temp_tables(session) == []
             assert session.execute("SELECT COUNT(*) FROM elf_headers").rows == ((1,),)
             monkeypatch.undo()
             assert session.execute("SELECT COUNT(*) FROM elf_symbols").rows == ((2 * B + 1,),)
@@ -505,16 +521,30 @@ class TestBatchedFill:
                 conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
             for table in TABLE_NAMES:
                 conn.execute(engine._CREATE_SQL[table])
-                # Prepares the statement, so too many variables raise here.
-                conn.executemany(engine._BATCH_INSERT_SQL[table], [])
+                statements = [engine._INSERT_SQL[table], engine._BATCH_INSERT_SQL[table]]
+                if table in model.KEY_COLUMNS:
+                    create_keys, *insert_keys = engine._KEYS_SQL[table]
+                    conn.execute(create_keys)
+                    statements += insert_keys
+                for sql in statements:
+                    # Prepares the statement, so too many variables raise here.
+                    conn.executemany(sql, [])
+                if table in model.KEY_COLUMNS:
+                    conn.execute(f"DROP TABLE {engine._KEYS_TABLE}")
         finally:
             conn.close()
 
+    def test_a_keyed_row_binds_its_own_columns_and_its_key_number(self):
+        for table, keys in model.KEY_COLUMNS.items():
+            width = len(SCHEMA[table]) - len(keys) + 1
+            assert engine._INSERT_SQL[table].count("?") == width, table
+            assert engine._BATCH_INSERT_SQL[table].count("?") == B * width, table
+        assert engine._INSERT_SQL["elf_symbols"].count("?") == 6
+
 
 class TestVersionBinding:
-    """A missing `elf_symbols.version` is bound as the integer 0 and stored
-    as NULL by the INSERT's `NULLIF(?, 0)`; a version named "0" is text and
-    survives it."""
+    """A missing `elf_symbols.version` is stored as NULL and a version named
+    "0" as text, on both sides of a batch's end."""
 
     def test_version_named_zero_is_text_and_a_missing_one_is_null(self, versioned_lib, tmp_path):
         path, versions = versioned_lib
@@ -767,15 +797,14 @@ class TestStatementReuse:
             with pytest.raises(SqlError, match="already exists"):
                 session.execute(engine._SYMBOL_INDEX_SQL)
             for name in TABLE_NAMES:
-                width = len(SCHEMA[name])
-                for sql, rows in ((engine._INSERT_SQL[name], 1), (engine._BATCH_INSERT_SQL[name], B)):
+                for sql in (engine._INSERT_SQL[name], engine._BATCH_INSERT_SQL[name]):
                     # `execute` binds names only, and `sqlite3` binds a cached
                     # statement before SQLite re-prepares it, so the INSERT
                     # fails to bind.  Bound by position, the re-prepare refuses it.
                     with pytest.raises(SqlError):
                         session.execute(sql)
                     with pytest.raises(sqlite3.DatabaseError, match="not authorized"):
-                        session._conn.execute(sql, [0] * width * rows)
+                        session._conn.execute(sql, [0] * sql.count("?"))
             assert not session._conn.in_transaction
             assert [session.execute(sql).rows for sql in counts] == before
 
@@ -1164,6 +1193,7 @@ class TestChangedFile:
                     session.execute("SELECT COUNT(*) FROM elf_symbols")
                 assert "elf_symbols" in session._pending
                 assert session._conn.execute("SELECT COUNT(*) FROM elf_symbols").fetchone() == (0,)
+                assert _temp_tables(session) == []
             assert session.execute("SELECT COUNT(*) FROM elf_headers").rows == ((2,),)
 
     @pytest.mark.parametrize("how", CHANGES)

@@ -17,7 +17,7 @@ from elfdb import corpus, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.cxxabi import demangle
 from elfdb.disasm import _ONE_BYTE, _REG32, _REG64, DEFAULT_DECODER, Decoded, X86_64Decoder
-from elfdb.engine import _CREATE_SQL, _INSERT_SQL
+from elfdb.engine import _CREATE_SQL
 from elfdb.model import derive_export_import, section_name_for_symbol
 from elfdb.reader import DataEncoding, ElfClass, SymbolTableKind, load_elf, render_code
 
@@ -148,21 +148,20 @@ class TestSymbolRows:
 
     def test_version_only_on_dynsym(self):
         obj = load_elf("/lib/x86_64-linux-gnu/libc.so.6")
-        # A missing version is 0 in the tuple.
-        versioned = [r for r in named_rows("elf_symbols", obj) if r["version"] != 0]
+        versioned = [r for r in named_rows("elf_symbols", obj) if r["version"] is not None]
         assert versioned
         assert all(r["table"] == ".dynsym" for r in versioned)
 
-    def test_missing_version_is_zero_in_the_tuple_and_null_in_sql(self, versioned_lib):
+    def test_missing_version_is_none_in_the_row_and_null_in_sql(self, versioned_lib):
         path, versions = versioned_lib
         obj = load_elf(path)
         rows = [(r["table"], r["version"]) for r in named_rows("elf_symbols", obj)]
-        want = [(".dynsym", 0 if v is None else v) for v in versions] + [(".symtab", 0)] * 3
+        want = [(".dynsym", v) for v in versions] + [(".symtab", None)] * 3
         assert rows == want
         assert "0" in versions and None in versions
         with engine.register(corpus.add_paths([path])) as session:
             stored = session.execute('SELECT "table", version FROM elf_symbols ORDER BY rowid').rows
-        assert list(stored) == [(t, None if v == 0 else v) for t, v in want]
+        assert list(stored) == want
 
 
 class TestDemangle:
@@ -437,7 +436,7 @@ def reference_symbol_rows(obj) -> list[tuple]:
                     render_code(other & 0x3, reader.SYMBOL_VISIBILITY_NAMES),
                     model._db_int(values[index]),
                     model._db_int(sizes[index]),
-                    0 if version is None else version,  # a missing version, stored as NULL
+                    version,
                     int(exported),
                     int(imported),
                 )
@@ -664,7 +663,8 @@ class TestInstructionTuples:
         finally:
             del DEFAULT_DECODER.decode
         assert len(calls) == len(rows) > 0
-        assert calls == [r[2] - obj.section_named(".text").address for r in rows]
+        # A producer row starts with the address.
+        assert calls == [r[0] - obj.section_named(".text").address for r in rows]
 
     def test_default_decoder_decode_is_read_at_call_time(self, tmp_path):
         # perfbench's tracer times decoding by setting `decode` on this instance.
@@ -783,7 +783,7 @@ class TestSmallTableTuples:
             ], path
 
 
-_NULLABLE = {("elf_dynamic_entries", "string")}
+_NULLABLE = {("elf_symbols", "version"), ("elf_dynamic_entries", "string")}
 _STRING_TAGS = {"NEEDED", "SONAME", "RPATH", "RUNPATH"}
 
 
@@ -793,8 +793,10 @@ _STORED = {str: (str,), int: (int,), bool: (int,), bytes: (memoryview,)}
 
 
 def test_tuples_follow_the_schema(tmp_path):
-    """Each producer tuple has one value per SCHEMA column, each of the type
-    SQLite stores for its column: integers signed 64-bit, flags 0 or 1."""
+    """Each row of `model.rows` has one value per SCHEMA column, each of the
+    type SQLite stores for its column: integers signed 64-bit, flags 0 or 1.
+    The table's producer yields one item per row: perfbench's tracer counts
+    a table's rows by its producer's items."""
     high = write_code_elf(str(tmp_path / "high.so"), text_address=2**64 - 16)
     filled = set()
     for path in [*reference_inputs(tmp_path), high]:
@@ -802,13 +804,12 @@ def test_tuples_follow_the_schema(tmp_path):
         for table, columns in model.SCHEMA.items():
             if table == "elf_instructions" and os.path.getsize(path) >= reader.MAP_THRESHOLD:
                 continue  # libc.so.6 alone decodes to over a million rows
-            for row in model.TABLE_PRODUCERS[table](obj):
+            rows = 0
+            for row in model.rows(table, obj):
                 filled.add(table)
+                rows += 1
                 assert len(row) == len(columns), (path, table)
                 for (column, kind), value in zip(columns, row):
-                    if (table, column) == model.ZERO_IS_NULL and type(value) is int:
-                        assert value == 0, (path, table, column)  # stored as NULL
-                        continue
                     if value is None:
                         assert (table, column) in _NULLABLE, (path, table, column)
                         continue
@@ -819,6 +820,7 @@ def test_tuples_follow_the_schema(tmp_path):
                         assert value in (0, 1), (path, table, column)
                 if table == "elf_dynamic_entries":
                     assert (row[4] is None) == (row[2] not in _STRING_TAGS), (path, row)
+            assert sum(1 for _ in model.TABLE_PRODUCERS[table](obj)) == rows, (path, table)
     assert filled == set(model.SCHEMA)
     text = next(t for t in model.section_tuples(load_elf(high)) if t[2] == ".text")
     assert text[5] == -16  # the address 2**64 - 16, bit pattern kept
@@ -896,8 +898,8 @@ def mutation_seeds(tmp_path_factory) -> list[bytes]:
 @example(seed=0, edits=[(1016, 0x01), (1023, 0x80)])
 def test_byte_mutations_raise_only_elf_errors(mutation_seeds, seed, edits):
     """Mutated bytes either fail the parse with an ElfError or give rows
-    SQLite stores: every producer yields all rows of a file the parse
-    accepted, and raises nothing."""
+    SQLite stores: the fill's insert stores every row of `model.rows` of a
+    file the parse accepted, and raises nothing."""
     data = bytearray(mutation_seeds[seed])
     for position, byte in edits:
         data[position % len(data)] = byte
@@ -907,9 +909,16 @@ def test_byte_mutations_raise_only_elf_errors(mutation_seeds, seed, edits):
         return
     db = sqlite3.connect(":memory:")
     try:
-        for table, producer in model.TABLE_PRODUCERS.items():
+        for table in model.TABLE_NAMES:
             db.execute(_CREATE_SQL[table])
-            db.executemany(_INSERT_SQL[table], producer(obj))
+            if table in model.KEY_COLUMNS:
+                db.execute(engine._KEYS_SQL[table][0])
+            engine._insert(db, table, obj)
+            # A row whose key number has no key row would be dropped by the join.
+            stored = db.execute(f'SELECT COUNT(*) FROM "{table}"').fetchone()[0]
+            assert stored == sum(1 for _ in model.rows(table, obj)), table
+            if table in model.KEY_COLUMNS:
+                db.execute(f"DROP TABLE {engine._KEYS_TABLE}")
     finally:
         db.close()
 
