@@ -24,16 +24,18 @@ contract: pay at first query, same results.)
 
 A fill works one catalog entry at a time, in catalog order: `corpus.reopen`
 opens the file again, checks it against the identity its catalog recorded
-and parses it; the table's producer gives its rows, which go in through
-multi-row `INSERT` statements of `_BATCH_ROWS` rows each, the file's last
-few one row at a time, so rowids follow catalog and producer order.  Of a
-table with `model.KEY_COLUMNS`, the file's key rows go first into a temp
-table, `_KEYS_TABLE`, and each producer row binds only its own columns and
-the number of its key row; the `INSERT` joins the two by rowid and stores
-the table's row, with the storage classes that binding it whole would
-give.  The fill creates that table and drops it within its transaction, so
-a failed fill leaves none behind.  Binding is most of an insert's cost,
-and each text bound is copied: an `elf_symbols` row binds 6 values, not 14.
+and parses it.  The file's key rows (of `model.KEY_COLUMNS`) go first into
+a temp table, `_KEYS_TABLE`; then the table's producer gives its narrow
+rows, each binding only its own columns and the number of its key row,
+which go in through multi-row `INSERT` statements of `_BATCH_ROWS` rows
+each, the file's last few one row at a time, so rowids follow catalog and
+producer order.  The `INSERT` joins each row to its key row by rowid and
+stores the table's row, with the storage classes that binding it whole
+would give.  The fill creates that table and drops it within its
+transaction, so a failed fill leaves none behind.  Binding is most of an
+insert's cost, and each text bound is copied: an `elf_symbols` row binds 6
+values, not 14.  A producer row whose key number matches no key row fails
+the fill with RuntimeError rather than being dropped.
 The parsed file, and its map, are dropped before the next file opens, so a
 fill holds one file at a time.  A file that is gone or is another file raises
 `reader.FileChanged` from the call that ran the fill (`execute`, `register`
@@ -137,8 +139,8 @@ _PAGE_SIZE = 16384
 # table must bind at most 999 parameters, the limit of SQLite before 3.32.
 _BATCH_ROWS = 32
 
-# A keyed fill's key rows, one file's at a time: created and dropped within
-# the fill's transaction.  Untyped columns keep each value's storage class.
+# A fill's key rows, one file's at a time: created and dropped within the
+# fill's transaction.  Untyped columns keep each value's storage class.
 _KEYS_TABLE = "temp.fill_keys"
 
 
@@ -147,14 +149,12 @@ def _values(width: int, rows: int) -> str:
 
 
 def _insert_sql(name: str, rows: int) -> str:
-    """The INSERT of `rows` rows of `name` from producer rows.  Of a keyed
-    table it joins each row's own values to its key row in `_KEYS_TABLE`,
-    by rowid, and stores the columns in SCHEMA order."""
-    keys = KEY_COLUMNS.get(name, ())
+    """The INSERT of `rows` producer rows of `name`: it joins each row's own
+    values to its key row in `_KEYS_TABLE`, by rowid, and stores the columns
+    in SCHEMA order."""
+    keys = KEY_COLUMNS[name]
     own = [col for col, _ in SCHEMA[name] if col not in keys]
-    width = len(own) + bool(keys)
-    if not keys:
-        return 'INSERT INTO "{}" VALUES {}'.format(name, _values(width, rows))
+    width = len(own) + 1
     # A VALUES list names its columns column1, column2, ...; the key number is last.
     source = {col: f"v.column{i}" for i, col in enumerate(own, 1)}
     source.update((col, f'k."{col}"') for col in keys)
@@ -165,25 +165,31 @@ def _insert_sql(name: str, rows: int) -> str:
 
 _INSERT_SQL = {name: _insert_sql(name, 1) for name in SCHEMA}
 _BATCH_INSERT_SQL = {name: _insert_sql(name, _BATCH_ROWS) for name in SCHEMA}
-# Per keyed table: the key table's CREATE, then its INSERTs of one row and of a batch.
+# Per table: the key table's CREATE, then its one-row INSERT.  A file has few
+# key rows (the syslib core 1,017 of elf_symbols, for 82,467 rows), so they
+# go in one at a time.
 _KEYS_SQL = {
     name: (
         "CREATE TABLE {} ({})".format(_KEYS_TABLE, ", ".join(f'"{col}"' for col in keys)),
-        *(f"INSERT INTO {_KEYS_TABLE} VALUES {_values(len(keys), rows)}" for rows in (1, _BATCH_ROWS)),
+        f"INSERT INTO {_KEYS_TABLE} VALUES {_values(len(keys), 1)}",
     )
     for name, keys in KEY_COLUMNS.items()
 }
 
 
-def _insert_rows(conn: sqlite3.Connection, one: str, batch: str, rows: Iterable[tuple]) -> None:
+def _insert_rows(conn: sqlite3.Connection, one: str, batch: str, rows: Iterable[tuple]) -> int:
     """Insert `rows` in order: `batch` inserts `_BATCH_ROWS` of them at a
-    time, and `one` the last few, one at a time."""
+    time, and `one` the last few, one at a time.  Returns how many rows it
+    was given."""
     rows = iter(rows)
     tail: list[tuple] = []
+    given = 0
 
     def batches():
+        nonlocal given
         while True:
             chunk = tuple(islice(rows, _BATCH_ROWS))
+            given += len(chunk)
             if len(chunk) < _BATCH_ROWS:
                 tail.extend(chunk)
                 return
@@ -191,19 +197,22 @@ def _insert_rows(conn: sqlite3.Connection, one: str, batch: str, rows: Iterable[
 
     conn.executemany(batch, batches())
     conn.executemany(one, tail)
+    return given
 
 
 def _insert(conn: sqlite3.Connection, table: str, obj: ElfObject) -> None:
     """Insert the rows of `table` for one file in order, into `conn`, whose
-    `_KEYS_TABLE` the caller created when `table` is keyed.  Nothing refers
-    to the file once this returns, so its map is gone before the next file
-    opens."""
-    if table in KEY_COLUMNS:
-        _, one, batch = _KEYS_SQL[table]
-        conn.execute(f"DELETE FROM {_KEYS_TABLE}")
-        # Emptied, the table numbers its rows from 1 again, as the producer does.
-        _insert_rows(conn, one, batch, TABLE_KEYS[table](obj))
-    _insert_rows(conn, _INSERT_SQL[table], _BATCH_INSERT_SQL[table], TABLE_PRODUCERS[table](obj))
+    `_KEYS_TABLE` for `table` the caller created.  Raises RuntimeError when a
+    producer row matches no key row, so is not stored.  Nothing refers to the
+    file once this returns, so its map is gone before the next file opens."""
+    conn.execute(f"DELETE FROM {_KEYS_TABLE}")
+    # Emptied, the table numbers its rows from 1 again, as the producer does.
+    conn.executemany(_KEYS_SQL[table][1], TABLE_KEYS[table](obj))
+    before = conn.total_changes
+    given = _insert_rows(conn, _INSERT_SQL[table], _BATCH_INSERT_SQL[table], TABLE_PRODUCERS[table](obj))
+    lost = given - (conn.total_changes - before)
+    if lost:
+        raise RuntimeError(f"{table}: {lost} of the {given} rows of {obj.path} match no key row")
 
 
 # Built with the fill, in the same transaction, when the catalog holds two or
@@ -289,16 +298,13 @@ class Session:
         return TABLE_NAMES
 
     def _materialize(self, table: str) -> None:
-        keyed = table in KEY_COLUMNS
         self._conn.set_authorizer(_allow_all)
         try:
             self._conn.execute("BEGIN")
-            if keyed:
-                self._conn.execute(_KEYS_SQL[table][0])
+            self._conn.execute(_KEYS_SQL[table][0])
             for entry in self._catalog.entries:
                 _insert(self._conn, table, corpus.reopen(entry))
-            if keyed:
-                self._conn.execute(f"DROP TABLE {_KEYS_TABLE}")
+            self._conn.execute(f"DROP TABLE {_KEYS_TABLE}")
             if table == "elf_symbols" and len(self._catalog.entries) >= 2:
                 self._conn.execute(_SYMBOL_INDEX_SQL)
             self._conn.execute("COMMIT")

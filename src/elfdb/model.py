@@ -6,14 +6,12 @@ its DDL from it.
 
 `rows(table, obj)` gives the rows of one table for one ElfObject: tuples in
 SCHEMA column order, exactly as SQLite stores them.  A fill binds fewer
-values.  Of a table with `KEY_COLUMNS`, the columns that take only a few
-distinct values per file, `TABLE_KEYS[table](obj)` gives each combination
-of them that the file's rows use once, as a key row, and
+values.  Of each table, `KEY_COLUMNS` names the columns that take only a
+few distinct values per file, `TABLE_KEYS[table](obj)` gives each
+combination of them that the file's rows use once, as a key row, and
 `TABLE_PRODUCERS[table](obj)` gives a narrow row per table row: the other
 columns in SCHEMA order, then the number of its key row (from 1, in the
-order the key rows come).  Of every other table, the producer's rows are
-the table's rows.  `symbol_tuples`, `string_tuples` and
-`instruction_tuples` give the full rows of their tables.
+order the key rows come).
 
 Integers are in SQLite's signed 64-bit range, flags are 0/1 and section
 contents are views of the file.  Rows follow the file's order (symbols
@@ -101,11 +99,15 @@ TABLE_NAMES = tuple(SCHEMA)
 # row of elf_symbols binds 6 values, not 14.  Binding, not storing, is most of
 # an insert's cost; a text is copied at every bind.
 KEY_COLUMNS: dict[str, tuple[str, ...]] = {
+    "elf_headers": ("path",),
+    "elf_sections": ("path",),
+    "elf_segments": ("path",),
     "elf_symbols": (
         "path", "table", "section", "type", "binding", "visibility", "version", "exported",
         "imported",
     ),
     "elf_strings": ("path", "section"),
+    "elf_dynamic_entries": ("path",),
     "elf_instructions": ("path", "section"),
 }
 
@@ -162,33 +164,35 @@ def _db_int(value: int) -> int:
     return value - 2**64 if value >= _I64_MAX else value
 
 
-def header_tuples(obj: ElfObject) -> Iterator[tuple]:
+def path_keys(obj: ElfObject) -> Iterator[tuple]:
+    """The one key row of a table keyed on its path alone."""
+    yield (path_text(obj.path),)
+
+
+def header_rows(obj: ElfObject) -> Iterator[tuple]:
     header = obj.header
     ident = header.ident
     yield (
-        path_text(obj.path), header.file_type, header.machine, header.version,
-        _db_int(header.entry_point), ident.elf_class.name, ident.data_encoding.name,
-        render_code(ident.os_abi, reader.OSABI_NAMES), len(obj.segments), len(obj.sections),
+        header.file_type, header.machine, header.version, _db_int(header.entry_point),
+        ident.elf_class.name, ident.data_encoding.name,
+        render_code(ident.os_abi, reader.OSABI_NAMES), len(obj.segments), len(obj.sections), 1,
     )
 
 
-def section_tuples(obj: ElfObject) -> Iterator[tuple]:
-    path = path_text(obj.path)
+def section_rows(obj: ElfObject) -> Iterator[tuple]:
     machine = obj.header.machine_code
     for s in obj.sections:
         yield (
-            path, s.index, s.name, reader.section_type_name(s.type_code, machine),
-            s.flag_letters, _db_int(s.address), _db_int(s.offset), _db_int(s.size), s.link,
-            s.info, s.view,
+            s.index, s.name, reader.section_type_name(s.type_code, machine), s.flag_letters,
+            _db_int(s.address), _db_int(s.offset), _db_int(s.size), s.link, s.info, s.view, 1,
         )
 
 
-def segment_tuples(obj: ElfObject) -> Iterator[tuple]:
-    path = path_text(obj.path)
+def segment_rows(obj: ElfObject) -> Iterator[tuple]:
     for s in obj.segments:
         yield (
-            path, s.index, s.type_name, s.flag_letters, s.offset, _db_int(s.vaddr),
-            s.filesz, _db_int(s.memsz), _db_int(s.align),
+            s.index, s.type_name, s.flag_letters, s.offset, _db_int(s.vaddr), s.filesz,
+            _db_int(s.memsz), _db_int(s.align), 1,
         )
 
 
@@ -308,10 +312,9 @@ def string_rows(obj: ElfObject) -> Iterator[tuple]:
             yield from zip(offsets, values, repeat(number))
 
 
-def dynamic_entry_tuples(obj: ElfObject) -> Iterator[tuple]:
-    path = path_text(obj.path)
+def dynamic_entry_rows(obj: ElfObject) -> Iterator[tuple]:
     for e in obj.dynamic:
-        yield (path, e.ordinal, e.tag_name, _db_int(e.value), e.string)
+        yield (e.ordinal, e.tag_name, _db_int(e.value), e.string, 1)
 
 
 # The default of `instruction_rows`: `disasm.DEFAULT_DECODER`, imported on first use.
@@ -367,24 +370,29 @@ def instruction_rows(
 
 
 TABLE_PRODUCERS = {
-    "elf_headers": header_tuples,
-    "elf_sections": section_tuples,
-    "elf_segments": segment_tuples,
+    "elf_headers": header_rows,
+    "elf_sections": section_rows,
+    "elf_segments": segment_rows,
     "elf_symbols": symbol_rows,
     "elf_strings": string_rows,
-    "elf_dynamic_entries": dynamic_entry_tuples,
+    "elf_dynamic_entries": dynamic_entry_rows,
     "elf_instructions": instruction_rows,
 }
 
 TABLE_KEYS = {
+    "elf_headers": path_keys,
+    "elf_sections": path_keys,
+    "elf_segments": path_keys,
     "elf_symbols": symbol_keys,
     "elf_strings": string_keys,
+    "elf_dynamic_entries": path_keys,
     "elf_instructions": instruction_keys,
 }
 
 
-def _widened(table: str, keys: Iterable[tuple], narrow: Iterable[tuple]) -> Iterator[tuple]:
-    """The full rows of `table` from its key rows and its narrow rows."""
+def rows(table: str, obj: ElfObject) -> Iterator[tuple]:
+    """The rows of `table` for `obj` in SCHEMA column order, as SQLite
+    stores them, from `TABLE_PRODUCERS` and `TABLE_KEYS`."""
     key_columns = KEY_COLUMNS[table]
     own = [column for column, _ in SCHEMA[table] if column not in key_columns]
     # A narrow row, then its key row: its own columns, the key number, the key columns.
@@ -392,30 +400,6 @@ def _widened(table: str, keys: Iterable[tuple], narrow: Iterable[tuple]) -> Iter
         own.index(column) if column in own else len(own) + 1 + key_columns.index(column)
         for column, _ in SCHEMA[table]
     ))
-    by_number = (None, *keys)
-    return (order(row + by_number[row[-1]]) for row in narrow)
-
-
-def rows(table: str, obj: ElfObject) -> Iterator[tuple]:
-    """The rows of `table` for `obj` in SCHEMA column order, as SQLite
-    stores them, from `TABLE_PRODUCERS` and `TABLE_KEYS`."""
     narrow = TABLE_PRODUCERS[table](obj)
-    return _widened(table, TABLE_KEYS[table](obj), narrow) if table in TABLE_KEYS else narrow
-
-
-def symbol_tuples(obj: ElfObject) -> Iterator[tuple]:
-    """The rows of elf_symbols, table by table, each in index order."""
-    return _widened("elf_symbols", symbol_keys(obj), symbol_rows(obj))
-
-
-def string_tuples(obj: ElfObject) -> Iterator[tuple]:
-    """The rows of elf_strings, in (section, offset) order."""
-    return _widened("elf_strings", string_keys(obj), string_rows(obj))
-
-
-def instruction_tuples(
-    obj: ElfObject, decoder: Optional[InstructionDecoder] = _DEFAULT_DECODER
-) -> Iterator[tuple]:
-    """The rows of elf_instructions, decoded by `decoder` as
-    `instruction_rows` decodes them."""
-    return _widened("elf_instructions", instruction_keys(obj), instruction_rows(obj, decoder))
+    by_number = (None, *TABLE_KEYS[table](obj))
+    return (order(row + by_number[row[-1]]) for row in narrow)

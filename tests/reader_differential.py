@@ -29,7 +29,7 @@ or signed value.
 An outcome is the ElfError's type and message, or, for a parsed copy, a
 digest of each part of the object: the header, the sections (each with a
 digest of its bytes), the segments, .dynamic, every symbol table column
-and the `elf_strings` rows that `model.string_tuples` splits from it.
+and the `elf_strings` rows that `model.rows` splits from it.
 Every differing case is listed.  The exit status is 1 when an exception
 other than ElfError escapes either reader, or either takes more than
 TIME_BOUND seconds on a case; differing outcomes alone exit 0, as a change
@@ -76,7 +76,7 @@ def parts(obj):
     return {
         "header": digest(obj.header), "sections": digest(sections),
         "segments": digest(obj.segments), "dynamic": digest(obj.dynamic),
-        "symbols": digest(tables), "strings": digest(list(model.string_tuples(obj))),
+        "symbols": digest(tables), "strings": digest(list(model.rows("elf_strings", obj))),
     }
 
 for line in sys.stdin:

@@ -385,7 +385,8 @@ class TestProducers:
         the MEMOIZED one; putting the original back undoes it."""
 
         def one_row(obj):
-            yield (obj.path, 7, "DT_PLANTED", -1, "planted")
+            # A narrow row: the table's own columns, then key number 1, the file's path.
+            yield (7, "DT_PLANTED", -1, "planted", 1)
 
         producers = model.TABLE_PRODUCERS
         original = producers["elf_dynamic_entries"]
@@ -488,7 +489,8 @@ class TestBatchedFill:
             # its last rows go in one at a time before the second file is opened.
             assert rows[0] % B and sum(rows) >= (rows[0] // B + 1) * B, table
         obj = objs[0]
-        assert isinstance(next(model.TABLE_PRODUCERS["elf_sections"](obj))[-1], memoryview)
+        # A section's content, bound just before its key number, is a view of the file.
+        assert isinstance(next(model.TABLE_PRODUCERS["elf_sections"](obj))[-2], memoryview)
         dumps = _assert_fill_equals_one_row_inserts(catalog)
         assert any(type(v) is int and v < 0 for row in dumps["elf_symbols"] for v in row)
         assert {row[-1] for row in dumps["elf_sections"]} == {"blob"}
@@ -521,25 +523,51 @@ class TestBatchedFill:
                 conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
             for table in TABLE_NAMES:
                 conn.execute(engine._CREATE_SQL[table])
-                statements = [engine._INSERT_SQL[table], engine._BATCH_INSERT_SQL[table]]
-                if table in model.KEY_COLUMNS:
-                    create_keys, *insert_keys = engine._KEYS_SQL[table]
-                    conn.execute(create_keys)
-                    statements += insert_keys
-                for sql in statements:
+                create_keys, insert_key = engine._KEYS_SQL[table]
+                conn.execute(create_keys)
+                for sql in (insert_key, engine._INSERT_SQL[table], engine._BATCH_INSERT_SQL[table]):
                     # Prepares the statement, so too many variables raise here.
                     conn.executemany(sql, [])
-                if table in model.KEY_COLUMNS:
-                    conn.execute(f"DROP TABLE {engine._KEYS_TABLE}")
+                conn.execute(f"DROP TABLE {engine._KEYS_TABLE}")
         finally:
             conn.close()
 
     def test_a_keyed_row_binds_its_own_columns_and_its_key_number(self):
-        for table, keys in model.KEY_COLUMNS.items():
-            width = len(SCHEMA[table]) - len(keys) + 1
+        widths = {
+            "elf_headers": 10, "elf_sections": 11, "elf_segments": 9, "elf_symbols": 6,
+            "elf_strings": 3, "elf_dynamic_entries": 5, "elf_instructions": 5,
+        }
+        assert set(model.KEY_COLUMNS) == set(model.TABLE_KEYS) == set(widths) == set(SCHEMA)
+        for table, width in widths.items():
+            assert len(SCHEMA[table]) - len(model.KEY_COLUMNS[table]) + 1 == width, table
             assert engine._INSERT_SQL[table].count("?") == width, table
             assert engine._BATCH_INSERT_SQL[table].count("?") == B * width, table
-        assert engine._INSERT_SQL["elf_symbols"].count("?") == 6
+            assert engine._KEYS_SQL[table][1].count("?") == len(model.KEY_COLUMNS[table]), table
+
+    @pytest.mark.parametrize("where", ["in a batch", "in the tail"])
+    @pytest.mark.parametrize("number", ["zero", "past the last key row"])
+    def test_a_row_that_matches_no_key_row_fails_the_fill(self, tmp_path, monkeypatch, number, where):
+        """The join would drop a producer row whose key number has no key
+        row; the fill raises instead, and stores nothing."""
+        catalog = corpus.add_paths([_generated(tmp_path, 2 * B)])
+        original = model.TABLE_PRODUCERS["elf_symbols"]
+
+        def one_stray(obj):
+            rows = list(original(obj))
+            stray = 0 if number == "zero" else sum(1 for _ in model.TABLE_KEYS["elf_symbols"](obj)) + 1
+            at = B // 2 if where == "in a batch" else len(rows) - 1
+            rows[at] = (*rows[at][:-1], stray)
+            yield from rows
+
+        with register(catalog) as session:
+            monkeypatch.setitem(model.TABLE_PRODUCERS, "elf_symbols", one_stray)
+            with pytest.raises(RuntimeError, match=rf"elf_symbols: 1 of the {2 * B + 1} rows of .*gen"):
+                session.execute("SELECT COUNT(*) FROM elf_symbols")
+            assert session._conn.execute("SELECT COUNT(*) FROM elf_symbols").fetchone() == (0,)
+            assert "elf_symbols" in session._pending
+            assert _temp_tables(session) == []
+            monkeypatch.undo()
+            assert session.execute("SELECT COUNT(*) FROM elf_symbols").rows == ((2 * B + 1,),)
 
 
 class TestVersionBinding:

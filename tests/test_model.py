@@ -6,6 +6,7 @@ import sqlite3
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -126,7 +127,7 @@ class TestSymbolRows:
         written = make_elf(
             symbols=exported_funcs("d1"), symtab_symbols=exported_funcs("s1")
         )
-        rows = model.symbol_tuples(load_elf(written.path))
+        rows = model.rows("elf_symbols", load_elf(written.path))
         assert [(r[1], r[2]) for r in rows] == [
             (".dynsym", 0),
             (".dynsym", 1),
@@ -296,7 +297,7 @@ class TestStringRows:
         written = make_elf(symbols=exported_funcs("one", "two"), runpath="/opt/lib")
         obj = load_elf(written.path)
         by_name = {s.name: s for s in obj.sections}
-        for _path, section, offset, value in model.string_tuples(obj):
+        for _path, section, offset, value in model.rows("elf_strings", obj):
             content = by_name[section].content
             end = content.find(b"\x00", offset)
             assert content[offset:end].decode() == value
@@ -329,11 +330,11 @@ class TestInstructionRows:
         obj = load_elf(written.path)
         text = obj.section_named(".text")
         want = [(obj.path, ".text", text.address, 1, "ret", "")]
-        assert list(model.instruction_tuples(obj)) == want
+        assert list(model.rows("elf_instructions", obj)) == want
 
     def test_empty_text_no_rows(self, make_elf):
         written = make_elf(symbols=[])
-        assert list(model.instruction_tuples(load_elf(written.path))) == []
+        assert list(model.rows("elf_instructions", load_elf(written.path))) == []
 
     def test_k_stub_fixture(self, make_elf):
         k = 9
@@ -358,7 +359,7 @@ class TestInstructionRows:
 
     def test_unsupported_machine_yields_nothing(self, make_elf):
         written = make_elf(symbols=exported_funcs("f"), machine=40)  # ARM
-        assert list(model.instruction_tuples(load_elf(written.path))) == []
+        assert list(model.rows("elf_instructions", load_elf(written.path))) == []
 
     def test_decoder_subset(self, make_elf):
         code = bytes.fromhex("f30f1efa554889e5c3")  # endbr64; push rbp; rex mov; ret
@@ -411,7 +412,7 @@ class TestHeaderAndSectionRows:
 
 
 def reference_symbol_rows(obj) -> list[tuple]:
-    """The per-row derivation that `symbol_tuples` replaced, kept as the
+    """The per-row derivation that the elf_symbols producer replaced, kept as the
     reference it must equal: one index of the table columns at a time.
     Each column property derives the whole column from the file, so each
     is read once per table, before the loop."""
@@ -471,7 +472,7 @@ class TestSymbolTuples:
     def test_equal_to_the_per_row_reference(self, tmp_path):
         for path in reference_inputs(tmp_path):
             obj = load_elf(path)
-            assert list(model.symbol_tuples(obj)) == reference_symbol_rows(obj), path
+            assert list(model.rows("elf_symbols", obj)) == reference_symbol_rows(obj), path
             for table, producer in model.TABLE_PRODUCERS.items():
                 produced = producer(obj)
                 assert iter(produced) is produced, table
@@ -481,7 +482,7 @@ class TestSymbolTuples:
         obj = load_elf(path)
         dynsym_count, symtab_count = 13, 5
         assert [len(t) for t in obj.symbol_tables] == [dynsym_count, symtab_count]
-        keys = [(t[2], t[3]) for t in model.symbol_tuples(obj)]
+        keys = [(t[2], t[3]) for t in model.rows("elf_symbols", obj)]
         assert [index for index, _ in keys] == [*range(dynsym_count), *range(symtab_count)]
         listed = readelf_symbol_tables(path)
         assert [name for name, _ in listed] == [".dynsym", ".symtab"]
@@ -525,7 +526,7 @@ class TestStringTuples:
                 for offset, value in reference_table_strings(sec.content)
             ]
             assert want, path
-            assert list(model.string_tuples(obj)) == want, path
+            assert list(model.rows("elf_strings", obj)) == want, path
 
 
 class RuleScanDecoder(X86_64Decoder):
@@ -567,8 +568,19 @@ class RuleScanDecoder(X86_64Decoder):
 RULE_SCAN = RuleScanDecoder()
 
 
+def decoded_rows(obj, decoder) -> list[tuple]:
+    """`model.rows` of elf_instructions, decoded by `decoder`."""
+    producers = model.TABLE_PRODUCERS
+    original = producers["elf_instructions"]
+    producers["elf_instructions"] = partial(model.instruction_rows, decoder=decoder)
+    try:
+        return list(model.rows("elf_instructions", obj))
+    finally:
+        producers["elf_instructions"] = original
+
+
 def reference_instruction_tuples(obj, decoder=RULE_SCAN) -> list[tuple]:
-    """The per-row loop that `instruction_tuples` replaced, kept as the
+    """The per-row loop that the elf_instructions producer replaced, kept as the
     reference it must equal."""
     if decoder is None or not decoder.supports(obj.header.machine_code):
         return []
@@ -635,8 +647,8 @@ class TestInstructionTuples:
             obj = load_elf(path)
             for decoder in (DEFAULT_DECODER, None):
                 want = reference_instruction_tuples(obj, decoder)
-                assert list(model.instruction_tuples(obj, decoder)) == want, path
-            assert list(model.instruction_tuples(obj)) == reference_instruction_tuples(obj)
+                assert decoded_rows(obj, decoder) == want, path
+            assert list(model.rows("elf_instructions", obj)) == reference_instruction_tuples(obj)
         obj = load_elf(str(tmp_path / "high.so"))
         rows = named_rows("elf_instructions", obj)
         assert rows[0]["address"] == high
@@ -646,7 +658,7 @@ class TestInstructionTuples:
         assert [r["mnemonic"] for r in rows][-4:] == ["nop", "(bad)", "(bad)", "(bad)"]
         assert sum(r["mnemonic"] == "(bad)" for r in rows) == 6  # 06, the two of 31 08, the cut call
         assert rows[-1]["address"] < 0
-        assert list(model.instruction_tuples(load_elf(str(tmp_path / "arm.so")))) == []
+        assert list(model.rows("elf_instructions", load_elf(str(tmp_path / "arm.so")))) == []
 
     def test_decode_set_on_the_default_decoder_runs_once_per_row(self, tmp_path):
         obj = load_elf(write_code_elf(str(tmp_path / "code.so")))
@@ -672,11 +684,11 @@ class TestInstructionTuples:
         try:
             for mnemonic in ("first", "second"):
                 DEFAULT_DECODER.decode = lambda buf, offset, address, m=mnemonic: Decoded(1, m, "")
-                rows = list(model.instruction_tuples(obj))
+                rows = list(model.rows("elf_instructions", obj))
                 assert rows and {r[4] for r in rows} == {mnemonic}
         finally:
             del DEFAULT_DECODER.decode
-        assert list(model.instruction_tuples(obj)) == reference_instruction_tuples(obj)
+        assert list(model.rows("elf_instructions", obj)) == reference_instruction_tuples(obj)
 
 
 # Bytes after a first byte that change a rule's outcome: none, a register
@@ -822,7 +834,7 @@ def test_tuples_follow_the_schema(tmp_path):
                     assert (row[4] is None) == (row[2] not in _STRING_TAGS), (path, row)
             assert sum(1 for _ in model.TABLE_PRODUCERS[table](obj)) == rows, (path, table)
     assert filled == set(model.SCHEMA)
-    text = next(t for t in model.section_tuples(load_elf(high)) if t[2] == ".text")
+    text = next(t for t in model.rows("elf_sections", load_elf(high)) if t[2] == ".text")
     assert text[5] == -16  # the address 2**64 - 16, bit pattern kept
 
 
@@ -911,14 +923,11 @@ def test_byte_mutations_raise_only_elf_errors(mutation_seeds, seed, edits):
     try:
         for table in model.TABLE_NAMES:
             db.execute(_CREATE_SQL[table])
-            if table in model.KEY_COLUMNS:
-                db.execute(engine._KEYS_SQL[table][0])
+            db.execute(engine._KEYS_SQL[table][0])
             engine._insert(db, table, obj)
-            # A row whose key number has no key row would be dropped by the join.
             stored = db.execute(f'SELECT COUNT(*) FROM "{table}"').fetchone()[0]
             assert stored == sum(1 for _ in model.rows(table, obj)), table
-            if table in model.KEY_COLUMNS:
-                db.execute(f"DROP TABLE {engine._KEYS_TABLE}")
+            db.execute(f"DROP TABLE {engine._KEYS_TABLE}")
     finally:
         db.close()
 
@@ -939,7 +948,7 @@ def test_string_rows_in_pieces_equal_whole_tables(tmp_path, monkeypatch, layout,
         for entry in zip(*reader._string_columns(sec.content))
     ]
     monkeypatch.setattr(reader, "_STRING_PIECE", piece)
-    assert list(model.string_tuples(obj)) == whole
+    assert list(model.rows("elf_strings", obj)) == whole
 
 
 class TestBoundedMemory:
@@ -957,10 +966,10 @@ class TestBoundedMemory:
             held = tracemalloc.get_traced_memory()[0]
             obj = reader.load_elf(sys.argv[1])
             peaks = []
-            for producer in (model.symbol_tuples, model.string_tuples):
+            for table in ("elf_symbols", "elf_strings"):
                 tracemalloc.reset_peak()
                 before = tracemalloc.get_traced_memory()[0]
-                rows = sum(1 for _ in producer(obj))
+                rows = sum(1 for _ in model.rows(table, obj))
                 peaks.append(tracemalloc.get_traced_memory()[1] - before)
             print([held, *peaks, obj.section_named(".dynstr").size])
         """

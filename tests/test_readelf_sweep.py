@@ -136,7 +136,7 @@ def _symbol_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
     swept so far."""
     oracle = readelf_symbol_tables(path)
     columns = [c for c, _ in model.SCHEMA["elf_symbols"]]
-    rows = map(dict, map(partial(zip, columns), model.symbol_tuples(obj)))
+    rows = map(dict, map(partial(zip, columns), model.rows("elf_symbols", obj)))
     ours = [(t.kind.value, list(islice(rows, len(t)))) for t in obj.symbol_tables]
     counts = [(table, len(r)) for table, r in ours]
     if [n for _, n in counts] != [len(r) for _, r in oracle]:
@@ -172,7 +172,7 @@ def _symbol_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
 
 def _section_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
     oracle = [m.groups() for m in map(_SECTION_LINE.match, run_readelf("-SW", path).splitlines()) if m]
-    ours = list(model.section_tuples(obj))
+    ours = list(model.rows("elf_sections", obj))
     if len(ours) != len(oracle):
         return [f"{path}: {len(ours)} sections, readelf lists {len(oracle)}"]
     problems = []
@@ -199,7 +199,7 @@ def _section_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
 
 def _header_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
     fields = dict(m.groups() for m in map(_HEADER_LINE.match, run_readelf("-hW", path).splitlines()) if m)
-    (row,) = model.header_tuples(obj)
+    (row,) = model.rows("elf_headers", obj)
     got = (row[1], row[2], _unsigned(row[4]), row[5], row[6], row[7], row[8], row[9])
     shnum = fields["Number of section headers"]
     expected = (
@@ -219,14 +219,14 @@ def _header_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
 def _segment_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
     segments = [
         (row[2], row[3], row[4], _unsigned(row[5]), row[6], _unsigned(row[7]), _unsigned(row[8]))
-        for row in model.segment_tuples(obj)
+        for row in model.rows("elf_segments", obj)
     ]
     oracle = readelf_segments(path)
     return [] if segments == oracle else [f"{path}: segments {segments} readelf {oracle}"]
 
 
 def _dynamic_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
-    dynamic = [(row[2], row[4]) for row in model.dynamic_entry_tuples(obj)]
+    dynamic = [(row[2], row[4]) for row in model.rows("elf_dynamic_entries", obj)]
     oracle = [
         (tag, text if tag in ("NEEDED", "SONAME", "RPATH", "RUNPATH") else None)
         for tag, text in readelf_dynamic(path)
@@ -263,7 +263,7 @@ def _string_mismatches(obj: reader.ElfObject, path: str) -> list[str]:
             oracle.append((section, int(entry.group(1), 16), entry.group(2)))
     ours = [
         (section, *printed)
-        for _path, section, offset, value in model.string_tuples(obj)
+        for _path, section, offset, value in model.rows("elf_strings", obj)
         for printed in [_readelf_string(offset, value)]
         if printed[1]
     ]
@@ -322,7 +322,7 @@ def test_processor_section_type_named_by_machine(tmp_path, machine):
         fh.seek(obj.header.shoff + text.index * obj.header.shentsize + 4)  # its sh_type
         fh.write(struct.pack("<I", 0x70000001))
     obj = reader.load_elf(path)
-    (sh_type,) = [row[3] for row in model.section_tuples(obj) if row[2] == ".text"]
+    (sh_type,) = [row[3] for row in model.rows("elf_sections", obj) if row[2] == ".text"]
     assert sh_type == ("X86_64_UNWIND" if machine == reader.EM_X86_64 else "1879048193")
     assert _section_mismatches(obj, path) == []
 

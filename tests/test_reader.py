@@ -475,7 +475,7 @@ class TestSymbolTableChecks:
         offset, fmt = symbol_field_at(obj, ".dynsym", 1, 0)
         accepted = opened_after(varied_layout, offset, fmt, end - 1)
         assert symbol_table(accepted, SymbolTableKind.DYNSYM).names[1] == ""
-        assert [row[3] for row in model.symbol_tuples(accepted)][1] == ""
+        assert [row[3] for row in model.rows("elf_symbols", accepted)][1] == ""
         assert_malformed_after(
             varied_layout,
             lambda obj: (offset, fmt, end),
@@ -498,7 +498,7 @@ class TestSymbolTableChecks:
         shnum = len(obj.sections)
         offset, fmt = symbol_field_at(obj, ".dynsym", 1, 3)
         accepted = opened_after(varied_layout, offset, fmt, shnum - 1)
-        assert [row[5] for row in model.symbol_tuples(accepted)][1] == obj.sections[-1].name
+        assert [row[5] for row in model.rows("elf_symbols", accepted)][1] == obj.sections[-1].name
         assert_malformed_after(
             varied_layout,
             lambda obj: (offset, fmt, shnum),
@@ -512,7 +512,7 @@ class TestSymbolTableChecks:
         fmt = layout_of(obj).shdr.format[0] + "H"
         accepted = opened_after(varied_layout, versym.offset + 2, fmt, 0x8002)
         assert symbol_table(accepted, SymbolTableKind.DYNSYM).versions[1] == ("V1", False)
-        assert [row[11] for row in model.symbol_tuples(accepted)][1] == "V1"
+        assert [row[11] for row in model.rows("elf_symbols", accepted)][1] == "V1"
         assert_malformed_after(
             varied_layout,
             lambda obj: (versym.offset + 2, fmt, word),
