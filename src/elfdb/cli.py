@@ -212,8 +212,8 @@ def cmd_export(args) -> int:
     with build_session(args) as session:
         summary = session.export_database(args.out, overwrite=args.force)
     print(f"wrote {args.out}: {summary.tables} tables, {summary.rows} rows")
-    for name in engine.TABLE_NAMES:
-        print(f"  {name}: {summary.per_table[name]}")
+    for name, rows in summary.per_table.items():
+        print(f"  {name}: {rows}")
     return 0
 
 

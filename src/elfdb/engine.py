@@ -1,13 +1,14 @@
 """Bridge between the relational schema and an embedded SQLite engine.
 
 A Session owns a private temporary SQLite database, opened with an empty
-file name, holding the seven schema tables in 16 KiB pages, four times
-SQLite's default: a scan or a BLOB read pays the per-page cost a quarter as
-often, in the session and in any stock reader of its export, whose pages
-are the session's.  At most SQLite's default page cache (2 MiB, set in
-bytes, so a quarter as many pages) of it stays in memory.  Once the
-database outgrows the cache, SQLite writes the other pages to a file that
-it unlinks as soon as it opens it, in the first writable directory of
+file name, holding the tables of `model.TABLES` (as it was when the
+session was created) in 16 KiB pages, four times SQLite's default: a scan
+or a BLOB read pays the per-page cost a quarter as often, in the session
+and in any stock reader of its export, whose pages are the session's.  At
+most SQLite's default page cache (2 MiB, set in bytes, so a quarter as many
+pages) of it stays in memory.  Once the database outgrows the cache,
+SQLite writes the other pages to a file that it unlinks as soon as it
+opens it, in the first writable directory of
 `SQLITE_TMPDIR`, `TMPDIR`, `/var/tmp`, `/usr/tmp`, `/tmp` and `.`.  The
 file grows to about the size of the session's export and is gone when the
 session closes, or the process ends.  A fill that meets a full disk
@@ -24,8 +25,8 @@ contract: pay at first query, same results.)
 
 A fill works one catalog entry at a time, in catalog order: `corpus.reopen`
 opens the file again, checks it against the identity its catalog recorded
-and parses it.  The file's key rows (of `model.KEY_COLUMNS`) go first into
-a temp table, `_KEYS_TABLE`; then the table's producer gives its narrow
+and parses it.  The file's key rows (of the table's key columns) go first
+into a temp table, `_KEYS_TABLE`; then the table's producer gives its narrow
 rows, each binding only its own columns and the number of its key row,
 which go in through multi-row `INSERT` statements of `_BATCH_ROWS` rows
 each, the file's last few one row at a time, so rowids follow catalog and
@@ -41,20 +42,23 @@ fill holds one file at a time.  A file that is gone or is another file raises
 `reader.FileChanged` from the call that ran the fill (`execute`, `register`
 for a MEMOIZED table, `export_database`); the fill is rolled back and its
 table stays pending.
-When the corpus holds two or more files, the `elf_symbols` fill also builds
-the index `elf_symbols_path` on `(path, "table")`, so per-file statements
-search it instead of scanning every file's symbols.  Rows and rowids do not
-change, but a statement without a total `ORDER BY` may list its rows in
-index order, e.g. `SELECT path FROM elf_symbols` by path.
+Every statement and the DDL come from the table's `model.Table` record
+alone; the engine names no table.
+When the corpus holds two or more files, the fill of a table that declares
+an index also builds it: `elf_symbols_path` on `(path, "table")`, so
+per-file statements search it instead of scanning every file's symbols.
+Rows and rowids do not change, but a statement without a total `ORDER BY`
+may list its rows in index order, e.g. `SELECT path FROM elf_symbols` by
+path.
 The read-only allowlist authorizer stays installed for the session's life.
 A fill swaps in a permissive one and then reinstalls it, which expires
 every prepared statement: a repeated statement compiles once until the next
 fill, and no statement of a fill is ever reused unchecked.
 
 `export_database` persists the whole schema, declared column types and
-`elf_symbols_path` included, to an ordinary SQLite 3 file with SQLite's
+indexes included, to an ordinary SQLite 3 file with SQLite's
 online-backup API, which gives the new file the session's page size; any
-stock SQLite tooling reads it and plans with the same index.
+stock SQLite tooling reads it and plans with the same indexes.
 """
 
 from __future__ import annotations
@@ -64,12 +68,12 @@ import sqlite3
 import weakref
 from contextlib import closing
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from itertools import chain, islice
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-from . import corpus
-from .model import KEY_COLUMNS, SCHEMA, TABLE_KEYS, TABLE_NAMES, TABLE_PRODUCERS
+from . import corpus, model
+from .model import TABLE_NAMES  # re-exported: the names of the tables a session holds
 from .reader import ElfObject, Frozen
 
 
@@ -116,16 +120,6 @@ class ExportSummary(NamedTuple):
     per_table: dict[str, int]
 
 
-# The SQLite type each declared Python column type is stored as.
-_AFFINITY = {str: "TEXT", int: "INTEGER", bool: "INTEGER", bytes: "BLOB"}
-
-_CREATE_SQL = {
-    name: 'CREATE TABLE "{}" ({})'.format(
-        name, ", ".join(f'"{col}" {_AFFINITY[kind]}' for col, kind in columns)
-    )
-    for name, columns in SCHEMA.items()
-}
-
 # The session database's page size, set before its first table; an export
 # keeps it.  Stock sqlite3 counting the .dynsym rows of an export of 1e5
 # generated symbols scans the 723 pages of elf_symbols, where SQLite's
@@ -148,33 +142,54 @@ def _values(width: int, rows: int) -> str:
     return ", ".join(["({})".format(", ".join("?" * width))] * rows)
 
 
-def _insert_sql(name: str, rows: int) -> str:
-    """The INSERT of `rows` producer rows of `name`: it joins each row's own
+def _insert_sql(table: model.Table, rows: int) -> str:
+    """The INSERT of `rows` producer rows of `table`: it joins each row's own
     values to its key row in `_KEYS_TABLE`, by rowid, and stores the columns
-    in SCHEMA order."""
-    keys = KEY_COLUMNS[name]
-    own = [col for col, _ in SCHEMA[name] if col not in keys]
+    in declaration order."""
+    own = table.own_columns
     width = len(own) + 1
     # A VALUES list names its columns column1, column2, ...; the key number is last.
     source = {col: f"v.column{i}" for i, col in enumerate(own, 1)}
-    source.update((col, f'k."{col}"') for col in keys)
-    return 'INSERT INTO "{}" SELECT {} FROM (VALUES {}) AS v CROSS JOIN {} AS k ON k.rowid = v.column{}'.format(
-        name, ", ".join(source[col] for col, _ in SCHEMA[name]), _values(width, rows), _KEYS_TABLE, width
+    source.update((col, f'k."{col}"') for col in table.key_columns)
+    columns = ", ".join(source[col] for col, _ in table.columns)
+    return (
+        f'INSERT INTO "{table.name}" SELECT {columns} FROM (VALUES {_values(width, rows)}) AS v '
+        f"CROSS JOIN {_KEYS_TABLE} AS k ON k.rowid = v.column{width}"
     )
 
 
-_INSERT_SQL = {name: _insert_sql(name, 1) for name in SCHEMA}
-_BATCH_INSERT_SQL = {name: _insert_sql(name, _BATCH_ROWS) for name in SCHEMA}
-# Per table: the key table's CREATE, then its one-row INSERT.  A file has few
-# key rows (the syslib core 1,017 of elf_symbols, for 82,467 rows), so they
-# go in one at a time.
-_KEYS_SQL = {
-    name: (
+# The SQLite type each declared Python column type is stored as.
+_AFFINITY = {str: "TEXT", int: "INTEGER", bool: "INTEGER", bytes: "BLOB"}
+
+
+class _Statements(NamedTuple):
+    """A table's SQL: its CREATE; its key table's CREATE and one-row INSERT
+    (a file has few key rows, so they go in one at a time: the syslib core
+    has 1,017 of elf_symbols, for 82,467 rows); the INSERT of one producer
+    row and of `_BATCH_ROWS`; the CREATE INDEX of its index, if it has one."""
+
+    create: str
+    create_keys: str
+    insert_key: str
+    insert_one: str
+    insert_batch: str
+    create_index: Optional[str]
+
+
+@cache
+def _statements(table: model.Table) -> _Statements:
+    """The SQL of `table`, built from its record alone."""
+    keys = table.key_columns
+    return _Statements(
+        'CREATE TABLE "{}" ({})'.format(
+            table.name, ", ".join(f'"{col}" {_AFFINITY[kind]}' for col, kind in table.columns)
+        ),
         "CREATE TABLE {} ({})".format(_KEYS_TABLE, ", ".join(f'"{col}"' for col in keys)),
         f"INSERT INTO {_KEYS_TABLE} VALUES {_values(len(keys), 1)}",
+        _insert_sql(table, 1),
+        _insert_sql(table, _BATCH_ROWS),
+        f"CREATE INDEX {table.name}_path ON {table.name} ({table.index})" if table.index else None,
     )
-    for name, keys in KEY_COLUMNS.items()
-}
 
 
 def _insert_rows(conn: sqlite3.Connection, one: str, batch: str, rows: Iterable[tuple]) -> int:
@@ -200,26 +215,23 @@ def _insert_rows(conn: sqlite3.Connection, one: str, batch: str, rows: Iterable[
     return given
 
 
-def _insert(conn: sqlite3.Connection, table: str, obj: ElfObject) -> None:
+def _insert(conn: sqlite3.Connection, table: model.Table, obj: ElfObject) -> int:
     """Insert the rows of `table` for one file in order, into `conn`, whose
-    `_KEYS_TABLE` for `table` the caller created.  Raises RuntimeError when a
-    producer row matches no key row, so is not stored.  Nothing refers to the
-    file once this returns, so its map is gone before the next file opens."""
+    `_KEYS_TABLE` for `table` the caller created, and return how many.
+    Raises RuntimeError when a producer row matches no key row, so is not
+    stored.  Nothing refers to the file once this returns, so its map is gone
+    before the next file opens."""
+    sql = _statements(table)
     conn.execute(f"DELETE FROM {_KEYS_TABLE}")
     # Emptied, the table numbers its rows from 1 again, as the producer does.
-    conn.executemany(_KEYS_SQL[table][1], TABLE_KEYS[table](obj))
+    conn.executemany(sql.insert_key, table.key_rows(obj))
     before = conn.total_changes
-    given = _insert_rows(conn, _INSERT_SQL[table], _BATCH_INSERT_SQL[table], TABLE_PRODUCERS[table](obj))
+    given = _insert_rows(conn, sql.insert_one, sql.insert_batch, model.TABLE_PRODUCERS[table.name](obj))
     lost = given - (conn.total_changes - before)
     if lost:
-        raise RuntimeError(f"{table}: {lost} of the {given} rows of {obj.path} match no key row")
+        raise RuntimeError(f"{table.name}: {lost} of the {given} rows of {obj.path} match no key row")
+    return given
 
-
-# Built with the fill, in the same transaction, when the catalog holds two or
-# more files; with one file every row has the same path, so the index could
-# never narrow a search.  Per-file counts then search it, and the histogram
-# groups along it without a sort.
-_SYMBOL_INDEX_SQL = 'CREATE INDEX elf_symbols_path ON elf_symbols (path, "table")'
 
 # Authorizer actions a read needs.  Everything else is denied, pragmas apart:
 # reading a pragma's value and `table_info` are allowed (see _authorize).
@@ -236,8 +248,8 @@ def _allow_all(_action, _arg1, _arg2, _dbname, _source):
     return sqlite3.SQLITE_OK
 
 
-def _normalize_strategies(strategies: Strategies) -> dict[str, StrategyMode]:
-    modes = dict.fromkeys(TABLE_NAMES, StrategyMode.LAZY)
+def _normalize_strategies(names: Iterable[str], strategies: Strategies) -> dict[str, StrategyMode]:
+    modes = dict.fromkeys(names, StrategyMode.LAZY)
     if strategies is None:
         return modes
     if not isinstance(strategies, Mapping):
@@ -262,26 +274,29 @@ class Session:
 
     def __init__(self, catalog: corpus.CorpusCatalog, strategies: Strategies = None):
         self._catalog = catalog
-        modes = _normalize_strategies(strategies)
+        self._tables = model.TABLES
+        modes = _normalize_strategies(self._tables, strategies)
         # A private temporary database: past its page cache, pages go to an unlinked file.
         self._conn = sqlite3.connect("", isolation_level=None)
         # Closed once the session is dropped: the cache's cycle would wait for the collector.
         self._close = weakref.finalize(self, self._conn.close)
-        self._pending = set(TABLE_NAMES)
+        self._pending = set(self._tables)
+        # Each filled table's row count, as its fill stored them.
+        self._rows: dict[str, int] = {}
         self._write_denied = False
         # Weak, so the connection keeps no session alive: one dropped unclosed is freed at once.
         self._allowlist = partial(Session._authorize, weakref.proxy(self))
         try:
             try:
                 self._conn.execute(f"PRAGMA page_size = {_PAGE_SIZE}")
-                for name in TABLE_NAMES:
-                    self._conn.execute(_CREATE_SQL[name])
-                # Each table's root page, mapped once: elf_symbols_path exists only once
-                # elf_symbols is filled, so a statement that opens it reads no pending table.
+                for table in self._tables.values():
+                    self._conn.execute(_statements(table).create)
+                # Each table's root page, mapped once: a table's index exists only once the
+                # table is filled, so a statement that opens it reads no pending table.
                 self._root_tables = dict(self._conn.execute("SELECT rootpage, name FROM sqlite_master"))
                 self._conn.set_authorizer(self._allowlist)
-                for name in TABLE_NAMES:
-                    if modes[name] == StrategyMode.MEMOIZED:
+                for name, mode in modes.items():
+                    if mode == StrategyMode.MEMOIZED:
                         self._materialize(name)
             except sqlite3.Error as exc:
                 raise RegistrationFailure(str(exc)) from exc
@@ -295,18 +310,19 @@ class Session:
 
     @property
     def table_names(self) -> tuple[str, ...]:
-        return TABLE_NAMES
+        return tuple(self._tables)
 
-    def _materialize(self, table: str) -> None:
+    def _materialize(self, name: str) -> None:
+        table = self._tables[name]
+        sql = _statements(table)
         self._conn.set_authorizer(_allow_all)
         try:
             self._conn.execute("BEGIN")
-            self._conn.execute(_KEYS_SQL[table][0])
-            for entry in self._catalog.entries:
-                _insert(self._conn, table, corpus.reopen(entry))
+            self._conn.execute(sql.create_keys)
+            rows = sum(_insert(self._conn, table, corpus.reopen(entry)) for entry in self._catalog.entries)
             self._conn.execute(f"DROP TABLE {_KEYS_TABLE}")
-            if table == "elf_symbols" and len(self._catalog.entries) >= 2:
-                self._conn.execute(_SYMBOL_INDEX_SQL)
+            if sql.create_index and len(self._catalog.entries) >= 2:
+                self._conn.execute(sql.create_index)
             self._conn.execute("COMMIT")
         except BaseException:
             if self._conn.in_transaction:
@@ -314,7 +330,8 @@ class Session:
             raise
         finally:
             self._conn.set_authorizer(self._allowlist)
-        self._pending.discard(table)
+        self._pending.discard(name)
+        self._rows[name] = rows
 
     def _fill_tables_read(self, sql: str, params: dict) -> None:
         # `EXPLAIN <sql>` compiles the statement under the authorizer without running it;
@@ -331,7 +348,7 @@ class Session:
             self._materialize(table)
 
     def materialize_all(self) -> None:
-        for name in sorted(self._pending, key=TABLE_NAMES.index):
+        for name in [name for name in self._tables if name in self._pending]:
             self._materialize(name)
 
     def _authorize(self, action, arg1, arg2, _dbname, _source):
@@ -397,11 +414,8 @@ class Session:
             # Renamed, the temp file is gone; any failure, KeyboardInterrupt too, removes it.
             if os.path.exists(tmp):
                 os.unlink(tmp)
-        per_table = {
-            name: self._conn.execute(f'SELECT COUNT(*) FROM main."{name}"').fetchone()[0]
-            for name in TABLE_NAMES
-        }
-        return ExportSummary(len(TABLE_NAMES), sum(per_table.values()), per_table)
+        per_table = {name: self._rows[name] for name in self._tables}
+        return ExportSummary(len(per_table), sum(per_table.values()), per_table)
 
     def close(self) -> None:
         self._close()
@@ -414,7 +428,7 @@ class Session:
 
 
 def register(catalog: corpus.CorpusCatalog, strategies: Strategies = None) -> Session:
-    """Create a Session whose SQL namespace holds all seven schema tables.
+    """Create a Session whose SQL namespace holds every table of `model.TABLES`.
 
     Raises RegistrationFailure when the strategies are invalid or SQLite
     fails to create the schema or fill a MEMOIZED table, and

@@ -1,17 +1,19 @@
 """Relational row schema over parsed ELF objects.
 
-`SCHEMA` is the one description of each table: its columns in order, each
-with a Python type (`str`, `int`, `bool` or `bytes`).  The engine derives
-its DDL from it.
+`TABLES` declares each table once, in a `Table` record: its columns in
+order, each with a Python type (`str`, `int`, `bool` or `bytes`), its key
+columns, its key-row function, its producer and the index it wants in a
+corpus of two or more files.  The engine derives its DDL, its statements
+and its index from the records alone; `SCHEMA`, `TABLE_NAMES` and
+`TABLE_PRODUCERS` are views of them.
 
 `rows(table, obj)` gives the rows of one table for one ElfObject: tuples in
-SCHEMA column order, exactly as SQLite stores them.  A fill binds fewer
-values.  Of each table, `KEY_COLUMNS` names the columns that take only a
-few distinct values per file, `TABLE_KEYS[table](obj)` gives each
-combination of them that the file's rows use once, as a key row, and
-`TABLE_PRODUCERS[table](obj)` gives a narrow row per table row: the other
-columns in SCHEMA order, then the number of its key row (from 1, in the
-order the key rows come).
+column order, exactly as SQLite stores them.  A fill binds fewer values.
+A table's key columns take only a few distinct values per file; its
+`key_rows(obj)` gives each combination of them that the file's rows use
+once, as a key row, and its producer gives a narrow row per table row: the
+other columns in column order, then the number of its key row (from 1, in
+the order the key rows come).
 
 Integers are in SQLite's signed 64-bit range, flags are 0/1 and section
 contents are views of the file.  Rows follow the file's order (symbols
@@ -27,7 +29,7 @@ from __future__ import annotations
 import os
 from itertools import chain, count, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import reader
 from .cxxabi import demangle
@@ -56,61 +58,6 @@ if TYPE_CHECKING:
 # definitions only, per conventional dynamic-linker rules.
 _EXPORTABLE_TYPES = frozenset(("FUNC", "OBJECT", "TLS", "GNU_IFUNC"))
 _BINDABLE = frozenset(("GLOBAL", "WEAK", "GNU_UNIQUE"))
-
-# The columns of each table in declaration order, each with the Python type
-# of its values: `str` (TEXT; only `elf_symbols.version` and
-# `elf_dynamic_entries.string` may be NULL), `int` and `bool` (INTEGER)
-# or `bytes` (BLOB).  Everything else about a table's shape is derived from
-# this.
-SCHEMA: dict[str, tuple[tuple[str, type], ...]] = {
-    "elf_headers": (
-        ("path", str), ("file_type", str), ("machine", str), ("version", int),
-        ("entry_point", int), ("class", str), ("data_encoding", str), ("os_abi", str),
-        ("phnum", int), ("shnum", int),
-    ),
-    "elf_sections": (
-        ("path", str), ("index", int), ("name", str), ("sh_type", str), ("flags", str),
-        ("address", int), ("offset", int), ("size", int), ("link", int), ("info", int),
-        ("content", bytes),
-    ),
-    "elf_segments": (
-        ("path", str), ("index", int), ("p_type", str), ("flags", str), ("offset", int),
-        ("vaddr", int), ("filesz", int), ("memsz", int), ("align", int),
-    ),
-    "elf_symbols": (
-        ("path", str), ("table", str), ("index", int), ("name", str), ("demangle_name", str),
-        ("section", str), ("type", str), ("binding", str), ("visibility", str),
-        ("value", int), ("size", int), ("version", str), ("exported", bool), ("imported", bool),
-    ),
-    "elf_strings": (("path", str), ("section", str), ("offset", int), ("value", str)),
-    "elf_dynamic_entries": (
-        ("path", str), ("ordinal", int), ("tag", str), ("value", int), ("string", str),
-    ),
-    "elf_instructions": (
-        ("path", str), ("section", str), ("address", int), ("size", int),
-        ("mnemonic", str), ("operands", str),
-    ),
-}
-
-TABLE_NAMES = tuple(SCHEMA)
-
-# The columns of each table that a fill binds once per file and combination
-# (see the module docstring): each takes a handful of values per file, so a
-# row of elf_symbols binds 6 values, not 14.  Binding, not storing, is most of
-# an insert's cost; a text is copied at every bind.
-KEY_COLUMNS: dict[str, tuple[str, ...]] = {
-    "elf_headers": ("path",),
-    "elf_sections": ("path",),
-    "elf_segments": ("path",),
-    "elf_symbols": (
-        "path", "table", "section", "type", "binding", "visibility", "version", "exported",
-        "imported",
-    ),
-    "elf_strings": ("path", "section"),
-    "elf_dynamic_entries": ("path",),
-    "elf_instructions": ("path", "section"),
-}
-
 
 def path_text(path: str) -> str:
     """The `path` column for an OS path: its bytes as UTF-8, a stray byte
@@ -242,7 +189,7 @@ class _KeyNumbers(dict):
 
 
 def symbol_keys(obj: ElfObject) -> Iterator[tuple]:
-    """The key rows of elf_symbols (see `KEY_COLUMNS`), one per distinct
+    """The key rows of elf_symbols (see its `Table`), one per distinct
     record key in the order the keys first appear, which is the order
     `symbol_rows` numbers them in.  In a table with extended section
     indices, an SHN_XINDEX record's section is the section its index word
@@ -369,37 +316,91 @@ def instruction_rows(
                 offset += decoded.size
 
 
-TABLE_PRODUCERS = {
-    "elf_headers": header_rows,
-    "elf_sections": section_rows,
-    "elf_segments": segment_rows,
-    "elf_symbols": symbol_rows,
-    "elf_strings": string_rows,
-    "elf_dynamic_entries": dynamic_entry_rows,
-    "elf_instructions": instruction_rows,
-}
 
-TABLE_KEYS = {
-    "elf_headers": path_keys,
-    "elf_sections": path_keys,
-    "elf_segments": path_keys,
-    "elf_symbols": symbol_keys,
-    "elf_strings": string_keys,
-    "elf_dynamic_entries": path_keys,
-    "elf_instructions": instruction_keys,
-}
+
+class Table(NamedTuple):
+    """One table, declared once: `engine` builds its DDL, its statements and
+    its index from this record alone, and `rows` its column order."""
+
+    name: str
+    # In declaration order, each with the Python type of its values: `str`
+    # (TEXT; only `elf_symbols.version` and `elf_dynamic_entries.string` may be
+    # NULL), `int` and `bool` (INTEGER) or `bytes` (BLOB).
+    columns: tuple[tuple[str, type], ...]
+    # The columns a fill binds once per file and combination: each takes a
+    # handful of values per file.  Binding, not storing, is most of an
+    # insert's cost; a text is copied at every bind.
+    key_columns: tuple[str, ...]
+    # (obj) -> each combination of `key_columns` the file's rows use, once.
+    key_rows: Callable[[ElfObject], Iterable[tuple]]
+    # (obj) -> a narrow row per table row: `own_columns`, then the number of
+    # its key row, from 1.  A fill reads it from `TABLE_PRODUCERS`.
+    producer: Callable[[ElfObject], Iterable[tuple]]
+    # The columns, as SQL, of the index `<name>_path`, built when the catalog
+    # holds two or more files; with one, every row has the same path.
+    index: Optional[str] = None
+
+    @property
+    def own_columns(self) -> list[str]:
+        """The columns a narrow row binds, in declaration order."""
+        return [column for column, _ in self.columns if column not in self.key_columns]
+
+
+TABLES: dict[str, Table] = {table.name: table for table in (
+    Table("elf_headers", (
+        ("path", str), ("file_type", str), ("machine", str), ("version", int),
+        ("entry_point", int), ("class", str), ("data_encoding", str), ("os_abi", str),
+        ("phnum", int), ("shnum", int),
+    ), ("path",), path_keys, header_rows),
+    Table("elf_sections", (
+        ("path", str), ("index", int), ("name", str), ("sh_type", str), ("flags", str),
+        ("address", int), ("offset", int), ("size", int), ("link", int), ("info", int),
+        ("content", bytes),
+    ), ("path",), path_keys, section_rows),
+    Table("elf_segments", (
+        ("path", str), ("index", int), ("p_type", str), ("flags", str), ("offset", int),
+        ("vaddr", int), ("filesz", int), ("memsz", int), ("align", int),
+    ), ("path",), path_keys, segment_rows),
+    # A row binds 6 values, not 14.  Per-file counts search the index, and the
+    # histogram groups along it without a sort.
+    Table("elf_symbols", (
+        ("path", str), ("table", str), ("index", int), ("name", str), ("demangle_name", str),
+        ("section", str), ("type", str), ("binding", str), ("visibility", str),
+        ("value", int), ("size", int), ("version", str), ("exported", bool), ("imported", bool),
+    ), (
+        "path", "table", "section", "type", "binding", "visibility", "version", "exported",
+        "imported",
+    ), symbol_keys, symbol_rows, index='path, "table"'),
+    Table(
+        "elf_strings", (("path", str), ("section", str), ("offset", int), ("value", str)),
+        ("path", "section"), string_keys, string_rows,
+    ),
+    Table("elf_dynamic_entries", (
+        ("path", str), ("ordinal", int), ("tag", str), ("value", int), ("string", str),
+    ), ("path",), path_keys, dynamic_entry_rows),
+    Table("elf_instructions", (
+        ("path", str), ("section", str), ("address", int), ("size", int), ("mnemonic", str),
+        ("operands", str),
+    ), ("path", "section"), instruction_keys, instruction_rows),
+)}
+
+# Views of TABLES.  A fill reads each producer from TABLE_PRODUCERS when it
+# runs, so replacing an entry reroutes every later fill and `rows`.
+SCHEMA = {name: table.columns for name, table in TABLES.items()}
+TABLE_NAMES = tuple(TABLES)
+TABLE_PRODUCERS = {name: table.producer for name, table in TABLES.items()}
 
 
 def rows(table: str, obj: ElfObject) -> Iterator[tuple]:
-    """The rows of `table` for `obj` in SCHEMA column order, as SQLite
-    stores them, from `TABLE_PRODUCERS` and `TABLE_KEYS`."""
-    key_columns = KEY_COLUMNS[table]
-    own = [column for column, _ in SCHEMA[table] if column not in key_columns]
+    """The rows of `table` for `obj` in column order, as SQLite stores
+    them: each narrow row of its `TABLE_PRODUCERS` entry with its key row."""
+    record = TABLES[table]
+    own, keys = record.own_columns, record.key_columns
     # A narrow row, then its key row: its own columns, the key number, the key columns.
     order = itemgetter(*(
-        own.index(column) if column in own else len(own) + 1 + key_columns.index(column)
-        for column, _ in SCHEMA[table]
+        own.index(column) if column in own else len(own) + 1 + keys.index(column)
+        for column, _ in record.columns
     ))
     narrow = TABLE_PRODUCERS[table](obj)
-    by_number = (None, *TABLE_KEYS[table](obj))
+    by_number = (None, *record.key_rows(obj))
     return (order(row + by_number[row[-1]]) for row in narrow)

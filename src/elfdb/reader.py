@@ -425,11 +425,6 @@ class Segment(NamedTuple):
         return render_flags(self.flags, SEGMENT_FLAG_LETTERS)
 
 
-def _column(i: int) -> property:
-    """A property giving list `i` of `SymbolTable.fields` for every record."""
-    return property(lambda self: tuple(self.fields(0, len(self))[i]))
-
-
 class SymbolTable(Frozen):
     """One .dynsym or .symtab section, checked at parse and read from the
     file's bytes whenever its columns are read.
@@ -443,11 +438,8 @@ class SymbolTable(Frozen):
     SHT_SYMTAB_SHNDX section linked to it, `extended` holds that section's
     word for each record; otherwise it is empty.
 
-    `len` is the symbol count.  Entry i of each column (`names`, `infos`,
-    `others`, `shndxs`, `values`, `sizes`, `versions`) belongs to the symbol
-    with index i; `versions` is empty for a table without versions.  Each
-    read derives the whole column; `fields` and `name_reader` derive a
-    range of records.
+    `len` is the symbol count.  `fields` and `name_reader` derive a range of
+    records; `names` derives every record's name.
     """
 
     _fields = __slots__ = ("kind", "view", "strtab", "layout", "versym", "version_of", "extended")
@@ -495,16 +487,6 @@ class SymbolTable(Frozen):
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self.name_reader()(self.fields(0, len(self))[0]))
-
-    infos, others, shndxs, values, sizes = map(_column, range(1, 6))
-
-    @property
-    def versions(self) -> tuple[tuple[Optional[str], bool], ...]:
-        words = self.fields(0, len(self))[6]
-        if not words:
-            return ()
-        pairs = tuple(map(self.version_of.__getitem__, words))
-        return pairs + ((None, False),) * (len(self) - len(words))
 
 
 class DynamicEntry(NamedTuple):

@@ -352,6 +352,17 @@ def symbol_table(obj: reader.ElfObject, kind: SymbolTableKind) -> reader.SymbolT
     return table
 
 
+def symbol_versions(table: reader.SymbolTable) -> tuple:
+    """The (version, default) pair of each record of `table`, from its
+    versym word in `fields`; a record past the versym section's end has
+    (None, False), and a table without versions gives ()."""
+    words = table.fields(0, len(table))[6]
+    if not words:
+        return ()
+    pairs = tuple(map(table.version_of.__getitem__, words))
+    return pairs + ((None, False),) * (len(table) - len(words))
+
+
 def exported_funcs(*names: str) -> list[SymbolSpec]:
     return [SymbolSpec(name=n) for n in names]
 

@@ -28,8 +28,9 @@ or signed value.
 
 An outcome is the ElfError's type and message, or, for a parsed copy, a
 digest of each part of the object: the header, the sections (each with a
-digest of its bytes), the segments, .dynamic, every symbol table column
-and the `elf_strings` rows that `model.rows` splits from it.
+digest of its bytes), the segments, .dynamic, each symbol table's
+`fields`, names and version map, and the `elf_strings` rows that
+`model.rows` splits from it.
 Every differing case is listed.  The exit status is 1 when an exception
 other than ElfError escapes either reader, or either takes more than
 TIME_BOUND seconds on a case; differing outcomes alone exit 0, as a change
@@ -70,7 +71,7 @@ def digest(value):
 def parts(obj):
     sections = [tuple(s[:-1]) + (hashlib.sha256(s.view).hexdigest(),) for s in obj.sections]
     tables = [
-        (t.kind, t.names, t.infos, t.others, t.shndxs, t.values, t.sizes, t.versions)
+        (t.kind, t.names, t.fields(0, len(t)), sorted(t.version_of.items()))
         for t in obj.symbol_tables
     ]
     return {

@@ -442,7 +442,7 @@ def _assert_fill_equals_one_row_inserts(catalog) -> dict[str, tuple]:
         with register(catalog) as session:
             dumps = {}
             for table, columns in SCHEMA.items():
-                reference.execute(engine._CREATE_SQL[table])
+                reference.execute(engine._statements(model.TABLES[table]).create)
                 reference.executemany(
                     'INSERT INTO "{}" VALUES ({})'.format(table, ", ".join("?" * len(columns))),
                     (r for e in catalog for r in model.rows(table, reader.load_elf(e.path))),
@@ -521,13 +521,13 @@ class TestBatchedFill:
         try:
             if hasattr(conn, "setlimit"):  # Python 3.11+
                 conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
-            for table in TABLE_NAMES:
-                conn.execute(engine._CREATE_SQL[table])
-                create_keys, insert_key = engine._KEYS_SQL[table]
-                conn.execute(create_keys)
-                for sql in (insert_key, engine._INSERT_SQL[table], engine._BATCH_INSERT_SQL[table]):
+            for table in model.TABLES.values():
+                sql = engine._statements(table)
+                conn.execute(sql.create)
+                conn.execute(sql.create_keys)
+                for statement in (sql.insert_key, sql.insert_one, sql.insert_batch):
                     # Prepares the statement, so too many variables raise here.
-                    conn.executemany(sql, [])
+                    conn.executemany(statement, [])
                 conn.execute(f"DROP TABLE {engine._KEYS_TABLE}")
         finally:
             conn.close()
@@ -537,12 +537,14 @@ class TestBatchedFill:
             "elf_headers": 10, "elf_sections": 11, "elf_segments": 9, "elf_symbols": 6,
             "elf_strings": 3, "elf_dynamic_entries": 5, "elf_instructions": 5,
         }
-        assert set(model.KEY_COLUMNS) == set(model.TABLE_KEYS) == set(widths) == set(SCHEMA)
+        assert set(widths) == set(model.TABLES)
         for table, width in widths.items():
-            assert len(SCHEMA[table]) - len(model.KEY_COLUMNS[table]) + 1 == width, table
-            assert engine._INSERT_SQL[table].count("?") == width, table
-            assert engine._BATCH_INSERT_SQL[table].count("?") == B * width, table
-            assert engine._KEYS_SQL[table][1].count("?") == len(model.KEY_COLUMNS[table]), table
+            record = model.TABLES[table]
+            sql = engine._statements(record)
+            assert len(record.columns) - len(record.key_columns) + 1 == width, table
+            assert sql.insert_one.count("?") == width, table
+            assert sql.insert_batch.count("?") == B * width, table
+            assert sql.insert_key.count("?") == len(record.key_columns), table
 
     @pytest.mark.parametrize("where", ["in a batch", "in the tail"])
     @pytest.mark.parametrize("number", ["zero", "past the last key row"])
@@ -554,7 +556,7 @@ class TestBatchedFill:
 
         def one_stray(obj):
             rows = list(original(obj))
-            stray = 0 if number == "zero" else sum(1 for _ in model.TABLE_KEYS["elf_symbols"](obj)) + 1
+            stray = 0 if number == "zero" else sum(1 for _ in model.TABLES["elf_symbols"].key_rows(obj)) + 1
             at = B // 2 if where == "in a batch" else len(rows) - 1
             rows[at] = (*rows[at][:-1], stray)
             yield from rows
@@ -770,6 +772,69 @@ class TestSymbolIndex:
             assert lazy._pending == pending
 
 
+def _flag_keys(obj):
+    """The planted table's key rows: each flag set of the file's sections,
+    in the order they first appear."""
+    path = model.path_text(obj.path)
+    return ((path, flags) for flags in dict.fromkeys(s.flag_letters for s in obj.sections))
+
+
+def _flag_rows(obj):
+    """The planted table's narrow rows: (index, size, key number) per section."""
+    numbers = {flags: n for n, flags in enumerate(dict.fromkeys(s.flag_letters for s in obj.sections), 1)}
+    for s in obj.sections:
+        yield (s.index, s.size, numbers[s.flag_letters])
+
+
+class TestDeclaredTable:
+    """An eighth table, declared by one `model.TABLES` record and its two
+    functions and changed nowhere else, is created, filled LAZY and
+    MEMOIZED, counted, exported and indexed as the seven are."""
+
+    NAME = "elf_planted"
+    SQL = f'SELECT path, "index", flags, size FROM {NAME} ORDER BY rowid'
+
+    @pytest.mark.parametrize("index", ["path, flags", None])
+    @pytest.mark.parametrize("files", [1, 2])
+    def test_one_record_declares_a_table(self, small_corpus, monkeypatch, tmp_path, index, files):
+        planted = model.Table(
+            self.NAME,
+            (("path", str), ("index", int), ("flags", str), ("size", int)),
+            ("path", "flags"), _flag_keys, _flag_rows, index,
+        )
+        monkeypatch.setattr(model, "TABLES", {**model.TABLES, self.NAME: planted})
+        monkeypatch.setattr(model, "TABLE_PRODUCERS", {**model.TABLE_PRODUCERS, self.NAME: _flag_rows})
+        catalog = corpus.add_paths(small_corpus.paths[:files])
+        want = [
+            (model.path_text(e.path), s.index, s.flag_letters, s.size)
+            for e in catalog.entries for s in reader.load_elf(e.path).sections
+        ]
+        # Several flag sets per file, so rows join to key rows other than the first.
+        assert len({row[2] for row in want}) > 2
+        assert [tuple(r) for e in catalog.entries for r in model.rows(self.NAME, reader.load_elf(e.path))] == want
+        indexes = {"elf_symbols_path", "elf_planted_path"} if files == 2 else set()
+        if index is None:
+            indexes.discard("elf_planted_path")
+        for mode in StrategyMode:
+            dest = str(tmp_path / f"{mode.value}.sqlite")
+            with register(catalog, {self.NAME: mode}) as session:
+                assert session.table_names == (*TABLE_NAMES, self.NAME)
+                assert (self.NAME in session._pending) == (mode is StrategyMode.LAZY)
+                assert session.execute(self.SQL).rows == tuple(want), mode
+                assert _temp_tables(session) == []
+                summary = session.export_database(dest)
+            assert summary.tables == 8 and summary.per_table[self.NAME] == len(want)
+            conn = sqlite3.connect(dest)
+            try:
+                assert conn.execute(self.SQL).fetchall() == want, mode
+                assert set(index_names(conn)) == indexes, mode
+                if "elf_planted_path" in indexes:
+                    [(sql,)] = conn.execute("SELECT sql FROM sqlite_master WHERE name = 'elf_planted_path'")
+                    assert sql == "CREATE INDEX elf_planted_path ON elf_planted (path, flags)"
+            finally:
+                conn.close()
+
+
 class TestStatementReuse:
     """The allowlist authorizer stays installed, so SQLite's statement cache
     serves a repeated statement until a fill reinstalls the authorizer, which
@@ -823,9 +888,9 @@ class TestStatementReuse:
                     session.execute(sql)
             # SQLite finds the index's name taken before it asks the authorizer.
             with pytest.raises(SqlError, match="already exists"):
-                session.execute(engine._SYMBOL_INDEX_SQL)
-            for name in TABLE_NAMES:
-                for sql in (engine._INSERT_SQL[name], engine._BATCH_INSERT_SQL[name]):
+                session.execute(engine._statements(model.TABLES["elf_symbols"]).create_index)
+            for table in model.TABLES.values():
+                for sql in (engine._statements(table).insert_one, engine._statements(table).insert_batch):
                     # `execute` binds names only, and `sqlite3` binds a cached
                     # statement before SQLite re-prepares it, so the INSERT
                     # fails to bind.  Bound by position, the re-prepare refuses it.

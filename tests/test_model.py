@@ -18,7 +18,6 @@ from elfdb import corpus, engine, model, reader
 from elfdb.bench import SymbolSpec, write_elf
 from elfdb.cxxabi import demangle
 from elfdb.disasm import _ONE_BYTE, _REG32, _REG64, DEFAULT_DECODER, Decoded, X86_64Decoder
-from elfdb.engine import _CREATE_SQL
 from elfdb.model import derive_export_import, section_name_for_symbol
 from elfdb.reader import DataEncoding, ElfClass, SymbolTableKind, load_elf, render_code
 
@@ -33,6 +32,7 @@ from conftest import (
     readelf_symbol_tables,
     run_child,
     symbol_table,
+    symbol_versions,
     system_elves,
     write_varied_elf,
 )
@@ -414,12 +414,11 @@ class TestHeaderAndSectionRows:
 def reference_symbol_rows(obj) -> list[tuple]:
     """The per-row derivation that the elf_symbols producer replaced, kept as the
     reference it must equal: one index of the table columns at a time.
-    Each column property derives the whole column from the file, so each
-    is read once per table, before the loop."""
+    Each table's columns are read from the file once, before the loop."""
     rows = []
     for table in obj.symbol_tables:
-        names, infos, others, shndxs = table.names, table.infos, table.others, table.shndxs
-        values, sizes, versions = table.values, table.sizes, table.versions
+        _, infos, others, shndxs, values, sizes, *_ = table.fields(0, len(table))
+        names, versions = table.names, symbol_versions(table)
         for index in range(len(table)):
             name, info, other, shndx = names[index], infos[index], others[index], shndxs[index]
             exported, imported = derive_export_import(info, other, shndx, table.kind)
@@ -921,10 +920,11 @@ def test_byte_mutations_raise_only_elf_errors(mutation_seeds, seed, edits):
         return
     db = sqlite3.connect(":memory:")
     try:
-        for table in model.TABLE_NAMES:
-            db.execute(_CREATE_SQL[table])
-            db.execute(engine._KEYS_SQL[table][0])
-            engine._insert(db, table, obj)
+        for table, record in model.TABLES.items():
+            sql = engine._statements(record)
+            db.execute(sql.create)
+            db.execute(sql.create_keys)
+            engine._insert(db, record, obj)
             stored = db.execute(f'SELECT COUNT(*) FROM "{table}"').fetchone()[0]
             assert stored == sum(1 for _ in model.rows(table, obj)), table
             db.execute(f"DROP TABLE {engine._KEYS_TABLE}")

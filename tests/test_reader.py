@@ -37,6 +37,7 @@ from conftest import (
     readelf_symbol_tables,
     readelf_table_counts,
     symbol_table,
+    symbol_versions,
     system_elves,
     write_varied_elf,
 )
@@ -170,9 +171,10 @@ class TestInvariants:
     def test_null_symbol_shape(self):
         obj = load_elf(RUBY_LIKE)
         table = symbol_table(obj, SymbolTableKind.DYNSYM)
-        assert (table.names[0], table.values[0], table.sizes[0]) == ("", 0, 0)
-        assert table.infos[0] == 0  # NOTYPE, LOCAL
-        assert table.shndxs[0] == reader.SHN_UNDEF
+        _, infos, _, shndxs, values, sizes, *_ = table.fields(0, len(table))
+        assert (table.names[0], values[0], sizes[0]) == ("", 0, 0)
+        assert infos[0] == 0  # NOTYPE, LOCAL
+        assert shndxs[0] == reader.SHN_UNDEF
 
     def test_nobits_has_empty_content(self, make_elf):
         written = make_elf(
@@ -233,7 +235,7 @@ class TestReadFile:
 
 
 def dynsym_versions(obj) -> tuple:
-    return symbol_table(obj, SymbolTableKind.DYNSYM).versions
+    return symbol_versions(symbol_table(obj, SymbolTableKind.DYNSYM))
 
 
 class TestSymbolVersions:
@@ -279,7 +281,7 @@ class TestSymbolVersions:
             symbols=exported_funcs("a"), symtab_symbols=exported_funcs("b")
         )
         obj = load_elf(written.path)
-        assert symbol_table(obj, SymbolTableKind.SYMTAB).versions == ()
+        assert symbol_versions(symbol_table(obj, SymbolTableKind.SYMTAB)) == ()
 
     def test_dangling_version_index_is_malformed(self):
         with pytest.raises(Malformed, match="version index"):
@@ -511,7 +513,7 @@ class TestSymbolTableChecks:
         versym = obj.section_named(".gnu.version")
         fmt = layout_of(obj).shdr.format[0] + "H"
         accepted = opened_after(varied_layout, versym.offset + 2, fmt, 0x8002)
-        assert symbol_table(accepted, SymbolTableKind.DYNSYM).versions[1] == ("V1", False)
+        assert dynsym_versions(accepted)[1] == ("V1", False)
         assert [row[11] for row in model.rows("elf_symbols", accepted)][1] == "V1"
         assert_malformed_after(
             varied_layout,
