@@ -25,18 +25,21 @@ contract: pay at first query, same results.)
 
 A fill works one catalog entry at a time, in catalog order: `corpus.reopen`
 opens the file again, checks it against the identity its catalog recorded
-and parses it.  The file's key rows (of the table's key columns) go first
-into a temp table, `_KEYS_TABLE`; then the table's producer gives its narrow
-rows, each binding only its own columns and the number of its key row,
-which go in through multi-row `INSERT` statements of `_BATCH_ROWS` rows
-each, the file's last few one row at a time, so rowids follow catalog and
-producer order.  The `INSERT` joins each row to its key row by rowid and
-stores the table's row, with the storage classes that binding it whole
-would give.  The fill creates that table and drops it within its
-transaction, so a failed fill leaves none behind.  Binding is most of an
-insert's cost, and each text bound is copied: an `elf_symbols` row binds 6
-values, not 14.  A producer row whose key number matches no key row fails
-the fill with RuntimeError rather than being dropped.
+and parses it.  The table's producer gives the file's rows in blocks of
+columns (see `model`).  A block's new key rows (of the table's key columns)
+go into a temp table, `_KEYS_TABLE`, each with its number as its rowid.
+Its columns, the table's own columns and each row's key number, are
+interleaved into one list of values, whose slices are the parameters of
+multi-row `INSERT` statements of `_BATCH_ROWS` rows each; a partial batch
+carries into the next block, and only the file's last few rows go in one
+row at a time.  So rowids follow catalog and producer order, and the fill
+builds no Python object per row.  The `INSERT` joins each row to its key
+row by rowid and stores the table's row, with the storage classes that
+binding it whole would give.  The fill creates that table and drops it
+within its transaction, so a failed fill leaves none behind.  Binding is
+most of an insert's cost, and each text bound is copied: an `elf_symbols`
+row binds 6 values, not 14.  A row whose key number matches no key row
+fails the fill with RuntimeError rather than being dropped.
 The parsed file, and its map, are dropped before the next file opens, so a
 fill holds one file at a time.  A file that is gone or is another file raises
 `reader.FileChanged` from the call that ran the fill (`execute`, `register`
@@ -69,7 +72,6 @@ import weakref
 from contextlib import closing
 from enum import Enum
 from functools import cache, partial
-from itertools import chain, islice
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 from . import corpus, model
@@ -163,10 +165,11 @@ _AFFINITY = {str: "TEXT", int: "INTEGER", bool: "INTEGER", bytes: "BLOB"}
 
 
 class _Statements(NamedTuple):
-    """A table's SQL: its CREATE; its key table's CREATE and one-row INSERT
-    (a file has few key rows, so they go in one at a time: the syslib core
-    has 1,017 of elf_symbols, for 82,467 rows); the INSERT of one producer
-    row and of `_BATCH_ROWS`; the CREATE INDEX of its index, if it has one."""
+    """A table's SQL: its CREATE; its key table's CREATE and one-row INSERT,
+    which binds the key row's number as its rowid (a file has few key rows,
+    so they go in one at a time: the syslib core has 1,017 of elf_symbols,
+    for 82,467 rows); the INSERT of one row and of `_BATCH_ROWS`; the CREATE
+    INDEX of its index, if it has one."""
 
     create: str
     create_keys: str
@@ -185,49 +188,45 @@ def _statements(table: model.Table) -> _Statements:
             table.name, ", ".join(f'"{col}" {_AFFINITY[kind]}' for col, kind in table.columns)
         ),
         "CREATE TABLE {} ({})".format(_KEYS_TABLE, ", ".join(f'"{col}"' for col in keys)),
-        f"INSERT INTO {_KEYS_TABLE} VALUES {_values(len(keys), 1)}",
+        "INSERT INTO {} (rowid, {}) VALUES {}".format(
+            _KEYS_TABLE, ", ".join(f'"{col}"' for col in keys), _values(len(keys) + 1, 1)
+        ),
         _insert_sql(table, 1),
         _insert_sql(table, _BATCH_ROWS),
         f"CREATE INDEX {table.name}_path ON {table.name} ({table.index})" if table.index else None,
     )
 
 
-def _insert_rows(conn: sqlite3.Connection, one: str, batch: str, rows: Iterable[tuple]) -> int:
-    """Insert `rows` in order: `batch` inserts `_BATCH_ROWS` of them at a
-    time, and `one` the last few, one at a time.  Returns how many rows it
-    was given."""
-    rows = iter(rows)
-    tail: list[tuple] = []
-    given = 0
-
-    def batches():
-        nonlocal given
-        while True:
-            chunk = tuple(islice(rows, _BATCH_ROWS))
-            given += len(chunk)
-            if len(chunk) < _BATCH_ROWS:
-                tail.extend(chunk)
-                return
-            yield tuple(chain.from_iterable(chunk))
-
-    conn.executemany(batch, batches())
-    conn.executemany(one, tail)
-    return given
-
-
 def _insert(conn: sqlite3.Connection, table: model.Table, obj: ElfObject) -> int:
     """Insert the rows of `table` for one file in order, into `conn`, whose
     `_KEYS_TABLE` for `table` the caller created, and return how many.
-    Raises RuntimeError when a producer row matches no key row, so is not
-    stored.  Nothing refers to the file once this returns, so its map is gone
-    before the next file opens."""
+    Raises RuntimeError when a row matches no key row, so is not stored.
+    Nothing refers to the file once this returns, so its map is gone before
+    the next file opens."""
     sql = _statements(table)
+    width = len(table.own_columns) + 1
+    batch = width * _BATCH_ROWS
+    # The last file's key rows hold the numbers this file's will.
     conn.execute(f"DELETE FROM {_KEYS_TABLE}")
-    # Emptied, the table numbers its rows from 1 again, as the producer does.
-    conn.executemany(sql.insert_key, table.key_rows(obj))
     before = conn.total_changes
-    given = _insert_rows(conn, sql.insert_one, sql.insert_batch, model.TABLE_PRODUCERS[table.name](obj))
-    lost = given - (conn.total_changes - before)
+    given = keys = 0
+    # The values of the rows not yet inserted, row after row: between two
+    # blocks, fewer than a batch.
+    flat: list = []
+    for new_keys, columns in model.TABLE_PRODUCERS[table.name](obj):
+        conn.executemany(sql.insert_key, new_keys)
+        keys += len(new_keys)
+        rows = len(columns[0])
+        given += rows
+        start = len(flat)
+        flat += [None] * (rows * width)
+        for at, column in enumerate(columns, start):
+            flat[at::width] = column
+        full = len(flat) - len(flat) % batch
+        conn.executemany(sql.insert_batch, (flat[k : k + batch] for k in range(0, full, batch)))
+        del flat[:full]
+    conn.executemany(sql.insert_one, (flat[k : k + width] for k in range(0, len(flat), width)))
+    lost = given - (conn.total_changes - before - keys)
     if lost:
         raise RuntimeError(f"{table.name}: {lost} of the {given} rows of {obj.path} match no key row")
     return given

@@ -2,34 +2,37 @@
 
 `TABLES` declares each table once, in a `Table` record: its columns in
 order, each with a Python type (`str`, `int`, `bool` or `bytes`), its key
-columns, its key-row function, its producer and the index it wants in a
-corpus of two or more files.  The engine derives its DDL, its statements
-and its index from the records alone; `SCHEMA`, `TABLE_NAMES` and
-`TABLE_PRODUCERS` are views of them.
+columns, its producer and the index it wants in a corpus of two or more
+files.  The engine derives its DDL, its statements and its index from the
+records alone; `SCHEMA`, `TABLE_NAMES` and `TABLE_PRODUCERS` are views of
+them.
 
 `rows(table, obj)` gives the rows of one table for one ElfObject: tuples in
-column order, exactly as SQLite stores them.  A fill binds fewer values.
-A table's key columns take only a few distinct values per file; its
-`key_rows(obj)` gives each combination of them that the file's rows use
-once, as a key row, and its producer gives a narrow row per table row: the
-other columns in column order, then the number of its key row (from 1, in
-the order the key rows come).
+column order, exactly as SQLite stores them.  A fill binds fewer values
+and builds no tuple per row.  A table's key columns take only a few
+distinct values per file, and each combination of them that the file's rows
+use is a key row.  Its producer gives the file's rows in blocks of columns,
+each `(new key rows, columns)`: `columns` holds the table's other columns in
+column order, then the number of each row's key row, as sequences of one
+length, and the new key rows are those the block's rows use first, each
+`(number, *key columns)`.  The producer numbers a file's key rows from 1, so
+a section that gives no rows shifts no number after it.
 
 Integers are in SQLite's signed 64-bit range, flags are 0/1 and section
 contents are views of the file.  Rows follow the file's order (symbols
 table by table, as `readelf -sW` lists them), derived columns
 (exported/imported, demangled names, flag letters, reserved-index names)
 are computed here, and everything is pure: the same object always yields
-the same rows.  A key function reads no name and decodes no instruction.
-Every string comes from `reader`, which finds each NUL of a string table.
+the same rows.  Every string comes from `reader`, which finds each NUL of
+a string table.
 """
 
 from __future__ import annotations
 
 import os
-from itertools import chain, count, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from . import reader
 from .cxxabi import demangle
@@ -111,73 +114,51 @@ def _db_int(value: int) -> int:
     return value - 2**64 if value >= _I64_MAX else value
 
 
-def path_keys(obj: ElfObject) -> Iterator[tuple]:
-    """The one key row of a table keyed on its path alone."""
-    yield (path_text(obj.path),)
+def _file_block(obj: ElfObject, rows: list[tuple]) -> Iterator[tuple]:
+    """The one block of a table keyed on its path alone: key row 1, the
+    file's path, and `rows` as columns."""
+    if rows:
+        yield [(1, path_text(obj.path))], [*zip(*rows), [1] * len(rows)]
 
 
 def header_rows(obj: ElfObject) -> Iterator[tuple]:
     header = obj.header
     ident = header.ident
-    yield (
+    yield from _file_block(obj, [(
         header.file_type, header.machine, header.version, _db_int(header.entry_point),
         ident.elf_class.name, ident.data_encoding.name,
-        render_code(ident.os_abi, reader.OSABI_NAMES), len(obj.segments), len(obj.sections), 1,
-    )
+        render_code(ident.os_abi, reader.OSABI_NAMES), len(obj.segments), len(obj.sections),
+    )])
 
 
 def section_rows(obj: ElfObject) -> Iterator[tuple]:
     machine = obj.header.machine_code
-    for s in obj.sections:
-        yield (
-            s.index, s.name, reader.section_type_name(s.type_code, machine), s.flag_letters,
-            _db_int(s.address), _db_int(s.offset), _db_int(s.size), s.link, s.info, s.view, 1,
-        )
+    yield from _file_block(obj, [(
+        s.index, s.name, reader.section_type_name(s.type_code, machine), s.flag_letters,
+        _db_int(s.address), _db_int(s.offset), _db_int(s.size), s.link, s.info, s.view,
+    ) for s in obj.sections])
 
 
 def segment_rows(obj: ElfObject) -> Iterator[tuple]:
-    for s in obj.segments:
-        yield (
-            s.index, s.type_name, s.flag_letters, s.offset, _db_int(s.vaddr), s.filesz,
-            _db_int(s.memsz), _db_int(s.align), 1,
-        )
+    yield from _file_block(obj, [(
+        s.index, s.type_name, s.flag_letters, s.offset, _db_int(s.vaddr), s.filesz,
+        _db_int(s.memsz), _db_int(s.align),
+    ) for s in obj.segments])
 
 
-# Records per chunk of a symbol table's fill: `symbol_rows` holds one
-# chunk's columns at a time, beside one copy of the table's string table.
-_SYMBOL_CHUNK = 4096
+# Records per block of the symbol and instruction producers: a fill holds one
+# block's columns at a time, beside one copy of a symbol table's string table.
+_BLOCK = 1024
 
 
-def _db_ints(column: list[int]) -> Iterable[int]:
+def _db_ints(column: list[int]) -> list[int]:
     """`column` as stored: converted by `_db_int` only when a value needs it."""
-    return map(_db_int, column) if column and max(column) >= _I64_MAX else column
+    return [*map(_db_int, column)] if column and max(column) >= _I64_MAX else column
 
 
 # The versym word of a record past the end of its table's versym section,
 # and of every record of a table without versions.
 _NO_WORD = -1
-
-
-def _symbol_chunks(
-    obj: ElfObject,
-) -> Iterator[tuple[reader.SymbolTable, int, list[list[int]], Iterator[tuple]]]:
-    """Each chunk of `_SYMBOL_CHUNK` records of each symbol table, in
-    `obj.symbol_tables` order, as (table, index of its first record, its
-    `fields`, the key of each record).
-
-    A record's key is (the table's position in `obj.symbol_tables`,
-    st_info, st_other, st_shndx, versym word), and its extended index word
-    too in a table with extended section indices: all that its key row
-    depends on.
-    """
-    for position, table in enumerate(obj.symbol_tables):
-        for start in range(0, len(table), _SYMBOL_CHUNK):
-            fields = table.fields(start, start + _SYMBOL_CHUNK)
-            _, infos, others, shndxs, _, _, words, extended = fields
-            columns = [repeat(position), infos, others, shndxs, chain(words, repeat(_NO_WORD))]
-            if extended:
-                columns.append(extended)
-            yield table, start, fields, zip(*columns)
 
 
 class _KeyNumbers(dict):
@@ -188,80 +169,80 @@ class _KeyNumbers(dict):
         return number
 
 
-def symbol_keys(obj: ElfObject) -> Iterator[tuple]:
-    """The key rows of elf_symbols (see its `Table`), one per distinct
-    record key in the order the keys first appear, which is the order
-    `symbol_rows` numbers them in.  In a table with extended section
-    indices, an SHN_XINDEX record's section is the section its index word
-    gives: any index, even one in the reserved range."""
-    path = path_text(obj.path)
-    seen = set()
-    for table, _start, _fields, keys in _symbol_chunks(obj):
-        for key in dict.fromkeys(keys):
-            if key in seen:
-                continue
-            seen.add(key)
-            _, info, other, shndx, word, *extended = key
-            if extended and shndx == SHN_XINDEX:
-                shndx = extended[0]
-                section = obj.sections[shndx].name if shndx else _SHN_NAMES[SHN_UNDEF]
-            else:
-                section = section_name_for_symbol(obj, shndx)
-            exported, imported = derive_export_import(info, other, shndx, table.kind)
-            yield (
-                path,
-                table.kind.value,
-                section,
-                render_code(info & 0xF, SYMBOL_TYPE_NAMES),
-                render_code(info >> 4, SYMBOL_BINDING_NAMES),
-                render_code(other & 0x3, SYMBOL_VISIBILITY_NAMES),
-                None if word == _NO_WORD else table.version_of[word][0],
-                int(exported),
-                int(imported),
-            )
+def _symbol_key_row(obj: ElfObject, table: reader.SymbolTable, path: str, key: tuple) -> tuple:
+    """The key columns of elf_symbols (see its `Table`) of a record key: the
+    table's position in `obj.symbol_tables`, st_info, st_other, st_shndx and
+    versym word, and the extended index word too in a table with extended
+    section indices.  There an SHN_XINDEX record's section is the section
+    its index word gives: any index, even one in the reserved range."""
+    _, info, other, shndx, word, *extended = key
+    if extended and shndx == SHN_XINDEX:
+        shndx = extended[0]
+        section = obj.sections[shndx].name if shndx else _SHN_NAMES[SHN_UNDEF]
+    else:
+        section = section_name_for_symbol(obj, shndx)
+    exported, imported = derive_export_import(info, other, shndx, table.kind)
+    return (
+        path,
+        table.kind.value,
+        section,
+        render_code(info & 0xF, SYMBOL_TYPE_NAMES),
+        render_code(info >> 4, SYMBOL_BINDING_NAMES),
+        render_code(other & 0x3, SYMBOL_VISIBILITY_NAMES),
+        None if word == _NO_WORD else table.version_of[word][0],
+        int(exported),
+        int(imported),
+    )
 
 
 def symbol_rows(obj: ElfObject) -> Iterator[tuple]:
-    """One narrow row, (index, name, demangle_name, value, size, key number),
-    per .symtab/.dynsym entry, null symbol included, table by table in
-    `obj.symbol_tables` order and each table in index order; versions only
-    appear on .dynsym rows.
-
-    Each table is read from the file in chunks of `_SYMBOL_CHUNK` records.
-    """
+    """One row, (index, name, demangle_name, value, size, key number), per
+    .symtab/.dynsym entry, null symbol included, table by table in
+    `obj.symbol_tables` order and each table in index order, in blocks of
+    `_BLOCK` records read from the file; versions only appear on .dynsym
+    rows.  A record's key is all that its key row depends on."""
+    path = path_text(obj.path)
     numbers = _KeyNumbers()
-    for table, start, fields, keys in _symbol_chunks(obj):
-        if not start:
-            names_at = table.name_reader()
-        names = names_at(fields[0])
-        yield from zip(
-            count(start), names, map(demangle, names), _db_ints(fields[4]), _db_ints(fields[5]),
-            map(numbers.__getitem__, keys),
-        )
+    for position, table in enumerate(obj.symbol_tables):
+        names_at = table.name_reader()
+        for start in range(0, len(table), _BLOCK):
+            fields = table.fields(start, start + _BLOCK)
+            offsets, infos, others, shndxs, values, sizes, words, extended = fields
+            keys = [repeat(position), infos, others, shndxs, chain(words, repeat(_NO_WORD))]
+            if extended:
+                keys.append(extended)
+            known = len(numbers)
+            key_numbers = [*map(numbers.__getitem__, zip(*keys))]
+            names = names_at(offsets)
+            yield [
+                (number, *_symbol_key_row(obj, table, path, key))
+                for number, key in enumerate(islice(numbers, known, None), known + 1)
+            ], [
+                range(start, start + len(names)), names, [*map(demangle, names)],
+                _db_ints(values), _db_ints(sizes), key_numbers,
+            ]
 
 
 def _string_tables(obj: ElfObject) -> list[reader.Section]:
     return [sec for sec in obj.sections if sec.type_code == SHT_STRTAB]
 
 
-def string_keys(obj: ElfObject) -> Iterator[tuple]:
-    """The key rows of elf_strings: one per SHT_STRTAB section."""
-    path = path_text(obj.path)
-    return ((path, sec.name) for sec in _string_tables(obj))
-
-
 def string_rows(obj: ElfObject) -> Iterator[tuple]:
-    """One narrow row, (offset, value, key number), per entry of every
-    SHT_STRTAB section, in (section, offset) order, split by
-    `reader.string_entries` a bounded piece at a time."""
+    """One row, (offset, value, key number), per entry of every SHT_STRTAB
+    section, in (section, offset) order, in one block per piece of
+    `reader.string_entries`.  Key row n is the nth string table's."""
+    path = path_text(obj.path)
     for number, sec in enumerate(_string_tables(obj), 1):
+        new_keys = [(number, path, sec.name)]
         for offsets, values in reader.string_entries(sec.view):
-            yield from zip(offsets, values, repeat(number))
+            yield new_keys, [offsets, values, [number] * len(offsets)]
+            new_keys = []
 
 
 def dynamic_entry_rows(obj: ElfObject) -> Iterator[tuple]:
-    for e in obj.dynamic:
-        yield (e.ordinal, e.tag_name, _db_int(e.value), e.string, 1)
+    yield from _file_block(
+        obj, [(e.ordinal, e.tag_name, _db_int(e.value), e.string) for e in obj.dynamic]
+    )
 
 
 # The default of `instruction_rows`: `disasm.DEFAULT_DECODER`, imported on first use.
@@ -274,18 +255,13 @@ def _code_sections(obj: ElfObject) -> list[reader.Section]:
     ]
 
 
-def instruction_keys(obj: ElfObject) -> Iterator[tuple]:
-    """The key rows of elf_instructions: one per EXECINSTR section that has
-    bytes in the file, whether or not a decoder gives it rows."""
-    path = path_text(obj.path)
-    return ((path, sec.name) for sec in _code_sections(obj))
-
-
 def instruction_rows(
     obj: ElfObject, decoder: Optional[InstructionDecoder] = _DEFAULT_DECODER
 ) -> Iterator[tuple]:
-    """Linear-sweep decode of every EXECINSTR section, one narrow row,
-    (address, size, mnemonic, operands, key number), per instruction.
+    """Linear-sweep decode of every EXECINSTR section that has bytes in the
+    file, one row, (address, size, mnemonic, operands, key number), per
+    instruction, in blocks of at most `_BLOCK`.  Key row n is the nth such
+    section's.
 
     Bytes the decoder rejects become one-byte "(bad)" rows, so addresses
     always advance by exactly the emitted size.  No decoder (or a machine
@@ -298,24 +274,33 @@ def instruction_rows(
     if decoder is None or not decoder.supports(obj.header.machine_code):
         return
     decode = decoder.decode
+    path = path_text(obj.path)
     for number, sec in enumerate(_code_sections(obj), 1):
+        new_keys = [(number, path, sec.name)]
         # A bytes copy: the decoder indexes and slices bytes faster than a view.
         buf, base = sec.content, sec.address
         size = len(buf)
         offset = 0
         while offset < size:
-            address = base + offset
-            decoded = decode(buf, offset, address)
-            if address >= _I64_MAX:
-                address = _db_int(address)
-            if decoded is None:
-                yield (address, 1, "(bad)", "", number)
-                offset += 1
-            else:
-                yield (address, decoded.size, decoded.mnemonic, decoded.operands, number)
-                offset += decoded.size
-
-
+            addresses, sizes, mnemonics, operands = block = [], [], [], []
+            for _ in range(_BLOCK):
+                address = base + offset
+                decoded = decode(buf, offset, address)
+                addresses.append(_db_int(address) if address >= _I64_MAX else address)
+                if decoded is None:
+                    sizes.append(1)
+                    mnemonics.append("(bad)")
+                    operands.append("")
+                    offset += 1
+                else:
+                    sizes.append(decoded.size)
+                    mnemonics.append(decoded.mnemonic)
+                    operands.append(decoded.operands)
+                    offset += decoded.size
+                if offset >= size:
+                    break
+            yield new_keys, [*block, [number] * len(addresses)]
+            new_keys = []
 
 
 class Table(NamedTuple):
@@ -331,18 +316,16 @@ class Table(NamedTuple):
     # handful of values per file.  Binding, not storing, is most of an
     # insert's cost; a text is copied at every bind.
     key_columns: tuple[str, ...]
-    # (obj) -> each combination of `key_columns` the file's rows use, once.
-    key_rows: Callable[[ElfObject], Iterable[tuple]]
-    # (obj) -> a narrow row per table row: `own_columns`, then the number of
-    # its key row, from 1.  A fill reads it from `TABLE_PRODUCERS`.
-    producer: Callable[[ElfObject], Iterable[tuple]]
+    # (obj) -> blocks of the file's rows, each (new key rows, columns): see
+    # the module docstring.  A fill reads it from `TABLE_PRODUCERS`.
+    producer: Callable[[ElfObject], Iterable[tuple[list[tuple], list[Sequence]]]]
     # The columns, as SQL, of the index `<name>_path`, built when the catalog
     # holds two or more files; with one, every row has the same path.
     index: Optional[str] = None
 
     @property
     def own_columns(self) -> list[str]:
-        """The columns a narrow row binds, in declaration order."""
+        """The columns a block gives, before the key number, in declaration order."""
         return [column for column, _ in self.columns if column not in self.key_columns]
 
 
@@ -351,16 +334,16 @@ TABLES: dict[str, Table] = {table.name: table for table in (
         ("path", str), ("file_type", str), ("machine", str), ("version", int),
         ("entry_point", int), ("class", str), ("data_encoding", str), ("os_abi", str),
         ("phnum", int), ("shnum", int),
-    ), ("path",), path_keys, header_rows),
+    ), ("path",), header_rows),
     Table("elf_sections", (
         ("path", str), ("index", int), ("name", str), ("sh_type", str), ("flags", str),
         ("address", int), ("offset", int), ("size", int), ("link", int), ("info", int),
         ("content", bytes),
-    ), ("path",), path_keys, section_rows),
+    ), ("path",), section_rows),
     Table("elf_segments", (
         ("path", str), ("index", int), ("p_type", str), ("flags", str), ("offset", int),
         ("vaddr", int), ("filesz", int), ("memsz", int), ("align", int),
-    ), ("path",), path_keys, segment_rows),
+    ), ("path",), segment_rows),
     # A row binds 6 values, not 14.  Per-file counts search the index, and the
     # histogram groups along it without a sort.
     Table("elf_symbols", (
@@ -370,18 +353,18 @@ TABLES: dict[str, Table] = {table.name: table for table in (
     ), (
         "path", "table", "section", "type", "binding", "visibility", "version", "exported",
         "imported",
-    ), symbol_keys, symbol_rows, index='path, "table"'),
+    ), symbol_rows, index='path, "table"'),
     Table(
         "elf_strings", (("path", str), ("section", str), ("offset", int), ("value", str)),
-        ("path", "section"), string_keys, string_rows,
+        ("path", "section"), string_rows,
     ),
     Table("elf_dynamic_entries", (
         ("path", str), ("ordinal", int), ("tag", str), ("value", int), ("string", str),
-    ), ("path",), path_keys, dynamic_entry_rows),
+    ), ("path",), dynamic_entry_rows),
     Table("elf_instructions", (
         ("path", str), ("section", str), ("address", int), ("size", int), ("mnemonic", str),
         ("operands", str),
-    ), ("path", "section"), instruction_keys, instruction_rows),
+    ), ("path", "section"), instruction_rows),
 )}
 
 # Views of TABLES.  A fill reads each producer from TABLE_PRODUCERS when it
@@ -393,14 +376,17 @@ TABLE_PRODUCERS = {name: table.producer for name, table in TABLES.items()}
 
 def rows(table: str, obj: ElfObject) -> Iterator[tuple]:
     """The rows of `table` for `obj` in column order, as SQLite stores
-    them: each narrow row of its `TABLE_PRODUCERS` entry with its key row."""
+    them: each row of the blocks of its `TABLE_PRODUCERS` entry with its
+    key row."""
     record = TABLES[table]
     own, keys = record.own_columns, record.key_columns
-    # A narrow row, then its key row: its own columns, the key number, the key columns.
+    # A row, then its key row: its own columns, the key number, the key columns.
     order = itemgetter(*(
         own.index(column) if column in own else len(own) + 1 + keys.index(column)
         for column, _ in record.columns
     ))
-    narrow = TABLE_PRODUCERS[table](obj)
-    by_number = (None, *record.key_rows(obj))
-    return (order(row + by_number[row[-1]]) for row in narrow)
+    key_rows = {}
+    for new_keys, columns in TABLE_PRODUCERS[table](obj):
+        key_rows.update((key[0], key[1:]) for key in new_keys)
+        for row in zip(*columns):
+            yield order(row + key_rows[row[-1]])

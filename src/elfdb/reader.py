@@ -550,10 +550,10 @@ def string_at(table: bytes | memoryview, offset: int, what: str) -> str:
     return decode_bytes(table[offset : _string_end(table, offset, what)])
 
 
-_STRING_PIECE = 1 << 16
+_STRING_PIECE = 1 << 15
 
 
-def _string_columns(content: bytes, start: int = 0) -> tuple[Iterator[int], Iterator[str]]:
+def _string_columns(content: bytes, start: int = 0) -> tuple[list[int], list[str]]:
     """The offsets and the values of the NUL-terminated entries of a string
     table piece at offset `start`; the bytes after its last NUL are not an
     entry."""
@@ -562,11 +562,11 @@ def _string_columns(content: bytes, start: int = 0) -> tuple[Iterator[int], Iter
     pieces = content.decode("ascii").split("\0") if text else content.split(b"\x00")
     pieces.pop()  # the bytes after the last NUL
     # Entry i starts after the i entries and i NULs before it.
-    offsets = map(add, accumulate(map(len, pieces), initial=start), range(len(pieces)))
-    return offsets, iter(pieces) if text else map(decode_bytes, pieces)
+    offsets = [*map(add, accumulate(map(len, pieces), initial=start), range(len(pieces)))]
+    return offsets, pieces if text else [*map(decode_bytes, pieces)]
 
 
-def string_entries(table: memoryview) -> Iterator[tuple[Iterator[int], Iterator[str]]]:
+def string_entries(table: memoryview) -> Iterator[tuple[list[int], list[str]]]:
     """The `_string_columns` of a string table, one piece copied at a time:
     each piece ends at the first NUL at least `_STRING_PIECE` bytes in, or at
     the table's end, so an entry is never split."""

@@ -346,6 +346,11 @@ def named_rows(table: str, obj: reader.ElfObject) -> list[dict]:
     return [dict(zip(columns, row)) for row in model.rows(table, obj)]
 
 
+def produced_rows(table: str, obj: reader.ElfObject) -> int:
+    """How many rows the producer of `table` gives for `obj`, over its blocks."""
+    return sum(len(columns[0]) for _, columns in model.TABLE_PRODUCERS[table](obj))
+
+
 def symbol_table(obj: reader.ElfObject, kind: SymbolTableKind) -> reader.SymbolTable:
     """The one symbol table of `kind` in `obj`."""
     (table,) = [t for t in obj.symbol_tables if t.kind == kind]
@@ -367,16 +372,11 @@ def exported_funcs(*names: str) -> list[SymbolSpec]:
     return [SymbolSpec(name=n) for n in names]
 
 
-def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> None:
-    """Version the .dynsym of the file at `path` in place.
-
-    Appends a `.gnu.version` holding `words`, one per .dynsym entry, a
-    `.gnu.version_d` that defines index 1 as the base and `versions` as
-    indices 2, 3, ..., and a `.verstr` string table for their names; then a
-    `.shstrtab` naming all sections, and the section headers.  Only the
-    section headers locate the new sections, so readelf, which looks for
-    versions through the dynamic section, does not show them.
-    """
+def append_sections(path: str, sections: list[tuple]) -> None:
+    """Append `sections` to the file at `path` in place, each (name, sh_type,
+    sh_flags, sh_addr, body, sh_link, sh_info, sh_entsize), after its last
+    byte; then a `.shstrtab` naming all sections, and the section headers.
+    Only the section headers locate the new sections."""
     obj = reader.load_elf(path)
     hdr = obj.header
     lay = reader._layouts(hdr.ident.elf_class, hdr.ident.data_encoding)
@@ -384,8 +384,36 @@ def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> Non
     headers = [
         list(lay.shdr.unpack_from(data, hdr.shoff + i * hdr.shentsize)) for i in range(hdr.shnum)
     ]
-    dynsym = obj.section_named(".dynsym").index
     shstrtab = bytearray(obj.sections[hdr.shstrndx].content)
+    for name, type_code, flags, address, body, link, info, entsize in sections:
+        data += bytes(-len(data) % 8)
+        headers.append(
+            [len(shstrtab), type_code, flags, address, len(data), len(body), link, info, 8, entsize]
+        )
+        shstrtab += name.encode() + b"\x00"
+        data += body
+    headers[hdr.shstrndx][4:6] = [len(data), len(shstrtab)]
+    data += shstrtab + bytes(-(len(data) + len(shstrtab)) % 8)
+    shoff = len(data)
+    data += b"".join(lay.shdr.pack(*h) for h in headers)
+    lay.ehdr.pack_into(data, 16, *hdr._replace(shoff=shoff, shnum=len(headers))[1:])
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> None:
+    """Version the .dynsym of the file at `path` in place.
+
+    Appends a `.gnu.version` holding `words`, one per .dynsym entry, a
+    `.gnu.version_d` that defines index 1 as the base and `versions` as
+    indices 2, 3, ..., and a `.verstr` string table for their names, with
+    `append_sections`.  Only the section headers locate the new sections,
+    so readelf, which looks for versions through the dynamic section, does
+    not show them.
+    """
+    obj = reader.load_elf(path)
+    hdr = obj.header
+    lay = reader._layouts(hdr.ident.elf_class, hdr.ident.data_encoding)
     verstr = bytearray(b"\x00")
     verdef = bytearray()
     names = ["base", *versions]
@@ -398,23 +426,12 @@ def add_symbol_versions(path: str, versions: list[str], words: list[int]) -> Non
         verdef += lay.verdaux.pack(name_offset, 0)
     bo = "<" if hdr.ident.data_encoding == DataEncoding.LSB else ">"
     versym = struct.pack(f"{bo}{len(words)}H", *words)
-    bodies = [
-        (".gnu.version", reader.SHT_GNU_VERSYM, versym, dynsym, 0, 2),
-        (".gnu.version_d", reader.SHT_GNU_VERDEF, bytes(verdef), hdr.shnum + 2, len(names), 0),
-        (".verstr", reader.SHT_STRTAB, bytes(verstr), 0, 0, 0),
-    ]
-    for name, type_code, body, link, info, entsize in bodies:
-        data += bytes(-len(data) % 8)
-        headers.append([len(shstrtab), type_code, 0, 0, len(data), len(body), link, info, 8, entsize])
-        shstrtab += name.encode() + b"\x00"
-        data += body
-    headers[hdr.shstrndx][4:6] = [len(data), len(shstrtab)]
-    data += shstrtab + bytes(-(len(data) + len(shstrtab)) % 8)
-    shoff = len(data)
-    data += b"".join(lay.shdr.pack(*h) for h in headers)
-    lay.ehdr.pack_into(data, 16, *hdr._replace(shoff=shoff, shnum=len(headers))[1:])
-    with open(path, "wb") as fh:
-        fh.write(data)
+    dynsym = obj.section_named(".dynsym").index
+    append_sections(path, [
+        (".gnu.version", reader.SHT_GNU_VERSYM, 0, 0, versym, dynsym, 0, 2),
+        (".gnu.version_d", reader.SHT_GNU_VERDEF, 0, 0, bytes(verdef), hdr.shnum + 2, len(names), 0),
+        (".verstr", reader.SHT_STRTAB, 0, 0, bytes(verstr), 0, 0, 0),
+    ])
 
 
 def varied_elf_kwargs(elf_class: ElfClass, encoding: DataEncoding) -> dict:

@@ -8,7 +8,6 @@ import shutil
 import sqlite3
 import struct
 import weakref
-from itertools import islice
 from pathlib import Path
 from textwrap import dedent
 
@@ -32,6 +31,7 @@ from conftest import (
     SESSION_PAGE_LIMIT,
     exported_funcs,
     lift_page_limit,
+    produced_rows,
     readelf_symbol_tables,
     run_child,
     write_varied_elf,
@@ -385,8 +385,9 @@ class TestProducers:
         the MEMOIZED one; putting the original back undoes it."""
 
         def one_row(obj):
-            # A narrow row: the table's own columns, then key number 1, the file's path.
-            yield (7, "DT_PLANTED", -1, "planted", 1)
+            # One block: key row 1, the file's path, and one row of the table's
+            # own columns and key number 1.
+            yield [(1, model.path_text(obj.path))], [[7], ["DT_PLANTED"], [-1], ["planted"], [1]]
 
         producers = model.TABLE_PRODUCERS
         original = producers["elf_dynamic_entries"]
@@ -467,7 +468,7 @@ class TestBatchedFill:
         for n in BOUNDARY_SYMBOL_COUNTS:
             obj = reader.load_elf(_generated(tmp_path, n))
             for table, seen in counts.items():
-                seen.add(sum(1 for _ in model.TABLE_PRODUCERS[table](obj)))
+                seen.add(produced_rows(table, obj))
         assert {1, B - 1, B, B + 1, 2 * B + 1} <= counts["elf_symbols"]
         assert {B - 1, B, B + 1, 2 * B + 1} <= counts["elf_strings"]
 
@@ -484,23 +485,61 @@ class TestBatchedFill:
         catalog = corpus.add_paths([first, _generated(tmp_path, 2 * B)])
         objs = [reader.load_elf(e.path) for e in catalog]
         for table in ("elf_symbols", "elf_strings"):
-            rows = [sum(1 for _ in model.TABLE_PRODUCERS[table](obj)) for obj in objs]
+            rows = [produced_rows(table, obj) for obj in objs]
             # The first file ends inside a batch that the second file would complete;
             # its last rows go in one at a time before the second file is opened.
             assert rows[0] % B and sum(rows) >= (rows[0] // B + 1) * B, table
         obj = objs[0]
-        # A section's content, bound just before its key number, is a view of the file.
-        assert isinstance(next(model.TABLE_PRODUCERS["elf_sections"](obj))[-2], memoryview)
+        # A section's content, the column before the key number, is a view of the file.
+        _, columns = next(model.TABLE_PRODUCERS["elf_sections"](obj))
+        assert isinstance(columns[-2][0], memoryview)
         dumps = _assert_fill_equals_one_row_inserts(catalog)
         assert any(type(v) is int and v < 0 for row in dumps["elf_symbols"] for v in row)
         assert {row[-1] for row in dumps["elf_sections"]} == {"blob"}
+
+    @pytest.mark.parametrize("block", [7, 45])
+    def test_blocks_that_end_inside_batches_equal_one_row_inserts(self, tmp_path, monkeypatch, block):
+        """Blocks of `block` records, or string pieces of `block` bytes, end
+        inside batches: the fill carries each partial batch into the next
+        block, and the tables equal those of the default block size."""
+        varied = write_varied_elf(str(tmp_path / "varied.so"), ElfClass.ELF64, DataEncoding.LSB)
+        generated = _generated(tmp_path, 2 * B)
+        catalog = corpus.add_paths([varied, generated])
+        default = _assert_fill_equals_one_row_inserts(catalog)
+        monkeypatch.setattr(model, "_BLOCK", block)
+        monkeypatch.setattr(reader, "_STRING_PIECE", block)
+        obj = reader.load_elf(generated)
+        for table in ("elf_symbols", "elf_strings", "elf_instructions"):
+            sizes = [len(columns[0]) for _, columns in model.TABLE_PRODUCERS[table](obj)]
+            assert sum(sizes) > B and len(sizes) > 1 and any(size % B for size in sizes), table
+        assert _assert_fill_equals_one_row_inserts(catalog) == default
+
+    def test_a_fill_steps_the_producer_once_per_block(self, symbols_1e5, monkeypatch):
+        """The producer of elf_symbols gives blocks of 1,024 rows, not a row
+        at a time: its fill of 1e5 symbols steps it at most
+        ceil(rows / 1024) + 2 times, the last step ending it."""
+        blocks = []
+        produce = model.TABLE_PRODUCERS["elf_symbols"]
+
+        def counting(obj):
+            for block in produce(obj):
+                blocks.append(len(block[1][0]))
+                yield block
+
+        monkeypatch.setitem(model.TABLE_PRODUCERS, "elf_symbols", counting)
+        with register(corpus.add_paths([symbols_1e5])) as session:
+            [(rows,)] = session.execute("SELECT COUNT(*) FROM elf_symbols").rows
+        assert rows == sum(blocks) == 100_001
+        assert len(blocks) + 1 <= -(-rows // 1024) + 2
 
     def test_a_failing_producer_leaves_the_table_empty_and_pending(self, tmp_path, monkeypatch):
         catalog = corpus.add_paths([_generated(tmp_path, 2 * B)])
         original = model.TABLE_PRODUCERS["elf_symbols"]
 
         def failing(obj):
-            yield from islice(original(obj), B + 3)
+            # B + 3 rows: one batch inserted and three carried, then the failure.
+            new_keys, columns = next(original(obj))
+            yield new_keys, [column[: B + 3] for column in columns]
             raise RuntimeError("producer failed")
 
         with register(catalog) as session:
@@ -544,7 +583,8 @@ class TestBatchedFill:
             assert len(record.columns) - len(record.key_columns) + 1 == width, table
             assert sql.insert_one.count("?") == width, table
             assert sql.insert_batch.count("?") == B * width, table
-            assert sql.insert_key.count("?") == len(record.key_columns), table
+            # A key row binds its number too, as its rowid.
+            assert sql.insert_key.count("?") == len(record.key_columns) + 1, table
 
     @pytest.mark.parametrize("where", ["in a batch", "in the tail"])
     @pytest.mark.parametrize("number", ["zero", "past the last key row"])
@@ -555,11 +595,15 @@ class TestBatchedFill:
         original = model.TABLE_PRODUCERS["elf_symbols"]
 
         def one_stray(obj):
-            rows = list(original(obj))
-            stray = 0 if number == "zero" else sum(1 for _ in model.TABLES["elf_symbols"].key_rows(obj)) + 1
-            at = B // 2 if where == "in a batch" else len(rows) - 1
-            rows[at] = (*rows[at][:-1], stray)
-            yield from rows
+            blocks = [(new_keys, [*columns[:-1], list(columns[-1])]) for new_keys, columns in original(obj)]
+            stray = 0 if number == "zero" else sum(len(new_keys) for new_keys, _ in blocks) + 1
+            at = B // 2 if where == "in a batch" else sum(len(columns[0]) for _, columns in blocks) - 1
+            for _, columns in blocks:
+                if at < len(columns[-1]):
+                    columns[-1][at] = stray
+                    break
+                at -= len(columns[-1])
+            yield from blocks
 
         with register(catalog) as session:
             monkeypatch.setitem(model.TABLE_PRODUCERS, "elf_symbols", one_stray)
@@ -772,23 +816,21 @@ class TestSymbolIndex:
             assert lazy._pending == pending
 
 
-def _flag_keys(obj):
-    """The planted table's key rows: each flag set of the file's sections,
-    in the order they first appear."""
-    path = model.path_text(obj.path)
-    return ((path, flags) for flags in dict.fromkeys(s.flag_letters for s in obj.sections))
-
-
 def _flag_rows(obj):
-    """The planted table's narrow rows: (index, size, key number) per section."""
-    numbers = {flags: n for n, flags in enumerate(dict.fromkeys(s.flag_letters for s in obj.sections), 1)}
+    """The planted table's rows, (index, size, key number) per section, in
+    one block per section: its key row, (path, flags), comes with the
+    first section of its flag set."""
+    path = model.path_text(obj.path)
+    numbers = {}
     for s in obj.sections:
-        yield (s.index, s.size, numbers[s.flag_letters])
+        new_keys = [] if s.flag_letters in numbers else [(len(numbers) + 1, path, s.flag_letters)]
+        number = numbers.setdefault(s.flag_letters, len(numbers) + 1)
+        yield new_keys, [[s.index], [s.size], [number]]
 
 
 class TestDeclaredTable:
-    """An eighth table, declared by one `model.TABLES` record and its two
-    functions and changed nowhere else, is created, filled LAZY and
+    """An eighth table, declared by one `model.TABLES` record and its one
+    function and changed nowhere else, is created, filled LAZY and
     MEMOIZED, counted, exported and indexed as the seven are."""
 
     NAME = "elf_planted"
@@ -800,7 +842,7 @@ class TestDeclaredTable:
         planted = model.Table(
             self.NAME,
             (("path", str), ("index", int), ("flags", str), ("size", int)),
-            ("path", "flags"), _flag_keys, _flag_rows, index,
+            ("path", "flags"), _flag_rows, index,
         )
         monkeypatch.setattr(model, "TABLES", {**model.TABLES, self.NAME: planted})
         monkeypatch.setattr(model, "TABLE_PRODUCERS", {**model.TABLE_PRODUCERS, self.NAME: _flag_rows})

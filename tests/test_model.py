@@ -24,6 +24,7 @@ from elfdb.reader import DataEncoding, ElfClass, SymbolTableKind, load_elf, rend
 from conftest import (
     RUBY_LIKE,
     SYSTEM_DIRS,
+    append_sections,
     cxxfilt,
     exported_funcs,
     named_rows,
@@ -670,12 +671,13 @@ class TestInstructionTuples:
 
         DEFAULT_DECODER.decode = counting
         try:
-            rows = list(model.TABLE_PRODUCERS["elf_instructions"](obj))
+            blocks = list(model.TABLE_PRODUCERS["elf_instructions"](obj))
         finally:
             del DEFAULT_DECODER.decode
-        assert len(calls) == len(rows) > 0
-        # A producer row starts with the address.
-        assert calls == [r[0] - obj.section_named(".text").address for r in rows]
+        # A block's first column holds the address of each of its rows.
+        addresses = [address for _, columns in blocks for address in columns[0]]
+        assert len(calls) == len(addresses) > 0
+        assert calls == [a - obj.section_named(".text").address for a in addresses]
 
     def test_default_decoder_decode_is_read_at_call_time(self, tmp_path):
         # perfbench's tracer times decoding by setting `decode` on this instance.
@@ -688,6 +690,39 @@ class TestInstructionTuples:
         finally:
             del DEFAULT_DECODER.decode
         assert list(model.rows("elf_instructions", obj)) == reference_instruction_tuples(obj)
+
+
+def test_a_section_without_rows_shifts_no_key_number(tmp_path):
+    """A string table or a code section that gives no rows gives no block,
+    so its key row is never bound; the key rows of the sections after it
+    keep their numbers, and every row names its own section."""
+    path = write_code_elf(str(tmp_path / "gaps.so"))
+    code = reader.SHF_ALLOC | reader.SHF_EXECINSTR
+    append_sections(path, [
+        (".empty_strings", reader.SHT_STRTAB, 0, 0, b"", 0, 0, 0),
+        (".more_strings", reader.SHT_STRTAB, 0, 0, b"\0first\0second\0", 0, 0, 0),
+        (".empty_text", reader.SHT_PROGBITS, code, 0x200000, b"", 0, 0, 0),
+        (".more_text", reader.SHT_PROGBITS, code, 0x200000, bytes(reversed(_CODE)), 0, 0, 0),
+    ])
+    obj = load_elf(path)
+    strtabs = [(s.name, s.size) for s in obj.sections if s.type_code == reader.SHT_STRTAB]
+    assert [size > 0 for _, size in strtabs] == [True, True, False, True], strtabs
+    code_sections = [(s.name, s.size) for s in obj.sections if s.flags & reader.SHF_EXECINSTR]
+    assert code_sections == [(".text", len(_CODE)), (".empty_text", 0), (".more_text", len(_CODE))]
+    strings = [
+        (sec.name, offset, value)
+        for sec in obj.sections if sec.type_code == reader.SHT_STRTAB
+        for offsets, values in reader.string_entries(sec.view)
+        for offset, value in zip(offsets, values)
+    ]
+    assert strings[-2:] == [(".more_strings", 1, "first"), (".more_strings", 7, "second")]
+    instructions = [row[1:] for row in reference_instruction_tuples(obj, DEFAULT_DECODER)]
+    assert {row[0] for row in instructions} == {".text", ".more_text"}
+    with engine.register(corpus.add_paths([path])) as session:
+        sql = 'SELECT section, "offset", value FROM elf_strings ORDER BY rowid'
+        assert list(session.execute(sql).rows) == strings
+        sql = "SELECT section, address, size, mnemonic, operands FROM elf_instructions ORDER BY rowid"
+        assert list(session.execute(sql).rows) == instructions
 
 
 # Bytes after a first byte that change a rule's outcome: none, a register
@@ -806,8 +841,9 @@ _STORED = {str: (str,), int: (int,), bool: (int,), bytes: (memoryview,)}
 def test_tuples_follow_the_schema(tmp_path):
     """Each row of `model.rows` has one value per SCHEMA column, each of the
     type SQLite stores for its column: integers signed 64-bit, flags 0 or 1.
-    The table's producer yields one item per row: perfbench's tracer counts
-    a table's rows by its producer's items."""
+    The table's producer gives those rows in blocks: each block's key rows
+    hold a number and the key columns, and its columns are the table's own
+    columns and the key number, of one length."""
     high = write_code_elf(str(tmp_path / "high.so"), text_address=2**64 - 16)
     filled = set()
     for path in [*reference_inputs(tmp_path), high]:
@@ -831,7 +867,14 @@ def test_tuples_follow_the_schema(tmp_path):
                         assert value in (0, 1), (path, table, column)
                 if table == "elf_dynamic_entries":
                     assert (row[4] is None) == (row[2] not in _STRING_TAGS), (path, row)
-            assert sum(1 for _ in model.TABLE_PRODUCERS[table](obj)) == rows, (path, table)
+            record = model.TABLES[table]
+            produced = 0
+            for new_keys, columns in model.TABLE_PRODUCERS[table](obj):
+                assert {len(key) for key in new_keys} <= {len(record.key_columns) + 1}, (path, table)
+                assert len(columns) == len(record.own_columns) + 1, (path, table)
+                assert {len(column) for column in columns} == {len(columns[0])}, (path, table)
+                produced += len(columns[0])
+            assert produced == rows, (path, table)
     assert filled == set(model.SCHEMA)
     text = next(t for t in model.rows("elf_sections", load_elf(high)) if t[2] == ".text")
     assert text[5] == -16  # the address 2**64 - 16, bit pattern kept
@@ -983,17 +1026,18 @@ class TestBoundedMemory:
 
     def test_a_symbol_fill_holds_one_chunk_and_one_string_table(self, traced):
         _held, peak, _strings, dynstr = traced
-        # One copy of .dynstr (1.3 MB of 13-byte names) and one chunk's
-        # columns: 4,096 records, each with a name (about 64 B), seven list
-        # slots (56 B) and up to three ints past the small-int cache (96 B),
-        # about 1 MB, here allowed twice that.  Deriving all 1e5 records at
-        # once held 18.6 MB.
+        # One copy of .dynstr (1.3 MB of 13-byte names) and one block's
+        # columns: 1,024 records, each with a name (about 64 B), about ten
+        # list slots (80 B) and up to three ints past the small-int cache
+        # (96 B), about 0.25 MB, here allowed eight times that.  Deriving
+        # all 1e5 records at once held 18.6 MB.
         assert peak < dynstr + 2_000_000
 
     def test_a_string_fill_holds_one_piece(self, traced):
         _held, _symbols, peak, dynstr = traced
-        # A piece is copied, split into about 5,000 entries of 13 bytes
-        # (about 60 B each, list slots included) and numbered: well under
-        # 1 MB.  One split of the whole .dynstr took 9.5 MB.
+        # A piece of 32 KiB is copied, split into about 2,500 entries of 13
+        # bytes (about 60 B each, list slots included), given their offsets
+        # and numbered: well under 1 MB.  One split of the whole .dynstr took
+        # 9.5 MB.
         assert dynstr > 1_000_000
         assert peak < 1_000_000
